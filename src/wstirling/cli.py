@@ -8,6 +8,10 @@ Four subcommands:
     enumerate  stream canonical renderings of combinatorial objects
     det        print a Hankel-style matrix, its determinant, and the closed form
 
+`verify` only parses its arguments and renders lines: the identities, their
+cells and probes, and the sweep loop live in `wstirling.identities`, which the
+acceptance gate runs too.
+
 Exit codes are a stable contract: 0 success, 1 a verified identity failed,
 2 usage error, 3 resource or cap error.  Output is byte-deterministic for
 identical invocations: iteration orders are fixed, the round-trip suite seeds
@@ -18,17 +22,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 
-from . import combinat, genfunc, matrices, stirling, tableaux
-from .ring import RingValue, X, ring_sum
+from . import combinat, identities, matrices, stirling, tableaux
 from .tableaux import BTableau
 from .weights import (CATALOG, NegativeQInteger, UndefinedIndex, UnknownBuiltin,
                       WeightPair, builtin)
-
-SUITES = ("recurrences", "genfunc", "orthogonality", "convolution", "lu",
-          "determinants", "tableaux", "combinatorial")
 
 
 class UsageError(ValueError):
@@ -115,17 +114,18 @@ def cmd_det(args) -> int:
     if args.r < 0 or args.s < 0:
         raise UsageError("--r and --s must be nonnegative")
     pair = load_weights(args.weights)
+    hankel = (args.kind, args.r, args.s, args.alpha, args.beta, pair)
     try:
-        matrix = matrices.hankel_matrix(args.kind, args.r, args.s,
-                                        args.alpha, args.beta, pair)
-        det, formula, equal = matrices.det_closed_form(args.kind, args.r, args.s,
-                                                       args.alpha, args.beta, pair)
+        matrix = matrices.hankel_matrix(*hankel)
+        det = matrices.determinant(matrix)
+        formula = matrices.det_formula(*hankel)
     except (NegativeQInteger, UndefinedIndex) as exc:
         raise UsageError(f"weights are undefined on the requested matrix: {exc}") from exc
     print(f"matrix (dim {args.r + 1}):")
     print(matrix.render())
     print(f"det={det.render()}")
     print(f"formula={formula.render()}")
+    equal = det == formula
     print("EQUAL" if equal else "DIFFER")
     return 0 if equal else 1
 
@@ -151,6 +151,8 @@ def _parse_tops(text: str) -> tuple:
 
 def cmd_enumerate(args) -> int:
     cap = args.cap
+    if cap < 0:
+        raise UsageError("--cap must be nonnegative")
     try:
         if args.object in ("T", "Td"):
             _require(args, "r", "s")
@@ -182,10 +184,6 @@ def cmd_enumerate(args) -> int:
     except (combinat.NonCombinatorialWeights, combinat.InvalidColorBudget) as exc:
         raise UsageError(f"weights do not define this object family: {exc}") from exc
     except ValueError as exc:
-        # the tableau enumerators raise a plain ValueError at the cap
-        if "exceeds the cap" in str(exc):
-            print(f"error: {exc}", file=sys.stderr)
-            return 3
         raise UsageError(str(exc)) from exc
     for line in lines:
         print(line)
@@ -194,461 +192,6 @@ def cmd_enumerate(args) -> int:
 
 
 # -- verify ------------------------------------------------------------------------
-
-
-class Report:
-    """Collects one PASS/FAIL/SKIP line per identity and the final tally."""
-
-    def __init__(self):
-        self.passed = 0
-        self.failed = 0
-        self.skipped = 0
-
-    def add(self, suite: str, name: str, label: str, checked: int, skipped: int,
-            failure):
-        if failure is not None:
-            status = "FAIL"
-            self.failed += 1
-        elif checked == 0:
-            status = "SKIP"
-            self.skipped += 1
-        else:
-            status = "PASS"
-            self.passed += 1
-        print(f"{status} {suite}/{name} weights={label} checked={checked} "
-              f"skipped={skipped}")
-        if failure is not None:
-            print(f"  counterexample: {failure}")
-
-    def summary(self) -> str:
-        total = self.passed + self.failed + self.skipped
-        return (f"result: {total} identities, {self.passed} passed, "
-                f"{self.failed} failed, {self.skipped} skipped")
-
-
-def _scan(cells, probe):
-    """Run probe over cells in order; stop at the first failure so the
-    reported counterexample is the smallest one in iteration order."""
-    checked = skipped = 0
-    for cell in cells:
-        try:
-            note = probe(*cell)
-        except (NegativeQInteger, UndefinedIndex):
-            skipped += 1
-            continue
-        if note is not None:
-            return checked, skipped, note
-        checked += 1
-    return checked, skipped, None
-
-
-def _grid(arange, brange):
-    return [(a, b) for a in arange for b in brange]
-
-
-def _labels(pairs) -> set:
-    return {pair.label for pair in pairs}
-
-
-def _suite_recurrences(report, pairs, nmax, arange, brange):
-    grid = _grid(arange, brange)
-    for pair in pairs:
-        tri_cells = [(n, k, a, b)
-                     for n in range(nmax + 1) for k in range(n + 1)
-                     for (a, b) in grid]
-        row_cells = [(n, k, a, b)
-                     for n in range(nmax) for k in range(n + 1)
-                     for (a, b) in grid]
-
-        def tri(kind):
-            def probe(n, k, a, b):
-                params = stirling.StirlingParams(a, b, n, k, kind, pair)
-                by_def = stirling.value(params)
-                by_rec = stirling.StirlingTable(pair, kind, a, b,
-                                                method="recurrence").value(n, k)
-                if by_def != by_rec:
-                    return (f"alpha={a} beta={b} n={n} k={k} "
-                            f"definition={by_def.render()} recurrence={by_rec.render()}")
-                return None
-            return probe
-
-        def against(step, kind):
-            # step computes the same entry from other rows; compare to the definition
-            def probe(n, k, a, b):
-                params = stirling.StirlingParams(a, b, n, k, kind, pair)
-                got = step(params)
-                want = (stirling.first_kind if kind == "first" else stirling.second_kind)(
-                    pair, a, b, *_target(step, n, k))
-                if got != want:
-                    return (f"alpha={a} beta={b} n={n} k={k} "
-                            f"recurrence={got.render()} definition={want.render()}")
-                return None
-            return probe
-
-        def _target(step, n, k):
-            # vertical recurrences produce the entry one row down and right
-            if step in (stirling.c_vertical, stirling.s_vertical):
-                return n + 1, k + 1
-            return n, k
-
-        report.add("recurrences", "triangular-first", pair.label,
-                   *_scan(tri_cells, tri("first")))
-        report.add("recurrences", "triangular-second", pair.label,
-                   *_scan(tri_cells, tri("second")))
-        report.add("recurrences", "vertical-first", pair.label,
-                   *_scan(row_cells, against(stirling.c_vertical, "first")))
-        report.add("recurrences", "vertical-second", pair.label,
-                   *_scan(row_cells, against(stirling.s_vertical, "second")))
-        report.add("recurrences", "horizontal-first", pair.label,
-                   *_scan(row_cells, against(stirling.c_horizontal, "first")))
-        report.add("recurrences", "horizontal-first-dual", pair.label,
-                   *_scan(row_cells, against(stirling.c_horizontal_alpha, "first")))
-        report.add("recurrences", "horizontal-second", pair.label,
-                   *_scan(row_cells, against(stirling.s_horizontal, "second")))
-
-
-def _suite_genfunc(report, pairs, nmax, arange, brange):
-    grid = _grid(arange, brange)
-    basis_max = min(nmax, 6)
-    for pair in pairs:
-        def product_probe(n, a, b):
-            got = genfunc.cgf_product(n, a, b, pair)
-            want = ring_sum(stirling.first_kind(pair, a, b, n, k) * X ** k
-                            for k in range(n + 1))
-            if got != want:
-                return (f"alpha={a} beta={b} n={n} product={got.render()} "
-                        f"row-sum={want.render()}")
-            return None
-
-        def series_probe(k, a, b):
-            got = genfunc.sgf_series(k, nmax, a, b, pair)
-            want = ring_sum(stirling.second_kind(pair, a, b, n, k) * X ** n
-                            for n in range(k, nmax + 1))
-            if got != want:
-                return (f"alpha={a} beta={b} k={k} series={got.render()} "
-                        f"column-sum={want.render()}")
-            return None
-
-        def basis_probe(n, a, b):
-            ok, residual = genfunc.basis_expand_check(n, a, b, pair)
-            if not ok:
-                return f"alpha={a} beta={b} n={n} residual={residual.render()}"
-            return None
-
-        report.add("genfunc", "row-product-first", pair.label,
-                   *_scan([(n, a, b) for n in range(nmax + 1) for (a, b) in grid],
-                          product_probe))
-        report.add("genfunc", "column-series-second", pair.label,
-                   *_scan([(k, a, b) for k in range(nmax + 1) for (a, b) in grid],
-                          series_probe))
-        report.add("genfunc", "basis-expansion", pair.label,
-                   *_scan([(n, a, b) for n in range(basis_max + 1) for (a, b) in grid],
-                          basis_probe))
-    if "pq-binomial" in _labels(pairs):
-        def residual_probe(fn, tag):
-            def probe(*cell):
-                ok, residual = fn(*cell)
-                if not ok:
-                    return f"{tag}={cell} residual={residual.render()}"
-                return None
-            return probe
-
-        report.add("genfunc", "pq-row-product", "pq-binomial",
-                   *_scan([(n,) for n in range(nmax + 1)],
-                          residual_probe(genfunc.pq_product_form_check, "n")))
-        report.add("genfunc", "pq-column-series", "pq-binomial",
-                   *_scan([(k, nmax) for k in range(min(nmax, 4) + 1)],
-                          residual_probe(genfunc.pq_series_reduction_check, "k,order")))
-        report.add("genfunc", "pq-basis-expansion", "pq-binomial",
-                   *_scan([(n,) for n in range(basis_max + 1)],
-                          residual_probe(genfunc.pq_basis_form_check, "n")))
-
-
-def _suite_orthogonality(report, pairs, nmax, arange, brange):
-    grid = _grid(arange, brange)
-    delta_max = min(nmax, 6)
-    pair_dim = min(nmax, 5)
-    for pair in pairs:
-        checked = skipped = 0
-        failure = None
-        for a, b in grid:
-            sub = matrices.orthogonality_check(delta_max, a, b, pair)
-            checked += sub["passed"]
-            skipped += sub["skipped"]
-            if sub["failures"] and failure is None:
-                first = sub["failures"][0]
-                failure = (f"alpha={a} beta={b} relation={first['relation']} "
-                           f"n={first['n']} m={first['m']} value={first['value']}")
-            if failure is not None:
-                break
-        report.add("orthogonality", "delta-sums", pair.label, checked, skipped, failure)
-
-        def pair_probe(kind):
-            def probe(a, b):
-                try:
-                    matrices.inverse_pair(kind, pair_dim, a, b, pair)
-                except matrices.NotInverse as exc:
-                    return f"alpha={a} beta={b} {exc}"
-                return None
-            return probe
-
-        report.add("orthogonality", "inverse-pair-beta", pair.label,
-                   *_scan(grid, pair_probe("beta")))
-        report.add("orthogonality", "inverse-pair-alpha", pair.label,
-                   *_scan(grid, pair_probe("alpha")))
-
-        rng = random.Random(11)
-        families = [("beta-forward", "beta-backward"),
-                    ("alpha-forward", "alpha-backward"),
-                    ("transposed-forward", "transposed-backward")]
-
-        def trip_probe(fwd, bwd, a, b):
-            seq = [RingValue.coerce(rng.randint(-9, 9)) for _ in range(pair_dim + 1)]
-            for first, second in ((fwd, bwd), (bwd, fwd)):
-                mid = matrices.inverse_relation_apply(first, seq, pair_dim, a, b, pair)
-                back = matrices.inverse_relation_apply(second, mid, pair_dim, a, b, pair)
-                if back != seq:
-                    return (f"alpha={a} beta={b} legs={first}->{second} "
-                            f"sequence={[v.render() for v in seq]}")
-            return None
-
-        report.add("orthogonality", "inverse-relation-round-trip", pair.label,
-                   *_scan([(fwd, bwd, a, b) for (fwd, bwd) in families
-                           for (a, b) in grid], trip_probe))
-    if "pq-binomial" in _labels(pairs):
-        ok = matrices.pq_binomial_orthogonality(delta_max)
-        report.add("orthogonality", "pq-binomial-delta", "pq-binomial",
-                   1 if ok else 0, 0,
-                   None if ok else f"signed pq-binomial sum deviates below n={delta_max}")
-
-
-def _suite_convolution(report, pairs, nmax, arange, brange):
-    grid = _grid(arange, brange)
-    bound = max(1, nmax // 3)
-    cells = [(m1, m2, n, a, b)
-             for m1 in range(bound + 1) for m2 in range(bound + 1)
-             for n in range(m1 + m2 + 1) for (a, b) in grid]
-    for pair in pairs:
-        def probe(kind):
-            def run(m1, m2, n, a, b):
-                if not matrices.convolution_check(kind, m1, m2, n, a, b, pair):
-                    return f"alpha={a} beta={b} m1={m1} m2={m2} n={n}"
-                return None
-            return run
-
-        report.add("convolution", "row-split-first", pair.label,
-                   *_scan(cells, probe("first")))
-        report.add("convolution", "row-split-second", pair.label,
-                   *_scan(cells, probe("second")))
-
-
-def _suite_lu(report, pairs, nmax, arange, brange):
-    grid = _grid(arange, brange)
-    bound = max(1, nmax // 2)
-    cells = [(r, s, a, b) for r in range(bound + 1) for s in range(bound + 1)
-             for (a, b) in grid]
-    for pair in pairs:
-        def probe(kind):
-            def run(r, s, a, b):
-                if not matrices.lu_check(kind, r, s, a, b, pair)[2]:
-                    return f"alpha={a} beta={b} r={r} s={s}"
-                return None
-            return run
-
-        report.add("lu", "hankel-lu-first", pair.label, *_scan(cells, probe("first")))
-        report.add("lu", "hankel-lu-second", pair.label, *_scan(cells, probe("second")))
-
-
-def _suite_determinants(report, pairs, nmax, arange, brange):
-    grid = _grid(arange, brange)
-    bound = max(1, nmax // 2)
-    cells = [(r, s, a, b) for r in range(bound + 1) for s in range(bound + 1)
-             for (a, b) in grid]
-    for pair in pairs:
-        def probe(kind):
-            def run(r, s, a, b):
-                det, formula, equal = matrices.det_closed_form(kind, r, s, a, b, pair)
-                if not equal:
-                    return (f"alpha={a} beta={b} r={r} s={s} det={det.render()} "
-                            f"formula={formula.render()}")
-                return None
-            return run
-
-        report.add("determinants", "hankel-det-first", pair.label,
-                   *_scan(cells, probe("first")))
-        report.add("determinants", "hankel-det-second", pair.label,
-                   *_scan(cells, probe("second")))
-    if "q-stirling" in _labels(pairs):
-        ehr_bound = max(1, nmax // 3)
-        def ehr_probe(r, s):
-            if not matrices.ehrenborg_det_check(r, s):
-                return f"r={r} s={s}"
-            return None
-
-        report.add("determinants", "scaled-q-det", "q-stirling",
-                   *_scan([(r, s) for r in range(ehr_bound + 1)
-                           for s in range(ehr_bound + 1)], ehr_probe))
-
-
-def _suite_tableaux(report, pairs, nmax, arange, brange):
-    # tableau sets only exist for nonnegative offsets
-    grid = [(a, b) for a in arange if a >= 0 for b in brange if b >= 0]
-    n_max = min(nmax, 6)
-    for pair in pairs:
-        def sum_probe(kind):
-            def run(n, k, a, b):
-                got = tableaux.weight_sum(kind, n, k, a, b, pair)
-                want = (stirling.first_kind if kind == "first"
-                        else stirling.second_kind)(pair, a, b, n, k)
-                if got != want:
-                    return (f"alpha={a} beta={b} n={n} k={k} "
-                            f"tableau-sum={got.render()} definition={want.render()}")
-                return None
-            return run
-
-        cells = [(n, k, a, b) for n in range(n_max + 1) for k in range(n + 1)
-                 for (a, b) in grid]
-        report.add("tableaux", "weight-sum-first", pair.label,
-                   *_scan(cells, sum_probe("first")))
-        report.add("tableaux", "weight-sum-second", pair.label,
-                   *_scan(cells, sum_probe("second")))
-
-    def tau_probe(n, k, a, b):
-        domain = tableaux.enumerate_Td(a, b, n - 1, n - k)
-        try:
-            images = [tableaux.tau(t, n, k, a, b) for t in domain]
-        except tableaux.DomainViolation as exc:
-            return f"alpha={a} beta={b} n={n} k={k} {exc}"
-        target = tableaux.enumerate_T(a, b, k, n - k)
-        if len(set(images)) != len(images) or set(images) != set(target):
-            return (f"alpha={a} beta={b} n={n} k={k} domain={len(domain)} "
-                    f"distinct-images={len(set(images))} target={len(target)}")
-        return None
-
-    report.add("tableaux", "tau-bijection", "-",
-               *_scan([(n, k, a, b) for n in range(1, n_max + 1)
-                       for k in range(1, n + 1) for (a, b) in grid], tau_probe))
-
-    def split_probe(n, k, a, b):
-        if not tableaux.proof_partition_check("triangular", n=n, k=k, alpha=a, beta=b):
-            return f"alpha={a} beta={b} n={n} k={k}"
-        return None
-
-    report.add("tableaux", "triangular-split", "-",
-               *_scan([(n, k, a, b) for n in range(1, min(nmax, 5) + 1)
-                       for k in range(n + 1) for (a, b) in grid], split_probe))
-
-    def conv_probe(m1, m2, n, a, b):
-        if not tableaux.proof_partition_check("convolution", m1=m1, m2=m2, n=n,
-                                              alpha=a, beta=b):
-            return f"alpha={a} beta={b} m1={m1} m2={m2} n={n}"
-        return None
-
-    report.add("tableaux", "convolution-split", "-",
-               *_scan([(m1, m2, n, a, b) for m1 in range(1, 3) for m2 in range(1, 3)
-                       for n in range(m1 + m2 + 1) for (a, b) in grid], conv_probe))
-
-
-def _suite_combinatorial(report, pairs, nmax, arange, brange):
-    grid = [(a, b) for a in arange if a >= 0 for b in brange if b >= 0]
-    shape_max = min(nmax, 5)
-    count_max = min(nmax, 4)
-    one = builtin("classical").w
-    for pair in pairs:
-        if not pair.is_combinatorial():
-            report.add("combinatorial", "zero-one-counts", pair.label, 0, 1, None)
-        else:
-            shapes = []
-            for n in range(shape_max + 1):
-                for k in range(n + 1):
-                    for a, b in grid:
-                        for shape in tableaux.enumerate_T(a, b, k, n - k):
-                            shapes.append((shape, a, b))
-                        for shape in tableaux.enumerate_Td(a, b, n - 1, n - k):
-                            shapes.append((shape, a, b))
-
-            def count_probe(shape, a, b):
-                try:
-                    got = combinat.count_01v(shape, pair)
-                except combinat.InvalidColorBudget as exc:
-                    return f"alpha={a} beta={b} shape={shape.render()} {exc}"
-                want = tableaux.weight(shape, pair).as_int()
-                if got != want:
-                    return (f"alpha={a} beta={b} shape={shape.render()} "
-                            f"count={got} weight={want}")
-                return None
-
-            report.add("combinatorial", "zero-one-counts", pair.label,
-                       *_scan(shapes, count_probe))
-
-        if not (pair.is_combinatorial() and pair.w == one):
-            report.add("combinatorial", "partition-counts", pair.label, 0, 1, None)
-            report.add("combinatorial", "permutation-counts", pair.label, 0, 1, None)
-            continue
-
-        def model_probe(enumerate_fn, value_fn, tag):
-            def run(n, k):
-                try:
-                    got = len(enumerate_fn(n, k, pair.v))
-                except combinat.InvalidColorBudget as exc:
-                    return f"n={n} k={k} {exc}"
-                want = value_fn(pair, 0, 0, n, k).as_int()
-                if got != want:
-                    return f"n={n} k={k} {tag}={got} value={want}"
-                return None
-            return run
-
-        cells = [(n, k) for n in range(count_max + 1) for k in range(n + 1)]
-        report.add("combinatorial", "partition-counts", pair.label,
-                   *_scan(cells, model_probe(combinat.enumerate_part,
-                                             stirling.second_kind, "partitions")))
-        report.add("combinatorial", "permutation-counts", pair.label,
-                   *_scan(cells, model_probe(combinat.enumerate_perm,
-                                             stirling.first_kind, "permutations")))
-
-    def golden_probe(which):
-        if which == "partition":
-            t = combinat.ZeroOneTableau(BTableau.from_tops((3, 1, 1), 5),
-                                        ((3, 2), (1, 3), (2, 1)), ((1, 1),) * 3)
-            got = combinat.to_partition(t).render()
-            want = "{0,3_3}{1,2_1}{4,6_2}{5}{7}{8}"
-        else:
-            t = combinat.ZeroOneTableau(BTableau.from_tops((3, 1, 0), 5),
-                                        ((4, 1), (2, 1), (1, 4)), ((1, 1),) * 3)
-            got = combinat.to_permutation(t).render()
-            want = "(0 1_4 2_1)(3 4_1)(5)(6)"
-        if got != want:
-            return f"{which} rendered {got} expected {want}"
-        return None
-
-    report.add("combinatorial", "figure-renderings", "-",
-               *_scan([("partition",), ("permutation",)], golden_probe))
-
-    if "legendre" in _labels(pairs):
-        legendre = builtin("legendre")
-
-        def signed_probe(n, k):
-            got = len(combinat.enumerate_signed_partitions(n, k))
-            want = stirling.second_kind(legendre, 0, 0, n, k).as_int()
-            if got != want:
-                return f"n={n} k={k} signed-partitions={got} value={want}"
-            return None
-
-        report.add("combinatorial", "signed-partition-counts", "legendre",
-                   *_scan([(n, k) for n in range(count_max + 1)
-                           for k in range(n + 1)], signed_probe))
-
-
-SUITE_RUNNERS = {
-    "recurrences": _suite_recurrences,
-    "genfunc": _suite_genfunc,
-    "orthogonality": _suite_orthogonality,
-    "convolution": _suite_convolution,
-    "lu": _suite_lu,
-    "determinants": _suite_determinants,
-    "tableaux": _suite_tableaux,
-    "combinatorial": _suite_combinatorial,
-}
 
 
 def cmd_verify(args) -> int:
@@ -665,12 +208,20 @@ def cmd_verify(args) -> int:
     print(f"verify: suite={args.suite} nmax={args.nmax} "
           f"alpha=[{arange[0]}..{arange[-1]}] beta=[{brange[0]}..{brange[-1]}] "
           f"weights={scope}")
-    report = Report()
-    chosen = SUITES if args.suite == "all" else (args.suite,)
-    for name in chosen:
-        SUITE_RUNNERS[name](report, pairs, args.nmax, arange, brange)
-    print(report.summary())
-    return 0 if report.failed == 0 else 1
+    suites = identities.SUITES if args.suite == "all" else (args.suite,)
+    grid = [(a, b) for a in arange for b in brange]
+    tally = {"PASS": 0, "FAIL": 0, "SKIP": 0}
+    for identity, label, checked, skipped, failure in identities.verify(
+            suites, pairs, args.nmax, grid):
+        status = "FAIL" if failure is not None else "SKIP" if checked == 0 else "PASS"
+        tally[status] += 1
+        print(f"{status} {identity.suite}/{identity.name} weights={label} "
+              f"checked={checked} skipped={skipped}")
+        if failure is not None:
+            print(f"  counterexample: {failure}")
+    print(f"result: {sum(tally.values())} identities, {tally['PASS']} passed, "
+          f"{tally['FAIL']} failed, {tally['SKIP']} skipped")
+    return 0 if tally["FAIL"] == 0 else 1
 
 
 # -- entry point -------------------------------------------------------------------
@@ -693,11 +244,13 @@ def _build_parser() -> argparse.ArgumentParser:
     table.set_defaults(func=cmd_table)
 
     verify = sub.add_parser("verify", help="run identity suites")
-    verify.add_argument("--suite", choices=SUITES + ("all",), required=True)
+    verify.add_argument("--suite", choices=identities.SUITES + ("all",), required=True)
     verify.add_argument("--nmax", type=int, default=6)
     verify.add_argument("--weights", default=None)
-    verify.add_argument("--alpha-range", default="-1:1")
-    verify.add_argument("--beta-range", default="-1:1")
+    verify.add_argument("--alpha-range", default="-1:1",
+                        help="inclusive LO:HI; write a negative LO as --alpha-range=-3:-2")
+    verify.add_argument("--beta-range", default="-1:1",
+                        help="inclusive LO:HI; write a negative LO as --beta-range=-3:-2")
     verify.set_defaults(func=cmd_verify)
 
     enum = sub.add_parser("enumerate", help="stream canonical object renderings")

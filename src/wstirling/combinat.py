@@ -18,16 +18,12 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from math import prod
 
-from .tableaux import ENUMERATION_CAP, BTableau
+from .tableaux import ENUMERATION_CAP, BTableau, EnumerationCapExceeded
 from .weights import WeightPair, WeightSpec
 
 
 class NonCombinatorialWeights(ValueError):
     """The requested enumeration needs nonnegative-integer weights."""
-
-
-class EnumerationCapExceeded(ValueError):
-    """The enumeration would produce more objects than the configured cap."""
 
 
 class InvalidColorBudget(ArithmeticError):

@@ -17,7 +17,7 @@ from math import comb
 
 from .ring import ONE, P, Q, RingValue, ZERO, InexactDivision, product, ring_sum
 from .stirling import first_kind, pq_binomial, second_kind
-from .weights import NegativeQInteger, WeightPair, WeightSpec, builtin
+from .weights import WeightPair, WeightSpec, builtin
 
 PAIR_KINDS = ("beta", "alpha")
 
@@ -164,44 +164,23 @@ def _orthogonal_sum_reversed(pair, alpha, beta, n, m):
         for k in range(m, n + 1))
 
 
-def orthogonality_check(n_max: int, alpha: int, beta: int, weights: WeightPair) -> dict:
-    """Exercise both orthogonality sums and the shifted variants.
+# relation name -> index shift gamma of its sum.  A shifted sum is a claim only
+# for m + gamma >= 0: below index 0 the diagonal delta itself fails.
+ORTHOGONALITY_RELATIONS = {"signed-c-dot-S": 0, "S-dot-signed-c": 0,
+                           "signed-c-dot-S@shift-1": -1, "signed-c-dot-S@shift+1": 1,
+                           "signed-c-dot-S@shift+2": 2}
 
-    Returns a report dict with passed/failed/skipped counts and the failing
-    cells; a cell is skipped when the weight is undefined there (negative
-    q-integer index), never silently dropped.
-    """
-    report = {"passed": 0, "failed": 0, "skipped": 0, "failures": []}
 
-    def record(relation, n, m, fn):
-        expected = ONE if n == m else ZERO
-        try:
-            got = fn()
-        except NegativeQInteger:
-            report["skipped"] += 1
-            return
-        if got == expected:
-            report["passed"] += 1
-        else:
-            report["failed"] += 1
-            report["failures"].append(
-                {"relation": relation, "n": n, "m": m, "value": got.render()})
-
-    for n in range(n_max + 1):
-        for m in range(n + 1):
-            record("signed-c-dot-S", n, m,
-                   lambda: _orthogonal_sum(weights, alpha, beta, n, m))
-            record("S-dot-signed-c", n, m,
-                   lambda: _orthogonal_sum_reversed(weights, alpha, beta, n, m))
-            for gamma in (-1, 1, 2):
-                if m + gamma < 0:
-                    # out of the relation's domain: the diagonal delta itself
-                    # fails below index 0, so these cells are not claims
-                    continue
-                record(f"signed-c-dot-S@shift{gamma:+d}", n, m,
-                       lambda g=gamma: _orthogonal_sum(weights, alpha, beta, n, m, gamma=g))
-    report["ok"] = report["failed"] == 0
-    return report
+def orthogonality_sum(relation: str, n: int, m: int, alpha: int, beta: int,
+                      weights: WeightPair) -> RingValue:
+    """One sum of ORTHOGONALITY_RELATIONS at (n, m); it equals the Kronecker
+    delta of n and m.  Raises NegativeQInteger or UndefinedIndex where the
+    weights are undefined."""
+    if relation not in ORTHOGONALITY_RELATIONS:
+        raise ValueError(f"unknown orthogonality relation {relation!r}")
+    if relation == "S-dot-signed-c":
+        return _orthogonal_sum_reversed(weights, alpha, beta, n, m)
+    return _orthogonal_sum(weights, alpha, beta, n, m, ORTHOGONALITY_RELATIONS[relation])
 
 
 def pq_binomial_orthogonality(n_max: int) -> bool:
@@ -390,19 +369,23 @@ def lu_check(kind: str, r: int, s: int, alpha: int, beta: int, weights: WeightPa
     return lower, upper, lower * upper == target
 
 
+def det_formula(kind: str, r: int, s: int, alpha: int, beta: int,
+                weights: WeightPair) -> RingValue:
+    """Closed-form product for the determinant of hankel_matrix."""
+    if kind == "first":
+        return product(
+            weights.v.eval(alpha + s + k - 1 - t) * weights.w.eval(beta - k + t)
+            for k in range(r + 1) for t in range(k))
+    return product(
+        (weights.v.eval(alpha + s + k) * weights.w.eval(beta - k)) ** k
+        for k in range(r + 1))
+
+
 def det_closed_form(kind: str, r: int, s: int, alpha: int, beta: int,
                     weights: WeightPair):
     """Returns (determinant, closed-form product, equal)."""
-    matrix = hankel_matrix(kind, r, s, alpha, beta, weights)
-    det = determinant(matrix)
-    if kind == "first":
-        formula = product(
-            weights.v.eval(alpha + s + k - 1 - t) * weights.w.eval(beta - k + t)
-            for k in range(r + 1) for t in range(k))
-    else:
-        formula = product(
-            (weights.v.eval(alpha + s + k) * weights.w.eval(beta - k)) ** k
-            for k in range(r + 1))
+    det = determinant(hankel_matrix(kind, r, s, alpha, beta, weights))
+    formula = det_formula(kind, r, s, alpha, beta, weights)
     return det, formula, det == formula
 
 

@@ -91,18 +91,6 @@ def value(params: StirlingParams) -> RingValue:
     return fn(params.weights, params.alpha, params.beta, params.n, params.k)
 
 
-def c_def(params: StirlingParams) -> RingValue:
-    if params.kind != "first":
-        raise ValueError("c_def needs kind=first")
-    return first_kind(params.weights, params.alpha, params.beta, params.n, params.k)
-
-
-def s_def(params: StirlingParams) -> RingValue:
-    if params.kind != "second":
-        raise ValueError("s_def needs kind=second")
-    return second_kind(params.weights, params.alpha, params.beta, params.n, params.k)
-
-
 # -- triangular recurrence (independent of the symmetric-function DP) ----------
 
 def _c_tri(pair, alpha, beta, n, k):

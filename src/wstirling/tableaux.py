@@ -26,6 +26,10 @@ class DomainViolation(ValueError):
     """A tableau was passed to a map whose domain does not contain it."""
 
 
+class EnumerationCapExceeded(ValueError):
+    """The enumeration would produce more objects than the configured cap."""
+
+
 @dataclass(frozen=True)
 class BTableau:
     """Immutable 2 x s array stored as ((top, bottom), ...) column pairs.
@@ -100,7 +104,8 @@ EMPTY = BTableau(())
 
 def _guard(count: int, cap: int):
     if count > cap:
-        raise ValueError(f"enumeration of {count} tableaux exceeds the cap of {cap}")
+        raise EnumerationCapExceeded(
+            f"enumeration of {count} tableaux exceeds the cap of {cap}")
 
 
 def enumerate_T(alpha: int, beta: int, r: int, s: int,

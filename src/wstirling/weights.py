@@ -16,7 +16,7 @@ import hashlib
 import json
 import re
 from functools import lru_cache
-from typing import Iterator, Mapping, Union
+from typing import Mapping, Union
 
 from .ring import RingValue, ring_sum
 from .ring import parse as parse_ring
@@ -175,10 +175,6 @@ class WeightPair:
 
     def __repr__(self) -> str:
         return f"WeightPair({self.label or self.id})"
-
-
-def eval_weight(spec: WeightSpec, i: int) -> RingValue:
-    return spec.eval(i)
 
 
 def swap(pair: WeightPair) -> WeightPair:
@@ -365,11 +361,6 @@ _FIXED_BUILTINS = {
                                WeightSpec("polynomial", coefficients=[0, 1], offset=-1),
                                label="zeta"),
 }
-
-
-def catalog_pairs() -> Iterator[WeightPair]:
-    for name in CATALOG:
-        yield builtin(name)
 
 
 def combinatorial_catalog() -> tuple:

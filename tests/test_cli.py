@@ -147,6 +147,13 @@ def test_enumerate_cap_exceeded_exits_3(capsys):
     assert code == 3
 
 
+def test_enumerate_negative_cap_is_usage_error(capsys):
+    code, out, err = run(capsys, "enumerate", "--object", "partitions",
+                         "--n", "3", "--k", "1", "--cap", "-5")
+    assert code == 2 and out == ""
+    assert "--cap must be nonnegative" in err
+
+
 def test_enumerate_symbolic_weights_rejected(capsys):
     code, _, err = run(capsys, "enumerate", "--object", "partitions",
                        "--n", "3", "--k", "1", "--weights", "builtin:jacobi")
@@ -207,6 +214,23 @@ def test_verify_corrupted_table_weights_fail_with_counterexample(capsys, tmp_pat
     assert "FAIL combinatorial/zero-one-counts" in out
     assert "counterexample:" in out
     assert "result:" in out.splitlines()[-1]
+
+
+def test_verify_skips_table_weights_without_default(capsys, tmp_path):
+    # a table weight with no default is undefined off its value map; every
+    # suite, the orthogonality delta sums included, must skip those cells
+    spec = tmp_path / "partial.json"
+    spec.write_text(json.dumps({
+        "v": {"kind": "table", "values": {"0": 0, "1": 1, "2": 2, "3": 3, "4": 4}},
+        "w": {"kind": "constant", "value": 1},
+    }))
+    code, out, err = run(capsys, "verify", "--suite", "all", "--nmax", "4",
+                         "--weights", "@" + str(spec))
+    assert code == 0 and err == ""
+    delta = next(line for line in out.splitlines()
+                 if line.startswith("PASS orthogonality/delta-sums "))
+    assert int(delta.rsplit("skipped=", 1)[1]) > 0
+    assert out.splitlines()[-1] == "result: 29 identities, 28 passed, 0 failed, 1 skipped"
 
 
 def test_verify_malformed_spec_is_usage_error(capsys, tmp_path):

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from wstirling.identities import REGISTRY, delta_cells, scan
 from wstirling.matrices import (
     NotInverse,
     RingMatrix,
@@ -16,7 +17,7 @@ from wstirling.matrices import (
     inverse_pair,
     inverse_relation_apply,
     lu_check,
-    orthogonality_check,
+    orthogonality_sum,
     pq_binomial_orthogonality,
 )
 from wstirling.ring import ONE, P, Q, RingValue, X, ZERO
@@ -66,24 +67,30 @@ def test_determinants_polynomial_paths_agree():
         assert det_fraction_free(m) == det_cofactor(m)
 
 
+def delta_sums(n_max, grid, pair):
+    return scan(delta_cells(n_max, grid), REGISTRY["orthogonality/delta-sums"].probe(pair))
+
+
 def test_orthogonality_small():
+    assert orthogonality_sum("signed-c-dot-S", 3, 3, 0, 0, CLASSICAL) == ONE
+    assert orthogonality_sum("S-dot-signed-c", 3, 1, 0, 0, CLASSICAL) == ZERO
+    with pytest.raises(ValueError):
+        orthogonality_sum("diagonal", 1, 0, 0, 0, CLASSICAL)
     for name in ("classical", "pq-binomial", "b-stirling"):
-        report = orthogonality_check(6, 0, 0, builtin(name))
-        assert report["ok"], f"{name}: {report['failures'][:3]}"
-        assert report["failed"] == 0
-        assert report["passed"] > 0
+        checked, _, failure = delta_sums(6, [(0, 0)], builtin(name))
+        assert failure is None, f"{name}: {failure}"
+        assert checked > 0
 
 
 def test_orthogonality_offsets():
-    for alpha, beta in [(-1, 1), (2, -2), (1, 1)]:
-        report = orthogonality_check(5, alpha, beta, builtin("jacobi"))
-        assert report["ok"], report["failures"][:3]
+    checked, _, failure = delta_sums(5, [(-1, 1), (2, -2), (1, 1)], builtin("jacobi"))
+    assert failure is None and checked > 0, failure
 
 
 def test_orthogonality_reports_skips():
-    report = orthogonality_check(4, -2, 0, builtin("q-stirling"))
-    assert report["skipped"] > 0
-    assert report["failed"] == 0
+    checked, skipped, failure = delta_sums(4, [(-2, 0)], builtin("q-stirling"))
+    assert skipped > 0
+    assert failure is None
 
 
 def test_pq_binomial_orthogonality():

@@ -12,14 +12,12 @@ from wstirling.stirling import (
     b_stirling_by_series,
     b_stirling_row_by_product,
     bracket,
-    c_def,
     c_horizontal,
     c_horizontal_alpha,
     c_tri,
     c_vertical,
     first_kind,
     pq_binomial,
-    s_def,
     s_horizontal,
     s_tri,
     s_vertical,
@@ -63,8 +61,8 @@ def params(pair, alpha, beta, n, k, kind):
 
 
 def test_def_examples():
-    assert c_def(params(CLASSICAL, 0, 0, 4, 2, "first")) == 11
-    assert s_def(params(CLASSICAL, 0, 0, 4, 2, "second")) == 7
+    assert first_kind(CLASSICAL, 0, 0, 4, 2) == 11
+    assert second_kind(CLASSICAL, 0, 0, 4, 2) == 7
     assert first_kind(PQ, 0, 0, 2, 0) == P * Q
     assert second_kind(PQ, 0, 0, 4, 2) == \
         P ** 4 + P ** 3 * Q + 2 * P ** 2 * Q ** 2 + P * Q ** 3 + Q ** 4
@@ -95,10 +93,6 @@ def test_k_zero_columns():
 
 
 def test_kind_mismatch_rejected():
-    with pytest.raises(ValueError):
-        c_def(params(CLASSICAL, 0, 0, 2, 1, "second"))
-    with pytest.raises(ValueError):
-        s_def(params(CLASSICAL, 0, 0, 2, 1, "first"))
     with pytest.raises(ValueError):
         params(CLASSICAL, 0, 0, 2, 1, "third")
 

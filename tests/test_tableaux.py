@@ -2,12 +2,14 @@ from math import comb
 
 import pytest
 
+from wstirling import combinat
 from wstirling.ring import ONE, P
 from wstirling.stirling import first_kind, pq_binomial, second_kind
 from wstirling.tableaux import (
     EMPTY,
     BTableau,
     DomainViolation,
+    EnumerationCapExceeded,
     IncompatibleTableaux,
     enumerate_T,
     enumerate_Td,
@@ -76,10 +78,13 @@ def test_enumeration_counts_and_membership():
 
 
 def test_enumeration_cap():
-    with pytest.raises(ValueError):
+    with pytest.raises(EnumerationCapExceeded):
         enumerate_T(0, 0, 100, 50, cap=1000)
-    with pytest.raises(ValueError):
+    with pytest.raises(EnumerationCapExceeded):
         enumerate_Td(0, 0, 60, 30, cap=1000)
+    # still a ValueError, and the class combinat raises too
+    assert issubclass(EnumerationCapExceeded, ValueError)
+    assert combinat.EnumerationCapExceeded is EnumerationCapExceeded
 
 
 def test_weight_examples():

@@ -12,29 +12,28 @@ from wstirling.weights import (
     WeightSpec,
     builtin,
     combinatorial_catalog,
-    eval_weight,
     swap,
 )
 
 
 def test_polynomial_weight():
     spec = WeightSpec("polynomial", coefficients=[4, 2])
-    assert eval_weight(spec, 3) == 10
-    assert eval_weight(spec, 0) == 4
-    assert eval_weight(spec, -2) == 0
+    assert spec.eval(3) == 10
+    assert spec.eval(0) == 4
+    assert spec.eval(-2) == 0
 
 
 def test_polynomial_weight_ring_coefficients():
     spec = WeightSpec("polynomial", coefficients=[0, "z", 1])
-    assert eval_weight(spec, 2) == 4 + 2 * Z
-    assert eval_weight(spec, 1) == 1 + Z
+    assert spec.eval(2) == 4 + 2 * Z
+    assert spec.eval(1) == 1 + Z
 
 
 def test_monomial_weight_laurent():
     spec = WeightSpec("monomial", base="p")
-    assert eval_weight(spec, -1) == P ** -1
-    assert eval_weight(spec, 0) == 1
-    assert eval_weight(spec, 4) == P ** 4
+    assert spec.eval(-1) == P ** -1
+    assert spec.eval(0) == 1
+    assert spec.eval(4) == P ** 4
     with pytest.raises(ValueError):
         WeightSpec("monomial", base="x")
 
@@ -43,95 +42,95 @@ def test_monomial_recursion_invariant():
     for base, var in [("p", P), ("q", Q), ("z", Z)]:
         spec = WeightSpec("monomial", base=base)
         for i in range(-10, 11):
-            assert eval_weight(spec, i + 1) == var * eval_weight(spec, i)
+            assert spec.eval(i + 1) == var * spec.eval(i)
 
 
 def test_q_integer_weight():
     spec = WeightSpec("q-integer")
-    assert eval_weight(spec, 0) == 0
-    assert eval_weight(spec, 1) == 1
-    assert eval_weight(spec, 3) == 1 + Q + Q ** 2
+    assert spec.eval(0) == 0
+    assert spec.eval(1) == 1
+    assert spec.eval(3) == 1 + Q + Q ** 2
     with pytest.raises(NegativeQInteger):
-        eval_weight(spec, -1)
+        spec.eval(-1)
 
 
 def test_pq_integer_weight():
     spec = WeightSpec("pq-integer")
-    assert eval_weight(spec, 2) == P + Q
-    assert eval_weight(spec, 3) == P ** 2 + P * Q + Q ** 2
-    assert eval_weight(spec, 0) == 0
+    assert spec.eval(2) == P + Q
+    assert spec.eval(3) == P ** 2 + P * Q + Q ** 2
+    assert spec.eval(0) == 0
     with pytest.raises(NegativeQInteger):
-        eval_weight(spec, -2)
+        spec.eval(-2)
 
 
 def test_pq_integer_specializes_to_integer():
     spec = WeightSpec("pq-integer")
     for i in range(21):
-        assert eval_weight(spec, i).substitute({"p": 1, "q": 1}) == i
+        assert spec.eval(i).substitute({"p": 1, "q": 1}) == i
 
 
 def test_product_shifted_weight():
     spec = WeightSpec("product-shifted", shifts=[0, 1])
-    assert eval_weight(spec, 3) == 12
-    assert eval_weight(spec, 0) == 0
-    assert eval_weight(spec, -3) == 6
+    assert spec.eval(3) == 12
+    assert spec.eval(0) == 0
+    assert spec.eval(-3) == 6
 
 
 def test_oeis_row_weight():
     spec = WeightSpec("oeis-T", row=2)
-    assert [eval_weight(spec, j).as_int() for j in range(-1, 4)] == [0, 3, 3, 4, 0]
+    assert [spec.eval(j).as_int() for j in range(-1, 4)] == [0, 3, 3, 4, 0]
     wide = WeightSpec("oeis-T", row=5)
-    assert [eval_weight(wide, j).as_int() for j in range(6)] == [6, 6, 10, 10, 12, 12]
+    assert [wide.eval(j).as_int() for j in range(6)] == [6, 6, 10, 10, 12, 12]
 
 
 def test_table_weight():
     spec = WeightSpec("table", values={0: 1, 1: 3, 2: 2})
-    assert eval_weight(spec, 1) == 3
+    assert spec.eval(1) == 3
     with pytest.raises(UndefinedIndex):
-        eval_weight(spec, 5)
+        spec.eval(5)
     with_default = WeightSpec("table", values={0: 7}, default=0)
-    assert eval_weight(with_default, 99) == 0
+    assert with_default.eval(99) == 0
 
 
 def test_offset_shifts_the_index():
     spec = WeightSpec("polynomial", coefficients=[0, 1], offset=-1)
-    assert eval_weight(spec, 0) == -1
-    assert eval_weight(spec, 5) == 4
+    assert spec.eval(0) == -1
+    assert spec.eval(5) == 4
 
 
 def test_swap_examples():
     pair = builtin("classical")
     swapped = swap(pair)
-    assert eval_weight(swapped.v, 4) == 1
-    assert eval_weight(swapped.w, 4) == 4
+    assert swapped.v.eval(4) == 1
+    assert swapped.w.eval(4) == 4
     assert swap(swapped) == pair
     pq = builtin("pq-binomial")
-    assert eval_weight(swap(pq).v, 2) == Q ** 2
-    assert eval_weight(swap(pq).w, 2) == P ** 2
+    assert swap(pq).v.eval(2) == Q ** 2
+    assert swap(pq).w.eval(2) == P ** 2
 
 
 def test_builtin_classical_and_friends():
     classical = builtin("classical")
-    assert eval_weight(classical.v, 6) == 6
-    assert eval_weight(classical.w, 6) == 1
+    assert classical.v.eval(6) == 6
+    assert classical.w.eval(6) == 1
     b = builtin("b-stirling")
-    assert eval_weight(b.v, 5) == 5
-    assert eval_weight(b.w, 5) == 5
+    assert b.v.eval(5) == 5
+    assert b.w.eval(5) == 5
     legendre = builtin("legendre")
-    assert eval_weight(legendre.v, 3) == 12
+    assert legendre.v.eval(3) == 12
     jacobi = builtin("jacobi")
-    assert eval_weight(jacobi.v, 3) == 9 + 3 * Z
+    assert jacobi.v.eval(3) == 9 + 3 * Z
     zeta = builtin("zeta")
-    assert eval_weight(zeta.v, -2) == Z ** -2
-    assert eval_weight(zeta.w, 0) == -1
-    assert eval_weight(zeta.w, 3) == 2
+    assert zeta.v.eval(-2) == Z ** -2
+    assert zeta.w.eval(0) == -1
+    assert zeta.w.eval(3) == 2
 
 
 def test_builtin_parameterized():
-    assert eval_weight(builtin("noncentral(-1)").v, 3) == 2
-    assert eval_weight(builtin("merris(2)").v, 3) == 5
-    assert eval_weight(builtin("sun(2)").v, 3) == 9
-    assert eval_weight(builtin("sun(0)").v, 3) == 1
+    assert builtin("noncentral(-1)").v.eval(3) == 2
+    assert builtin("merris(2)").v.eval(3) == 5
+    assert builtin("sun(2)").v.eval(3) == 9
+    assert builtin("sun(0)").v.eval(3) == 1
 
 
 def test_builtin_rejections():
@@ -145,8 +144,8 @@ def test_b_stirling_products_match_oeis_rows():
     for k in range(2, 13):
         row = WeightSpec("oeis-T", row=k - 2)
         products = sorted(
-            (eval_weight(b.v, k - j) * eval_weight(b.w, j)).as_int() for j in range(k + 1))
-        entries = sorted(eval_weight(row, j).as_int() for j in range(k + 1))
+            (b.v.eval(k - j) * b.w.eval(j)).as_int() for j in range(k + 1))
+        entries = sorted(row.eval(j).as_int() for j in range(k + 1))
         assert products == entries, f"k={k}: {products} != {entries}"
 
 
@@ -157,7 +156,7 @@ def test_json_round_trip():
     assert again == pair
     assert again.id == pair.id
     for i in range(-3, 4):
-        assert eval_weight(again.v, i) == eval_weight(pair.v, i)
+        assert again.v.eval(i) == pair.v.eval(i)
 
 
 def test_json_format_shape():
@@ -199,6 +198,6 @@ def test_catalog_evaluates_everywhere():
         for spec in (pair.v, pair.w):
             for i in range(-4, 8):
                 try:
-                    eval_weight(spec, i)
+                    spec.eval(i)
                 except NegativeQInteger:
                     assert spec.kind in ("q-integer", "pq-integer") and i < 0
