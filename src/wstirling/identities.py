@@ -162,9 +162,14 @@ def _value_fn(kind):
 
 
 def _triangular(pair, kind):
+    tables = {}  # one recurrence table per (alpha, beta), kept for the probe's life
+
     def probe(n, k, a, b):
         by_def = stirling.value(stirling.StirlingParams(a, b, n, k, kind, pair))
-        by_rec = stirling.StirlingTable(pair, kind, a, b, method="recurrence").value(n, k)
+        table = tables.get((a, b))
+        if table is None:
+            table = tables[a, b] = stirling.StirlingTable(pair, kind, a, b, method="recurrence")
+        by_rec = table.value(n, k)
         if by_def != by_rec:
             return (f"alpha={a} beta={b} n={n} k={k} "
                     f"definition={by_def.render()} recurrence={by_rec.render()}")

@@ -7,8 +7,11 @@ the second-kind value is the homogeneous function h_{n-k} of the k+1 products
 v(alpha+k)w(beta), ..., v(alpha)w(beta+k).  Negative n or k, and k > n, give
 0; n = 0 gives the Kronecker delta.
 
-Next to the definitional evaluators this module carries the triangular,
-vertical, and horizontal recurrences as independent computation paths (the
+Both kinds live in a StirlingTable, the one owner of computed values.  It
+builds them by definition (the symmetric-function DP) or by the triangular
+recurrence, walked iteratively, so the two paths cross-check each other.
+first_kind and second_kind read from a small bounded cache of definition
+tables.  Next to them sit the vertical and horizontal recurrences (the
 horizontal ones consume row n+1, so they are evaluators used for cross
 checking, not for building tables), the falling-factorial-style bracket
 polynomial, and a catalog dispatcher for the named families.
@@ -20,12 +23,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .ring import ONE, RingValue, ZERO, product, ring_sum
-from .symfunc import elementary_all, homogeneous, homogeneous_upto
+from .symfunc import elementary_all, homogeneous_series
 from .weights import UnknownBuiltin, WeightPair, builtin
 
 KINDS = ("first", "second")
-
-_MEMO: dict = {}
 
 
 class UnknownFamily(ValueError):
@@ -48,87 +49,16 @@ class StirlingParams:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
 
 
-def clear_caches() -> None:
-    _MEMO.clear()
-
-
-# -- definitional path ---------------------------------------------------------
-
-def first_kind(pair: WeightPair, alpha: int, beta: int, n: int, k: int) -> RingValue:
-    """First-kind value by definition, memoized per weight pair."""
-    if n < 0 or k < 0 or k > n:
-        return ZERO
-    if n == 0:
-        return ONE
-    key = (pair.id, "crow", alpha, beta, n)
-    row = _MEMO.get(key)
-    if row is None:
-        args = [pair.v.eval(alpha + n - 1 - t) * pair.w.eval(beta + t) for t in range(n)]
-        row = _MEMO[key] = elementary_all(args)
-    return row[n - k]
-
-
-def second_kind(pair: WeightPair, alpha: int, beta: int, n: int, k: int) -> RingValue:
-    """Second-kind value by definition, memoized per weight pair."""
-    if n < 0 or k < 0 or k > n:
-        return ZERO
-    if n == 0:
-        return ONE
-    key = (pair.id, "s", alpha, beta, n, k)
-    value = _MEMO.get(key)
-    if value is None:
-        args = [pair.v.eval(alpha + k - j) * pair.w.eval(beta + j) for j in range(k + 1)]
-        hs = homogeneous_upto(n - k, args)
-        # one DP run yields the whole column above (n, k); keep it all
-        for t, h in enumerate(hs):
-            _MEMO.setdefault((pair.id, "s", alpha, beta, k + t, k), h)
-        value = _MEMO[key]
-    return value
-
-
-def value(params: StirlingParams) -> RingValue:
-    fn = first_kind if params.kind == "first" else second_kind
-    return fn(params.weights, params.alpha, params.beta, params.n, params.k)
-
-
-# -- triangular recurrence (independent of the symmetric-function DP) ----------
-
-def _c_tri(pair, alpha, beta, n, k):
-    if n < 0 or k < 0 or k > n:
-        return ZERO
-    if n == 0:
-        return ONE
-    key = (pair.id, "ctri", alpha, beta, n, k)
-    val = _MEMO.get(key)
-    if val is None:
-        val = _c_tri(pair, alpha, beta + 1, n - 1, k - 1) \
-            + pair.v.eval(alpha + n - 1) * pair.w.eval(beta) \
-            * _c_tri(pair, alpha, beta + 1, n - 1, k)
-        _MEMO[key] = val
-    return val
-
-
-def _s_tri(pair, alpha, beta, n, k):
-    if n < 0 or k < 0 or k > n:
-        return ZERO
-    if n == 0:
-        return ONE
-    key = (pair.id, "stri", alpha, beta, n, k)
-    val = _MEMO.get(key)
-    if val is None:
-        val = _s_tri(pair, alpha, beta + 1, n - 1, k - 1) \
-            + pair.v.eval(alpha + k) * pair.w.eval(beta) \
-            * _s_tri(pair, alpha, beta, n - 1, k)
-        _MEMO[key] = val
-    return val
-
-
 class StirlingTable:
-    """Triangle view at fixed weights, kind, and offsets, with a local memo.
+    """Triangle at fixed weights, kind, and offsets, owning every value it built.
 
-    method "definition" fills entries from the symmetric-function DP,
-    "recurrence" from the triangular recurrence; the two must agree, which
-    the verification suites exploit.
+    First-kind entries are built a row at a time, second-kind entries a
+    column at a time, each on first use; a column extends by one step per
+    row, so rows 0..N cost O(N^3) ring operations.  method "definition"
+    evaluates the symmetric functions, "recurrence" the triangular
+    recurrence; the two must agree, which the verification suites exploit.
+    Weight values are evaluated before anything is stored, so a query that
+    hits an undefined weight raises again when repeated.
     """
 
     def __init__(self, weights: WeightPair, kind: str, alpha: int = 0, beta: int = 0,
@@ -142,36 +72,89 @@ class StirlingTable:
         self.alpha = alpha
         self.beta = beta
         self.method = method
-        self.memo: dict = {}
+        self._lines: dict = {}  # first kind: n -> row n; second kind: k -> column k
 
     def value(self, n: int, k: int) -> RingValue:
-        got = self.memo.get((n, k))
-        if got is None:
-            if self.method == "definition":
-                fn = first_kind if self.kind == "first" else second_kind
-            else:
-                fn = _c_tri if self.kind == "first" else _s_tri
-            got = self.memo[(n, k)] = fn(self.weights, self.alpha, self.beta, n, k)
-        return got
+        if n < 0 or k < 0 or k > n:
+            return ZERO
+        if n == 0:
+            return ONE
+        if self.kind == "first":
+            return self._row(n)[k]
+        return self._column(k, n - k)
 
     def row(self, n: int) -> list:
         return [self.value(n, k) for k in range(n + 1)]
 
+    def _products(self, top: int) -> list:
+        # v(alpha+top-t)w(beta+t) for t = 0..top: the arguments of first-kind
+        # row top+1 and of second-kind column top
+        v, w = self.weights.v, self.weights.w
+        return [v.eval(self.alpha + top - t) * w.eval(self.beta + t) for t in range(top + 1)]
 
-def c_tri(table: StirlingTable, n: int, k: int) -> RingValue:
-    if table.kind != "first":
-        raise ValueError("c_tri needs a first-kind table")
-    val = _c_tri(table.weights, table.alpha, table.beta, n, k)
-    table.memo[(n, k)] = val
-    return val
+    def _row(self, n: int) -> list:
+        row = self._lines.get(n)
+        if row is None:
+            xs = self._products(n - 1)
+            if self.method == "definition":
+                row = elementary_all(xs)[::-1]
+            else:
+                # c(a,b;m,k) = c(a,b+1;m-1,k-1) + v(a+m-1)w(b) c(a,b+1;m-1,k), walked up
+                # from row 0 at beta+n to row n at beta; xs[n-m] = v(a+m-1)w(beta+n-m)
+                row = [ONE]
+                for top in reversed(xs):
+                    row = [left + top * right for left, right in zip([ZERO] + row, row + [ZERO])]
+            self._lines[n] = row
+        return row
+
+    def _column(self, k: int, d: int) -> RingValue:
+        """Entry (k + d, k), extending column k as far as row k + d."""
+        column = self._lines.get(k)
+        if column is None:
+            xs = self._products(k)
+            steps = (homogeneous_series(xs) if self.method == "definition"
+                     else _recurrence_column(xs[::-1]))
+            column = self._lines[k] = ([], steps)
+        entries, steps = column
+        while len(entries) <= d:
+            entries.append(next(steps))
+        return entries[d]
 
 
-def s_tri(table: StirlingTable, n: int, k: int) -> RingValue:
-    if table.kind != "second":
-        raise ValueError("s_tri needs a second-kind table")
-    val = _s_tri(table.weights, table.alpha, table.beta, n, k)
-    table.memo[(n, k)] = val
-    return val
+def _recurrence_column(c: list):
+    """s(alpha,beta;k+d,k) for d = 0, 1, ..., where c[j] = v(alpha+j)w(beta+k-j).
+
+    Entry j of the state is s(alpha,beta+k-j;j+d,j), starting on the diagonal
+    s(.;j,j) = 1, so the walk visits just the entries the recurrence needs.
+    Raising d applies s(a,b;m,j) = s(a,b+1;m-1,j-1) + v(a+j)w(b) s(a,b;m-1,j)
+    for ascending j, where s(a,b+1;m-1,j-1) is entry j-1, already raised.
+    """
+    state = [ONE] * len(c)
+    while True:
+        yield state[-1]
+        lower = ZERO
+        for j, cj in enumerate(c):
+            lower = state[j] = lower + cj * state[j]
+
+
+@lru_cache(maxsize=128)
+def _table(pair: WeightPair, kind: str, alpha: int, beta: int) -> StirlingTable:
+    return StirlingTable(pair, kind, alpha, beta)
+
+
+def first_kind(pair: WeightPair, alpha: int, beta: int, n: int, k: int) -> RingValue:
+    """First-kind value by definition, from a shared table."""
+    return _table(pair, "first", alpha, beta).value(n, k)
+
+
+def second_kind(pair: WeightPair, alpha: int, beta: int, n: int, k: int) -> RingValue:
+    """Second-kind value by definition, from a shared table."""
+    return _table(pair, "second", alpha, beta).value(n, k)
+
+
+def value(params: StirlingParams) -> RingValue:
+    fn = first_kind if params.kind == "first" else second_kind
+    return fn(params.weights, params.alpha, params.beta, params.n, params.k)
 
 
 # -- vertical recurrences: compute entry (n+1, k+1) from row slice j=k..n ------

@@ -2,14 +2,16 @@
 
 elementary(t, xs) sums products over t-subsets of xs; homogeneous(t, xs)
 over size-t multisets.  Both run in O(t * len(xs)) ring operations, which
-keeps triangle construction polynomial; brute-force enumeration lives in
-the tests as an oracle.  Negative t gives 0 at this layer so callers can
-pass raw index differences.
+keeps triangle construction polynomial; homogeneous_series is the same h-DP
+resumable one degree at a time.  Brute-force enumeration lives in the tests
+as an oracle.  Negative t gives 0 at this layer so callers can pass raw
+index differences.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from itertools import islice
+from typing import Iterator, Sequence
 
 from .ring import ONE, ZERO, Coercible, RingValue
 
@@ -42,11 +44,21 @@ def homogeneous(t: int, xs: Sequence[Coercible]) -> RingValue:
 
 def homogeneous_upto(t: int, xs: Sequence[Coercible]) -> list:
     """All of h_0 .. h_t; h_0 = 1 even on the empty list."""
+    return list(islice(homogeneous_series(xs), max(t, 0) + 1))
+
+
+def homogeneous_series(xs: Sequence[Coercible]) -> Iterator[RingValue]:
+    """h_0, h_1, ... of xs without end, one DP step of len(xs) products each.
+
+    The state h[i] holds h_d(xs[0..i]) at the degree d last yielded; stepping
+    to d + 1 uses h_{d+1}(xs[0..i]) = h_{d+1}(xs[0..i-1]) + xs[i] h_d(xs[0..i]),
+    so a caller can stop at any degree and resume later at no extra cost.
+    """
     values = [RingValue.coerce(x) for x in xs]
-    h = [ONE] + [ZERO] * t
-    for x in values:
-        # ascending t reuses the already-updated h[t-1]: that is what
-        # admits repeated picks of x
-        for s in range(1, t + 1):
-            h[s] = h[s] + x * h[s - 1]
-    return h
+    h = [ONE] * len(values)
+    yield ONE
+    while True:
+        total = ZERO
+        for i, x in enumerate(values):
+            total = h[i] = total + x * h[i]
+        yield total

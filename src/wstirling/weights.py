@@ -50,7 +50,7 @@ class WeightSpec:
         if kind not in KINDS:
             raise ValueError(f"unknown weight kind {kind!r}")
         self.kind = kind
-        self.offset = int(offset)
+        self.offset = _int_in(offset, "offset")
         self.params = _check_params(kind, params)
         self._cache: dict = {}
         self._id = None
@@ -195,6 +195,13 @@ def _value_out(value: RingValue):
     return value.as_int() if value.is_constant() else value.render()
 
 
+def _int_in(value, what: str) -> int:
+    # int() would truncate 1.7 and accept "2"; a spec must say what it means
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def _check_params(kind: str, params: dict) -> dict:
     extra = set(params) - _ALLOWED_KEYS[kind]
     if extra:
@@ -213,10 +220,12 @@ def _check_params(kind: str, params: dict) -> dict:
             raise ValueError(f"monomial base must be one of {_BASES}, got {base!r}")
         out["base"] = base
     elif kind == "product-shifted":
-        out["shifts"] = tuple(sorted(int(a) for a in params["shifts"]))
+        out["shifts"] = tuple(sorted(_int_in(a, "shift") for a in params["shifts"]))
     elif kind == "oeis-T":
-        out["row"] = int(params["row"])
+        out["row"] = _int_in(params["row"], "row")
     elif kind == "table":
+        if not isinstance(params["values"], Mapping):
+            raise ValueError("table weight values must map indices to values")
         out["values"] = {int(k): _value_in(v) for k, v in params["values"].items()}
         if "default" in params:
             out["default"] = _value_in(params["default"])

@@ -234,12 +234,21 @@ def test_verify_skips_table_weights_without_default(capsys, tmp_path):
 
 
 def test_verify_malformed_spec_is_usage_error(capsys, tmp_path):
+    one = {"kind": "constant", "value": 1}
+    malformed = [
+        {"kind": "bogus"},
+        {"kind": "table", "values": [1, 2]},
+        {"kind": "constant", "value": 1, "offset": 1.7},
+        {"kind": "oeis-T", "row": 2.5},
+        {"kind": "product-shifted", "shifts": [0, 1.5]},
+    ]
     spec = tmp_path / "bad.json"
-    spec.write_text('{"v": {"kind": "bogus"}}')
-    code, _, err = run(capsys, "verify", "--suite", "lu",
-                       "--weights", "@" + str(spec))
-    assert code == 2
-    assert "invalid weight spec" in err
+    for v in malformed:
+        spec.write_text(json.dumps({"v": v, "w": one}))
+        code, _, err = run(capsys, "verify", "--suite", "lu",
+                           "--weights", "@" + str(spec))
+        assert code == 2, v
+        assert "invalid weight spec" in err, v
 
 
 def test_verify_all_on_one_small_weight(capsys):

@@ -14,17 +14,15 @@ from wstirling.stirling import (
     bracket,
     c_horizontal,
     c_horizontal_alpha,
-    c_tri,
     c_vertical,
     first_kind,
     pq_binomial,
     s_horizontal,
-    s_tri,
     s_vertical,
     second_kind,
     special,
 )
-from wstirling.weights import builtin, swap
+from wstirling.weights import NegativeQInteger, builtin, swap
 
 CLASSICAL = builtin("classical")
 PQ = builtin("pq-binomial")
@@ -104,13 +102,16 @@ def test_classical_textbook_oracle():
             assert second_kind(CLASSICAL, 0, 0, n, k) == classical_second(n, k)
 
 
+def recurrence_table(pair, kind, alpha=0, beta=0):
+    return StirlingTable(pair, kind, alpha, beta, method="recurrence")
+
+
 def test_tri_examples():
-    table = StirlingTable(PQ, "second")
-    assert s_tri(table, 2, 1) == Q + P
-    ctable = StirlingTable(CLASSICAL, "first")
-    assert c_tri(ctable, 3, 1) == 2
-    assert c_tri(ctable, 0, 0) == 1
-    assert s_tri(StirlingTable(CLASSICAL, "second"), 0, 0) == 1
+    assert recurrence_table(PQ, "second").value(2, 1) == Q + P
+    ctable = recurrence_table(CLASSICAL, "first")
+    assert ctable.value(3, 1) == 2
+    assert ctable.value(0, 0) == 1
+    assert recurrence_table(CLASSICAL, "second").value(0, 0) == 1
 
 
 def test_tri_matches_def_on_catalog_sample():
@@ -119,25 +120,53 @@ def test_tri_matches_def_on_catalog_sample():
         lo = 0 if name == "q-stirling" else -1
         for alpha in (lo, 1):
             for beta in (lo, 1):
-                ctab = StirlingTable(pair, "first", alpha, beta)
-                stab = StirlingTable(pair, "second", alpha, beta)
+                ctab = recurrence_table(pair, "first", alpha, beta)
+                stab = recurrence_table(pair, "second", alpha, beta)
                 for n in range(7):
                     for k in range(n + 1):
-                        assert c_tri(ctab, n, k) == first_kind(pair, alpha, beta, n, k), \
+                        assert ctab.value(n, k) == first_kind(pair, alpha, beta, n, k), \
                             f"{name} c ({alpha},{beta},{n},{k})"
-                        assert s_tri(stab, n, k) == second_kind(pair, alpha, beta, n, k), \
+                        assert stab.value(n, k) == second_kind(pair, alpha, beta, n, k), \
                             f"{name} s ({alpha},{beta},{n},{k})"
 
 
 def test_table_memo_entries_match_definition():
     pair = builtin("b-stirling")
-    table = StirlingTable(pair, "second", alpha=1, beta=-1, method="recurrence")
-    table.row(5)
-    assert table.memo
-    for (n, k), val in table.memo.items():
-        assert val == second_kind(pair, 1, -1, n, k)
+    table = recurrence_table(pair, "second", alpha=1, beta=-1)
+    for k, val in enumerate(table.row(5)):
+        assert val == second_kind(pair, 1, -1, 5, k)
     bydef = StirlingTable(pair, "second", alpha=1, beta=-1)
     assert bydef.row(5) == table.row(5)
+
+
+def test_undefined_weights_are_never_stored():
+    pair = builtin("q-stirling")  # v(i) = [i]_q, undefined for i < 0
+    for kind in ("first", "second"):
+        for method in ("definition", "recurrence"):
+            table = StirlingTable(pair, kind, alpha=-2, method=method)
+            assert table.value(0, 0) == 1  # row 0 reads no weight
+            for _ in range(2):
+                with pytest.raises(NegativeQInteger):
+                    table.value(2, 1)
+
+
+def rising_factorial_row(n):
+    # coefficients of x(x+1)...(x+n-1), plain integers
+    row = [1]
+    for m in range(n):
+        row = [a + m * b for a, b in zip([0] + row, row + [0])]
+    return row
+
+
+@pytest.mark.parametrize("method", ["definition", "recurrence"])
+def test_no_recursion_depth_limit(method):
+    # well past the interpreter's default recursion limit of 1000
+    n, k = 1200, 8
+    want = sum((-1) ** (k - j) * math.comb(k, j) * j ** n for j in range(k + 1)) \
+        // math.factorial(k)
+    assert StirlingTable(CLASSICAL, "second", method=method).value(n, k) == want
+    row = StirlingTable(CLASSICAL, "first", method=method).row(1100)
+    assert [v.as_int() for v in row] == rising_factorial_row(1100)
 
 
 def test_vertical_examples():
@@ -289,7 +318,7 @@ def test_def_recurrence_fuzz():
         alpha, beta = rng.randint(-2, 2), rng.randint(-2, 2)
         n = rng.randint(0, 6)
         k = rng.randint(0, n)
-        assert c_tri(StirlingTable(pair, "first", alpha, beta), n, k) == \
+        assert recurrence_table(pair, "first", alpha, beta).value(n, k) == \
             first_kind(pair, alpha, beta, n, k)
-        assert s_tri(StirlingTable(pair, "second", alpha, beta), n, k) == \
+        assert recurrence_table(pair, "second", alpha, beta).value(n, k) == \
             second_kind(pair, alpha, beta, n, k)
