@@ -19,6 +19,7 @@ from typing import Iterable, Mapping, Union
 VARIABLES = ("p", "q", "z", "x")
 _VAR_INDEX = {name: i for i, name in enumerate(VARIABLES)}
 _UNIT = (0, 0, 0, 0)
+_ONE_TERMS = {_UNIT: 1}
 
 # x is the generating-function variable; nothing in the library ever divides
 # by it, so a negative x exponent is always a construction error.
@@ -144,6 +145,11 @@ class RingValue:
         a, b = self.terms, other.terms
         if not a or not b:
             return ZERO
+        # values are never mutated, so a unit factor hands back the other operand
+        if a == _ONE_TERMS:
+            return other
+        if b == _ONE_TERMS:
+            return self
         if len(a) > len(b):
             a, b = b, a
         out: dict = {}

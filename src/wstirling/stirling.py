@@ -61,6 +61,8 @@ class StirlingTable:
     hits an undefined weight raises again when repeated.
     """
 
+    __slots__ = ("weights", "kind", "alpha", "beta", "method", "_lines", "_steps")
+
     def __init__(self, weights: WeightPair, kind: str, alpha: int = 0, beta: int = 0,
                  method: str = "definition"):
         if kind not in KINDS:
@@ -72,7 +74,8 @@ class StirlingTable:
         self.alpha = alpha
         self.beta = beta
         self.method = method
-        self._lines: dict = {}  # first kind: n -> row n; second kind: k -> column k
+        self._lines: dict = {}  # first kind: n -> row n; second kind: k -> column k from row k
+        self._steps: dict = {}  # second kind: k -> the DP that extends column k by a row
 
     def value(self, n: int, k: int) -> RingValue:
         if n < 0 or k < 0 or k > n:
@@ -80,45 +83,44 @@ class StirlingTable:
         if n == 0:
             return ONE
         if self.kind == "first":
-            return self._row(n)[k]
-        return self._column(k, n - k)
+            return (self._lines.get(n) or self._row(n))[k]
+        column = self._lines.get(k)
+        return (column if column and len(column) > n - k else self._column(k, n - k))[n - k]
 
     def row(self, n: int) -> list:
         return [self.value(n, k) for k in range(n + 1)]
 
     def _products(self, top: int) -> list:
-        # v(alpha+top-t)w(beta+t) for t = 0..top: the arguments of first-kind
-        # row top+1 and of second-kind column top
+        # v(alpha+top-t)w(beta+t), t = 0..top: first-kind row top+1, second-kind column top
         v, w = self.weights.v, self.weights.w
         return [v.eval(self.alpha + top - t) * w.eval(self.beta + t) for t in range(top + 1)]
 
     def _row(self, n: int) -> list:
-        row = self._lines.get(n)
-        if row is None:
-            xs = self._products(n - 1)
-            if self.method == "definition":
-                row = elementary_all(xs)[::-1]
-            else:
-                # c(a,b;m,k) = c(a,b+1;m-1,k-1) + v(a+m-1)w(b) c(a,b+1;m-1,k), walked up
-                # from row 0 at beta+n to row n at beta; xs[n-m] = v(a+m-1)w(beta+n-m)
-                row = [ONE]
-                for top in reversed(xs):
-                    row = [left + top * right for left, right in zip([ZERO] + row, row + [ZERO])]
-            self._lines[n] = row
+        if self.method == "definition":
+            row = elementary_all(self._products(n - 1))[::-1]
+        else:
+            # c(a,b;m,k) = c(a,b+1;m-1,k-1) + v(a+m-1)w(b) c(a,b+1;m-1,k), walked up
+            # from row 0 at beta+n to row n at beta, shifting b down a step per row
+            v, w, row = self.weights.v, self.weights.w, [ONE]
+            for m in range(1, n + 1):
+                top = v.eval(self.alpha + m - 1) * w.eval(self.beta + n - m)
+                row = [left + top * right for left, right in zip([ZERO] + row, row + [ZERO])]
+        self._lines[n] = row
         return row
 
-    def _column(self, k: int, d: int) -> RingValue:
-        """Entry (k + d, k), extending column k as far as row k + d."""
-        column = self._lines.get(k)
-        if column is None:
-            xs = self._products(k)
-            steps = (homogeneous_series(xs) if self.method == "definition"
-                     else _recurrence_column(xs[::-1]))
-            column = self._lines[k] = ([], steps)
-        entries, steps = column
-        while len(entries) <= d:
-            entries.append(next(steps))
-        return entries[d]
+    def _column(self, k: int, d: int) -> list:
+        """Column k, extended as far as row k + d."""
+        steps = self._steps.get(k)
+        if steps is None:
+            v, w, a, b = self.weights.v, self.weights.w, self.alpha, self.beta
+            steps = self._steps[k] = (
+                homogeneous_series(self._products(k)) if self.method == "definition"
+                else _recurrence_column([v.eval(a + j) * w.eval(b + k - j) for j in range(k + 1)]))
+            self._lines[k] = []
+        column = self._lines[k]
+        while len(column) <= d:
+            column.append(next(steps))
+        return column
 
 
 def _recurrence_column(c: list):
@@ -137,7 +139,9 @@ def _recurrence_column(c: list):
             lower = state[j] = lower + cj * state[j]
 
 
-@lru_cache(maxsize=128)
+# verify --suite all reuses about 2100 tables across suites; 1024 keeps most of
+# that reuse while one suite stays below the memory of the old unbounded memo
+@lru_cache(maxsize=1024)
 def _table(pair: WeightPair, kind: str, alpha: int, beta: int) -> StirlingTable:
     return StirlingTable(pair, kind, alpha, beta)
 

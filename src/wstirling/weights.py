@@ -132,13 +132,14 @@ class WeightSpec:
 class WeightPair:
     """The pair V = (v, w).  label is cosmetic and excluded from identity."""
 
-    __slots__ = ("v", "w", "label", "_id")
+    __slots__ = ("v", "w", "label", "_id", "_hash")
 
     def __init__(self, v: WeightSpec, w: WeightSpec, label: str | None = None):
         self.v = v
         self.w = w
         self.label = label
         self._id = None
+        self._hash = None
 
     @property
     def id(self) -> str:
@@ -171,7 +172,10 @@ class WeightPair:
         return self.v == other.v and self.w == other.w
 
     def __hash__(self) -> int:
-        return hash(self.id)
+        # kept as an int: pairs key the table cache behind stirling.first_kind
+        if self._hash is None:
+            self._hash = hash(self.id)
+        return self._hash
 
     def __repr__(self) -> str:
         return f"WeightPair({self.label or self.id})"

@@ -235,20 +235,20 @@ def test_verify_skips_table_weights_without_default(capsys, tmp_path):
 
 def test_verify_malformed_spec_is_usage_error(capsys, tmp_path):
     one = {"kind": "constant", "value": 1}
-    malformed = [
+    malformed = ['{"v": {"kind": "bogus"}}'] + [json.dumps({"v": v, "w": one}) for v in [
         {"kind": "bogus"},
         {"kind": "table", "values": [1, 2]},
         {"kind": "constant", "value": 1, "offset": 1.7},
         {"kind": "oeis-T", "row": 2.5},
         {"kind": "product-shifted", "shifts": [0, 1.5]},
-    ]
+    ]]
     spec = tmp_path / "bad.json"
-    for v in malformed:
-        spec.write_text(json.dumps({"v": v, "w": one}))
+    for text in malformed:
+        spec.write_text(text)
         code, _, err = run(capsys, "verify", "--suite", "lu",
                            "--weights", "@" + str(spec))
-        assert code == 2, v
-        assert "invalid weight spec" in err, v
+        assert code == 2, text
+        assert "invalid weight spec" in err, text
 
 
 def test_verify_all_on_one_small_weight(capsys):
