@@ -13,9 +13,10 @@ cells and probes, and the sweep loop live in `wstirling.identities`, which the
 acceptance gate runs too.
 
 Exit codes are a stable contract: 0 success, 1 a verified identity failed,
-2 usage error, 3 resource or cap error.  Output is byte-deterministic for
-identical invocations: iteration orders are fixed, the round-trip suite seeds
-its own RNG, and JSON is dumped with sorted keys.
+2 usage error, 3 resource or cap error (an enumeration cap, a non-integer
+b-file entry, or a computed exponent outside the ring's range).  Output is
+byte-deterministic for identical invocations: iteration orders are fixed, the
+round-trip suite seeds its own RNG, and JSON is dumped with sorted keys.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import json
 import sys
 
 from . import combinat, identities, matrices, stirling, tableaux
+from .ring import ExponentOverflow
 from .tableaux import BTableau
 from .weights import (CATALOG, NegativeQInteger, UndefinedIndex, UnknownBuiltin,
                       WeightPair, builtin)
@@ -183,6 +185,8 @@ def cmd_enumerate(args) -> int:
         return 3
     except (combinat.NonCombinatorialWeights, combinat.InvalidColorBudget) as exc:
         raise UsageError(f"weights do not define this object family: {exc}") from exc
+    except ExponentOverflow:
+        raise  # a resource limit (exit 3), not a usage error
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     for line in lines:
@@ -291,6 +295,9 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ExponentOverflow as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

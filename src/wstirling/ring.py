@@ -2,13 +2,32 @@
 
 Every value lives in Z[p, q, z, p^-1, q^-1, z^-1][x]: integer coefficients,
 signed exponents for p, q, z, nonnegative exponents for x.  A value is stored
-as a map from exponent vector (ep, eq, ez, ex) to a nonzero integer
-coefficient; the zero polynomial is the empty map.  Plain Python ints coerce
-to constant values and compare equal to them.
+as a map from a packed int key to a nonzero integer coefficient; the zero
+polynomial is the empty map.  Plain Python ints coerce to constant values and
+compare equal to them.
 
-Rendering sorts monomials by graded lexicographic order (total degree first,
-then exponent vector, both descending) so output is stable, e.g.
-"p^4 + p^3*q + 2*p^2*q^2".  parse() accepts exactly what render() emits,
+The key of the exponent vector (ep, eq, ez, ex) is
+
+    (ep + eq + ez + ex) << 128  +  (ep + 2^30) << 96  +  (eq + 2^30) << 64
+                                +  (ez + 2^30) << 32  +  (ex + 2^30)
+
+four 32-bit fields, x lowest and p highest, each holding its exponent plus a
+bias of 2^30, under an unbounded top field holding the total degree.  Every
+exponent lies in [-2^30, 2^30), so a field stays below bit 31, its guard bit.
+Int order on keys is graded lexicographic order (total degree first, then
+the exponent vector), so sorting and max() need no key function.
+
+Adding two keys and subtracting the key of 1 adds the exponent vectors, so
+products add ints.  A sum field that leaves its range sets its guard bit: an
+overflow reaches bit 31, an underflow wraps to the top of the field (and
+borrows from the field above, which the lower guard bit already reports).
+A sum field spans fewer than 2^32 values, so no two exponent vectors share a
+key, and `key & _GUARD` over the result keys catches every overflow.  A value
+with an exponent outside [-2^30, 2^30) is never built: ExponentOverflow is
+raised instead.
+
+Rendering sorts monomials by that order, descending, so output is stable,
+e.g. "p^4 + p^3*q + 2*p^2*q^2".  parse() accepts exactly what render() emits,
 modulo whitespace.
 """
 
@@ -18,8 +37,15 @@ from typing import Iterable, Mapping, Union
 
 VARIABLES = ("p", "q", "z", "x")
 _VAR_INDEX = {name: i for i, name in enumerate(VARIABLES)}
-_UNIT = (0, 0, 0, 0)
-_ONE_TERMS = {_UNIT: 1}
+
+# Key layout (see the module docstring).  _SHIFTS[i] is the lowest bit of the
+# field of VARIABLES[i].
+_FIELD = 32
+_LIMIT = 1 << 30
+_MASK = (1 << _FIELD) - 1
+_SHIFTS = (3 * _FIELD, 2 * _FIELD, _FIELD, 0)
+_DEGREE_SHIFT = 4 * _FIELD
+_GUARD = sum(1 << (shift + _FIELD - 1) for shift in _SHIFTS)
 
 # x is the generating-function variable; nothing in the library ever divides
 # by it, so a negative x exponent is always a construction error.
@@ -40,6 +66,35 @@ class RingParseError(ValueError):
     """Input text is not in the canonical polynomial format."""
 
 
+class ExponentOverflow(ValueError):
+    """An exponent would leave the representable range [-2^30, 2^30)."""
+
+
+def _pack(exps) -> int:
+    """Key of the exponent vector exps = (ep, eq, ez, ex)."""
+    if not -_LIMIT <= min(exps) <= max(exps) < _LIMIT:
+        raise ExponentOverflow(f"exponent vector {tuple(exps)} is outside [-2^30, 2^30)")
+    ep, eq, ez, ex = exps
+    return (((ep + eq + ez + ex) << _DEGREE_SHIFT) + ((ep + _LIMIT) << _SHIFTS[0])
+            + ((eq + _LIMIT) << _SHIFTS[1]) + ((ez + _LIMIT) << _SHIFTS[2]) + ex + _LIMIT)
+
+
+def _unpack(key: int) -> tuple:
+    """The exponent vector (ep, eq, ez, ex) of a key."""
+    return (((key >> _SHIFTS[0]) & _MASK) - _LIMIT, ((key >> _SHIFTS[1]) & _MASK) - _LIMIT,
+            ((key >> _SHIFTS[2]) & _MASK) - _LIMIT, (key & _MASK) - _LIMIT)
+
+
+def _floor(terms) -> int:
+    """Key of the componentwise minimum of the exponent vectors of terms."""
+    return _pack([min([(key >> shift) & _MASK for key in terms]) - _LIMIT
+                  for shift in _SHIFTS])
+
+
+_UNIT = _pack((0, 0, 0, 0))
+_ONE_TERMS = {_UNIT: 1}
+
+
 class RingValue:
     __slots__ = ("terms",)
 
@@ -54,6 +109,7 @@ class RingValue:
                 raise ValueError(f"exponent vector must have 4 entries, got {key!r}")
             if key[_X] < 0:
                 raise ValueError("negative exponent for x is not representable")
+            key = _pack(key)
             clean[key] = clean.get(key, 0) + coeff
         self.terms = {k: c for k, c in clean.items() if c != 0}
 
@@ -61,7 +117,7 @@ class RingValue:
 
     @classmethod
     def _raw(cls, terms: dict) -> "RingValue":
-        """Trusted constructor: terms already canonical."""
+        """Trusted constructor: terms already canonical, keyed by packed ints."""
         self = object.__new__(cls)
         self.terms = terms
         return self
@@ -80,7 +136,7 @@ class RingValue:
             raise ValueError("negative exponent for x is not representable")
         if coeff == 0:
             return ZERO
-        return cls._raw({(p, q, z, x): coeff})
+        return cls._raw({_pack((p, q, z, x)): coeff})
 
     @staticmethod
     def coerce(value: Coercible) -> "RingValue":
@@ -96,17 +152,19 @@ class RingValue:
         return not self.terms
 
     def is_one(self) -> bool:
-        return self.terms == {_UNIT: 1}
+        return self.terms == _ONE_TERMS
 
     def is_constant(self) -> bool:
-        return not self.terms or set(self.terms) == {_UNIT}
+        t = self.terms
+        return not t or (len(t) == 1 and _UNIT in t)
 
     def as_int(self) -> int:
         """The value as a plain integer; raises if any variable is present."""
-        if not self.terms:
+        t = self.terms
+        if not t:
             return 0
-        if set(self.terms) == {_UNIT}:
-            return self.terms[_UNIT]
+        if len(t) == 1 and _UNIT in t:
+            return t[_UNIT]
         raise ValueError(f"not a constant: {self}")
 
     def __bool__(self) -> bool:
@@ -154,14 +212,17 @@ class RingValue:
             a, b = b, a
         out: dict = {}
         for ka, ca in a.items():
-            pa, qa, za, xa = ka
+            ka -= _UNIT
             for kb, cb in b.items():
-                key = (pa + kb[0], qa + kb[1], za + kb[2], xa + kb[3])
+                key = ka + kb
                 acc = out.get(key, 0) + ca * cb
                 if acc:
                     out[key] = acc
                 else:
                     del out[key]
+        for key in out:
+            if key & _GUARD:
+                raise ExponentOverflow("a product has an exponent outside [-2^30, 2^30)")
         return RingValue._raw(out)
 
     __rmul__ = __mul__
@@ -182,8 +243,9 @@ class RingValue:
         """Inverse of a unit (+-1 times a monomial in p, q, z)."""
         if len(self.terms) == 1:
             (key, coeff), = self.terms.items()
-            if coeff in (1, -1) and key[_X] == 0:
-                return RingValue._raw({(-key[0], -key[1], -key[2], 0): coeff})
+            ep, eq, ez, ex = _unpack(key)
+            if coeff in (1, -1) and ex == 0:
+                return RingValue._raw({_pack((-ep, -eq, -ez, 0)): coeff})
         raise NonInvertibleSubstitution(f"not a unit: {self}")
 
     def substitute(self, assignment: Mapping[str, Coercible]) -> "RingValue":
@@ -197,7 +259,7 @@ class RingValue:
         power_cache: dict = {}
         for key, coeff in sorted(self.terms.items()):
             term = RingValue.from_int(coeff)
-            for idx, exp in enumerate(key):
+            for idx, exp in enumerate(_unpack(key)):
                 if exp == 0:
                     continue
                 if idx in images:
@@ -213,7 +275,7 @@ class RingValue:
                 else:
                     mono_exps = [0, 0, 0, 0]
                     mono_exps[idx] = exp
-                    term = term * RingValue._raw({tuple(mono_exps): 1})
+                    term = term * RingValue._raw({_pack(mono_exps): 1})
             result = result + term
         return result
 
@@ -225,26 +287,28 @@ class RingValue:
         drop).  Greedy leading-term cancellation under graded lex then
         terminates because the order is a well-order on shifted exponents,
         and any divisibility failure certifies the quotient does not exist.
+        A shifted quotient exponent must be nonnegative and, as a difference
+        of exponents in [-2^30, 2^30), below 2^31; one guard test rejects
+        both failures.  So every field the loop builds stays below 2^32 and
+        never carries into the next.
         """
         divisor = RingValue.coerce(divisor)
         if not divisor.terms:
             raise ZeroDivisionError("exact_div by zero")
         if not self.terms:
             return ZERO
-        smin = [min(key[i] for key in self.terms) for i in range(4)]
-        dmin = [min(key[i] for key in divisor.terms) for i in range(4)]
-        shift = tuple(smin[i] - dmin[i] for i in range(4))
-        if shift[_X] < 0:
+        low, dlow = _floor(self.terms), _floor(divisor.terms)
+        if (low & _MASK) < (dlow & _MASK):  # x is the lowest field
             raise InexactDivision("quotient would need a negative power of x")
-        dividend = {tuple(k[i] - smin[i] for i in range(4)): c for k, c in self.terms.items()}
-        dpoly = {tuple(k[i] - dmin[i] for i in range(4)): c for k, c in divisor.terms.items()}
-        lead_key = max(dpoly, key=_order_key)
+        dividend = {k - low: c for k, c in self.terms.items()}
+        dpoly = {k - dlow: c for k, c in divisor.terms.items()}
+        lead_key = max(dpoly)
         lead_coeff = dpoly[lead_key]
         quotient: dict = {}
         while dividend:
-            rkey = max(dividend, key=_order_key)
-            qkey = tuple(rkey[i] - lead_key[i] for i in range(4))
-            if any(e < 0 for e in qkey):
+            rkey = max(dividend)
+            qkey = rkey - lead_key
+            if qkey & _GUARD:
                 raise InexactDivision(f"{divisor} does not divide {self}")
             c, rem = divmod(dividend[rkey], lead_coeff)
             if rem:
@@ -252,33 +316,33 @@ class RingValue:
                     f"leading coefficient {dividend[rkey]} not divisible by {lead_coeff}")
             quotient[qkey] = c
             for dk, dc in dpoly.items():
-                key = (qkey[0] + dk[0], qkey[1] + dk[1], qkey[2] + dk[2], qkey[3] + dk[3])
+                key = qkey + dk
                 acc = dividend.get(key, 0) - c * dc
                 if acc:
                     dividend[key] = acc
                 else:
                     dividend.pop(key, None)
-        return RingValue._raw(
-            {(k[0] + shift[0], k[1] + shift[1], k[2] + shift[2], k[3] + shift[3]): c
-             for k, c in quotient.items()})
+        shift = low - dlow + _UNIT
+        out = {k + shift: c for k, c in quotient.items()}
+        for key in out:
+            if key & _GUARD:
+                raise ExponentOverflow("a quotient has an exponent outside [-2^30, 2^30)")
+        return RingValue._raw(out)
 
     # -- coefficient access --------------------------------------------------
 
     def coefficient(self, name: str, exponent: int) -> "RingValue":
         """Coefficient of name^exponent, as a value in the remaining variables."""
-        idx = _VAR_INDEX[name]
-        out = {}
-        for key, coeff in self.terms.items():
-            if key[idx] == exponent:
-                reduced = list(key)
-                reduced[idx] = 0
-                out[tuple(reduced)] = coeff
-        return RingValue._raw(out)
+        shift = _SHIFTS[_VAR_INDEX[name]]
+        field = exponent + _LIMIT
+        drop = (exponent << _DEGREE_SHIFT) + (exponent << shift)
+        return RingValue._raw({key - drop: coeff for key, coeff in self.terms.items()
+                               if (key >> shift) & _MASK == field})
 
     def degree(self, name: str) -> int:
         """Largest exponent of name present (0 for the zero value)."""
-        idx = _VAR_INDEX[name]
-        return max((key[idx] for key in self.terms), default=0)
+        shift = _SHIFTS[_VAR_INDEX[name]]
+        return max((((key >> shift) & _MASK) - _LIMIT for key in self.terms), default=0)
 
     # -- equality, hashing, rendering ----------------------------------------
 
@@ -304,10 +368,10 @@ class RingValue:
         if not self.terms:
             return "0"
         parts = []
-        for key in sorted(self.terms, key=_order_key, reverse=True):
+        for key in sorted(self.terms, reverse=True):
             coeff = self.terms[key]
             factors = []
-            for idx, exp in enumerate(key):
+            for idx, exp in enumerate(_unpack(key)):
                 if exp == 0:
                     continue
                 factors.append(VARIABLES[idx] if exp == 1 else f"{VARIABLES[idx]}^{exp}")
@@ -324,17 +388,13 @@ class RingValue:
         return "".join(parts)
 
 
-def _order_key(key: tuple):
-    return (key[0] + key[1] + key[2] + key[3], key)
-
-
 ZERO = RingValue._raw({})
 ONE = RingValue._raw({_UNIT: 1})
 
-P = RingValue._raw({(1, 0, 0, 0): 1})
-Q = RingValue._raw({(0, 1, 0, 0): 1})
-Z = RingValue._raw({(0, 0, 1, 0): 1})
-X = RingValue._raw({(0, 0, 0, 1): 1})
+P = RingValue.monomial(1, p=1)
+Q = RingValue.monomial(1, q=1)
+Z = RingValue.monomial(1, z=1)
+X = RingValue.monomial(1, x=1)
 
 
 def parse(text: str) -> RingValue:
@@ -385,7 +445,7 @@ def parse(text: str) -> RingValue:
             exps[_VAR_INDEX[name]] += exp
         if exps[_X] < 0:
             raise RingParseError("negative exponent for x is not representable")
-        key = tuple(exps)
+        key = _pack(exps)
         acc = total.get(key, 0) + coeff
         if acc:
             total[key] = acc

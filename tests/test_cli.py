@@ -6,9 +6,13 @@ including the documented exit-code contract (0 success, 1 identity failure,
 """
 
 import json
+import pathlib
 
 from wstirling.cli import main
+from wstirling.ring import InexactDivision, RingValue
 from wstirling.stirling import b_stirling_by_series
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
 def run(capsys, *argv):
@@ -96,6 +100,58 @@ def test_det_example(capsys):
                    "det=2\n"
                    "formula=2\n"
                    "EQUAL\n")
+
+
+def test_huge_exponents_match_golden(capsys):
+    cases = {
+        "table_pq_binomial_alpha_1e6.txt": (
+            "table", "--format", "csv", "--kind", "second", "--weights", "builtin:pq-binomial",
+            "--alpha", "1000000", "--beta", "-1000000", "--nmax", "3"),
+        "det_zeta_alpha_1e8.txt": (
+            "det", "--kind", "second", "--r", "3", "--s", "1", "--weights", "builtin:zeta",
+            "--alpha", "100000000"),
+        "det_zeta_alpha_1e8_beta_-1e8.txt": (
+            "det", "--kind", "second", "--r", "3", "--s", "1", "--weights", "builtin:zeta",
+            "--alpha", "100000000", "--beta", "-100000000"),
+    }
+    for name, argv in cases.items():
+        assert run(capsys, *argv) == (0, (GOLDEN / name).read_text(), ""), name
+
+
+def test_exponent_past_the_range_is_a_resource_error(capsys):
+    for argv in [
+        ("det", "--kind", "second", "--r", "3", "--s", "1", "--weights", "builtin:zeta",
+         "--alpha", "2000000000"),
+        ("table", "--weights", "builtin:pq-binomial", "--alpha", str(2 ** 30 - 1),
+         "--nmax", "2"),
+        ("verify", "--suite", "recurrences", "--weights", "builtin:q-binomial",
+         "--alpha-range", "2000000000:2000000000"),
+    ]:
+        code, _, err = run(capsys, *argv)
+        assert code == 3, argv
+        assert err == "error: a product has an exponent outside [-2^30, 2^30)\n", argv
+
+
+def test_ring_errors_do_not_escape(capsys, monkeypatch):
+    # NonInvertibleSubstitution needs a non-unit image: the CLI only inverts
+    # and substitutes monomials, here with negative exponents.
+    for argv in [
+        ("table", "--weights", "builtin:pq-binomial", "--alpha", "-3", "--beta", "-2",
+         "--nmax", "4"),
+        ("det", "--kind", "first", "--r", "3", "--s", "1", "--weights", "builtin:zeta",
+         "--alpha", "-2"),
+        ("verify", "--suite", "genfunc", "--weights", "builtin:pq-binomial", "--nmax", "4"),
+    ]:
+        assert run(capsys, *argv)[0] == 0, argv
+    # InexactDivision comes only from exact_div, which only the Bareiss
+    # elimination calls; the determinant then falls back to cofactors.
+    argv = ("det", "--kind", "second", "--r", "3", "--s", "1", "--weights", "builtin:jacobi")
+    expected = run(capsys, *argv)
+
+    def inexact(self, divisor):
+        raise InexactDivision("forced")
+    monkeypatch.setattr(RingValue, "exact_div", inexact)
+    assert run(capsys, *argv) == expected
 
 
 def test_det_symbolic_weights(capsys):
@@ -241,6 +297,7 @@ def test_verify_malformed_spec_is_usage_error(capsys, tmp_path):
         {"kind": "constant", "value": 1, "offset": 1.7},
         {"kind": "oeis-T", "row": 2.5},
         {"kind": "product-shifted", "shifts": [0, 1.5]},
+        {"kind": "constant", "value": "p^3000000000"},
     ]]
     spec = tmp_path / "bad.json"
     for text in malformed:

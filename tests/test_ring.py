@@ -11,6 +11,7 @@ from wstirling.ring import (
     X,
     Z,
     ZERO,
+    ExponentOverflow,
     InexactDivision,
     NonInvertibleSubstitution,
     parse,
@@ -196,3 +197,150 @@ def test_product_and_sum_helpers():
     assert ring_sum([]) == 0
     assert product([P, Q, 2]) == 2 * P * Q
     assert ring_sum([P, Q, P]) == 2 * P + Q
+
+
+# -- differential check of the packed keys against plain exponent tuples -------
+
+LIMIT = 2 ** 30  # every exponent lies in [-LIMIT, LIMIT)
+
+
+def ref_mul(a, b):
+    out = {}
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            key = tuple(x + y for x, y in zip(ka, kb))
+            out[key] = out.get(key, 0) + ca * cb
+    return {k: c for k, c in out.items() if c}
+
+
+def ref_order(key):
+    return (sum(key), key)
+
+
+def ref_exact_div(a, b):
+    """Greedy graded-lex division on shifted tuple exponents; None if inexact."""
+    amin = [min(k[i] for k in a) for i in range(4)]
+    bmin = [min(k[i] for k in b) for i in range(4)]
+    if amin[3] < bmin[3]:
+        return None
+    dividend = {tuple(x - m for x, m in zip(k, amin)): c for k, c in a.items()}
+    divisor = {tuple(x - m for x, m in zip(k, bmin)): c for k, c in b.items()}
+    lead = max(divisor, key=ref_order)
+    quotient = {}
+    while dividend:
+        top = max(dividend, key=ref_order)
+        qkey = tuple(x - y for x, y in zip(top, lead))
+        c, rem = divmod(dividend[top], divisor[lead])
+        if rem or min(qkey) < 0:
+            return None
+        quotient[qkey] = c
+        for dk, dc in divisor.items():
+            key = tuple(x + y for x, y in zip(qkey, dk))
+            acc = dividend.get(key, 0) - c * dc
+            if acc:
+                dividend[key] = acc
+            else:
+                dividend.pop(key, None)
+    shift = [x - y for x, y in zip(amin, bmin)]
+    return {tuple(x + s for x, s in zip(k, shift)): c for k, c in quotient.items()}
+
+
+def ref_render(terms):
+    parts = []
+    for key in sorted(terms, key=ref_order, reverse=True):
+        coeff = terms[key]
+        factors = [v if e == 1 else f"{v}^{e}" for v, e in zip("pqzx", key) if e]
+        body = "*".join(([str(abs(coeff))] if abs(coeff) != 1 or not factors else []) + factors)
+        parts.append(("-" if coeff < 0 else "") + body if not parts
+                     else (" - " if coeff < 0 else " + ") + body)
+    return "".join(parts) or "0"
+
+
+def in_range(terms):
+    return all(-LIMIT <= e < LIMIT for key in terms for e in key)
+
+
+def rand_terms(rng, corner, spread=3, max_terms=4):
+    """Random Laurent terms clustered around the exponent vector corner."""
+    terms = {}
+    for _ in range(rng.randrange(max_terms + 1)):
+        key = tuple(min(max(c + rng.randint(-spread, spread), -LIMIT if i < 3 else 0), LIMIT - 1)
+                    for i, c in enumerate(corner))
+        terms[key] = rng.choice([-1, 1]) * rng.randint(1, 9)
+    return {k: c for k, c in terms.items() if c}
+
+
+def rand_corners(rng):
+    """Two corners: each exponent at an edge of the range, near zero, or
+    mirroring or repeating the other corner's, so that products and quotients
+    land both inside and outside the range."""
+    edges = [0, LIMIT - 1, -(LIMIT - 1), -LIMIT, LIMIT // 2, -(LIMIT // 2)]
+    first = [rng.choice(edges) for _ in range(3)] + [rng.choice([0, LIMIT - 1, LIMIT // 2])]
+    second = [rng.choice([rng.choice(edges), -e, e]) for e in first[:3]]
+    second.append(rng.choice([0, first[3]]))
+    return first, second
+
+
+def test_packed_keys_match_tuple_reference():
+    rng = random.Random(20261018)
+    seen = {"product overflow": 0, "exact": 0, "inexact": 0, "quotient overflow": 0}
+    for _ in range(1500):
+        corner_a, corner_b = rand_corners(rng)
+        a, b = rand_terms(rng, corner_a), rand_terms(rng, corner_b)
+        va, vb = RingValue(a), RingValue(b)
+        assert va.render() == ref_render(a)
+        for name, idx in (("p", 0), ("q", 1), ("z", 2), ("x", 3)):
+            assert va.degree(name) == max((k[idx] for k in a), default=0)
+            e = rng.choice([k[idx] for k in a] or [0])
+            assert va.coefficient(name, e) == RingValue(
+                {k[:idx] + (0,) + k[idx + 1:]: c for k, c in a.items() if k[idx] == e})
+        want = ref_mul(a, b)
+        if in_range(want):
+            got = va * vb
+            assert got == RingValue(want) and got.render() == ref_render(want)
+        else:
+            # a key past the range is never returned, aliased or not
+            with pytest.raises(ExponentOverflow):
+                va * vb
+            seen["product overflow"] += 1
+            continue
+        if not b:
+            continue
+        assert (va * vb).exact_div(vb) == va
+        seen["exact"] += 1
+        # b, and a unit: one term of b without its x, which always divides
+        unit = {key[:3] + (0,): rng.choice([-1, 1]) for key in list(b)[:1]}
+        for divisor in (b, unit):
+            quotient = ref_exact_div(a, divisor) if a else {}
+            if quotient is None:
+                with pytest.raises(InexactDivision):
+                    va.exact_div(RingValue(divisor))
+                seen["inexact"] += 1
+            elif in_range(quotient):
+                assert va.exact_div(RingValue(divisor)) == RingValue(quotient)
+            else:
+                with pytest.raises(ExponentOverflow):
+                    va.exact_div(RingValue(divisor))
+                seen["quotient overflow"] += 1
+    assert min(seen.values()) > 100, seen
+
+
+def test_exponent_range_edges():
+    top, bottom = LIMIT - 1, -LIMIT
+    assert RingValue.monomial(1, p=top, q=bottom, z=top, x=top).render() == (
+        f"p^{top}*q^{bottom}*z^{top}*x^{top}")
+    for exps in [(LIMIT, 0, 0, 0), (0, bottom - 1, 0, 0), (0, 0, 0, LIMIT)]:
+        with pytest.raises(ExponentOverflow):
+            RingValue({exps: 1})
+    with pytest.raises(ExponentOverflow):
+        parse("p^3000000000")
+    edge = RingValue.monomial(1, q=top)
+    assert (edge * RingValue.monomial(1, q=bottom)).render() == "q^-1"
+    for bad in [lambda: edge * Q, lambda: edge ** 2,
+                lambda: RingValue.monomial(1, p=bottom) * P ** -1,
+                lambda: RingValue.monomial(1, z=bottom).invert(),
+                lambda: (edge * Z).exact_div(RingValue.monomial(1, q=-2, z=1))]:
+        with pytest.raises(ExponentOverflow):
+            bad()
+    # the overflow error is a ValueError, so malformed input stays a usage error
+    assert issubclass(ExponentOverflow, ValueError)
