@@ -50,8 +50,7 @@ def basis_expand_check(n: int, alpha: int, beta: int, weights: WeightPair):
     if n < 0:
         raise ValueError("exponent must be nonnegative")
     total = ring_sum(
-        second_kind(weights, alpha, beta - k, n, k)
-        * bracket(k, alpha, beta, weights).as_ring_value()
+        second_kind(weights, alpha, beta - k, n, k) * bracket(k, alpha, beta, weights)
         for k in range(n + 1))
     residual = total - X ** n
     return residual.is_zero(), residual

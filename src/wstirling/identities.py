@@ -162,10 +162,11 @@ def _value_fn(kind):
 
 
 def _triangular(pair, kind):
+    value_fn = _value_fn(kind)
     tables = {}  # one recurrence table per (alpha, beta), kept for the probe's life
 
     def probe(n, k, a, b):
-        by_def = stirling.value(stirling.StirlingParams(a, b, n, k, kind, pair))
+        by_def = value_fn(pair, a, b, n, k)
         table = tables.get((a, b))
         if table is None:
             table = tables[a, b] = stirling.StirlingTable(pair, kind, a, b, method="recurrence")
@@ -182,7 +183,7 @@ def _step(pair, step_name, kind, down):
     step, value_fn = getattr(stirling, step_name), _value_fn(kind)
 
     def probe(n, k, a, b):
-        got = step(stirling.StirlingParams(a, b, n, k, kind, pair))
+        got = step(pair, a, b, n, k)
         want = value_fn(pair, a, b, n + down, k + down)
         if got != want:
             return (f"alpha={a} beta={b} n={n} k={k} "
@@ -336,7 +337,7 @@ def _tau(pair):
 
 def _triangular_split(pair):
     def probe(n, k, a, b):
-        if not tableaux.proof_partition_check("triangular", n=n, k=k, alpha=a, beta=b):
+        if not tableaux.triangular_split_check(n, k, a, b):
             return f"alpha={a} beta={b} n={n} k={k}"
         return None
     return probe
@@ -344,8 +345,7 @@ def _triangular_split(pair):
 
 def _convolution_split(pair):
     def probe(m1, m2, n, a, b):
-        if not tableaux.proof_partition_check("convolution", m1=m1, m2=m2, n=n,
-                                              alpha=a, beta=b):
+        if not tableaux.convolution_split_check(m1, m2, n, a, b):
             return f"alpha={a} beta={b} m1={m1} m2={m2} n={n}"
         return None
     return probe

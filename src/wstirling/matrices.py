@@ -1,9 +1,13 @@
 """Triangular-matrix layer: orthogonality, inversion, convolution, LU.
 
-Matrices here are small dense square grids of exact ring values.  The two
-inverse pairs differ in which offset re-anchors with the indices: the "beta"
-pair slides the w-offset (row n uses beta-n+1, column k uses beta-k), the
-"alpha" pair slides the v-offset the same way.  A version with both offsets
+Matrices here are small dense square grids of exact ring values, read
+entry by entry through first_kind/second_kind(pair, alpha, beta, n, k), the
+signature the stirling recurrence steps share.  The two inverse pairs
+differ in which offset re-anchors with the indices: the "beta" pair slides
+the w-offset (row n uses beta-n+1, column k uses beta-k), the "alpha" pair
+slides the v-offset the same way.  One entry rule per pair serves both the
+matrices and the inverse relations; the forward "beta" leg sends x^k to
+stirling.bracket(k, ...), a RingValue in x.  A version with both offsets
 held fixed is NOT an inverse pair for general weights; constant weights hide
 that because the sliding offset lands in a weight that never changes.
 Determinants run fraction-free (Bareiss) with exact division, falling back
@@ -32,22 +36,21 @@ class NotInverse(ArithmeticError):
 
 
 class RingMatrix:
-    """Immutable square matrix of RingValue entries with a provenance tag."""
+    """Immutable square matrix of RingValue entries."""
 
-    __slots__ = ("rows", "tag")
+    __slots__ = ("rows",)
 
-    def __init__(self, rows, tag: str = ""):
+    def __init__(self, rows):
         grid = tuple(tuple(RingValue.coerce(e) for e in row) for row in rows)
         if not grid or any(len(row) != len(grid) for row in grid):
             raise ValueError("matrix must be square and at least 1x1")
         self.rows = grid
-        self.tag = tag
 
     @classmethod
-    def from_function(cls, dim: int, entry, tag: str = "") -> "RingMatrix":
+    def from_function(cls, dim: int, entry) -> "RingMatrix":
         if dim < 1:
             raise ValueError("dimension must be at least 1")
-        return cls(tuple(tuple(entry(i, j) for j in range(dim)) for i in range(dim)), tag=tag)
+        return cls(tuple(tuple(entry(i, j) for j in range(dim)) for i in range(dim)))
 
     @property
     def dim(self) -> int:
@@ -62,8 +65,7 @@ class RingMatrix:
         n = self.dim
         return RingMatrix(
             tuple(tuple(ring_sum(self.rows[i][t] * other.rows[t][j] for t in range(n))
-                        for j in range(n)) for i in range(n)),
-            tag=f"({self.tag})*({other.tag})" if self.tag or other.tag else "")
+                        for j in range(n)) for i in range(n)))
 
     def is_identity(self) -> bool:
         return all(e == (1 if i == j else 0)
@@ -88,12 +90,11 @@ class RingMatrix:
         return [[e.render() for e in row] for row in self.rows]
 
     def __repr__(self) -> str:
-        label = self.tag or f"{self.dim}x{self.dim}"
-        return f"RingMatrix({label})"
+        return f"RingMatrix({self.dim}x{self.dim})"
 
 
 def identity_matrix(dim: int) -> RingMatrix:
-    return RingMatrix.from_function(dim, lambda i, j: ONE if i == j else ZERO, tag="I")
+    return RingMatrix.from_function(dim, lambda i, j: ONE if i == j else ZERO)
 
 
 # -- determinants ----------------------------------------------------------------
@@ -203,6 +204,16 @@ def pq_binomial_orthogonality(n_max: int) -> bool:
 
 # -- inverse pairs and relations ---------------------------------------------------
 
+def _pair_entries(kind: str, alpha: int, beta: int, weights: WeightPair):
+    """Entry rules (n, k) -> value of the signed first-kind and the
+    second-kind matrix of one inverse pair."""
+    if kind == "beta":
+        return (lambda n, k: _sign(n - k) * first_kind(weights, alpha, beta - n + 1, n, k),
+                lambda n, k: second_kind(weights, alpha, beta - k, n, k))
+    return (lambda n, k: _sign(n - k) * first_kind(weights, alpha - n + 1, beta, n, k),
+            lambda n, k: second_kind(weights, alpha - k, beta, n, k))
+
+
 def inverse_pair(kind: str, r: int, alpha: int, beta: int, weights: WeightPair):
     """Build the signed first-kind and second-kind matrices and verify
     that they are two-sided inverses.
@@ -215,24 +226,8 @@ def inverse_pair(kind: str, r: int, alpha: int, beta: int, weights: WeightPair):
         raise ValueError(f"kind must be one of {PAIR_KINDS}, got {kind!r}")
     if r < 0:
         raise ValueError("dimension parameter r must be nonnegative")
-    if kind == "beta":
-        a = RingMatrix.from_function(
-            r + 1,
-            lambda n, k: _sign(n - k) * first_kind(weights, alpha, beta - n + 1, n, k),
-            tag="(-1)^(n-k) c[a, b-n+1](n, k)")
-        b = RingMatrix.from_function(
-            r + 1,
-            lambda n, k: second_kind(weights, alpha, beta - k, n, k),
-            tag="S[a, b-k](n, k)")
-    else:
-        a = RingMatrix.from_function(
-            r + 1,
-            lambda n, k: _sign(n - k) * first_kind(weights, alpha - n + 1, beta, n, k),
-            tag="(-1)^(n-k) c[a-n+1, b](n, k)")
-        b = RingMatrix.from_function(
-            r + 1,
-            lambda n, k: second_kind(weights, alpha - k, beta, n, k),
-            tag="S[a-k, b](n, k)")
+    first, second = _pair_entries(kind, alpha, beta, weights)
+    a, b = RingMatrix.from_function(r + 1, first), RingMatrix.from_function(r + 1, second)
     left = a * b
     right = b * a
     if not left.is_identity() or not right.is_identity():
@@ -249,53 +244,26 @@ def inverse_relation_apply(direction: str, sequence, r: int, alpha: int, beta: i
                            weights: WeightPair) -> list:
     """Apply one leg of an inverse relation to a length r+1 sequence.
 
-    forward legs produce the a-sequence from b, backward legs recover b from
-    a; composing the two legs of the same family is the identity.
+    forward legs produce the a-sequence from b through the signed first-kind
+    matrix, backward legs recover b from a through the second-kind matrix;
+    composing the two legs of the same family is the identity.  The
+    transposed legs use the transposed matrices of the "beta" pair.
     """
     if direction not in DIRECTIONS:
         raise ValueError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
     seq = [RingValue.coerce(x) for x in sequence]
     if len(seq) != r + 1:
         raise ValueError(f"sequence must have length r+1 = {r + 1}, got {len(seq)}")
-    out = []
-    for n in range(r + 1):
-        if direction == "beta-forward":
-            total = ring_sum(_sign(n - k) * first_kind(weights, alpha, beta - n + 1, n, k)
-                             * seq[k] for k in range(n + 1))
-        elif direction == "beta-backward":
-            total = ring_sum(second_kind(weights, alpha, beta - k, n, k) * seq[k]
-                             for k in range(n + 1))
-        elif direction == "alpha-forward":
-            total = ring_sum(_sign(n - k) * first_kind(weights, alpha - n + 1, beta, n, k)
-                             * seq[k] for k in range(n + 1))
-        elif direction == "alpha-backward":
-            total = ring_sum(second_kind(weights, alpha - k, beta, n, k) * seq[k]
-                             for k in range(n + 1))
-        elif direction == "transposed-forward":
-            total = ring_sum(_sign(k - n) * first_kind(weights, alpha, beta - k + 1, k, n)
-                             * seq[k] for k in range(n, r + 1))
-        else:  # transposed-backward
-            total = ring_sum(second_kind(weights, alpha, beta - n, k, n) * seq[k]
-                             for k in range(n, r + 1))
-        out.append(total)
-    return out
+    family, leg = direction.split("-")
+    first, second = _pair_entries("beta" if family == "transposed" else family,
+                                  alpha, beta, weights)
+    entry = first if leg == "forward" else second
+    if family == "transposed":
+        return [ring_sum(entry(k, n) * seq[k] for k in range(n, r + 1)) for n in range(r + 1)]
+    return [ring_sum(entry(n, k) * seq[k] for k in range(n + 1)) for n in range(r + 1)]
 
 
 # -- convolutions -------------------------------------------------------------------
-
-def _conv_sides(kind, m1, m2, n, alpha, beta, pair):
-    if kind == "first":
-        lhs = first_kind(pair, alpha, beta, m1 + m2, n)
-        rhs = ring_sum(first_kind(pair, alpha + m2, beta, m1, n - k)
-                       * first_kind(pair, alpha, beta + m1, m2, k)
-                       for k in range(n + 1))
-    else:
-        lhs = second_kind(pair, alpha, beta, m1 + m2, n)
-        rhs = ring_sum(second_kind(pair, alpha + k, beta, m1, n - k)
-                       * second_kind(pair, alpha, beta + n - k, m2, k)
-                       for k in range(n + 1))
-    return lhs, rhs
-
 
 def _split_sides(kind, m1, m2, r, s, alpha, beta, pair):
     # window outside which one factor vanishes by index range
@@ -315,13 +283,10 @@ def _split_sides(kind, m1, m2, r, s, alpha, beta, pair):
 
 def convolution_check(kind: str, m1: int, m2: int, n: int, alpha: int, beta: int,
                       weights: WeightPair) -> bool:
-    """Check the row-split convolution at n, plus every two-index split
-    r+s = n of its truncated-window variant."""
+    """Check every two-index split r+s = n of the truncated-window
+    convolution; the split r = n, s = 0 is the row-split convolution."""
     if kind not in ("first", "second"):
         raise ValueError(f"kind must be first or second, got {kind!r}")
-    lhs, rhs = _conv_sides(kind, m1, m2, n, alpha, beta, weights)
-    if lhs != rhs:
-        return False
     for r in range(n + 1):
         lhs, rhs = _split_sides(kind, m1, m2, r, n - r, alpha, beta, weights)
         if lhs != rhs:
@@ -337,12 +302,10 @@ def hankel_matrix(kind: str, r: int, s: int, alpha: int, beta: int,
     if kind == "first":
         return RingMatrix.from_function(
             r + 1,
-            lambda i, j: first_kind(weights, alpha - i, beta - j, s + i + j, s + j),
-            tag="c[a-i, b-j](s+i+j, s+j)")
+            lambda i, j: first_kind(weights, alpha - i, beta - j, s + i + j, s + j))
     return RingMatrix.from_function(
         r + 1,
-        lambda i, j: second_kind(weights, alpha, beta - j, s + i + j, s + j),
-        tag="S[a, b-j](s+i+j, s+j)")
+        lambda i, j: second_kind(weights, alpha, beta - j, s + i + j, s + j))
 
 
 def lu_check(kind: str, r: int, s: int, alpha: int, beta: int, weights: WeightPair):
@@ -353,18 +316,14 @@ def lu_check(kind: str, r: int, s: int, alpha: int, beta: int, weights: WeightPa
         raise ValueError("r and s must be nonnegative")
     if kind == "first":
         lower = RingMatrix.from_function(
-            r + 1, lambda i, k: first_kind(weights, alpha - i, beta, s + i, s + k),
-            tag="c[a-i, b](s+i, s+k)")
+            r + 1, lambda i, k: first_kind(weights, alpha - i, beta, s + i, s + k))
         upper = RingMatrix.from_function(
-            r + 1, lambda k, j: first_kind(weights, alpha + s, beta - j, j, j - k),
-            tag="c[a+s, b-j](j, j-k)")
+            r + 1, lambda k, j: first_kind(weights, alpha + s, beta - j, j, j - k))
     else:
         lower = RingMatrix.from_function(
-            r + 1, lambda i, k: second_kind(weights, alpha, beta - k, s + i, s + k),
-            tag="S[a, b-k](s+i, s+k)")
+            r + 1, lambda i, k: second_kind(weights, alpha, beta - k, s + i, s + k))
         upper = RingMatrix.from_function(
-            r + 1, lambda k, j: second_kind(weights, alpha + s + k, beta - j, j, j - k),
-            tag="S[a+s+k, b-j](j, j-k)")
+            r + 1, lambda k, j: second_kind(weights, alpha + s + k, beta - j, j, j - k))
     target = hankel_matrix(kind, r, s, alpha, beta, weights)
     return lower, upper, lower * upper == target
 
@@ -396,8 +355,7 @@ def ehrenborg_det_check(r: int, s: int) -> bool:
     pair = builtin("q-stirling")
     matrix = RingMatrix.from_function(
         r + 1,
-        lambda i, j: Q ** comb(s + j, 2) * second_kind(pair, 0, 0, s + i + j, s + j),
-        tag="q^C(s+j,2) S_q(s+i+j, s+j)")
+        lambda i, j: Q ** comb(s + j, 2) * second_kind(pair, 0, 0, s + i + j, s + j))
     qint = WeightSpec("q-integer")
     formula = Q ** (comb(s + r + 1, 3) - comb(s, 3)) \
         * product(qint.eval(s + t) ** t for t in range(r + 1))

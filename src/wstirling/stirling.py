@@ -13,40 +13,20 @@ recurrence, walked iteratively, so the two paths cross-check each other.
 first_kind and second_kind read from a small bounded cache of definition
 tables.  Next to them sit the vertical and horizontal recurrences (the
 horizontal ones consume row n+1, so they are evaluators used for cross
-checking, not for building tables), the falling-factorial-style bracket
-polynomial, and a catalog dispatcher for the named families.
+checking, not for building tables), which take the entry as
+(pair, alpha, beta, n, k) just as first_kind does, and the
+falling-factorial-style bracket polynomial, returned as a RingValue in x.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
-from .ring import ONE, RingValue, ZERO, product, ring_sum
+from .ring import ONE, RingValue, X, ZERO, product, ring_sum
 from .symfunc import elementary_all, homogeneous_series
-from .weights import UnknownBuiltin, WeightPair, builtin
+from .weights import WeightPair, builtin
 
 KINDS = ("first", "second")
-
-
-class UnknownFamily(ValueError):
-    """special() was asked for a family outside the catalog."""
-
-
-@dataclass(frozen=True)
-class StirlingParams:
-    """One triangle entry: which kind, which weights, which indices."""
-
-    alpha: int
-    beta: int
-    n: int
-    k: int
-    kind: str
-    weights: WeightPair
-
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
 
 
 class StirlingTable:
@@ -156,31 +136,22 @@ def second_kind(pair: WeightPair, alpha: int, beta: int, n: int, k: int) -> Ring
     return _table(pair, "second", alpha, beta).value(n, k)
 
 
-def value(params: StirlingParams) -> RingValue:
-    fn = first_kind if params.kind == "first" else second_kind
-    return fn(params.weights, params.alpha, params.beta, params.n, params.k)
-
-
 # -- vertical recurrences: compute entry (n+1, k+1) from row slice j=k..n ------
 
-def c_vertical(params: StirlingParams) -> RingValue:
+def c_vertical(pair: WeightPair, alpha: int, beta: int, n: int, k: int) -> RingValue:
     """First-kind entry at (n+1, k+1) summed from entries at j = k..n."""
-    if params.n < 0:
+    if n < 0:
         raise ValueError("vertical recurrence needs n >= 0")
-    pair, alpha, beta = params.weights, params.alpha, params.beta
-    n, k = params.n, params.k
     return ring_sum(
         product(pair.v.eval(alpha + n - t) * pair.w.eval(beta + t) for t in range(n - j))
         * first_kind(pair, alpha, beta + n - j + 1, j, k)
         for j in range(k, n + 1))
 
 
-def s_vertical(params: StirlingParams) -> RingValue:
+def s_vertical(pair: WeightPair, alpha: int, beta: int, n: int, k: int) -> RingValue:
     """Second-kind entry at (n+1, k+1) summed from entries at j = k..n."""
-    if params.n < 0:
+    if n < 0:
         raise ValueError("vertical recurrence needs n >= 0")
-    pair, alpha, beta = params.weights, params.alpha, params.beta
-    n, k = params.n, params.k
     top = pair.v.eval(alpha + k + 1) * pair.w.eval(beta)
     return ring_sum(
         top ** (n - j) * second_kind(pair, alpha, beta + 1, j, k)
@@ -189,30 +160,24 @@ def s_vertical(params: StirlingParams) -> RingValue:
 
 # -- horizontal recurrences: evaluate (n, k) from definitional row n+1 ---------
 
-def c_horizontal(params: StirlingParams) -> RingValue:
+def c_horizontal(pair: WeightPair, alpha: int, beta: int, n: int, k: int) -> RingValue:
     """First-kind entry at (n, k) as an alternating sum over row n+1."""
-    pair, alpha, beta = params.weights, params.alpha, params.beta
-    n, k = params.n, params.k
     top = pair.v.eval(alpha + n) * pair.w.eval(beta - 1)
     return ring_sum(
         (-1) ** (j - k) * top ** (j - k) * first_kind(pair, alpha, beta - 1, n + 1, j + 1)
         for j in range(k, n + 1))
 
 
-def c_horizontal_alpha(params: StirlingParams) -> RingValue:
+def c_horizontal_alpha(pair: WeightPair, alpha: int, beta: int, n: int, k: int) -> RingValue:
     """Variant of c_horizontal that shifts alpha instead of beta."""
-    pair, alpha, beta = params.weights, params.alpha, params.beta
-    n, k = params.n, params.k
     top = pair.v.eval(alpha - 1) * pair.w.eval(beta + n)
     return ring_sum(
         (-1) ** (j - k) * top ** (j - k) * first_kind(pair, alpha - 1, beta, n + 1, j + 1)
         for j in range(k, n + 1))
 
 
-def s_horizontal(params: StirlingParams) -> RingValue:
+def s_horizontal(pair: WeightPair, alpha: int, beta: int, n: int, k: int) -> RingValue:
     """Second-kind entry at (n, k) as an alternating sum over row n+1."""
-    pair, alpha, beta = params.weights, params.alpha, params.beta
-    n, k = params.n, params.k
     return ring_sum(
         (-1) ** j
         * product(pair.v.eval(alpha + k + t) * pair.w.eval(beta - t) for t in range(1, j + 1))
@@ -222,45 +187,14 @@ def s_horizontal(params: StirlingParams) -> RingValue:
 
 # -- bracket polynomial ---------------------------------------------------------
 
-@dataclass(frozen=True)
-class BracketPolynomial:
-    """Monic polynomial with roots v(alpha+t)w(beta-t), t = 0..n-1."""
-
-    coefficients: tuple  # low degree first, length n+1
-
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
-
-    def as_ring_value(self) -> RingValue:
-        from .ring import X
-        return ring_sum(c * X ** d for d, c in enumerate(self.coefficients))
-
-
-def bracket(n: int, alpha: int, beta: int, weights: WeightPair) -> BracketPolynomial:
+def bracket(n: int, alpha: int, beta: int, weights: WeightPair) -> RingValue:
+    """Monic x-polynomial of degree n with roots v(alpha+t)w(beta-t), t = 0..n-1."""
     if n < 0:
         raise ValueError("bracket degree must be nonnegative")
-    from .ring import X
-    poly = product(X - weights.v.eval(alpha + t) * weights.w.eval(beta - t) for t in range(n))
-    return BracketPolynomial(tuple(poly.coefficient("x", d) for d in range(n + 1)))
+    return product(X - weights.v.eval(alpha + t) * weights.w.eval(beta - t) for t in range(n))
 
 
 # -- named families -------------------------------------------------------------
-
-def special(family: str, n: int, k: int, alpha: int = 0, beta: int = 0) -> RingValue:
-    """Catalog dispatch: '<name>', '<name>-first', or '<name>-second'."""
-    name, kind = family, "second"
-    if family.endswith("-first"):
-        name, kind = family[:-len("-first")], "first"
-    elif family.endswith("-second"):
-        name, kind = family[:-len("-second")], "second"
-    try:
-        pair = builtin(name)
-    except UnknownBuiltin as err:
-        raise UnknownFamily(str(err)) from err
-    fn = first_kind if kind == "first" else second_kind
-    return fn(pair, alpha, beta, n, k)
-
 
 def pq_binomial(n: int, k: int) -> RingValue:
     """Two-variable binomial analogue: h_{n-k} of p^k, p^{k-1}q, ..., q^k."""
@@ -280,7 +214,6 @@ def b_stirling_row_by_product(n: int) -> list:
     tabulated triangle, so the coefficients come from a plain polynomial
     product with no symmetric-function machinery.
     """
-    from .ring import X
     spec = _t_row_spec(n - 3)
     poly = product(X + spec.eval(j) for j in range(n))
     return [poly.coefficient("x", d) for d in range(n + 1)]

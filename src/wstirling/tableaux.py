@@ -198,37 +198,37 @@ def weight_sum(kind: str, n: int, k: int, alpha: int, beta: int,
     return ring_sum(weight(t, weights) for t in pool)
 
 
-def proof_partition_check(which: str, *, n: int = 0, k: int = 0,
-                          m1: int = 0, m2: int = 0,
-                          alpha: int = 0, beta: int = 0) -> bool:
-    """Verify the two tableau-set partitions behind the main identities.
+def triangular_split_check(n: int, k: int, alpha: int = 0, beta: int = 0) -> bool:
+    """Verify the tableau-set partition behind the triangular recurrence.
 
-    "triangular" (takes n, k): the distinct-top set for (n-1, n-k) splits
-    into the tableaux avoiding top alpha+n-1 and those containing the column
-    [alpha+n-1 / beta], with the column stripped off the rest.
-
-    "convolution" (takes m1, m2, n): the distinct-top set for
-    (m1+m2-1, m1+m2-n) is the disjoint union over k of juxtapositions of
-    distinct-top tableaux with tops above and below alpha+m2.
+    The distinct-top set for (n-1, n-k) splits into the tableaux avoiding
+    top alpha+n-1 and those containing the column [alpha+n-1 / beta], with
+    the column stripped off the rest.
     """
-    if which == "triangular":
-        whole = enumerate_Td(alpha, beta, n - 1, n - k)
-        without = enumerate_Td(alpha, beta + 1, n - 2, n - k)
-        rho = BTableau(((alpha + n - 1, beta),))
-        attached = [juxtapose(rho, t)
-                    for t in enumerate_Td(alpha, beta + 1, n - 2, n - k - 1)]
-        pieces = without + attached
-        return (len(pieces) == len(set(pieces))
-                and set(pieces) == set(whole)
-                and len(pieces) == len(whole))
-    if which == "convolution":
-        whole = enumerate_Td(alpha, beta, m1 + m2 - 1, m1 + m2 - n)
-        pieces = []
-        for split in range(n + 1):
-            left = enumerate_Td(alpha + m2, beta, m1 - 1, m1 - n + split)
-            right = enumerate_Td(alpha, beta + m1, m2 - 1, m2 - split)
-            pieces.extend(juxtapose(t1, t2) for t1 in left for t2 in right)
-        return (len(pieces) == len(set(pieces))
-                and set(pieces) == set(whole)
-                and len(pieces) == len(whole))
-    raise ValueError(f"which must be triangular or convolution, got {which!r}")
+    whole = enumerate_Td(alpha, beta, n - 1, n - k)
+    rho = BTableau(((alpha + n - 1, beta),))
+    pieces = enumerate_Td(alpha, beta + 1, n - 2, n - k) + [
+        juxtapose(rho, t) for t in enumerate_Td(alpha, beta + 1, n - 2, n - k - 1)]
+    return _is_partition(pieces, whole)
+
+
+def convolution_split_check(m1: int, m2: int, n: int, alpha: int = 0, beta: int = 0) -> bool:
+    """Verify the tableau-set partition behind the convolution formula.
+
+    The distinct-top set for (m1+m2-1, m1+m2-n) is the disjoint union over k
+    of juxtapositions of distinct-top tableaux with tops above and below
+    alpha+m2.
+    """
+    whole = enumerate_Td(alpha, beta, m1 + m2 - 1, m1 + m2 - n)
+    pieces = []
+    for split in range(n + 1):
+        left = enumerate_Td(alpha + m2, beta, m1 - 1, m1 - n + split)
+        right = enumerate_Td(alpha, beta + m1, m2 - 1, m2 - split)
+        pieces.extend(juxtapose(t1, t2) for t1 in left for t2 in right)
+    return _is_partition(pieces, whole)
+
+
+def _is_partition(pieces: list, whole: list) -> bool:
+    return (len(pieces) == len(set(pieces))
+            and set(pieces) == set(whole)
+            and len(pieces) == len(whole))

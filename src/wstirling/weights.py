@@ -189,6 +189,9 @@ def swap(pair: WeightPair) -> WeightPair:
 # -- parameter validation and evaluation --------------------------------------
 
 def _value_in(value) -> RingValue:
+    # JSON true would otherwise count as 1 and be echoed back as true
+    if isinstance(value, bool):
+        raise ValueError(f"weight values must be integers or strings, got {value!r}")
     out = parse_ring(value) if isinstance(value, str) else RingValue.coerce(value)
     if out.degree("x") > 0:
         raise ValueError("weights may not use the series variable x")
@@ -206,6 +209,13 @@ def _int_in(value, what: str) -> int:
     return value
 
 
+def _index_in(key) -> int:
+    # int() would read "1_0" as 10 and " 1" as 1; a key must name its index plainly
+    if isinstance(key, str) and re.fullmatch(r"0|-?[1-9][0-9]*", key):
+        return int(key)
+    return _int_in(key, "table index")
+
+
 def _check_params(kind: str, params: dict) -> dict:
     extra = set(params) - _ALLOWED_KEYS[kind]
     if extra:
@@ -214,6 +224,8 @@ def _check_params(kind: str, params: dict) -> dict:
     if kind == "constant":
         out["value"] = _value_in(params["value"])
     elif kind == "polynomial":
+        if not isinstance(params["coefficients"], (list, tuple)):
+            raise ValueError("polynomial coefficients must be a list, lowest degree first")
         coeffs = [_value_in(c) for c in params["coefficients"]]
         while coeffs and coeffs[-1].is_zero():
             coeffs.pop()
@@ -230,7 +242,7 @@ def _check_params(kind: str, params: dict) -> dict:
     elif kind == "table":
         if not isinstance(params["values"], Mapping):
             raise ValueError("table weight values must map indices to values")
-        out["values"] = {int(k): _value_in(v) for k, v in params["values"].items()}
+        out["values"] = {_index_in(k): _value_in(v) for k, v in params["values"].items()}
         if "default" in params:
             out["default"] = _value_in(params["default"])
     missing = _REQUIRED_KEYS[kind] - set(out)

@@ -7,6 +7,7 @@ including the documented exit-code contract (0 success, 1 identity failure,
 
 import json
 import pathlib
+import shlex
 
 from wstirling.cli import main
 from wstirling.ring import InexactDivision, RingValue
@@ -298,6 +299,10 @@ def test_verify_malformed_spec_is_usage_error(capsys, tmp_path):
         {"kind": "oeis-T", "row": 2.5},
         {"kind": "product-shifted", "shifts": [0, 1.5]},
         {"kind": "constant", "value": "p^3000000000"},
+        {"kind": "polynomial", "coefficients": "z1"},
+        {"kind": "polynomial", "coefficients": {"0": 1, "1": 2}},
+        {"kind": "table", "values": {"1_0": 1}, "default": 1},
+        {"kind": "table", "values": {"0": True}, "default": 1},
     ]]
     spec = tmp_path / "bad.json"
     for text in malformed:
@@ -313,3 +318,22 @@ def test_verify_all_on_one_small_weight(capsys):
                        "--weights", "builtin:classical", "--nmax", "4")
     assert code == 0
     assert "0 failed" in out.splitlines()[-1]
+
+
+def readme_examples():
+    """(command, expected stdout) for each `$ wstirling ...` block in README.md
+    whose output is shown in full, that is, without an elision `...`."""
+    text = (pathlib.Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    for block in text.split("```sh\n")[1:]:
+        command, _, output = block.split("```", 1)[0].partition("\n")
+        if command.startswith("$ wstirling ") and "..." not in output:
+            yield command[len("$ wstirling "):], output
+
+
+def test_readme_examples(capsys):
+    examples = list(readme_examples())
+    assert len(examples) == 4
+    for command, expected in examples:
+        code, out, _ = run(capsys, *shlex.split(command))
+        assert code == 0, command
+        assert out == expected, command

@@ -5,10 +5,7 @@ import pytest
 
 from wstirling.ring import ONE, P, Q, RingValue, X, ZERO, product, ring_sum
 from wstirling.stirling import (
-    BracketPolynomial,
-    StirlingParams,
     StirlingTable,
-    UnknownFamily,
     b_stirling_by_series,
     b_stirling_row_by_product,
     bracket,
@@ -20,7 +17,6 @@ from wstirling.stirling import (
     s_horizontal,
     s_vertical,
     second_kind,
-    special,
 )
 from wstirling.weights import NegativeQInteger, builtin, swap
 
@@ -52,10 +48,6 @@ def gaussian_binomial(n, k):
     if k < 0 or k > n:
         return ZERO
     return gaussian_binomial(n - 1, k - 1) + Q ** k * gaussian_binomial(n - 1, k)
-
-
-def params(pair, alpha, beta, n, k, kind):
-    return StirlingParams(alpha=alpha, beta=beta, n=n, k=k, kind=kind, weights=pair)
 
 
 def test_def_examples():
@@ -92,7 +84,7 @@ def test_k_zero_columns():
 
 def test_kind_mismatch_rejected():
     with pytest.raises(ValueError):
-        params(CLASSICAL, 0, 0, 2, 1, "third")
+        StirlingTable(CLASSICAL, "third")
 
 
 def test_classical_textbook_oracle():
@@ -171,12 +163,12 @@ def test_no_recursion_depth_limit(method):
 
 def test_vertical_examples():
     # entry (3,2) from params (2,1)
-    assert s_vertical(params(CLASSICAL, 0, 0, 2, 1, "second")) == 3
-    assert s_vertical(params(PQ, 0, 0, 1, 0, "second")) == P + Q
+    assert s_vertical(CLASSICAL, 0, 0, 2, 1) == 3
+    assert s_vertical(PQ, 0, 0, 1, 0) == P + Q
     for n in range(5):
-        assert c_vertical(params(CLASSICAL, 0, 0, n, n, "first")) == 1
+        assert c_vertical(CLASSICAL, 0, 0, n, n) == 1
     with pytest.raises(ValueError):
-        c_vertical(params(CLASSICAL, 0, 0, -1, 0, "first"))
+        c_vertical(CLASSICAL, 0, 0, -1, 0)
 
 
 def test_vertical_matches_def():
@@ -186,19 +178,18 @@ def test_vertical_matches_def():
             for beta in (-1, 0, 2):
                 for n in range(1, 7):
                     for k in range(1, n + 1):
-                        spot = params(pair, alpha, beta, n - 1, k - 1, "first")
-                        assert c_vertical(spot) == first_kind(pair, alpha, beta, n, k), \
+                        spot = (pair, alpha, beta, n - 1, k - 1)
+                        assert c_vertical(*spot) == first_kind(pair, alpha, beta, n, k), \
                             f"{name} c ({alpha},{beta},{n},{k})"
-                        spot = params(pair, alpha, beta, n - 1, k - 1, "second")
-                        assert s_vertical(spot) == second_kind(pair, alpha, beta, n, k), \
+                        assert s_vertical(*spot) == second_kind(pair, alpha, beta, n, k), \
                             f"{name} s ({alpha},{beta},{n},{k})"
 
 
 def test_horizontal_examples():
     for n in range(4):
-        assert s_horizontal(params(CLASSICAL, 0, 0, n, n, "second")) == 1
-    assert c_horizontal(params(CLASSICAL, 0, 0, 3, 1, "first")) == 2
-    assert s_horizontal(params(CLASSICAL, 0, 0, 4, 2, "second")) == 7
+        assert s_horizontal(CLASSICAL, 0, 0, n, n) == 1
+    assert c_horizontal(CLASSICAL, 0, 0, 3, 1) == 2
+    assert s_horizontal(CLASSICAL, 0, 0, 4, 2) == 7
 
 
 def test_horizontal_matches_def():
@@ -208,13 +199,12 @@ def test_horizontal_matches_def():
             for beta in (0, 1):
                 for n in range(6):
                     for k in range(n + 1):
-                        cspot = params(pair, alpha, beta, n, k, "first")
-                        assert c_horizontal(cspot) == first_kind(pair, alpha, beta, n, k), \
+                        spot = (pair, alpha, beta, n, k)
+                        assert c_horizontal(*spot) == first_kind(*spot), \
                             f"{name} c ({alpha},{beta},{n},{k})"
-                        assert c_horizontal_alpha(cspot) == first_kind(pair, alpha, beta, n, k), \
+                        assert c_horizontal_alpha(*spot) == first_kind(*spot), \
                             f"{name} c-alpha ({alpha},{beta},{n},{k})"
-                        sspot = params(pair, alpha, beta, n, k, "second")
-                        assert s_horizontal(sspot) == second_kind(pair, alpha, beta, n, k), \
+                        assert s_horizontal(*spot) == second_kind(pair, alpha, beta, n, k), \
                             f"{name} s ({alpha},{beta},{n},{k})"
 
 
@@ -272,31 +262,16 @@ def test_carlitz_double_sum():
 
 
 def test_bracket():
-    assert bracket(0, 3, -2, CLASSICAL) == BracketPolynomial((ONE,))
-    assert bracket(1, 0, 0, CLASSICAL).as_ring_value() == X
+    assert bracket(0, 3, -2, CLASSICAL) == ONE
+    assert bracket(1, 0, 0, CLASSICAL) == X
     two = bracket(2, 0, 0, PQ)
-    assert two.as_ring_value() == (X - P * Q ** -1) * (X - 1)
-    assert two.degree == 2
-    assert two.coefficients[2] == 1
+    assert two == (X - P * Q ** -1) * (X - 1)
     for n in range(5):
         b = bracket(n, 1, -1, builtin("jacobi"))
-        assert b.degree == n
-        assert b.coefficients[-1] == 1
+        assert b.degree("x") == n
+        assert b.coefficient("x", n) == 1
     with pytest.raises(ValueError):
         bracket(-1, 0, 0, CLASSICAL)
-
-
-def test_special_dispatch():
-    assert special("b-stirling-second", 4, 3) == 4
-    assert special("pq-binomial", 2, 1) == P + Q
-    assert special("legendre-second", 2, 1) == 2
-    assert special("classical-first", 4, 2) == 11
-    assert special("noncentral(1)-first", 3, 3) == 1
-    assert special("classical", 4, 2, alpha=0, beta=0) == 7
-    with pytest.raises(UnknownFamily):
-        special("fibonacci", 2, 1)
-    with pytest.raises(UnknownFamily):
-        special("merris-first", 2, 1)
 
 
 def test_b_stirling_series_oracles():

@@ -11,11 +11,12 @@ from wstirling.tableaux import (
     DomainViolation,
     EnumerationCapExceeded,
     IncompatibleTableaux,
+    convolution_split_check,
     enumerate_T,
     enumerate_Td,
     juxtapose,
-    proof_partition_check,
     tau,
+    triangular_split_check,
     weight,
     weight_sum,
 )
@@ -165,21 +166,18 @@ def test_weight_sum_matches_definitions():
 
 
 def test_proof_partition_triangular():
-    assert proof_partition_check("triangular", n=4, k=2)
+    assert triangular_split_check(4, 2)
     for n in range(1, 6):
         for k in range(n + 1):
-            assert proof_partition_check("triangular", n=n, k=k, alpha=-1, beta=1), (n, k)
-    with pytest.raises(ValueError):
-        proof_partition_check("diagonal", n=1, k=0)
+            assert triangular_split_check(n, k, alpha=-1, beta=1), (n, k)
 
 
 def test_proof_partition_convolution():
-    assert proof_partition_check("convolution", m1=2, m2=2, n=2)
+    assert convolution_split_check(2, 2, 2)
     for m1 in range(4):
         for m2 in range(4):
             for n in range(m1 + m2 + 1):
-                assert proof_partition_check(
-                    "convolution", m1=m1, m2=m2, n=n, alpha=1, beta=-1), (m1, m2, n)
+                assert convolution_split_check(m1, m2, n, alpha=1, beta=-1), (m1, m2, n)
     # one factor collapses the union to a single split
-    assert proof_partition_check("convolution", m1=3, m2=0, n=2)
-    assert proof_partition_check("convolution", m1=0, m2=3, n=2)
+    assert convolution_split_check(3, 0, 2)
+    assert convolution_split_check(0, 3, 2)
