@@ -14,7 +14,8 @@ acceptance gate runs too.
 
 Exit codes are a stable contract: 0 success, 1 a verified identity failed,
 2 usage error, 3 resource or cap error (an enumeration cap, a non-integer
-b-file entry, or a computed exponent outside the ring's range).  Output is
+b-file entry, a computed exponent outside the ring's range, or a product
+past the ring's term-pair budget).  Output is
 byte-deterministic for identical invocations: iteration orders are fixed, the
 round-trip suite seeds its own RNG, and JSON is dumped with sorted keys.
 """
@@ -26,7 +27,7 @@ import json
 import sys
 
 from . import combinat, identities, matrices, stirling, tableaux
-from .ring import ExponentOverflow
+from .ring import ExponentOverflow, TermBudgetExceeded
 from .tableaux import BTableau
 from .weights import (CATALOG, NegativeQInteger, UndefinedIndex, UnknownBuiltin,
                       WeightPair, builtin)
@@ -166,16 +167,15 @@ def cmd_enumerate(args) -> int:
             shape = BTableau.from_tops(_parse_tops(args.tops), args.column_sum)
             lines = [t.render() for t in
                      combinat.enumerate_01v(shape, pair, cap=cap, rows=args.rows)]
-        elif args.object == "partitions":
+        elif args.object in ("partitions", "permutations"):
             _require(args, "n", "k")
             pair = load_weights(args.weights)
-            lines = [p.render() for p in
-                     combinat.enumerate_part(args.n, args.k, pair.v, cap=cap)]
-        elif args.object == "permutations":
-            _require(args, "n", "k")
-            pair = load_weights(args.weights)
-            lines = [p.render() for p in
-                     combinat.enumerate_perm(args.n, args.k, pair.v, cap=cap)]
+            if not combinat.colors_by_v(pair):
+                raise combinat.NonCombinatorialWeights(
+                    f"{args.object} color with v only, so they need a combinatorial "
+                    f"pair with w = 1")
+            fn = combinat.enumerate_part if args.object == "partitions" else combinat.enumerate_perm
+            lines = [p.render() for p in fn(args.n, args.k, pair.v, cap=cap)]
         else:  # signed-partitions
             _require(args, "n", "k")
             lines = [p.render() for p in
@@ -295,7 +295,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ExponentOverflow as exc:
+    except (ExponentOverflow, TermBudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

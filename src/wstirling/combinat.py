@@ -145,6 +145,14 @@ def enumerate_01v(shape: BTableau, weights: WeightPair,
 
 # -- colored partitions and permutations ---------------------------------------
 
+_ONE = WeightSpec("constant", value=1)
+
+
+def colors_by_v(weights: WeightPair) -> bool:
+    """True when the partition and permutation models count the triangle:
+    they color with v only, so w must be 1 and the pair combinatorial."""
+    return weights.is_combinatorial() and weights.w == _ONE
+
 @dataclass(frozen=True)
 class ColoredPartition:
     """Set partition of {0..n} with colored non-minima.
@@ -543,7 +551,6 @@ def tuple_decomposition_check(family: str, n: int, k: int, *, p: int = 0,
     """
     from .tableaux import enumerate_T, enumerate_Td
 
-    one = WeightSpec("constant", value=1)
     if family == "sun":
         if p < 1:
             raise ValueError("sun needs a positive power")
@@ -556,8 +563,8 @@ def tuple_decomposition_check(family: str, n: int, k: int, *, p: int = 0,
         combined = WeightSpec("product-shifted", shifts=list(shifts))
     else:
         raise ValueError(f"unknown tuple decomposition family {family!r}")
-    combined_pair = WeightPair(combined, one)
-    factor_pairs = [WeightPair(f, one) for f in factors]
+    combined_pair = WeightPair(combined, _ONE)
+    factor_pairs = [WeightPair(f, _ONE) for f in factors]
     shape_sets = (enumerate_T(0, 0, k, n - k, cap=cap),
                   enumerate_Td(0, 0, n - 1, n - k, cap=cap))
     for shapes, rows in zip(shape_sets, (k + 2, n + 1)):

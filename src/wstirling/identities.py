@@ -399,11 +399,6 @@ def _signed_count(pair):
     return probe
 
 
-def _counts_colored(pair) -> bool:
-    # the partition and permutation models color with v only, so w must be 1
-    return pair.is_combinatorial() and pair.w == weights.builtin("classical").w
-
-
 # -- the registry --------------------------------------------------------------------
 
 _IDENTITIES = (
@@ -477,9 +472,9 @@ _IDENTITIES = (
     Identity("combinatorial", "zero-one-counts", _shapes, _zero_one_count,
              applies=lambda pair: pair.is_combinatorial()),
     Identity("combinatorial", "partition-counts", _counts, _model_count,
-             ("enumerate_part", "second", "partitions"), applies=_counts_colored),
+             ("enumerate_part", "second", "partitions"), applies=combinat.colors_by_v),
     Identity("combinatorial", "permutation-counts", _counts, _model_count,
-             ("enumerate_perm", "first", "permutations"), applies=_counts_colored),
+             ("enumerate_perm", "first", "permutations"), applies=combinat.colors_by_v),
     Identity("combinatorial", "figure-renderings",
              lambda nmax, grid: [("partition",), ("permutation",)], _figure, pairs=NO_PAIR),
     Identity("combinatorial", "signed-partition-counts", _counts, _signed_count,

@@ -10,16 +10,15 @@ matrices and the inverse relations; the forward "beta" leg sends x^k to
 stirling.bracket(k, ...), a RingValue in x.  A version with both offsets
 held fixed is NOT an inverse pair for general weights; constant weights hide
 that because the sliding offset lands in a weight that never changes.
-Determinants run fraction-free (Bareiss) with exact division, falling back
-to memoized cofactor expansion if a division ever fails to be exact; both
-paths are compared in the tests.
+Determinants run fraction-free (Bareiss) with exact division; the tests
+compare them with a cofactor expansion.
 """
 
 from __future__ import annotations
 
 from math import comb
 
-from .ring import ONE, P, Q, RingValue, ZERO, InexactDivision, product, ring_sum
+from .ring import ONE, P, Q, RingValue, ZERO, product, ring_sum
 from .stirling import first_kind, pq_binomial, second_kind
 from .weights import WeightPair, WeightSpec, builtin
 
@@ -99,8 +98,9 @@ def identity_matrix(dim: int) -> RingMatrix:
 
 # -- determinants ----------------------------------------------------------------
 
-def det_fraction_free(matrix: RingMatrix) -> RingValue:
-    """Bareiss elimination; every division is exact over an integral domain."""
+def determinant(matrix: RingMatrix) -> RingValue:
+    """Bareiss elimination; every division is exact over an integral domain,
+    so an InexactDivision here is a bug and is raised, not worked around."""
     n = matrix.dim
     m = [list(row) for row in matrix.rows]
     sign = 1
@@ -119,31 +119,6 @@ def det_fraction_free(matrix: RingMatrix) -> RingValue:
         prev = m[col][col]
     return m[n - 1][n - 1] * sign
 
-
-def det_cofactor(matrix: RingMatrix) -> RingValue:
-    """Laplace expansion memoized on the active column set."""
-    n = matrix.dim
-    rows = matrix.rows
-    memo: dict = {(): ONE}
-
-    def minor(cols: tuple) -> RingValue:
-        got = memo.get(cols)
-        if got is None:
-            row = n - len(cols)
-            got = memo[cols] = ring_sum(
-                (-1) ** idx * rows[row][c] * minor(cols[:idx] + cols[idx + 1:])
-                for idx, c in enumerate(cols)
-                if not rows[row][c].is_zero())
-        return got
-
-    return minor(tuple(range(n)))
-
-
-def determinant(matrix: RingMatrix) -> RingValue:
-    try:
-        return det_fraction_free(matrix)
-    except InexactDivision:
-        return det_cofactor(matrix)
 
 
 # -- orthogonality ----------------------------------------------------------------

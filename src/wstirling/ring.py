@@ -70,6 +70,16 @@ class ExponentOverflow(ValueError):
     """An exponent would leave the representable range [-2^30, 2^30)."""
 
 
+class TermBudgetExceeded(ArithmeticError):
+    """A product would walk more than TERM_BUDGET pairs of terms."""
+
+
+# A product of an a-term and a b-term value walks a*b term pairs.  Past this
+# budget it raises instead of running for hours or exhausting memory; the
+# largest product the tests and the benchmark make walks under 50,000.
+TERM_BUDGET = 10 ** 8
+
+
 def _pack(exps) -> int:
     """Key of the exponent vector exps = (ep, eq, ez, ex)."""
     if not -_LIMIT <= min(exps) <= max(exps) < _LIMIT:
@@ -208,6 +218,9 @@ class RingValue:
             return other
         if b == _ONE_TERMS:
             return self
+        if len(a) * len(b) > TERM_BUDGET:
+            raise TermBudgetExceeded(f"a product of {len(a)}-term and {len(b)}-term values "
+                                     f"exceeds the budget of {TERM_BUDGET} term pairs")
         if len(a) > len(b):
             a, b = b, a
         out: dict = {}

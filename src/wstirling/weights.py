@@ -2,9 +2,10 @@
 
 A weight spec is a small declarative value (kind, parameters, index offset)
 for a total function from the integers into the coefficient ring.  Specs
-serialize to and from JSON, expose a stable id for cache keying, and report
-whether they are combinatorial (nonnegative integer values at nonnegative
-indices), which the enumeration layer requires.
+serialize to and from JSON and report whether they are combinatorial
+(nonnegative integer values at nonnegative indices), which the enumeration
+layer requires.  Everything a kind means, its parameters, its rule and when
+it is combinatorial, lives in one row of `_KINDS`.
 
 A weight pair bundles the two specs (v, w); the builtin catalog covers the
 classical pair, the p,q and q analogues, and the named polynomial families.
@@ -12,19 +13,15 @@ classical pair, the p,q and q analogues, and the named polynomial families.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import re
 from functools import lru_cache
-from typing import Mapping, Union
+from typing import Callable, Mapping, NamedTuple, Union
 
-from .ring import RingValue, ring_sum
+from .ring import ZERO, RingValue, ring_sum
 from .ring import parse as parse_ring
 
 WeightValue = Union[int, RingValue]
-
-KINDS = ("constant", "polynomial", "monomial", "q-integer", "pq-integer",
-         "product-shifted", "oeis-T", "table")
 
 _BASES = ("p", "q", "z")
 
@@ -44,7 +41,7 @@ class UnknownBuiltin(ValueError):
 class WeightSpec:
     """One weight function.  eval(i) applies the offset, then the kind rule."""
 
-    __slots__ = ("kind", "offset", "params", "_cache", "_id")
+    __slots__ = ("kind", "offset", "params", "_cache", "_key")
 
     def __init__(self, kind: str, offset: int = 0, **params):
         if kind not in KINDS:
@@ -53,77 +50,39 @@ class WeightSpec:
         self.offset = _int_in(offset, "offset")
         self.params = _check_params(kind, params)
         self._cache: dict = {}
-        self._id = None
+        # the JSON form is canonical, so it is the identity
+        self._key = json.dumps(self.to_dict(), sort_keys=True)
 
     def eval(self, i: int) -> RingValue:
         value = self._cache.get(i)
         if value is None:
-            value = self._cache[i] = _EVALUATORS[self.kind](self.params, i + self.offset)
+            value = self._cache[i] = _KINDS[self.kind].evaluate(self.params, i + self.offset)
         return value
 
     def is_combinatorial(self) -> bool:
         """True when eval(i) is a nonnegative integer for every i >= 0."""
-        kind, params = self.kind, self.params
-        if kind == "constant":
-            v = params["value"]
-            return v.is_constant() and v.as_int() >= 0
-        if kind == "polynomial":
-            return self.offset >= 0 and all(
-                c.is_constant() and c.as_int() >= 0 for c in params["coefficients"])
-        if kind == "product-shifted":
-            return self.offset >= 0 and all(a >= 0 for a in params["shifts"])
-        if kind == "oeis-T":
-            return True
-        if kind == "table":
-            values = list(params["values"].values())
-            if "default" in params:
-                values.append(params["default"])
-            return all(v.is_constant() and v.as_int() >= 0 for v in values)
-        return False
+        return _KINDS[self.kind].combinatorial(self.params, self.offset)
 
     def to_dict(self) -> dict:
-        out: dict = {"kind": self.kind}
-        if self.kind == "constant":
-            out["value"] = _value_out(self.params["value"])
-        elif self.kind == "polynomial":
-            out["coefficients"] = [_value_out(c) for c in self.params["coefficients"]]
-        elif self.kind == "monomial":
-            out["base"] = self.params["base"]
-        elif self.kind == "product-shifted":
-            out["shifts"] = list(self.params["shifts"])
-        elif self.kind == "oeis-T":
-            out["row"] = self.params["row"]
-        elif self.kind == "table":
-            out["values"] = {str(k): _value_out(v) for k, v in self.params["values"].items()}
-            if "default" in self.params:
-                out["default"] = _value_out(self.params["default"])
+        out = {"kind": self.kind, **_value_out(self.params)}
         if self.offset:
             out["offset"] = self.offset
         return out
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "WeightSpec":
+        if not isinstance(data, Mapping):
+            raise ValueError("weight spec must be a JSON object")
         data = dict(data)
-        kind = data.pop("kind", None)
-        if kind not in KINDS:
-            raise ValueError(f"unknown weight kind {kind!r}")
-        offset = data.pop("offset", 0)
-        return cls(kind, offset=offset, **data)
-
-    @property
-    def id(self) -> str:
-        if self._id is None:
-            blob = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-            self._id = hashlib.sha256(blob.encode()).hexdigest()[:16]
-        return self._id
+        return cls(data.pop("kind", None), offset=data.pop("offset", 0), **data)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, WeightSpec):
             return NotImplemented
-        return self.to_dict() == other.to_dict()
+        return self._key == other._key
 
     def __hash__(self) -> int:
-        return hash(self.id)
+        return hash(self._key)
 
     def __repr__(self) -> str:
         return f"WeightSpec({self.to_dict()!r})"
@@ -132,20 +91,14 @@ class WeightSpec:
 class WeightPair:
     """The pair V = (v, w).  label is cosmetic and excluded from identity."""
 
-    __slots__ = ("v", "w", "label", "_id", "_hash")
+    __slots__ = ("v", "w", "label", "_hash")
 
     def __init__(self, v: WeightSpec, w: WeightSpec, label: str | None = None):
         self.v = v
         self.w = w
         self.label = label
-        self._id = None
-        self._hash = None
-
-    @property
-    def id(self) -> str:
-        if self._id is None:
-            self._id = f"{self.v.id}:{self.w.id}"
-        return self._id
+        # kept as an int: pairs key the table cache behind stirling.first_kind
+        self._hash = hash((v, w))
 
     def is_combinatorial(self) -> bool:
         return self.v.is_combinatorial() and self.w.is_combinatorial()
@@ -172,13 +125,10 @@ class WeightPair:
         return self.v == other.v and self.w == other.w
 
     def __hash__(self) -> int:
-        # kept as an int: pairs key the table cache behind stirling.first_kind
-        if self._hash is None:
-            self._hash = hash(self.id)
         return self._hash
 
     def __repr__(self) -> str:
-        return f"WeightPair({self.label or self.id})"
+        return f"WeightPair({self.label or self.to_json()})"
 
 
 def swap(pair: WeightPair) -> WeightPair:
@@ -186,7 +136,7 @@ def swap(pair: WeightPair) -> WeightPair:
     return WeightPair(pair.w, pair.v, label=label)
 
 
-# -- parameter validation and evaluation --------------------------------------
+# -- parameters --------------------------------------------------------------------
 
 def _value_in(value) -> RingValue:
     # JSON true would otherwise count as 1 and be echoed back as true
@@ -198,8 +148,16 @@ def _value_in(value) -> RingValue:
     return out
 
 
-def _value_out(value: RingValue):
-    return value.as_int() if value.is_constant() else value.render()
+def _value_out(value):
+    """The JSON form of a parsed parameter: ring values as ints or strings,
+    tuples as lists, maps with string keys."""
+    if isinstance(value, RingValue):
+        return value.as_int() if value.is_constant() else value.render()
+    if isinstance(value, tuple):
+        return [_value_out(v) for v in value]
+    if isinstance(value, dict):
+        return {str(k): _value_out(v) for k, v in value.items()}
+    return value
 
 
 def _int_in(value, what: str) -> int:
@@ -216,64 +174,42 @@ def _index_in(key) -> int:
     return _int_in(key, "table index")
 
 
+def _coefficients_in(coefficients) -> tuple:
+    if not isinstance(coefficients, (list, tuple)):
+        raise ValueError("polynomial coefficients must be a list, lowest degree first")
+    coeffs = [_value_in(c) for c in coefficients]
+    while coeffs and coeffs[-1].is_zero():
+        coeffs.pop()
+    return tuple(coeffs)
+
+
+def _base_in(base) -> str:
+    if base not in _BASES:
+        raise ValueError(f"monomial base must be one of {_BASES}, got {base!r}")
+    return base
+
+
+def _values_in(values) -> dict:
+    if not isinstance(values, Mapping):
+        raise ValueError("table weight values must map indices to values")
+    return {_index_in(k): _value_in(v) for k, v in values.items()}
+
+
 def _check_params(kind: str, params: dict) -> dict:
-    extra = set(params) - _ALLOWED_KEYS[kind]
+    parsers = _KINDS[kind].params
+    extra = set(params) - set(parsers)
     if extra:
         raise ValueError(f"{kind} weight does not take {sorted(extra)}")
-    out: dict = {}
-    if kind == "constant":
-        out["value"] = _value_in(params["value"])
-    elif kind == "polynomial":
-        if not isinstance(params["coefficients"], (list, tuple)):
-            raise ValueError("polynomial coefficients must be a list, lowest degree first")
-        coeffs = [_value_in(c) for c in params["coefficients"]]
-        while coeffs and coeffs[-1].is_zero():
-            coeffs.pop()
-        out["coefficients"] = tuple(coeffs)
-    elif kind == "monomial":
-        base = params["base"]
-        if base not in _BASES:
-            raise ValueError(f"monomial base must be one of {_BASES}, got {base!r}")
-        out["base"] = base
-    elif kind == "product-shifted":
-        out["shifts"] = tuple(sorted(_int_in(a, "shift") for a in params["shifts"]))
-    elif kind == "oeis-T":
-        out["row"] = _int_in(params["row"], "row")
-    elif kind == "table":
-        if not isinstance(params["values"], Mapping):
-            raise ValueError("table weight values must map indices to values")
-        out["values"] = {_index_in(k): _value_in(v) for k, v in params["values"].items()}
-        if "default" in params:
-            out["default"] = _value_in(params["default"])
-    missing = _REQUIRED_KEYS[kind] - set(out)
+    missing = set(parsers) - set(params) - {"default"}
     if missing:
         raise ValueError(f"{kind} weight needs {sorted(missing)}")
-    return out
+    return {name: parse(params[name]) for name, parse in parsers.items() if name in params}
 
 
-_ALLOWED_KEYS = {
-    "constant": {"value"},
-    "polynomial": {"coefficients"},
-    "monomial": {"base"},
-    "q-integer": set(),
-    "pq-integer": set(),
-    "product-shifted": {"shifts"},
-    "oeis-T": {"row"},
-    "table": {"values", "default"},
-}
-_REQUIRED_KEYS = {k: v - {"default"} for k, v in _ALLOWED_KEYS.items()}
+# -- the kinds ---------------------------------------------------------------------
 
-
-def _eval_constant(params, j):
-    return params["value"]
-
-
-def _eval_polynomial(params, j):
-    return ring_sum(c * j ** t for t, c in enumerate(params["coefficients"]))
-
-
-def _eval_monomial(params, j):
-    return RingValue.variable(params["base"]) ** j
+def _counts(value: RingValue) -> bool:
+    return value.is_constant() and value.as_int() >= 0
 
 
 def _eval_q_integer(params, j):
@@ -309,28 +245,44 @@ def _eval_table(params, j):
     return value
 
 
-_EVALUATORS = {
-    "constant": _eval_constant,
-    "polynomial": _eval_polynomial,
-    "monomial": _eval_monomial,
-    "q-integer": _eval_q_integer,
-    "pq-integer": _eval_pq_integer,
-    "product-shifted": _eval_product_shifted,
-    "oeis-T": _eval_oeis_t,
-    "table": _eval_table,
+class _Kind(NamedTuple):
+    params: dict  # name -> parser, in JSON order; every name but "default" is required
+    evaluate: Callable  # (params, index after the offset) -> RingValue
+    combinatorial: Callable  # (params, offset) -> bool
+
+
+def _never(params, offset) -> bool:
+    return False
+
+
+_KINDS = {
+    "constant": _Kind({"value": _value_in}, lambda params, j: params["value"],
+                      lambda params, offset: _counts(params["value"])),
+    "polynomial": _Kind(
+        {"coefficients": _coefficients_in},
+        lambda params, j: ring_sum(c * j ** t for t, c in enumerate(params["coefficients"])),
+        lambda params, offset: offset >= 0 and all(map(_counts, params["coefficients"]))),
+    "monomial": _Kind({"base": _base_in},
+                      lambda params, j: RingValue.variable(params["base"]) ** j, _never),
+    "q-integer": _Kind({}, _eval_q_integer, _never),
+    "pq-integer": _Kind({}, _eval_pq_integer, _never),
+    "product-shifted": _Kind(
+        {"shifts": lambda shifts: tuple(sorted(_int_in(a, "shift") for a in shifts))},
+        _eval_product_shifted,
+        lambda params, offset: offset >= 0 and all(a >= 0 for a in params["shifts"])),
+    "oeis-T": _Kind({"row": lambda row: _int_in(row, "row")}, _eval_oeis_t,
+                    lambda params, offset: True),
+    "table": _Kind({"values": _values_in, "default": _value_in}, _eval_table,
+                   lambda params, offset: all(map(_counts, (*params["values"].values(),
+                                                           params.get("default", ZERO))))),
 }
+
+KINDS = tuple(_KINDS)
 
 
 # -- builtin catalog -----------------------------------------------------------
 
 _NAME_RE = re.compile(r"^([a-z-]+)(?:\((-?\d+)\))?$")
-
-# Parameter rule per family: None means no parameter, otherwise a predicate.
-_PARAMETERIZED = {
-    "noncentral": lambda m: True,
-    "merris": lambda m: m >= 0,
-    "sun": lambda m: m >= 0,
-}
 
 CATALOG = ("classical", "pq-binomial", "q-binomial", "q-stirling", "b-stirling",
            "legendre", "jacobi", "noncentral(1)", "noncentral(-1)", "merris(2)",
@@ -342,24 +294,20 @@ def builtin(name: str) -> WeightPair:
     match = _NAME_RE.match(name.strip())
     if not match:
         raise UnknownBuiltin(f"cannot parse builtin weight name {name!r}")
-    family, arg = match.group(1), match.group(2)
-    if family in _PARAMETERIZED:
-        if arg is None:
-            raise UnknownBuiltin(f"{family} needs an integer parameter, e.g. {family}(2)")
-        m = int(arg)
-        if not _PARAMETERIZED[family](m):
-            raise UnknownBuiltin(f"parameter {m} out of range for {family}")
-        if family == "noncentral" or family == "merris":
-            v = WeightSpec("polynomial", coefficients=[m, 1])
-        else:  # sun: v(i) = i^m
-            v = WeightSpec("polynomial", coefficients=[0] * m + [1])
-        return WeightPair(v, _one(), label=f"{family}({m})")
-    if arg is not None:
-        raise UnknownBuiltin(f"{family} does not take a parameter")
-    maker = _FIXED_BUILTINS.get(family)
-    if maker is None:
-        raise UnknownBuiltin(f"no builtin weight pair named {name!r}")
-    return maker()
+    family, arg = match.groups()
+    rule, make = _FAMILIES.get(family, (None, None))
+    if rule is None:
+        if arg is not None:
+            raise UnknownBuiltin(f"{family} does not take a parameter")
+        if make is None:
+            raise UnknownBuiltin(f"no builtin weight pair named {name!r}")
+        return WeightPair(*make(), label=family)
+    if arg is None:
+        raise UnknownBuiltin(f"{family} needs an integer parameter, e.g. {family}(2)")
+    m = int(arg)
+    if not rule(m):
+        raise UnknownBuiltin(f"parameter {m} out of range for {family}")
+    return WeightPair(*make(m), label=f"{family}({m})")
 
 
 def _one() -> WeightSpec:
@@ -370,21 +318,30 @@ def _identity() -> WeightSpec:
     return WeightSpec("polynomial", coefficients=[0, 1])
 
 
-_FIXED_BUILTINS = {
-    "classical": lambda: WeightPair(_identity(), _one(), label="classical"),
-    "pq-binomial": lambda: WeightPair(WeightSpec("monomial", base="p"),
-                                      WeightSpec("monomial", base="q"), label="pq-binomial"),
-    "q-binomial": lambda: WeightPair(WeightSpec("monomial", base="q"), _one(),
-                                     label="q-binomial"),
-    "q-stirling": lambda: WeightPair(WeightSpec("q-integer"), _one(), label="q-stirling"),
-    "b-stirling": lambda: WeightPair(_identity(), _identity(), label="b-stirling"),
-    "legendre": lambda: WeightPair(WeightSpec("product-shifted", shifts=[0, 1]), _one(),
-                                   label="legendre"),
-    "jacobi": lambda: WeightPair(WeightSpec("polynomial", coefficients=[0, "z", 1]), _one(),
-                                 label="jacobi"),
-    "zeta": lambda: WeightPair(WeightSpec("monomial", base="z"),
-                               WeightSpec("polynomial", coefficients=[0, 1], offset=-1),
-                               label="zeta"),
+def _shifted(m: int) -> tuple:
+    return WeightSpec("polynomial", coefficients=[m, 1]), _one()
+
+
+def _monomial(base: str) -> WeightSpec:
+    return WeightSpec("monomial", base=base)
+
+
+# family -> (parameter rule, maker of (v, w)); a rule of None takes no parameter
+_FAMILIES = {
+    "classical": (None, lambda: (_identity(), _one())),
+    "pq-binomial": (None, lambda: (_monomial("p"), _monomial("q"))),
+    "q-binomial": (None, lambda: (_monomial("q"), _one())),
+    "q-stirling": (None, lambda: (WeightSpec("q-integer"), _one())),
+    "b-stirling": (None, lambda: (_identity(), _identity())),
+    "legendre": (None, lambda: (WeightSpec("product-shifted", shifts=[0, 1]), _one())),
+    "jacobi": (None, lambda: (WeightSpec("polynomial", coefficients=[0, "z", 1]), _one())),
+    "zeta": (None, lambda: (_monomial("z"),
+                            WeightSpec("polynomial", coefficients=[0, 1], offset=-1))),
+    "noncentral": (lambda m: True, _shifted),
+    "merris": (lambda m: m >= 0, _shifted),
+    # sun: v(i) = i^m
+    "sun": (lambda m: m >= 0, lambda m: (WeightSpec("polynomial", coefficients=[0] * m + [1]),
+                                         _one())),
 }
 
 

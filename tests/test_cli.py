@@ -9,9 +9,13 @@ import json
 import pathlib
 import shlex
 
+import pytest
+
+from wstirling import matrices
 from wstirling.cli import main
 from wstirling.ring import InexactDivision, RingValue
 from wstirling.stirling import b_stirling_by_series
+from wstirling.weights import builtin
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -133,6 +137,26 @@ def test_exponent_past_the_range_is_a_resource_error(capsys):
         assert err == "error: a product has an exponent outside [-2^30, 2^30)\n", argv
 
 
+def test_term_budget_is_a_resource_error(capsys):
+    # a q-integer weight at index j has j terms, so these products would walk
+    # 9 * 10^10 term pairs; the budget stops the first before its loop starts
+    code, out, err = run(capsys, "table", "--kind", "second", "--weights", "builtin:q-stirling",
+                         "--alpha", "300000", "--nmax", "2")
+    assert (code, out) == (3, "")
+    assert err == ("error: a product of 300000-term and 300000-term values exceeds "
+                   "the budget of 100000000 term pairs\n")
+
+
+def test_colored_models_need_w_one(capsys):
+    # b-stirling has w(i) = i; its colored partition and permutation counts
+    # would disagree with the triangle, whose (3, 1) entries are 0
+    for obj in ("partitions", "permutations"):
+        code, out, err = run(capsys, "enumerate", "--object", obj, "--n", "3", "--k", "1",
+                             "--weights", "builtin:b-stirling")
+        assert (code, out) == (2, ""), obj
+        assert "need a combinatorial pair with w = 1" in err
+
+
 def test_ring_errors_do_not_escape(capsys, monkeypatch):
     # NonInvertibleSubstitution needs a non-unit image: the CLI only inverts
     # and substitutes monomials, here with negative exponents.
@@ -145,14 +169,15 @@ def test_ring_errors_do_not_escape(capsys, monkeypatch):
     ]:
         assert run(capsys, *argv)[0] == 0, argv
     # InexactDivision comes only from exact_div, which only the Bareiss
-    # elimination calls; the determinant then falls back to cofactors.
-    argv = ("det", "--kind", "second", "--r", "3", "--s", "1", "--weights", "builtin:jacobi")
-    expected = run(capsys, *argv)
+    # elimination calls.  Its divisions are exact over this integral domain,
+    # so a forced one must surface from determinant, not be worked around.
+    matrix = matrices.hankel_matrix("second", 3, 1, 0, 0, builtin("jacobi"))
 
     def inexact(self, divisor):
         raise InexactDivision("forced")
     monkeypatch.setattr(RingValue, "exact_div", inexact)
-    assert run(capsys, *argv) == expected
+    with pytest.raises(InexactDivision):
+        matrices.determinant(matrix)
 
 
 def test_det_symbolic_weights(capsys):

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from wstirling import ring
 from wstirling.ring import (
     ONE,
     P,
@@ -14,6 +15,7 @@ from wstirling.ring import (
     ExponentOverflow,
     InexactDivision,
     NonInvertibleSubstitution,
+    TermBudgetExceeded,
     parse,
     product,
     ring_sum,
@@ -344,3 +346,14 @@ def test_exponent_range_edges():
             bad()
     # the overflow error is a ValueError, so malformed input stays a usage error
     assert issubclass(ExponentOverflow, ValueError)
+
+
+def test_term_budget(monkeypatch):
+    monkeypatch.setattr(ring, "TERM_BUDGET", 12)
+    a, b = 1 + P + Q, 1 + Q + Z + P * Z
+    assert (a * b) * ONE == a * b  # 3 * 4 pairs: on the budget; a unit factor walks none
+    for bad in [lambda: a * (b + Z ** 2), lambda: (b + Z ** 2) * a, lambda: b ** 2]:
+        with pytest.raises(TermBudgetExceeded):
+            bad()
+    # a resource limit, not malformed input: the CLI maps it to exit 3
+    assert not issubclass(TermBudgetExceeded, ValueError)

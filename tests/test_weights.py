@@ -1,10 +1,14 @@
 import json
+import pathlib
+import re
 
 import pytest
 
+from wstirling import weights
 from wstirling.ring import P, Q, RingValue, Z, parse
 from wstirling.weights import (
     CATALOG,
+    KINDS,
     NegativeQInteger,
     UndefinedIndex,
     UnknownBuiltin,
@@ -154,7 +158,7 @@ def test_json_round_trip():
     text = pair.to_json()
     again = WeightPair.from_json(text)
     assert again == pair
-    assert again.id == pair.id
+    assert hash(again) == hash(pair)
     for i in range(-3, 4):
         assert again.v.eval(i) == pair.v.eval(i)
 
@@ -176,9 +180,9 @@ def test_table_json_uses_string_keys():
 def test_id_is_stable_and_content_based():
     a = WeightSpec("polynomial", coefficients=[0, 1])
     b = WeightSpec("polynomial", coefficients=[0, 1, 0])
-    assert a.id == b.id
+    assert hash(a) == hash(b)
     assert a == b
-    assert a.id != WeightSpec("polynomial", coefficients=[1, 1]).id
+    assert a != WeightSpec("polynomial", coefficients=[1, 1])
 
 
 def test_is_combinatorial():
@@ -201,3 +205,53 @@ def test_catalog_evaluates_everywhere():
                     spec.eval(i)
                 except NegativeQInteger:
                     assert spec.kind in ("q-integer", "pq-integer") and i < 0
+
+
+# one spec per kind, with every parameter it takes
+SAMPLES = {
+    "constant": {"value": "p - 2"},
+    "polynomial": {"coefficients": [1, "z", 0, 3, 0]},
+    "monomial": {"base": "q"},
+    "q-integer": {},
+    "pq-integer": {},
+    "product-shifted": {"shifts": [2, -1, 0]},
+    "oeis-T": {"row": 3},
+    "table": {"values": {"-2": "q", "0": 4, "3": -1}, "default": 2},
+}
+
+
+def outcome(spec, i):
+    try:
+        return spec.eval(i)
+    except (weights.NegativeQInteger, weights.UndefinedIndex) as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_every_kind_parses_and_round_trips(kind):
+    params = SAMPLES[kind]
+    with pytest.raises(ValueError, match=re.escape(f"{kind} weight does not take ['bogus']")):
+        WeightSpec(kind, bogus=1, **params)
+    for name in set(params) - {"default"}:
+        rest = {key: value for key, value in params.items() if key != name}
+        with pytest.raises(ValueError, match=re.escape(f"{kind} weight needs ['{name}']")):
+            WeightSpec(kind, **rest)
+    for offset in (0, 2):
+        spec = WeightSpec(kind, offset=offset, **params)
+        again = WeightSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
+        assert again == spec and hash(again) == hash(spec)
+        assert [outcome(again, i) for i in range(-3, 6)] == [outcome(spec, i) for i in range(-3, 6)]
+    assert set(SAMPLES) == set(KINDS)
+
+
+def test_spec_must_be_an_object():
+    for bad in [[1], "constant", 1, None]:
+        with pytest.raises(ValueError, match="weight spec must be a JSON object"):
+            WeightSpec.from_dict(bad)
+
+
+def test_readme_kind_table_matches_the_kinds():
+    readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    rows = re.findall(r"^\| `([a-zA-Z-]+)` +\|([^|]*)\|", readme, re.MULTILINE)
+    documented = {kind: re.findall(r"`([^`]+)`", cell) for kind, cell in rows}
+    assert documented == {kind: list(weights._KINDS[kind].params) for kind in KINDS}
