@@ -173,8 +173,9 @@ def cmd_enumerate(args) -> int:
             if not combinat.colors_by_v(pair):
                 raise combinat.NonCombinatorialWeights(
                     f"{args.object} color with v only, so they need a combinatorial "
-                    f"pair with w = 1")
-            fn = combinat.enumerate_part if args.object == "partitions" else combinat.enumerate_perm
+                    "pair with w = 1")
+            fn = (combinat.enumerate_part if args.object == "partitions"
+                  else combinat.enumerate_perm)
             lines = [p.render() for p in fn(args.n, args.k, pair.v, cap=cap)]
         else:  # signed-partitions
             _require(args, "n", "k")
@@ -183,7 +184,8 @@ def cmd_enumerate(args) -> int:
     except combinat.EnumerationCapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (combinat.NonCombinatorialWeights, combinat.InvalidColorBudget) as exc:
+    except (combinat.NonCombinatorialWeights, combinat.InvalidColorBudget,
+            UndefinedIndex) as exc:
         raise UsageError(f"weights do not define this object family: {exc}") from exc
     except ExponentOverflow:
         raise  # a resource limit (exit 3), not a usage error

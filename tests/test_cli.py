@@ -8,6 +8,7 @@ including the documented exit-code contract (0 success, 1 identity failure,
 import json
 import pathlib
 import shlex
+import time
 
 import pytest
 
@@ -140,8 +141,10 @@ def test_exponent_past_the_range_is_a_resource_error(capsys):
 def test_term_budget_is_a_resource_error(capsys):
     # a q-integer weight at index j has j terms, so these products would walk
     # 9 * 10^10 term pairs; the budget stops the first before its loop starts
+    start = time.monotonic()
     code, out, err = run(capsys, "table", "--kind", "second", "--weights", "builtin:q-stirling",
                          "--alpha", "300000", "--nmax", "2")
+    assert time.monotonic() - start < 10  # building the three weights takes about 2 s
     assert (code, out) == (3, "")
     assert err == ("error: a product of 300000-term and 300000-term values exceeds "
                    "the budget of 100000000 term pairs\n")

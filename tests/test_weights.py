@@ -240,7 +240,8 @@ def test_every_kind_parses_and_round_trips(kind):
         spec = WeightSpec(kind, offset=offset, **params)
         again = WeightSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
         assert again == spec and hash(again) == hash(spec)
-        assert [outcome(again, i) for i in range(-3, 6)] == [outcome(spec, i) for i in range(-3, 6)]
+        indices = range(-3, 6)
+        assert [outcome(again, i) for i in indices] == [outcome(spec, i) for i in indices]
     assert set(SAMPLES) == set(KINDS)
 
 
