@@ -7,18 +7,22 @@ those colored tableaux explicitly and carries them along bijections to colored
 set partitions (second kind) and colored permutations (first kind), plus the
 signed-partition model for the Legendre-Stirling case.
 
-Color budgets per column with parts (t, b): the first grid row offers v(0)
-colors and each of the t interior rows above the path offers
-(v(t) - v(0)) / t; mirrored below with w.  Those quotients are nonnegative
-integers for every polynomial weight; a table weight can break divisibility,
-which raises InvalidColorBudget rather than truncating.
+The color budget rule: in a column whose part above the path is t >= 0,
+grid row 1 offers v(0) colors and each of the interior rows 2..t+1 offers
+(v(t) - v(0)) / t; below the path the same holds with w and the bottom part.
+Those quotients are nonnegative integers for every polynomial weight; a table
+weight can break divisibility, which raises InvalidColorBudget rather than
+truncating.  A negative part has no grid rows and raises ValueError.  The
+partition and permutation models decode each non-minimum to the (top, row,
+color) mark of one column and color it under the same rule.
 """
 
 from dataclasses import dataclass
 from itertools import combinations, product
 from math import prod
 
-from .tableaux import ENUMERATION_CAP, BTableau, EnumerationCapExceeded
+from .tableaux import (ENUMERATION_CAP, BTableau, EnumerationCapExceeded, enumerate_T,
+                       enumerate_Td)
 from .weights import WeightPair, WeightSpec
 
 
@@ -40,8 +44,14 @@ def _value_at(spec: WeightSpec, i: int) -> int:
     return n
 
 
-def _interior_budget(spec: WeightSpec, ell: int) -> int:
-    diff = _value_at(spec, ell) - _value_at(spec, 0)
+def _budget(spec: WeightSpec, ell: int, row: int) -> int:
+    """Colors offered by grid row `row` of a column whose part is `ell`."""
+    if ell < 0:
+        raise ValueError(f"column part {ell} is negative")
+    base = _value_at(spec, 0)
+    if row == 1:
+        return base
+    diff = _value_at(spec, ell) - base
     if diff < 0 or diff % ell:
         raise InvalidColorBudget(
             f"(value({ell}) - value(0)) = {diff} is not a nonnegative multiple of {ell}")
@@ -49,11 +59,10 @@ def _interior_budget(spec: WeightSpec, ell: int) -> int:
 
 
 def _placements(spec: WeightSpec, ell: int) -> list:
-    # row 1 is the extremal grid row; rows 2..ell+1 are interior
-    opts = [(1, c) for c in range(1, _value_at(spec, 0) + 1)]
+    opts = [(1, c) for c in range(1, _budget(spec, ell, 1) + 1)]
     if ell:
-        budget = _interior_budget(spec, ell)
-        opts.extend((row, c) for row in range(2, ell + 2) for c in range(1, budget + 1))
+        interior = _budget(spec, ell, 2)
+        opts.extend((row, c) for row in range(2, ell + 2) for c in range(1, interior + 1))
     return opts
 
 
@@ -106,41 +115,31 @@ class ZeroOneTableau:
     def render(self) -> str:
         if not self.shape.width:
             return self.shape.render()
-        mark = lambda rc: f"{rc[0]}_{rc[1]}"
         return "{} above {} below {}".format(self.shape.render(),
-                                             " ".join(mark(rc) for rc in self.above),
-                                             " ".join(mark(rc) for rc in self.below))
+                                             " ".join(_mark(*rc) for rc in self.above),
+                                             " ".join(_mark(*rc) for rc in self.below))
 
 
 def count_01v(shape: BTableau, weights: WeightPair) -> int:
     """Number of colored 0,1-tableaux on a shape; equals its weight."""
     if not weights.is_combinatorial():
         raise NonCombinatorialWeights("counting needs nonnegative integer weights")
-    total = 1
-    for top, bottom in shape.columns:
-        above = _value_at(weights.v, 0) + (top and top * _interior_budget(weights.v, top))
-        below = _value_at(weights.w, 0) + (bottom and bottom * _interior_budget(weights.w, bottom))
-        total *= above * below
-    return total
+    return prod(_budget(spec, ell, 1) + (ell and ell * _budget(spec, ell, 2))
+                for top, bottom in shape.columns
+                for spec, ell in ((weights.v, top), (weights.w, bottom)))
 
 
 def enumerate_01v(shape: BTableau, weights: WeightPair,
                   cap: int = ENUMERATION_CAP, rows: int = 0) -> list:
     if not weights.is_combinatorial():
         raise NonCombinatorialWeights("enumeration needs nonnegative integer weights")
-    per_column = []
-    total = 1
-    for top, bottom in shape.columns:
-        above = _placements(weights.v, top)
-        below = _placements(weights.w, bottom)
-        total *= len(above) * len(below)
-        per_column.extend((above, below))
+    per_column = [_placements(spec, ell) for top, bottom in shape.columns
+                  for spec, ell in ((weights.v, top), (weights.w, bottom))]
+    total = prod(len(opts) for opts in per_column)
     if total > cap:
         raise EnumerationCapExceeded(f"{total} tableaux exceeds the cap of {cap}")
-    out = []
-    for choice in product(*per_column):
-        out.append(ZeroOneTableau(shape, choice[0::2], choice[1::2], rows))
-    return out
+    return [ZeroOneTableau(shape, choice[0::2], choice[1::2], rows)
+            for choice in product(*per_column)]
 
 
 # -- colored partitions and permutations ---------------------------------------
@@ -152,6 +151,7 @@ def colors_by_v(weights: WeightPair) -> bool:
     """True when the partition and permutation models count the triangle:
     they color with v only, so w must be 1 and the pair combinatorial."""
     return weights.is_combinatorial() and weights.w == _ONE
+
 
 @dataclass(frozen=True)
 class ColoredPartition:
@@ -165,24 +165,7 @@ class ColoredPartition:
     blocks: tuple
 
     def __post_init__(self):
-        minima = []
-        elements = []
-        for block in self.blocks:
-            if not block:
-                raise ValueError("blocks are nonempty")
-            if list(block) != sorted(block, key=lambda ec: ec[0]):
-                raise ValueError("block elements are sorted")
-            if block[0][1] is not None:
-                raise ValueError("block minima are uncolored")
-            for e, c in block[1:]:
-                if not isinstance(c, int) or c < 1:
-                    raise ValueError("non-minima carry a color >= 1")
-            minima.append(block[0][0])
-            elements.extend(e for e, _ in block)
-        if minima != sorted(minima):
-            raise ValueError("blocks are ordered by minima")
-        if sorted(elements) != list(range(len(elements))):
-            raise ValueError("ground set must be 0..n without repeats")
+        _check_groups(self.blocks, "block", sorted_groups=True)
 
     def render(self) -> str:
         return "".join(
@@ -201,24 +184,7 @@ class ColoredPermutation:
     cycles: tuple
 
     def __post_init__(self):
-        minima = []
-        elements = []
-        for cycle in self.cycles:
-            if not cycle:
-                raise ValueError("cycles are nonempty")
-            if cycle[0][0] != min(e for e, _ in cycle):
-                raise ValueError("cycles start at their minimum")
-            if cycle[0][1] is not None:
-                raise ValueError("cycle minima are uncolored")
-            for e, c in cycle[1:]:
-                if not isinstance(c, int) or c < 1:
-                    raise ValueError("non-minima carry a color >= 1")
-            minima.append(cycle[0][0])
-            elements.extend(e for e, _ in cycle)
-        if minima != sorted(minima):
-            raise ValueError("cycles are ordered by minima")
-        if sorted(elements) != list(range(len(elements))):
-            raise ValueError("ground set must be 0..n without repeats")
+        _check_groups(self.cycles, "cycle", sorted_groups=False)
 
     def word(self) -> tuple:
         return tuple(item for cycle in self.cycles for item in cycle)
@@ -226,6 +192,30 @@ class ColoredPermutation:
     def render(self) -> str:
         return "".join(
             "(" + " ".join(_mark(e, c) for e, c in cycle) + ")" for cycle in self.cycles)
+
+
+def _check_groups(groups: tuple, noun: str, sorted_groups: bool) -> None:
+    # groups of (element, color) pairs: blocks or cycles of 0..n
+    minima = []
+    elements = []
+    for group in groups:
+        if not group:
+            raise ValueError(f"{noun}s are nonempty")
+        members = [e for e, _ in group]
+        if members[0] != min(members):
+            raise ValueError(f"{noun}s start at their minimum")
+        if sorted_groups and members != sorted(members):
+            raise ValueError(f"{noun} elements are sorted")
+        if group[0][1] is not None:
+            raise ValueError(f"{noun} minima are uncolored")
+        if any(not isinstance(c, int) or c < 1 for _, c in group[1:]):
+            raise ValueError("non-minima carry a color >= 1")
+        minima.append(members[0])
+        elements.extend(members)
+    if minima != sorted(minima):
+        raise ValueError(f"{noun}s are ordered by minima")
+    if sorted(elements) != list(range(len(elements))):
+        raise ValueError("ground set must be 0..n without repeats")
 
 
 def _mark(e: int, c) -> str:
@@ -255,22 +245,14 @@ def to_partition(t: ZeroOneTableau) -> ColoredPartition:
 
 def from_partition(p: ColoredPartition, weights: WeightPair) -> ZeroOneTableau:
     """Inverse of to_partition; validates colors against the weight budgets."""
-    if _value_at(weights.w, 0) < 1:
-        raise ValueError("the below placement needs w(0) >= 1")
-    marked = sorted((e, c, i) for i, block in enumerate(p.blocks) for e, c in block[1:])
-    tops = []
-    above = []
-    for j, (e, c, i) in enumerate(marked, start=1):
-        top = e - j
-        if i and c > _interior_budget(weights.v, top):
-            raise ValueError(f"color {c} exceeds the interior budget at {top}")
-        if not i and c > _value_at(weights.v, 0):
-            raise ValueError(f"color {c} exceeds the v(0) budget")
-        tops.append(top)
-        above.append((i + 1, c))
-    shape = BTableau.from_tops(tuple(reversed(tops)), len(p.blocks) - 1)
-    return ZeroOneTableau(shape, tuple(reversed(above)), ((1, 1),) * len(tops),
-                          rows=len(p.blocks) + 1)
+    return _tableau_from_marks(_partition_marks(p.blocks), len(p.blocks) - 1, weights)
+
+
+def _partition_marks(blocks) -> list:
+    # the j-th smallest non-minimum e, in block i, is the above 1 of the
+    # column with top e - j, in grid row i + 1
+    marked = sorted((e, i, c) for i, block in enumerate(blocks) for e, c in block[1:])
+    return [(e - j, i + 1, c) for j, (e, i, c) in enumerate(marked, start=1)]
 
 
 def to_permutation(t: ZeroOneTableau) -> ColoredPermutation:
@@ -310,30 +292,33 @@ def to_permutation(t: ZeroOneTableau) -> ColoredPermutation:
 
 def from_permutation(p: ColoredPermutation, weights: WeightPair) -> ZeroOneTableau:
     """Inverse of to_permutation; validates colors against the weight budgets."""
+    return _tableau_from_marks(_permutation_marks(p.cycles), len(p.word()) - 2, weights)
+
+
+def _permutation_marks(cycles) -> list:
+    # undo the insertions from the largest non-minimum e down: its position r
+    # in the word is the grid row of the above 1 in the column with top e - 1
+    word = [item for cycle in cycles for item in cycle]
+    minima = {cycle[0][0] for cycle in cycles}
+    marks = []
+    for e in sorted((x for x, _ in word if x not in minima), reverse=True):
+        row = next(i for i, (x, _) in enumerate(word) if x == e)
+        marks.append((e - 1, row, word.pop(row)[1]))
+    return marks[::-1]
+
+
+def _tableau_from_marks(marks: list, column_sum: int, weights: WeightPair) -> ZeroOneTableau:
+    # marks run from the smallest non-minimum, which is the rightmost column
     if _value_at(weights.w, 0) < 1:
         raise ValueError("the below placement needs w(0) >= 1")
-    word = list(p.word())
-    minima = {cycle[0][0] for cycle in p.cycles}
-    non_minima = sorted(e for e, _ in word if e not in minima)
-    positions = {}
-    for e in reversed(non_minima):
-        idx = next(i for i, (x, _) in enumerate(word) if x == e)
-        positions[e] = (idx, word[idx][1])
-        del word[idx]
-    tops = []
-    above = []
-    for e in non_minima:
-        row, c = positions[e]
-        if row == 1:
-            if c > _value_at(weights.v, 0):
-                raise ValueError(f"color {c} exceeds the v(0) budget")
-        elif c > _interior_budget(weights.v, e - 1):
-            raise ValueError(f"color {c} exceeds the interior budget at {e - 1}")
-        tops.append(e - 1)
-        above.append((row, c))
-    shape = BTableau.from_tops(tuple(reversed(tops)), len(word) + len(non_minima) - 2)
-    return ZeroOneTableau(shape, tuple(reversed(above)), ((1, 1),) * len(tops),
-                          rows=len(word) + len(non_minima))
+    for top, row, c in marks:
+        if c > _budget(weights.v, top, row):
+            budget = "the v(0) budget" if row == 1 else f"the interior budget at {top}"
+            raise ValueError(f"color {c} exceeds {budget}")
+    marks = marks[::-1]
+    shape = BTableau.from_tops(tuple(top for top, _, _ in marks), column_sum)
+    return ZeroOneTableau(shape, tuple((row, c) for _, row, c in marks),
+                          ((1, 1),) * len(marks), rows=column_sum + 2)
 
 
 def _word_to_cycles(word: list, minima: set) -> ColoredPermutation:
@@ -351,27 +336,18 @@ def _word_to_cycles(word: list, minima: set) -> ColoredPermutation:
 def enumerate_part(n: int, k: int, v: WeightSpec, cap: int = ENUMERATION_CAP) -> list:
     """All colored partitions of {0..n} into k+1 blocks under the v budgets.
 
-    The j-th smallest non-minimum a_j takes one of v(0) colors inside the
-    first block and one of (v(a_j - j) - v(0)) / (a_j - j) colors elsewhere.
+    The j-th smallest non-minimum a_j, in block i, is colored as grid row
+    i + 1 of a column with top a_j - j.
     """
-    base = _value_at(v, 0)
     out = []
     for blocks in _set_partitions(n, k):
-        labeled = sorted((block[i], bi) for bi, block in enumerate(blocks)
-                         for i in range(1, len(block)))
-        budgets = []
-        for j, (e, bi) in enumerate(labeled, start=1):
-            budgets.append(base if bi == 0 else _interior_budget(v, e - j))
-        total = prod(budgets)
-        if not total:
-            continue
-        if len(out) + total > cap:
-            raise EnumerationCapExceeded(f"more than {cap} colored partitions")
-        for colors in product(*(range(1, b + 1) for b in budgets)):
-            cmap = {e: c for (e, _), c in zip(labeled, colors)}
+        non_minima = sorted(e for block in blocks for e in block[1:])
+        marks = _partition_marks([[(e, None) for e in block] for block in blocks])
+        options = [range(1, _budget(v, top, row) + 1) for top, row, _ in marks]
+        for colors in _capped_product(options, len(out), cap, "colored partitions"):
+            cmap = dict(zip(non_minima, colors))
             out.append(ColoredPartition(tuple(
-                tuple((e, cmap.get(e) if i else None) for i, e in enumerate(block))
-                for block in blocks)))
+                tuple((e, cmap.get(e)) for e in block) for block in blocks)))
     return out
 
 
@@ -400,30 +376,18 @@ def enumerate_perm(n: int, k: int, v: WeightSpec, cap: int = ENUMERATION_CAP) ->
     """All colored permutations of {0..n} with k+1 cycles under the v budgets.
 
     Objects are generated through their insertion encoding: the j-th smallest
-    non-minimum a_j enters the word after letter position r in 1..a_j, with
-    v(0) colors at r = 1 and (v(a_j - 1) - v(0)) / (a_j - 1) colors deeper.
-    Position, not final cycle membership, decides the budget; an insertion at
-    r >= 2 can still land in the cycle of 0 once that cycle has grown.
+    non-minimum a_j enters the word after letter position r in 1..a_j, colored
+    as grid row r of a column with top a_j - 1.  Position, not final cycle
+    membership, decides the budget; an insertion at r >= 2 can still land in
+    the cycle of 0 once that cycle has grown.
     """
     if k < 0 or k > n:
         return []
-    base = _value_at(v, 0)
     out = []
     for non_minima in combinations(range(1, n + 1), n - k):
         minima = [e for e in range(n + 1) if e not in set(non_minima)]
-        options = []
-        for a in non_minima:
-            opts = [(1, c) for c in range(1, base + 1)]
-            if a > 1:
-                budget = _interior_budget(v, a - 1)
-                opts.extend((r, c) for r in range(2, a + 1) for c in range(1, budget + 1))
-            options.append(opts)
-        total = prod(len(opts) for opts in options)
-        if not total:
-            continue
-        if len(out) + total > cap:
-            raise EnumerationCapExceeded(f"more than {cap} colored permutations")
-        for choice in product(*options):
+        options = [_placements(v, a - 1) for a in non_minima]
+        for choice in _capped_product(options, len(out), cap, "colored permutations"):
             word = [(m, None) for m in minima]
             for a, (r, c) in zip(non_minima, choice):
                 word.insert(r, (a, c))
@@ -433,32 +397,26 @@ def enumerate_perm(n: int, k: int, v: WeightSpec, cap: int = ENUMERATION_CAP) ->
 
 def part_is_member(p: ColoredPartition, n: int, k: int, v: WeightSpec) -> bool:
     """Check ground set, block count, and color budgets of a colored partition."""
-    elements = [e for block in p.blocks for e, _ in block]
-    if sorted(elements) != list(range(n + 1)) or len(p.blocks) != k + 1:
-        return False
-    labeled = sorted((e, bi) for bi, block in enumerate(p.blocks) for e, _ in block[1:])
-    colors = {e: c for block in p.blocks for e, c in block[1:]}
-    for j, (e, bi) in enumerate(labeled, start=1):
-        budget = _value_at(v, 0) if bi == 0 else _interior_budget(v, e - j)
-        if colors[e] > budget:
-            return False
-    return True
+    return _is_member(p.blocks, _partition_marks, n, k, v)
 
 
 def perm_is_member(p: ColoredPermutation, n: int, k: int, v: WeightSpec) -> bool:
     """Check a colored permutation's budgets through its insertion encoding."""
-    elements = [e for cycle in p.cycles for e, _ in cycle]
-    if sorted(elements) != list(range(n + 1)) or len(p.cycles) != k + 1:
-        return False
-    word = list(p.word())
-    minima = {cycle[0][0] for cycle in p.cycles}
-    for e in sorted((x for x in elements if x not in minima), reverse=True):
-        idx, color = next((i, c) for i, (x, c) in enumerate(word) if x == e)
-        budget = _value_at(v, 0) if idx == 1 else _interior_budget(v, e - 1)
-        if color > budget:
-            return False
-        del word[idx]
-    return True
+    return _is_member(p.cycles, _permutation_marks, n, k, v)
+
+
+def _is_member(groups: tuple, decode, n: int, k: int, v: WeightSpec) -> bool:
+    # the group types already hold their ground set to 0..m
+    return (sum(map(len, groups)) == n + 1 and len(groups) == k + 1
+            and all(c <= _budget(v, top, row) for top, row, c in decode(groups)))
+
+
+def _capped_product(options: list, done: int, cap: int, noun: str):
+    """product(*options), refusing to grow an output of `done` objects past cap."""
+    total = prod(len(opts) for opts in options)
+    if total and done + total > cap:
+        raise EnumerationCapExceeded(f"more than {cap} {noun}")
+    return product(*options)
 
 
 # -- signed partitions ----------------------------------------------------------
@@ -526,12 +484,7 @@ def enumerate_signed_partitions(n: int, k: int, cap: int = ENUMERATION_CAP) -> l
         for a in rest:
             allowed = [0] + [j + 1 for j, m in enumerate(minima) if m < a]
             slots.append([(bp, bm) for bp in allowed for bm in allowed if bp != bm])
-        total = prod(len(s) for s in slots)
-        if not total:
-            continue
-        if len(out) + total > cap:
-            raise EnumerationCapExceeded(f"more than {cap} signed partitions")
-        for choice in product(*slots):
+        for choice in _capped_product(slots, len(out), cap, "signed partitions"):
             blocks = [[0]] + [[m, -m] for m in minima]
             for a, (bp, bm) in zip(rest, choice):
                 blocks[bp].append(a)
@@ -549,8 +502,6 @@ def tuple_decomposition_check(family: str, n: int, k: int, *, p: int = 0,
     factors must equal the product over factors of the per-shape counts,
     which is the cardinality form of the tuples-of-identical-shape bijection.
     """
-    from .tableaux import enumerate_T, enumerate_Td
-
     if family == "sun":
         if p < 1:
             raise ValueError("sun needs a positive power")

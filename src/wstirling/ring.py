@@ -161,9 +161,6 @@ class RingValue:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_one(self) -> bool:
-        return self.terms == _ONE_TERMS
-
     def is_constant(self) -> bool:
         t = self.terms
         return not t or (len(t) == 1 and _UNIT in t)

@@ -69,6 +69,17 @@ def test_invalid_color_budget_from_table_weights():
         count_01v(BTableau.from_tops((1,), 1), _pair(decreasing))
 
 
+def test_negative_column_part_has_no_budget():
+    # at column sum 1 a top of 3 leaves a bottom part of -2, which has no grid
+    # rows; (w(-2) - w(0)) / -2 = -2 must not pass as a color budget
+    pair = WeightPair(WeightSpec("constant", value=2),
+                      WeightSpec("table", values={0: 1, -2: 5}))
+    shape = BTableau.from_tops((3,), 1)
+    for fn in (count_01v, enumerate_01v):
+        with pytest.raises(ValueError, match="column part -2 is negative"):
+            fn(shape, pair)
+
+
 def test_enumerate_01v_example():
     shape = BTableau.from_tops((1,), 1)
     out = enumerate_01v(shape, _pair(V24))
@@ -263,18 +274,40 @@ def test_enumeration_caps():
 
 
 def test_colored_type_validation():
-    with pytest.raises(ValueError):
-        ColoredPartition((((1, None), (0, 2)),))
-    with pytest.raises(ValueError):
-        ColoredPartition((((0, 5),),))
-    with pytest.raises(ValueError):
-        ColoredPartition((((0, None), (2, 1)),))
-    with pytest.raises(ValueError):
-        ColoredPermutation((((1, None), (0, 1)),))
-    with pytest.raises(ValueError):
-        ColoredPermutation((((0, None),), ((1, None), (2, 0))))
-    with pytest.raises(ValueError):
+    # each case breaks one rule of the validator shared by blocks and cycles
+    cases = [
+        ((((0, None),), ()), "nonempty"),
+        ((((1, None), (0, 2)),), "start at their minimum"),
+        ((((0, 5),),), "minima are uncolored"),
+        ((((0, None),), ((1, None), (2, 0))), "color >= 1"),
+        ((((0, None), (1, 1.0)),), "color >= 1"),
+        ((((0, None),), ((2, None),), ((1, None),)), "ordered by minima"),
+        ((((0, None), (2, 1)),), "ground set"),
+        ((((0, None), (1, 1)), ((1, None),)), "ground set"),
+    ]
+    for kind in (ColoredPartition, ColoredPermutation):
+        for groups, rule in cases:
+            with pytest.raises(ValueError, match=rule):
+                kind(groups)
+
+
+def test_colored_partition_blocks_are_sorted():
+    unsorted = (((0, None), (2, 1), (1, 1)),)
+    with pytest.raises(ValueError, match="sorted"):
+        ColoredPartition(unsorted)
+    assert ColoredPermutation(unsorted).render() == "(0 2_1 1_1)"
+
+
+def test_colors_over_budget_are_rejected():
+    # V24 offers 4 colors in grid row 1 and 2 in each interior row
+    with pytest.raises(ValueError, match="v\\(0\\) budget"):
         from_partition(ColoredPartition((((0, None), (1, 9)),)), _pair(V24))
+    with pytest.raises(ValueError, match="v\\(0\\) budget"):
+        from_permutation(ColoredPermutation((((0, None), (1, 5)),)), _pair(V24))
+    # 2 enters after letter 1, the interior grid row 2 of the column with top 1
+    with pytest.raises(ValueError, match="interior budget at 1"):
+        from_permutation(ColoredPermutation((((0, None), (1, 1), (2, 3)),)), _pair(V24))
+    assert from_permutation(ColoredPermutation((((0, None), (1, 1), (2, 2)),)), _pair(V24))
 
 
 # -- signed partitions -------------------------------------------------------------
