@@ -208,7 +208,7 @@ def _check_groups(groups: tuple, noun: str, sorted_groups: bool) -> None:
             raise ValueError(f"{noun} elements are sorted")
         if group[0][1] is not None:
             raise ValueError(f"{noun} minima are uncolored")
-        if any(not isinstance(c, int) or c < 1 for _, c in group[1:]):
+        if any(type(c) is not int or c < 1 for _, c in group[1:]):
             raise ValueError("non-minima carry a color >= 1")
         minima.append(members[0])
         elements.extend(members)

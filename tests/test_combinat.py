@@ -281,6 +281,7 @@ def test_colored_type_validation():
         ((((0, 5),),), "minima are uncolored"),
         ((((0, None),), ((1, None), (2, 0))), "color >= 1"),
         ((((0, None), (1, 1.0)),), "color >= 1"),
+        ((((0, None), (1, True)),), "color >= 1"),
         ((((0, None),), ((2, None),), ((1, None),)), "ordered by minima"),
         ((((0, None), (2, 1)),), "ground set"),
         ((((0, None), (1, 1)), ((1, None),)), "ground set"),
@@ -289,16 +290,10 @@ def test_colored_type_validation():
         for groups, rule in cases:
             with pytest.raises(ValueError, match=rule):
                 kind(groups)
-
-
-def test_colored_partition_blocks_are_sorted():
     unsorted = (((0, None), (2, 1), (1, 1)),)
     with pytest.raises(ValueError, match="sorted"):
         ColoredPartition(unsorted)
     assert ColoredPermutation(unsorted).render() == "(0 2_1 1_1)"
-
-
-def test_colors_over_budget_are_rejected():
     # V24 offers 4 colors in grid row 1 and 2 in each interior row
     with pytest.raises(ValueError, match="v\\(0\\) budget"):
         from_partition(ColoredPartition((((0, None), (1, 9)),)), _pair(V24))
