@@ -352,24 +352,30 @@ def enumerate_part(n: int, k: int, v: WeightSpec, cap: int = ENUMERATION_CAP) ->
 
 
 def _set_partitions(n: int, k: int):
-    # blocks in creation order, which is minima order; 0 seeds the first block
-    def extend(e, blocks):
-        if e > n:
-            if len(blocks) == k + 1:
-                yield [list(block) for block in blocks]
-            return
-        for block in blocks:
-            block.append(e)
-            yield from extend(e + 1, blocks)
-            block.pop()
-        if len(blocks) <= k:
-            blocks.append([e])
-            yield from extend(e + 1, blocks)
-            blocks.pop()
-
+    """Partitions of {0..n} into k + 1 blocks listed in order of their minima.
+    Element e joins an existing block, in creation order, or opens the next one;
+    it joins only while the elements after it can still open the missing blocks."""
     if k < 0 or k > n:
         return
-    yield from extend(1, [[0]])
+    block = [0] * (n + 1)  # block[e]: the block element e is in; 0 seeds block 0
+    opened = [1] * (n + 2)  # opened[e]: blocks opened by elements 0..e-1
+    e = 0
+    while True:
+        for j in range(e + 1, n + 1):  # the first choices for elements e+1..n
+            block[j] = 0 if n - j > k - opened[j] else opened[j]
+            opened[j + 1] = max(opened[j], block[j] + 1)
+        blocks = [[] for _ in range(k + 1)]
+        for element, index in enumerate(block):
+            blocks[index].append(element)
+        yield blocks
+        # the last element with a next choice: a later existing block, or a new one
+        e = n
+        while e and not (block[e] + 1 < opened[e] or block[e] + 1 == opened[e] <= k):
+            e -= 1
+        if not e:
+            return
+        block[e] += 1
+        opened[e + 1] = max(opened[e], block[e] + 1)
 
 
 def enumerate_perm(n: int, k: int, v: WeightSpec, cap: int = ENUMERATION_CAP) -> list:

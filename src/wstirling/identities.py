@@ -9,9 +9,15 @@ NegativeQInteger or UndefinedIndex, and `scan` counts the cell as skipped.
 acceptance gate runs the same probes over its own, wider cell lists.
 
 Every parameter that sets a range (row bound, matrix dimension, series order)
-is part of the cell, so no probe reads nmax.  Probes reach the layers through
-module attributes (stirling.first_kind) looked up when the probe is built,
-never bound at import, so a caller that wraps a layer function sees the calls.
+is part of the cell, so no probe reads nmax.
+
+The layers compute and this module compares, in one probe shape: compute the
+sides got and want from the pair and the cell, compare them, and write the cell
+and the tagged sides, or a layer refusal (NotInverse, DomainViolation,
+InvalidColorBudget), as the counterexample.  A layer verdict is compared with
+True, a residual with 0.  Sides call layer functions as module attributes
+(stirling.first_kind), looked up at each call and never bound at import, so a
+caller that wraps a layer function sees the calls.
 """
 
 from __future__ import annotations
@@ -35,19 +41,18 @@ NO_PAIR = "-"  # once, independent of the weights
 class Identity:
     """One identity.  `pairs` is EACH, NO_PAIR, or the builtin label it runs
     for (once, when that pair is swept).  `cells(nmax, grid)` yields cell
-    tuples; `make_probe(pair, *args)` builds the probe.  A pair
-    failing `applies` gets one skipped cell instead of a sweep."""
+    tuples; `make_probe(pair)` builds the probe.  A pair failing `applies`
+    gets one skipped cell instead of a sweep."""
 
     suite: str
     name: str
     cells: Callable
     make_probe: Callable
-    args: tuple = ()
     pairs: str = EACH
     applies: Optional[Callable] = None
 
     def probe(self, pair=None):
-        return self.make_probe(pair, *self.args)
+        return self.make_probe(pair)
 
 
 def scan(cells, probe):
@@ -154,102 +159,100 @@ def _counts(nmax, grid):
     return ((n, k) for n in range(min(nmax, 4) + 1) for k in range(n + 1))
 
 
+def _nk(n, k, a, b):
+    return f"alpha={a} beta={b} n={n} k={k}"
+
+
+def _n(n, a, b):
+    return f"alpha={a} beta={b} n={n}"
+
+
+def _rs(r, s, a, b):
+    return f"alpha={a} beta={b} r={r} s={s}"
+
+
+def _split(m1, m2, n, a, b):
+    return f"alpha={a} beta={b} m1={m1} m2={m2} n={n}"
+
+
 # -- probes --------------------------------------------------------------------------
 
 
-def _value_fn(kind):
-    return stirling.first_kind if kind == "first" else stirling.second_kind
-
-
-def _triangular(pair, kind):
-    value_fn = _value_fn(kind)
-    tables = {}  # one recurrence table per (alpha, beta), kept for the probe's life
-
-    def probe(n, k, a, b):
-        by_def = value_fn(pair, a, b, n, k)
-        table = tables.get((a, b))
-        if table is None:
-            table = tables[a, b] = stirling.StirlingTable(pair, kind, a, b, method="recurrence")
-        by_rec = table.value(n, k)
-        if by_def != by_rec:
-            return (f"alpha={a} beta={b} n={n} k={k} "
-                    f"definition={by_def.render()} recurrence={by_rec.render()}")
-        return None
-    return probe
-
-
-def _step(pair, step_name, kind, down):
-    # the step computes the entry (n + down, k + down) from other rows
-    step, value_fn = getattr(stirling, step_name), _value_fn(kind)
-
-    def probe(n, k, a, b):
-        got = step(pair, a, b, n, k)
-        want = value_fn(pair, a, b, n + down, k + down)
-        if got != want:
-            return (f"alpha={a} beta={b} n={n} k={k} "
-                    f"recurrence={got.render()} definition={want.render()}")
-        return None
-    return probe
-
-
-def _row_product(pair):
-    def probe(n, a, b):
-        got = genfunc.cgf_product(n, a, b, pair)
-        want = ring_sum(stirling.first_kind(pair, a, b, n, k) * X ** k for k in range(n + 1))
-        if got != want:
-            return f"alpha={a} beta={b} n={n} product={got.render()} row-sum={want.render()}"
-        return None
-    return probe
-
-
-def _column_series(pair):
-    def probe(k, order, a, b):
-        got = genfunc.sgf_series(k, order, a, b, pair)
-        want = ring_sum(stirling.second_kind(pair, a, b, n, k) * X ** n
-                        for n in range(k, order + 1))
-        if got != want:
-            return (f"alpha={a} beta={b} k={k} series={got.render()} "
-                    f"column-sum={want.render()}")
-        return None
-    return probe
-
-
-def _basis(pair):
-    def probe(n, a, b):
-        ok, residual = genfunc.basis_expand_check(n, a, b, pair)
-        return None if ok else f"alpha={a} beta={b} n={n} residual={residual.render()}"
-    return probe
-
-
-def _residual(pair, check_name, tag):
-    check = getattr(genfunc, check_name)
-
+def _probe(where, check):
+    """The probe of a cell description and a check, which returns None where the
+    identity holds or else a note, maybe empty; a layer refusal's message is a
+    note too.  The counterexample is where(*cell), then the note."""
     def probe(*cell):
-        ok, residual = check(*cell)
-        return None if ok else f"{tag}={cell} residual={residual.render()}"
+        try:
+            note = check(*cell)
+        except (matrices.NotInverse, tableaux.DomainViolation,
+                combinat.InvalidColorBudget) as exc:
+            note = str(exc)
+        return None if note is None else " ".join(filter(None, (where(*cell), note)))
     return probe
 
 
-def _delta(pair):
-    def probe(n, m, relation, a, b):
-        got = matrices.orthogonality_sum(relation, n, m, a, b, pair)
-        if got != (1 if n == m else 0):
-            return (f"alpha={a} beta={b} relation={relation} n={n} m={m} "
-                    f"value={got.render()}")
-        return None
-    return probe
+def _compare(where, got, want, tags=(None, None)):
+    """make_probe of the identity got(pair, *cell) == want(pair, *cell).  The
+    note names each side that has a tag, as tag=value."""
+    def make_probe(pair):
+        def check(*cell):
+            sides = got(pair, *cell), want(pair, *cell)
+            return None if sides[0] == sides[1] else " ".join(
+                f"{tag}={side.render() if isinstance(side, RingValue) else side}"
+                for tag, side in zip(tags, sides) if tag)
+        return _probe(where, check)
+    return make_probe
+
+
+def _holds(where, verdict):
+    """make_probe of a layer check that returns True where the identity holds."""
+    return _compare(where, verdict, lambda pair, *cell: True)
+
+
+def _residual(where, residual):
+    """make_probe of an identity stated as residual(pair, *cell) == 0."""
+    return _compare(where, residual, lambda pair, *cell: 0, ("residual", None))
+
+
+def _value(kind, down=0):
+    """Side: the definition entry at (n + down, k + down) of an (n, k, a, b) cell."""
+    def side(pair, n, k, a, b):
+        value_fn = stirling.first_kind if kind == "first" else stirling.second_kind
+        return value_fn(pair, a, b, n + down, k + down)
+    return side
+
+
+def _triangular(kind):
+    def make_probe(pair):
+        tables = {}  # one recurrence table per (alpha, beta), kept for the probe's life
+
+        def by_recurrence(pair, n, k, a, b):
+            if (a, b) not in tables:
+                tables[a, b] = stirling.StirlingTable(pair, kind, a, b, method="recurrence")
+            return tables[a, b].value(n, k)
+        return _compare(_nk, _value(kind), by_recurrence, ("definition", "recurrence"))(pair)
+    return make_probe
+
+
+def _step(step, kind, down):
+    # step() is the recurrence; it computes the entry (n + down, k + down) from other rows
+    return _compare(_nk, lambda pair, n, k, a, b: step()(pair, a, b, n, k),
+                    _value(kind, down), ("recurrence", "definition"))
+
+
+def _pq_form(tag, check):
+    # check() is a p,q form check of genfunc, returning (ok, residual) for the cell
+    return _residual(lambda *cell: f"{tag}={cell}", lambda pair, *cell: check()(*cell)[1])
 
 
 def _inverse_pair(pair):
-    def probe(kind, r, a, b):
-        try:
-            left, right = matrices.inverse_pair(kind, r, a, b, pair)
-        except matrices.NotInverse as exc:
-            return f"alpha={a} beta={b} {exc}"
+    def dims(kind, r, a, b):
+        left, right = matrices.inverse_pair(kind, r, a, b, pair)
         if left.dim != r + 1 or right.dim != r + 1:
-            return f"alpha={a} beta={b} {kind} pair at r={r} has dims {left.dim},{right.dim}"
+            return f"{kind} pair at r={r} has dims {left.dim},{right.dim}"
         return None
-    return probe
+    return _probe(lambda kind, r, a, b: f"alpha={a} beta={b}", dims)
 
 
 def _round_trip(pair, seed=11):
@@ -267,114 +270,42 @@ def _round_trip(pair, seed=11):
     return probe
 
 
-def _pq_delta(pair):
-    def probe(n_max):
-        if matrices.pq_binomial_orthogonality(n_max):
-            return None
-        return f"signed pq-binomial sum deviates below n={n_max}"
-    return probe
+def _convolution(kind):
+    return _holds(_split, lambda pair, *cell: matrices.convolution_check(kind, *cell, pair))
 
 
-def _convolution(pair, kind):
-    def probe(m1, m2, n, a, b):
-        if not matrices.convolution_check(kind, m1, m2, n, a, b, pair):
-            return f"alpha={a} beta={b} m1={m1} m2={m2} n={n}"
-        return None
-    return probe
+def _lu(kind):
+    return _holds(_rs, lambda pair, *cell: matrices.lu_check(kind, *cell, pair)[2])
 
 
-def _lu(pair, kind):
-    def probe(r, s, a, b):
-        if not matrices.lu_check(kind, r, s, a, b, pair)[2]:
-            return f"alpha={a} beta={b} r={r} s={s}"
-        return None
-    return probe
+def _det(kind):
+    return _compare(_rs, lambda pair, *cell: matrices.determinant(
+                        matrices.hankel_matrix(kind, *cell, pair)),
+                    lambda pair, *cell: matrices.det_formula(kind, *cell, pair),
+                    ("det", "formula"))
 
 
-def _det(pair, kind):
-    def probe(r, s, a, b):
-        det, formula, equal = matrices.det_closed_form(kind, r, s, a, b, pair)
-        if not equal:
-            return (f"alpha={a} beta={b} r={r} s={s} det={det.render()} "
-                    f"formula={formula.render()}")
-        return None
-    return probe
-
-
-def _scaled_q_det(pair):
-    def probe(r, s):
-        return None if matrices.ehrenborg_det_check(r, s) else f"r={r} s={s}"
-    return probe
-
-
-def _weight_sum(pair, kind):
-    value_fn = _value_fn(kind)
-
-    def probe(n, k, a, b):
-        got = tableaux.weight_sum(kind, n, k, a, b, pair)
-        want = value_fn(pair, a, b, n, k)
-        if got != want:
-            return (f"alpha={a} beta={b} n={n} k={k} "
-                    f"tableau-sum={got.render()} definition={want.render()}")
-        return None
-    return probe
+def _weight_sum(kind):
+    return _compare(_nk, lambda pair, *cell: tableaux.weight_sum(kind, *cell, pair),
+                    _value(kind), ("tableau-sum", "definition"))
 
 
 def _tau(pair):
-    def probe(n, k, a, b):
+    def bijective(n, k, a, b):
         domain = tableaux.enumerate_Td(a, b, n - 1, n - k)
-        try:
-            images = [tableaux.tau(t, n, k, a, b) for t in domain]
-        except tableaux.DomainViolation as exc:
-            return f"alpha={a} beta={b} n={n} k={k} {exc}"
+        images = [tableaux.tau(t, n, k, a, b) for t in domain]
         target = tableaux.enumerate_T(a, b, k, n - k)
         if len(set(images)) != len(images) or set(images) != set(target):
-            return (f"alpha={a} beta={b} n={n} k={k} domain={len(domain)} "
-                    f"distinct-images={len(set(images))} target={len(target)}")
+            return (f"domain={len(domain)} distinct-images={len(set(images))} "
+                    f"target={len(target)}")
         return None
-    return probe
+    return _probe(_nk, bijective)
 
 
-def _triangular_split(pair):
-    def probe(n, k, a, b):
-        if not tableaux.triangular_split_check(n, k, a, b):
-            return f"alpha={a} beta={b} n={n} k={k}"
-        return None
-    return probe
-
-
-def _convolution_split(pair):
-    def probe(m1, m2, n, a, b):
-        if not tableaux.convolution_split_check(m1, m2, n, a, b):
-            return f"alpha={a} beta={b} m1={m1} m2={m2} n={n}"
-        return None
-    return probe
-
-
-def _zero_one_count(pair):
-    def probe(shape, a, b):
-        try:
-            got = combinat.count_01v(shape, pair)
-        except combinat.InvalidColorBudget as exc:
-            return f"alpha={a} beta={b} shape={shape.render()} {exc}"
-        want = tableaux.weight(shape, pair).as_int()
-        if got != want:
-            return f"alpha={a} beta={b} shape={shape.render()} count={got} weight={want}"
-        return None
-    return probe
-
-
-def _model_count(pair, enumerate_name, kind, tag):
-    enumerate_fn, value_fn = getattr(combinat, enumerate_name), _value_fn(kind)
-
-    def probe(n, k):
-        try:
-            got = len(enumerate_fn(n, k, pair.v))
-        except combinat.InvalidColorBudget as exc:
-            return f"n={n} k={k} {exc}"
-        want = value_fn(pair, 0, 0, n, k).as_int()
-        return None if got == want else f"n={n} k={k} {tag}={got} value={want}"
-    return probe
+def _count(tag, kind, count):
+    # count(pair, n, k) objects against the integer entry at offsets 0, 0
+    return _compare(lambda n, k: f"n={n} k={k}", count,
+                    lambda pair, n, k: _value(kind)(pair, n, k, 0, 0).as_int(), (tag, "value"))
 
 
 def _figure(pair):
@@ -391,49 +322,56 @@ def _figure(pair):
     return probe
 
 
-def _signed_count(pair):
-    def probe(n, k):
-        got = len(combinat.enumerate_signed_partitions(n, k))
-        want = stirling.second_kind(pair, 0, 0, n, k).as_int()
-        return None if got == want else f"n={n} k={k} signed-partitions={got} value={want}"
-    return probe
-
-
 # -- the registry --------------------------------------------------------------------
 
 _IDENTITIES = (
-    Identity("recurrences", "triangular-first", _rows, _triangular, ("first",)),
-    Identity("recurrences", "triangular-second", _rows, _triangular, ("second",)),
-    Identity("recurrences", "vertical-first", _step_rows, _step, ("c_vertical", "first", 1)),
-    Identity("recurrences", "vertical-second", _step_rows, _step,
-             ("s_vertical", "second", 1)),
-    Identity("recurrences", "horizontal-first", _step_rows, _step,
-             ("c_horizontal", "first", 0)),
-    Identity("recurrences", "horizontal-first-dual", _step_rows, _step,
-             ("c_horizontal_alpha", "first", 0)),
-    Identity("recurrences", "horizontal-second", _step_rows, _step,
-             ("s_horizontal", "second", 0)),
+    Identity("recurrences", "triangular-first", _rows, _triangular("first")),
+    Identity("recurrences", "triangular-second", _rows, _triangular("second")),
+    Identity("recurrences", "vertical-first", _step_rows,
+             _step(lambda: stirling.c_vertical, "first", 1)),
+    Identity("recurrences", "vertical-second", _step_rows,
+             _step(lambda: stirling.s_vertical, "second", 1)),
+    Identity("recurrences", "horizontal-first", _step_rows,
+             _step(lambda: stirling.c_horizontal, "first", 0)),
+    Identity("recurrences", "horizontal-first-dual", _step_rows,
+             _step(lambda: stirling.c_horizontal_alpha, "first", 0)),
+    Identity("recurrences", "horizontal-second", _step_rows,
+             _step(lambda: stirling.s_horizontal, "second", 0)),
 
     Identity("genfunc", "row-product-first",
              lambda nmax, grid: ((n, a, b) for n in range(nmax + 1) for a, b in grid),
-             _row_product),
+             _compare(_n, lambda pair, n, a, b: genfunc.cgf_product(n, a, b, pair),
+                      lambda pair, n, a, b: ring_sum(
+                          stirling.first_kind(pair, a, b, n, k) * X ** k for k in range(n + 1)),
+                      ("product", "row-sum"))),
     Identity("genfunc", "column-series-second",
              lambda nmax, grid: ((k, nmax, a, b) for k in range(nmax + 1) for a, b in grid),
-             _column_series),
+             _compare(lambda k, order, a, b: f"alpha={a} beta={b} k={k}",
+                      lambda pair, k, order, a, b: genfunc.sgf_series(k, order, a, b, pair),
+                      lambda pair, k, order, a, b: ring_sum(
+                          stirling.second_kind(pair, a, b, n, k) * X ** n
+                          for n in range(k, order + 1)),
+                      ("series", "column-sum"))),
     Identity("genfunc", "basis-expansion",
              lambda nmax, grid: ((n, a, b) for n in range(min(nmax, 6) + 1) for a, b in grid),
-             _basis),
+             _residual(_n, lambda pair, n, a, b: genfunc.basis_expand_check(n, a, b, pair)[1])),
     Identity("genfunc", "pq-row-product", lambda nmax, grid: ((n,) for n in range(nmax + 1)),
-             _residual, ("pq_product_form_check", "n"), pairs="pq-binomial"),
+             _pq_form("n", lambda: genfunc.pq_product_form_check), pairs="pq-binomial"),
     Identity("genfunc", "pq-column-series",
              lambda nmax, grid: ((k, nmax) for k in range(min(nmax, 4) + 1)),
-             _residual, ("pq_series_reduction_check", "k,order"), pairs="pq-binomial"),
+             _pq_form("k,order", lambda: genfunc.pq_series_reduction_check),
+             pairs="pq-binomial"),
     Identity("genfunc", "pq-basis-expansion",
              lambda nmax, grid: ((n,) for n in range(min(nmax, 6) + 1)),
-             _residual, ("pq_basis_form_check", "n"), pairs="pq-binomial"),
+             _pq_form("n", lambda: genfunc.pq_basis_form_check), pairs="pq-binomial"),
 
     Identity("orthogonality", "delta-sums",
-             lambda nmax, grid: delta_cells(min(nmax, 6), grid), _delta),
+             lambda nmax, grid: delta_cells(min(nmax, 6), grid),
+             _compare(lambda n, m, relation, a, b:
+                      f"alpha={a} beta={b} relation={relation} n={n} m={m}",
+                      lambda pair, n, m, relation, a, b:
+                      matrices.orthogonality_sum(relation, n, m, a, b, pair),
+                      lambda pair, n, m, *_: 1 if n == m else 0, ("value", None))),
     Identity("orthogonality", "inverse-pair-beta",
              lambda nmax, grid: (("beta", min(nmax, 5), a, b) for a, b in grid),
              _inverse_pair),
@@ -442,42 +380,58 @@ _IDENTITIES = (
              _inverse_pair),
     Identity("orthogonality", "inverse-relation-round-trip", _round_trips, _round_trip),
     Identity("orthogonality", "pq-binomial-delta", lambda nmax, grid: [(min(nmax, 6),)],
-             _pq_delta, pairs="pq-binomial"),
+             _holds(lambda n_max: f"signed pq-binomial sum deviates below n={n_max}",
+                    lambda pair, n_max: matrices.pq_binomial_orthogonality(n_max)),
+             pairs="pq-binomial"),
 
-    Identity("convolution", "row-split-first", _convolutions, _convolution, ("first",)),
-    Identity("convolution", "row-split-second", _convolutions, _convolution, ("second",)),
+    Identity("convolution", "row-split-first", _convolutions, _convolution("first")),
+    Identity("convolution", "row-split-second", _convolutions, _convolution("second")),
 
-    Identity("lu", "hankel-lu-first", _hankels, _lu, ("first",)),
-    Identity("lu", "hankel-lu-second", _hankels, _lu, ("second",)),
+    Identity("lu", "hankel-lu-first", _hankels, _lu("first")),
+    Identity("lu", "hankel-lu-second", _hankels, _lu("second")),
 
-    Identity("determinants", "hankel-det-first", _hankels, _det, ("first",)),
-    Identity("determinants", "hankel-det-second", _hankels, _det, ("second",)),
+    Identity("determinants", "hankel-det-first", _hankels, _det("first")),
+    Identity("determinants", "hankel-det-second", _hankels, _det("second")),
     Identity("determinants", "scaled-q-det",
              lambda nmax, grid: ((r, s) for r in range(max(1, nmax // 3) + 1)
                                  for s in range(max(1, nmax // 3) + 1)),
-             _scaled_q_det, pairs="q-stirling"),
+             _holds(lambda r, s: f"r={r} s={s}",
+                    lambda pair, r, s: matrices.ehrenborg_det_check(r, s)),
+             pairs="q-stirling"),
 
-    Identity("tableaux", "weight-sum-first", _tableau_rows, _weight_sum, ("first",)),
-    Identity("tableaux", "weight-sum-second", _tableau_rows, _weight_sum, ("second",)),
+    Identity("tableaux", "weight-sum-first", _tableau_rows, _weight_sum("first")),
+    Identity("tableaux", "weight-sum-second", _tableau_rows, _weight_sum("second")),
     Identity("tableaux", "tau-bijection",
              lambda nmax, grid: _triangle(range(1, min(nmax, 6) + 1), _nonneg(grid), k_min=1),
              _tau, pairs=NO_PAIR),
     Identity("tableaux", "triangular-split",
              lambda nmax, grid: _triangle(range(1, min(nmax, 5) + 1), _nonneg(grid)),
-             _triangular_split, pairs=NO_PAIR),
+             _holds(_nk, lambda pair, *cell: tableaux.triangular_split_check(*cell)),
+             pairs=NO_PAIR),
     Identity("tableaux", "convolution-split",
              lambda nmax, grid: _splits(range(1, 3), _nonneg(grid)),
-             _convolution_split, pairs=NO_PAIR),
+             _holds(_split, lambda pair, *cell: tableaux.convolution_split_check(*cell)),
+             pairs=NO_PAIR),
 
-    Identity("combinatorial", "zero-one-counts", _shapes, _zero_one_count,
+    Identity("combinatorial", "zero-one-counts", _shapes,
+             _compare(lambda shape, a, b: f"alpha={a} beta={b} shape={shape.render()}",
+                      lambda pair, shape, a, b: combinat.count_01v(shape, pair),
+                      lambda pair, shape, a, b: tableaux.weight(shape, pair).as_int(),
+                      ("count", "weight")),
              applies=lambda pair: pair.is_combinatorial()),
-    Identity("combinatorial", "partition-counts", _counts, _model_count,
-             ("enumerate_part", "second", "partitions"), applies=combinat.colors_by_v),
-    Identity("combinatorial", "permutation-counts", _counts, _model_count,
-             ("enumerate_perm", "first", "permutations"), applies=combinat.colors_by_v),
+    Identity("combinatorial", "partition-counts", _counts,
+             _count("partitions", "second",
+                    lambda pair, n, k: len(combinat.enumerate_part(n, k, pair.v))),
+             applies=combinat.colors_by_v),
+    Identity("combinatorial", "permutation-counts", _counts,
+             _count("permutations", "first",
+                    lambda pair, n, k: len(combinat.enumerate_perm(n, k, pair.v))),
+             applies=combinat.colors_by_v),
     Identity("combinatorial", "figure-renderings",
              lambda nmax, grid: [("partition",), ("permutation",)], _figure, pairs=NO_PAIR),
-    Identity("combinatorial", "signed-partition-counts", _counts, _signed_count,
+    Identity("combinatorial", "signed-partition-counts", _counts,
+             _count("signed-partitions", "second",
+                    lambda pair, n, k: len(combinat.enumerate_signed_partitions(n, k))),
              pairs="legendre"),
 )
 

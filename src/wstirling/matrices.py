@@ -315,14 +315,6 @@ def det_formula(kind: str, r: int, s: int, alpha: int, beta: int,
         for k in range(r + 1))
 
 
-def det_closed_form(kind: str, r: int, s: int, alpha: int, beta: int,
-                    weights: WeightPair):
-    """Returns (determinant, closed-form product, equal)."""
-    det = determinant(hankel_matrix(kind, r, s, alpha, beta, weights))
-    formula = det_formula(kind, r, s, alpha, beta, weights)
-    return det, formula, det == formula
-
-
 def ehrenborg_det_check(r: int, s: int) -> bool:
     """Scaled q-analogue determinant against its closed form."""
     if r < 0 or s < 0:

@@ -467,12 +467,12 @@ def parse(text: str) -> RingValue:
 def product(values: Iterable[Coercible]) -> RingValue:
     result = ONE
     for value in values:
-        result = result * RingValue.coerce(value)
+        result = result * value
     return result
 
 
 def ring_sum(values: Iterable[Coercible]) -> RingValue:
     result = ZERO
     for value in values:
-        result = result + RingValue.coerce(value)
+        result = result + value
     return result

@@ -24,7 +24,7 @@ from functools import lru_cache
 
 from .ring import ONE, RingValue, X, ZERO, product, ring_sum
 from .symfunc import elementary_all, homogeneous_series
-from .weights import WeightPair, builtin
+from .weights import WeightPair, WeightSpec, builtin
 
 KINDS = ("first", "second")
 
@@ -201,12 +201,6 @@ def pq_binomial(n: int, k: int) -> RingValue:
     return second_kind(builtin("pq-binomial"), 0, 0, n, k)
 
 
-@lru_cache(maxsize=None)
-def _t_row_spec(r: int):
-    from .weights import WeightSpec
-    return WeightSpec("oeis-T", row=r)
-
-
 def b_stirling_row_by_product(n: int) -> list:
     """Independent first-kind oracle for V=(i,i): expand the row product.
 
@@ -214,7 +208,7 @@ def b_stirling_row_by_product(n: int) -> list:
     tabulated triangle, so the coefficients come from a plain polynomial
     product with no symmetric-function machinery.
     """
-    spec = _t_row_spec(n - 3)
+    spec = WeightSpec("oeis-T", row=n - 3)
     poly = product(X + spec.eval(j) for j in range(n))
     return [poly.coefficient("x", d) for d in range(n + 1)]
 
@@ -227,7 +221,7 @@ def b_stirling_by_series(n: int, k: int) -> RingValue:
     """
     if k < 0 or n < k:
         return ZERO
-    spec = _t_row_spec(k - 2)
+    spec = WeightSpec("oeis-T", row=k - 2)
     coeffs = [ONE] + [ZERO] * (n - k)
     for j in range(k + 1):
         t = spec.eval(j)

@@ -3,9 +3,10 @@
 elementary(t, xs) sums products over t-subsets of xs; homogeneous(t, xs)
 over size-t multisets.  Both run in O(t * len(xs)) ring operations, which
 keeps triangle construction polynomial; homogeneous_series is the same h-DP
-resumable one degree at a time.  Brute-force enumeration lives in the tests
-as an oracle.  Negative t gives 0 at this layer so callers can pass raw
-index differences.
+resumable one degree at a time.  The DP only adds and multiplies, so xs may
+mix ints and RingValues; the ring's operators coerce.  Brute-force enumeration
+lives in the tests as an oracle.  Negative t gives 0 at this layer so callers
+can pass raw index differences.
 """
 
 from __future__ import annotations
@@ -17,19 +18,15 @@ from .ring import ONE, ZERO, Coercible, RingValue
 
 
 def elementary(t: int, xs: Sequence[Coercible]) -> RingValue:
-    if t < 0:
+    if t < 0 or t > len(xs):
         return ZERO
-    values = [RingValue.coerce(x) for x in xs]
-    if t > len(values):
-        return ZERO
-    return elementary_all(values)[t]
+    return elementary_all(xs)[t]
 
 
 def elementary_all(xs: Sequence[Coercible]) -> list:
     """All of e_0 .. e_len(xs) in one pass."""
-    values = [RingValue.coerce(x) for x in xs]
-    e = [ONE] + [ZERO] * len(values)
-    for r, x in enumerate(values):
+    e = [ONE] + [ZERO] * len(xs)
+    for r, x in enumerate(xs):
         # descending t so e[t-1] is still the previous row's value
         for t in range(r + 1, 0, -1):
             e[t] = e[t] + x * e[t - 1]
@@ -54,11 +51,10 @@ def homogeneous_series(xs: Sequence[Coercible]) -> Iterator[RingValue]:
     to d + 1 uses h_{d+1}(xs[0..i]) = h_{d+1}(xs[0..i-1]) + xs[i] h_d(xs[0..i]),
     so a caller can stop at any degree and resume later at no extra cost.
     """
-    values = [RingValue.coerce(x) for x in xs]
-    h = [ONE] * len(values)
+    h = [ONE] * len(xs)
     yield ONE
     while True:
         total = ZERO
-        for i, x in enumerate(values):
+        for i, x in enumerate(xs):
             total = h[i] = total + x * h[i]
         yield total

@@ -25,6 +25,10 @@ WeightValue = Union[int, RingValue]
 
 _BASES = ("p", "q", "z")
 
+# values one spec memoizes: verify --suite all asks for about 470 distinct
+# indices over all its specs, and a table of rows 0..N about N + 1 per spec
+EVAL_MEMO_SIZE = 4096
+
 
 class UndefinedIndex(KeyError):
     """A table weight was queried outside its value map with no default."""
@@ -56,6 +60,8 @@ class WeightSpec:
     def eval(self, i: int) -> RingValue:
         value = self._cache.get(i)
         if value is None:
+            if len(self._cache) >= EVAL_MEMO_SIZE:
+                del self._cache[next(iter(self._cache))]  # the oldest entry
             value = self._cache[i] = _KINDS[self.kind].evaluate(self.params, i + self.offset)
         return value
 
@@ -289,7 +295,7 @@ CATALOG = ("classical", "pq-binomial", "q-binomial", "q-stirling", "b-stirling",
            "sun(2)", "zeta")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def builtin(name: str) -> WeightPair:
     match = _NAME_RE.match(name.strip())
     if not match:

@@ -232,6 +232,20 @@ def test_enumerate_cap_exceeded_exits_3(capsys):
     assert code == 3
 
 
+def test_enumerate_partitions_with_many_blocks(capsys):
+    # one element per recursion level used to overflow the stack, and a join
+    # the missing blocks could never recover from used to be explored anyway
+    start = time.monotonic()
+    code, out, err = run(capsys, "enumerate", "--object", "partitions",
+                         "--n", "1500", "--k", "1500")
+    assert (code, err) == (0, "")
+    assert out.endswith("{1499}{1500}\ncount=1\n")
+    code, out, err = run(capsys, "enumerate", "--object", "partitions",
+                         "--n", "1500", "--k", "1499", "--cap", "10")
+    assert (code, out, err) == (3, "", "error: more than 10 colored partitions\n")
+    assert time.monotonic() - start < 10
+
+
 def test_enumerate_negative_cap_is_usage_error(capsys):
     code, out, err = run(capsys, "enumerate", "--object", "partitions",
                          "--n", "3", "--k", "1", "--cap", "-5")

@@ -27,6 +27,17 @@ def test_polynomial_weight():
     assert spec.eval(-2) == 0
 
 
+def test_eval_memo_is_bounded():
+    spec = WeightSpec("polynomial", coefficients=[4, 2])
+    indices = range(-weights.EVAL_MEMO_SIZE, weights.EVAL_MEMO_SIZE)
+    for i in indices:
+        assert spec.eval(i) == 4 + 2 * i
+    assert len(spec._cache) == weights.EVAL_MEMO_SIZE
+    for i in reversed(indices):  # evicted and memoized values alike
+        assert spec.eval(i) == 4 + 2 * i
+    assert len(spec._cache) == weights.EVAL_MEMO_SIZE
+
+
 def test_polynomial_weight_ring_coefficients():
     spec = WeightSpec("polynomial", coefficients=[0, "z", 1])
     assert spec.eval(2) == 4 + 2 * Z
