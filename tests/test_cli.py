@@ -233,8 +233,9 @@ def test_enumerate_cap_exceeded_exits_3(capsys):
 
 
 def test_enumerate_partitions_with_many_blocks(capsys):
-    # one element per recursion level used to overflow the stack, and a join
-    # the missing blocks could never recover from used to be explored anyway
+    # 1501 elements would overflow the stack at one recursion level each, and
+    # with k = n - 1 almost every join leaves too few elements to open the
+    # missing blocks, so the generator must not explore such joins
     start = time.monotonic()
     code, out, err = run(capsys, "enumerate", "--object", "partitions",
                          "--n", "1500", "--k", "1500")

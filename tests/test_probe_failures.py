@@ -22,7 +22,7 @@ import contextlib
 import io
 import pathlib
 
-from wstirling import stirling, tableaux
+from wstirling import identities, stirling, tableaux
 from wstirling.cli import main
 
 RECORD = pathlib.Path(__file__).resolve().parent / "golden" / "verify_all_nmax6_faults.txt"
@@ -57,6 +57,15 @@ def test_every_probe_reports_its_counterexample(monkeypatch):
     code, out = run()
     assert code == 1
     assert out == RECORD.read_text(encoding="utf-8")
+
+
+def test_a_layer_refusal_is_the_counterexample(monkeypatch):
+    # neither fault above sends tau a tableau outside its domain; a repeated
+    # top does, and tau refuses it with DomainViolation
+    monkeypatch.setattr(tableaux, "enumerate_Td", tableaux.enumerate_T)
+    probe = identities.REGISTRY["tableaux/tau-bijection"].probe()
+    assert probe(3, 1, 0, 0) == ("alpha=0 beta=0 n=3 k=1 BTableau([2 2 / 0 0]) is not a "
+                                 "distinct-top tableau for (alpha=0, beta=0, r=2) with 2 columns")
 
 
 def regenerate() -> None:
