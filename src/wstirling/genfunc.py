@@ -5,7 +5,8 @@ product over x-linear factors; the column generating function of the second
 kind is a truncated geometric series; and the basis expansion writes x^n in
 terms of bracket polynomials with second-kind coefficients.  Everything is
 an ordinary RingValue in the series variable x, so coefficient extraction
-is exact and the checks return the offending residual when they fail.
+is exact.  The functions return the series, expansions and residuals they
+compute; wstirling.identities compares them with the other side.
 """
 
 from __future__ import annotations
@@ -45,51 +46,42 @@ def sgf_series(k: int, order: int, alpha: int, beta: int, weights: WeightPair) -
     return ring_sum(c * X ** (k + d) for d, c in enumerate(coeffs))
 
 
-def basis_expand_check(n: int, alpha: int, beta: int, weights: WeightPair):
-    """Does x^n equal the bracket-basis expansion?  Returns (ok, residual)."""
+def basis_expansion(n: int, alpha: int, beta: int, weights: WeightPair) -> RingValue:
+    """The bracket-basis expansion of x^n, which equals x^n."""
     if n < 0:
         raise ValueError("exponent must be nonnegative")
-    total = ring_sum(
+    return ring_sum(
         second_kind(weights, alpha, beta - k, n, k) * bracket(k, alpha, beta, weights)
         for k in range(n + 1))
-    residual = total - X ** n
-    return residual.is_zero(), residual
 
 
-# -- p,q specializations --------------------------------------------------------
+# -- p,q specializations: each returns its residual, 0 where the form holds -----
 
-def pq_product_form_check(n: int):
+def pq_product_form_residual(n: int) -> RingValue:
     """Row form for V=(p^i, q^i): both the direct sum and the rescaled
-    substitution of cgf_product must equal prod_t (p^t + x q^t)."""
+    substitution of cgf_product must equal prod_t (p^t + x q^t); the direct
+    sum's residual comes first."""
     target = product(P ** t + X * Q ** t for t in range(n))
     direct = ring_sum(
         P ** comb(n - k, 2) * Q ** comb(k, 2) * pq_binomial(n, k) * X ** k
         for k in range(n + 1))
     rescaled = Q ** comb(n, 2) * cgf_product(n, 0, 0, builtin("pq-binomial")).substitute(
         {"p": P * Q ** -1, "q": 1})
-    residual = (direct - target) if direct != target else (rescaled - target)
-    return residual.is_zero(), residual
+    return (direct - target) if direct != target else (rescaled - target)
 
 
-def pq_series_reduction_check(k: int, order: int):
+def pq_series_reduction_residual(k: int, order: int) -> RingValue:
     """Column form for V=(p^i, q^i): geometric expansion of the displayed
-    product against the symmetric-function values."""
-    rates = [P ** (k - j) * Q ** j for j in range(k + 1)]
-    coeffs = _geometric(rates, order - k)
-    for n in range(k, order + 1):
-        residual = coeffs[n - k] - pq_binomial(n, k)
-        if not residual.is_zero():
-            return False, residual
-    return True, ZERO
+    product against the symmetric-function values, first difference first."""
+    coeffs = _geometric([P ** (k - j) * Q ** j for j in range(k + 1)], order - k)
+    residuals = (coeffs[n - k] - pq_binomial(n, k) for n in range(k, order + 1))
+    return next((r for r in residuals if not r.is_zero()), ZERO)
 
 
-def pq_basis_form_check(n: int):
+def pq_basis_form_residual(n: int) -> RingValue:
     """Bracket-basis expansion specialized to V=(p^i, q^i), written with
     one-variable-per-side scaling."""
-    lhs = Q ** comb(n, 2) * X ** n
-    rhs = ring_sum(
+    return ring_sum(
         (-1) ** (n - k) * Q ** comb(n - k, 2) * pq_binomial(n, k)
         * product(X * Q ** t + P ** t for t in range(k))
-        for k in range(n + 1))
-    residual = rhs - lhs
-    return residual.is_zero(), residual
+        for k in range(n + 1)) - Q ** comb(n, 2) * X ** n

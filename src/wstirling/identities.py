@@ -11,11 +11,12 @@ acceptance gate runs the same probes over its own, wider cell lists.
 Every parameter that sets a range (row bound, matrix dimension, series order)
 is part of the cell, so no probe reads nmax.
 
-The layers compute and this module compares, in one probe shape: compute the
-sides got and want from the pair and the cell, compare them, and write the cell
-and the tagged sides, or a layer refusal (NotInverse, DomainViolation,
-InvalidColorBudget), as the counterexample.  A layer verdict is compared with
-True, a residual with 0.  Sides call layer functions as module attributes
+Layer functions return the values they compute and only this module compares
+them, in one probe shape: compute the sides got and want from the pair and the
+cell, compare them, and write the cell and the tagged sides as the
+counterexample; a residual is compared with 0.  The only layer refusals that a
+probe turns into a counterexample are NotInverse, DomainViolation and
+InvalidColorBudget.  Sides call layer functions as module attributes
 (stirling.first_kind), looked up at each call and never bound at import, so a
 caller that wraps a layer function sees the calls.
 """
@@ -23,6 +24,7 @@ caller that wraps a layer function sees the calls.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -205,11 +207,6 @@ def _compare(where, got, want, tags=(None, None)):
     return make_probe
 
 
-def _holds(where, verdict):
-    """make_probe of a layer check that returns True where the identity holds."""
-    return _compare(where, verdict, lambda pair, *cell: True)
-
-
 def _residual(where, residual):
     """make_probe of an identity stated as residual(pair, *cell) == 0."""
     return _compare(where, residual, lambda pair, *cell: 0, ("residual", None))
@@ -241,18 +238,15 @@ def _step(step, kind, down):
                     _value(kind, down), ("recurrence", "definition"))
 
 
-def _pq_form(tag, check):
-    # check() is a p,q form check of genfunc, returning (ok, residual) for the cell
-    return _residual(lambda *cell: f"{tag}={cell}", lambda pair, *cell: check()(*cell)[1])
+def _pq_form(tag, residual):
+    # residual() is a p,q form of genfunc, returning its residual at the cell
+    return _residual(lambda *cell: f"{tag}={cell}", lambda pair, *cell: residual()(*cell))
 
 
 def _inverse_pair(pair):
-    def dims(kind, r, a, b):
-        left, right = matrices.inverse_pair(kind, r, a, b, pair)
-        if left.dim != r + 1 or right.dim != r + 1:
-            return f"{kind} pair at r={r} has dims {left.dim},{right.dim}"
-        return None
-    return _probe(lambda kind, r, a, b: f"alpha={a} beta={b}", dims)
+    def check(kind, r, a, b):
+        matrices.inverse_pair(kind, r, a, b, pair)  # raises NotInverse where it fails
+    return _probe(lambda kind, r, a, b: f"alpha={a} beta={b}", check)
 
 
 def _round_trip(pair, seed=11):
@@ -271,11 +265,15 @@ def _round_trip(pair, seed=11):
 
 
 def _convolution(kind):
-    return _holds(_split, lambda pair, *cell: matrices.convolution_check(kind, *cell, pair))
+    return _compare(_split, lambda pair, *cell: matrices.convolution_sum(kind, *cell, pair),
+                    lambda pair, m1, m2, n, a, b: _value(kind)(pair, m1 + m2, n, a, b))
 
 
 def _lu(kind):
-    return _holds(_rs, lambda pair, *cell: matrices.lu_check(kind, *cell, pair)[2])
+    def factored(pair, *cell):
+        lower, upper = matrices.lu_factors(kind, *cell, pair)
+        return lower * upper
+    return _compare(_rs, factored, lambda pair, *cell: matrices.hankel_matrix(kind, *cell, pair))
 
 
 def _det(kind):
@@ -283,6 +281,16 @@ def _det(kind):
                         matrices.hankel_matrix(kind, *cell, pair)),
                     lambda pair, *cell: matrices.det_formula(kind, *cell, pair),
                     ("det", "formula"))
+
+
+def _lower_triangle(n_max):
+    return [(n, m) for n in range(n_max + 1) for m in range(n + 1)]
+
+
+def _partition(where, pieces, whole):
+    # pieces(*cell) lists each tableau of whole(*cell) once; enumerators never repeat one
+    return _compare(where, lambda pair, *cell: Counter(pieces(*cell)),
+                    lambda pair, *cell: Counter(whole(*cell)))
 
 
 def _weight_sum(kind):
@@ -354,16 +362,16 @@ _IDENTITIES = (
                       ("series", "column-sum"))),
     Identity("genfunc", "basis-expansion",
              lambda nmax, grid: ((n, a, b) for n in range(min(nmax, 6) + 1) for a, b in grid),
-             _residual(_n, lambda pair, n, a, b: genfunc.basis_expand_check(n, a, b, pair)[1])),
+             _residual(_n, lambda pair, n, a, b: genfunc.basis_expansion(n, a, b, pair) - X ** n)),
     Identity("genfunc", "pq-row-product", lambda nmax, grid: ((n,) for n in range(nmax + 1)),
-             _pq_form("n", lambda: genfunc.pq_product_form_check), pairs="pq-binomial"),
+             _pq_form("n", lambda: genfunc.pq_product_form_residual), pairs="pq-binomial"),
     Identity("genfunc", "pq-column-series",
              lambda nmax, grid: ((k, nmax) for k in range(min(nmax, 4) + 1)),
-             _pq_form("k,order", lambda: genfunc.pq_series_reduction_check),
+             _pq_form("k,order", lambda: genfunc.pq_series_reduction_residual),
              pairs="pq-binomial"),
     Identity("genfunc", "pq-basis-expansion",
              lambda nmax, grid: ((n,) for n in range(min(nmax, 6) + 1)),
-             _pq_form("n", lambda: genfunc.pq_basis_form_check), pairs="pq-binomial"),
+             _pq_form("n", lambda: genfunc.pq_basis_form_residual), pairs="pq-binomial"),
 
     Identity("orthogonality", "delta-sums",
              lambda nmax, grid: delta_cells(min(nmax, 6), grid),
@@ -380,8 +388,10 @@ _IDENTITIES = (
              _inverse_pair),
     Identity("orthogonality", "inverse-relation-round-trip", _round_trips, _round_trip),
     Identity("orthogonality", "pq-binomial-delta", lambda nmax, grid: [(min(nmax, 6),)],
-             _holds(lambda n_max: f"signed pq-binomial sum deviates below n={n_max}",
-                    lambda pair, n_max: matrices.pq_binomial_orthogonality(n_max)),
+             _compare(lambda n_max: f"signed pq-binomial sum deviates below n={n_max}",
+                      lambda pair, n_max: [matrices.pq_binomial_delta_sum(n, m)
+                                           for n, m in _lower_triangle(n_max)],
+                      lambda pair, n_max: [int(n == m) for n, m in _lower_triangle(n_max)]),
              pairs="pq-binomial"),
 
     Identity("convolution", "row-split-first", _convolutions, _convolution("first")),
@@ -395,8 +405,10 @@ _IDENTITIES = (
     Identity("determinants", "scaled-q-det",
              lambda nmax, grid: ((r, s) for r in range(max(1, nmax // 3) + 1)
                                  for s in range(max(1, nmax // 3) + 1)),
-             _holds(lambda r, s: f"r={r} s={s}",
-                    lambda pair, r, s: matrices.ehrenborg_det_check(r, s)),
+             _compare(lambda r, s: f"r={r} s={s}",
+                      lambda pair, r, s: matrices.determinant(
+                          matrices.scaled_q_hankel_matrix(r, s)),
+                      lambda pair, r, s: matrices.scaled_q_det_formula(r, s)),
              pairs="q-stirling"),
 
     Identity("tableaux", "weight-sum-first", _tableau_rows, _weight_sum("first")),
@@ -406,11 +418,14 @@ _IDENTITIES = (
              _tau, pairs=NO_PAIR),
     Identity("tableaux", "triangular-split",
              lambda nmax, grid: _triangle(range(1, min(nmax, 5) + 1), _nonneg(grid)),
-             _holds(_nk, lambda pair, *cell: tableaux.triangular_split_check(*cell)),
+             _partition(_nk, lambda *cell: tableaux.triangular_split(*cell),
+                        lambda n, k, a, b: tableaux.enumerate_Td(a, b, n - 1, n - k)),
              pairs=NO_PAIR),
     Identity("tableaux", "convolution-split",
              lambda nmax, grid: _splits(range(1, 3), _nonneg(grid)),
-             _holds(_split, lambda pair, *cell: tableaux.convolution_split_check(*cell)),
+             _partition(_split, lambda *cell: tableaux.convolution_split(*cell),
+                        lambda m1, m2, n, a, b:
+                        tableaux.enumerate_Td(a, b, m1 + m2 - 1, m1 + m2 - n)),
              pairs=NO_PAIR),
 
     Identity("combinatorial", "zero-one-counts", _shapes,

@@ -12,6 +12,9 @@ held fixed is NOT an inverse pair for general weights; constant weights hide
 that because the sliding offset lands in a weight that never changes.
 Determinants run fraction-free (Bareiss) with exact division; the tests
 compare them with a cofactor expansion.
+
+The functions return the values they compute and wstirling.identities compares
+them; only inverse_pair checks its own claim, and raises NotInverse.
 """
 
 from __future__ import annotations
@@ -28,6 +31,14 @@ PAIR_KINDS = ("beta", "alpha")
 def _sign(d: int) -> int:
     # (-1) ** d returns a float for negative d, so take the parity directly
     return -1 if d % 2 else 1
+
+
+def _check(kind: str, *sizes: int) -> None:
+    """The argument check of the Hankel, LU and convolution functions."""
+    if kind not in ("first", "second"):
+        raise ValueError(f"kind must be first or second, got {kind!r}")
+    if min(sizes) < 0:
+        raise ValueError(f"sizes must be nonnegative, got {sizes}")
 
 
 class NotInverse(ArithmeticError):
@@ -159,22 +170,14 @@ def orthogonality_sum(relation: str, n: int, m: int, alpha: int, beta: int,
     return _orthogonal_sum(weights, alpha, beta, n, m, ORTHOGONALITY_RELATIONS[relation])
 
 
-def pq_binomial_orthogonality(n_max: int) -> bool:
-    """Direct check of the signed pq-binomial orthogonality sum.
-
-    Sum over k of (-1)^(k-m) p^C(k-m,2) q^C(n-k,2) [n k] [k m] must be the
-    Kronecker delta; stated with the binomial-power prefactors rather than as
-    a weight specialization, so it is checked on its own.
-    """
-    for n in range(n_max + 1):
-        for m in range(n + 1):
-            total = ring_sum(
-                _sign(k - m) * P ** comb(k - m, 2) * Q ** comb(n - k, 2)
-                * pq_binomial(n, k) * pq_binomial(k, m)
-                for k in range(m, n + 1))
-            if total != (ONE if n == m else ZERO):
-                return False
-    return True
+def pq_binomial_delta_sum(n: int, m: int) -> RingValue:
+    """The signed pq-binomial orthogonality sum at (n, m), which is the Kronecker
+    delta: sum over k of (-1)^(k-m) p^C(k-m,2) q^C(n-k,2) [n k] [k m].  Stated
+    with binomial-power prefactors, not as a weight specialization."""
+    return ring_sum(
+        _sign(k - m) * P ** comb(k - m, 2) * Q ** comb(n - k, 2)
+        * pq_binomial(n, k) * pq_binomial(k, m)
+        for k in range(m, n + 1))
 
 
 # -- inverse pairs and relations ---------------------------------------------------
@@ -203,9 +206,7 @@ def inverse_pair(kind: str, r: int, alpha: int, beta: int, weights: WeightPair):
         raise ValueError("dimension parameter r must be nonnegative")
     first, second = _pair_entries(kind, alpha, beta, weights)
     a, b = RingMatrix.from_function(r + 1, first), RingMatrix.from_function(r + 1, second)
-    left = a * b
-    right = b * a
-    if not left.is_identity() or not right.is_identity():
+    if not (a * b).is_identity() or not (b * a).is_identity():
         raise NotInverse(f"{kind} pair at r={r}, alpha={alpha}, beta={beta} "
                          f"is not a two-sided inverse")
     return a, b
@@ -240,33 +241,21 @@ def inverse_relation_apply(direction: str, sequence, r: int, alpha: int, beta: i
 
 # -- convolutions -------------------------------------------------------------------
 
-def _split_sides(kind, m1, m2, r, s, alpha, beta, pair):
-    # window outside which one factor vanishes by index range
-    lo, hi = max(r - m1, -s), min(r, m2 - s)
+def convolution_sum(kind: str, m1: int, m2: int, n: int, alpha: int, beta: int,
+                    weights: WeightPair) -> RingValue:
+    """The convolution sum, which is the entry (m1+m2, n) at (alpha, beta).
+
+    The paper states a sum for each split r + s = n, over the k outside which
+    one factor vanishes by index range.  Term k of split (r, s) is term k + s
+    of the row split (n, 0), over the same window, so every split is this sum.
+    """
+    _check(kind, m1, m2, n)
+    window = range(max(n - m1, 0), min(n, m2) + 1)
     if kind == "first":
-        lhs = first_kind(pair, alpha, beta, m1 + m2, r + s)
-        rhs = ring_sum(first_kind(pair, alpha + m2, beta, m1, r - k)
-                       * first_kind(pair, alpha, beta + m1, m2, s + k)
-                       for k in range(lo, hi + 1))
-    else:
-        lhs = second_kind(pair, alpha, beta, m1 + m2, r + s)
-        rhs = ring_sum(second_kind(pair, alpha + s + k, beta, m1, r - k)
-                       * second_kind(pair, alpha, beta + r - k, m2, s + k)
-                       for k in range(lo, hi + 1))
-    return lhs, rhs
-
-
-def convolution_check(kind: str, m1: int, m2: int, n: int, alpha: int, beta: int,
-                      weights: WeightPair) -> bool:
-    """Check every two-index split r+s = n of the truncated-window
-    convolution; the split r = n, s = 0 is the row-split convolution."""
-    if kind not in ("first", "second"):
-        raise ValueError(f"kind must be first or second, got {kind!r}")
-    for r in range(n + 1):
-        lhs, rhs = _split_sides(kind, m1, m2, r, n - r, alpha, beta, weights)
-        if lhs != rhs:
-            return False
-    return True
+        return ring_sum(first_kind(weights, alpha + m2, beta, m1, n - k)
+                        * first_kind(weights, alpha, beta + m1, m2, k) for k in window)
+    return ring_sum(second_kind(weights, alpha + k, beta, m1, n - k)
+                    * second_kind(weights, alpha, beta + n - k, m2, k) for k in window)
 
 
 # -- LU factorization and determinants ----------------------------------------------
@@ -274,6 +263,7 @@ def convolution_check(kind: str, m1: int, m2: int, n: int, alpha: int, beta: int
 def hankel_matrix(kind: str, r: int, s: int, alpha: int, beta: int,
                   weights: WeightPair) -> RingMatrix:
     """The (r+1)-square matrix with entries at (s+i+j, s+j) and sliding offsets."""
+    _check(kind, r, s)
     if kind == "first":
         return RingMatrix.from_function(
             r + 1,
@@ -283,12 +273,9 @@ def hankel_matrix(kind: str, r: int, s: int, alpha: int, beta: int,
         lambda i, j: second_kind(weights, alpha, beta - j, s + i + j, s + j))
 
 
-def lu_check(kind: str, r: int, s: int, alpha: int, beta: int, weights: WeightPair):
-    """Build the L and U factors; returns (L, U, product_equals_matrix)."""
-    if kind not in ("first", "second"):
-        raise ValueError(f"kind must be first or second, got {kind!r}")
-    if r < 0 or s < 0:
-        raise ValueError("r and s must be nonnegative")
+def lu_factors(kind: str, r: int, s: int, alpha: int, beta: int, weights: WeightPair):
+    """The triangular factors (L, U) of hankel_matrix(kind, r, s, alpha, beta, weights)."""
+    _check(kind, r, s)
     if kind == "first":
         lower = RingMatrix.from_function(
             r + 1, lambda i, k: first_kind(weights, alpha - i, beta, s + i, s + k))
@@ -299,13 +286,13 @@ def lu_check(kind: str, r: int, s: int, alpha: int, beta: int, weights: WeightPa
             r + 1, lambda i, k: second_kind(weights, alpha, beta - k, s + i, s + k))
         upper = RingMatrix.from_function(
             r + 1, lambda k, j: second_kind(weights, alpha + s + k, beta - j, j, j - k))
-    target = hankel_matrix(kind, r, s, alpha, beta, weights)
-    return lower, upper, lower * upper == target
+    return lower, upper
 
 
 def det_formula(kind: str, r: int, s: int, alpha: int, beta: int,
                 weights: WeightPair) -> RingValue:
     """Closed-form product for the determinant of hankel_matrix."""
+    _check(kind, r, s)
     if kind == "first":
         return product(
             weights.v.eval(alpha + s + k - 1 - t) * weights.w.eval(beta - k + t)
@@ -315,15 +302,19 @@ def det_formula(kind: str, r: int, s: int, alpha: int, beta: int,
         for k in range(r + 1))
 
 
-def ehrenborg_det_check(r: int, s: int) -> bool:
-    """Scaled q-analogue determinant against its closed form."""
-    if r < 0 or s < 0:
-        raise ValueError("r and s must be nonnegative")
+def scaled_q_hankel_matrix(r: int, s: int) -> RingMatrix:
+    """The (r+1)-square second-kind q-Stirling matrix with entries at
+    (s+i+j, s+j), column j scaled by q^C(s+j, 2)."""
+    _check("second", r, s)
     pair = builtin("q-stirling")
-    matrix = RingMatrix.from_function(
+    return RingMatrix.from_function(
         r + 1,
         lambda i, j: Q ** comb(s + j, 2) * second_kind(pair, 0, 0, s + i + j, s + j))
+
+
+def scaled_q_det_formula(r: int, s: int) -> RingValue:
+    """Closed form of the determinant of scaled_q_hankel_matrix."""
+    _check("second", r, s)
     qint = WeightSpec("q-integer")
-    formula = Q ** (comb(s + r + 1, 3) - comb(s, 3)) \
+    return Q ** (comb(s + r + 1, 3) - comb(s, 3)) \
         * product(qint.eval(s + t) ** t for t in range(r + 1))
-    return determinant(matrix) == formula

@@ -198,37 +198,28 @@ def weight_sum(kind: str, n: int, k: int, alpha: int, beta: int,
     return ring_sum(weight(t, weights) for t in pool)
 
 
-def triangular_split_check(n: int, k: int, alpha: int = 0, beta: int = 0) -> bool:
-    """Verify the tableau-set partition behind the triangular recurrence.
+def triangular_split(n: int, k: int, alpha: int = 0, beta: int = 0) -> list:
+    """The tableau-set partition behind the triangular recurrence, as one list.
 
     The distinct-top set for (n-1, n-k) splits into the tableaux avoiding
     top alpha+n-1 and those containing the column [alpha+n-1 / beta], with
     the column stripped off the rest.
     """
-    whole = enumerate_Td(alpha, beta, n - 1, n - k)
     rho = BTableau(((alpha + n - 1, beta),))
-    pieces = enumerate_Td(alpha, beta + 1, n - 2, n - k) + [
+    return enumerate_Td(alpha, beta + 1, n - 2, n - k) + [
         juxtapose(rho, t) for t in enumerate_Td(alpha, beta + 1, n - 2, n - k - 1)]
-    return _is_partition(pieces, whole)
 
 
-def convolution_split_check(m1: int, m2: int, n: int, alpha: int = 0, beta: int = 0) -> bool:
-    """Verify the tableau-set partition behind the convolution formula.
+def convolution_split(m1: int, m2: int, n: int, alpha: int = 0, beta: int = 0) -> list:
+    """The tableau-set partition behind the convolution formula, as one list.
 
     The distinct-top set for (m1+m2-1, m1+m2-n) is the disjoint union over k
     of juxtapositions of distinct-top tableaux with tops above and below
     alpha+m2.
     """
-    whole = enumerate_Td(alpha, beta, m1 + m2 - 1, m1 + m2 - n)
     pieces = []
     for split in range(n + 1):
         left = enumerate_Td(alpha + m2, beta, m1 - 1, m1 - n + split)
         right = enumerate_Td(alpha, beta + m1, m2 - 1, m2 - split)
         pieces.extend(juxtapose(t1, t2) for t1 in left for t2 in right)
-    return _is_partition(pieces, whole)
-
-
-def _is_partition(pieces: list, whole: list) -> bool:
-    return (len(pieces) == len(set(pieces))
-            and set(pieces) == set(whole)
-            and len(pieces) == len(whole))
+    return pieces

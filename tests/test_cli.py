@@ -363,12 +363,19 @@ def test_verify_all_on_one_small_weight(capsys):
     assert "0 failed" in out.splitlines()[-1]
 
 
+README = pathlib.Path(__file__).parent.parent / "README.md"
+
+
+def readme_blocks(language):
+    text = README.read_text(encoding="utf-8")
+    return [block.split("```", 1)[0] for block in text.split(f"```{language}\n")[1:]]
+
+
 def readme_examples():
     """(command, expected stdout) for each `$ wstirling ...` block in README.md
     whose output is shown in full, that is, without an elision `...`."""
-    text = (pathlib.Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
-    for block in text.split("```sh\n")[1:]:
-        command, _, output = block.split("```", 1)[0].partition("\n")
+    for block in readme_blocks("sh"):
+        command, _, output = block.partition("\n")
         if command.startswith("$ wstirling ") and "..." not in output:
             yield command[len("$ wstirling "):], output
 
@@ -380,3 +387,16 @@ def test_readme_examples(capsys):
         code, out, _ = run(capsys, *shlex.split(command))
         assert code == 0, command
         assert out == expected, command
+
+
+def test_readme_python_examples(capsys):
+    # each block runs on its own; every `print(...)  # expected` line prints
+    # one line, and the comment is that line
+    blocks = readme_blocks("python")
+    assert len(blocks) == 2
+    for block in blocks:
+        expected = [line.partition("#")[2].strip()
+                    for line in block.splitlines() if line.startswith("print(")]
+        assert expected and all(expected), block
+        exec(block, {})
+        assert capsys.readouterr().out.splitlines() == expected, block

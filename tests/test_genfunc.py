@@ -1,11 +1,11 @@
 import pytest
 
 from wstirling.genfunc import (
-    basis_expand_check,
+    basis_expansion,
     cgf_product,
-    pq_basis_form_check,
-    pq_product_form_check,
-    pq_series_reduction_check,
+    pq_basis_form_residual,
+    pq_product_form_residual,
+    pq_series_reduction_residual,
     sgf_series,
 )
 from wstirling.ring import P, Q, X, ZERO
@@ -39,12 +39,9 @@ def test_sgf_examples():
 
 
 def test_basis_expand_examples():
-    ok, residual = basis_expand_check(0, 0, 0, CLASSICAL)
-    assert ok and residual == ZERO
-    ok, _ = basis_expand_check(1, 1, -1, builtin("jacobi"))
-    assert ok
-    ok, _ = basis_expand_check(4, 0, 0, PQ)
-    assert ok
+    assert basis_expansion(0, 0, 0, CLASSICAL) == 1
+    assert basis_expansion(1, 1, -1, builtin("jacobi")) == X
+    assert basis_expansion(4, 0, 0, PQ) == X ** 4
 
 
 def test_gf_invariants_across_catalog():
@@ -60,8 +57,8 @@ def test_gf_invariants_across_catalog():
                     for k in range(n + 1):
                         assert row.coefficient("x", k) == \
                             first_kind(pair, alpha, beta, n, k), f"{name} cgf ({n},{k})"
-                    ok, residual = basis_expand_check(n, alpha, beta, pair)
-                    assert ok, f"{name} basis ({alpha},{beta},{n}): {residual}"
+                    expansion = basis_expansion(n, alpha, beta, pair)
+                    assert expansion == X ** n, f"{name} basis ({alpha},{beta},{n}): {expansion}"
                 for k in range(5):
                     col = sgf_series(k, 6, alpha, beta, pair)
                     for n in range(k, 7):
@@ -71,10 +68,10 @@ def test_gf_invariants_across_catalog():
 
 def test_pq_forms():
     for n in range(9):
-        ok, residual = pq_product_form_check(n)
-        assert ok, f"product form n={n}: {residual}"
-        ok, residual = pq_basis_form_check(n)
-        assert ok, f"basis form n={n}: {residual}"
+        residual = pq_product_form_residual(n)
+        assert residual == ZERO, f"product form n={n}: {residual}"
+        residual = pq_basis_form_residual(n)
+        assert residual == ZERO, f"basis form n={n}: {residual}"
     for k in range(5):
-        ok, residual = pq_series_reduction_check(k, 8)
-        assert ok, f"series reduction k={k}: {residual}"
+        residual = pq_series_reduction_residual(k, 8)
+        assert residual == ZERO, f"series reduction k={k}: {residual}"

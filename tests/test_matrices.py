@@ -6,20 +6,21 @@ from wstirling.identities import REGISTRY, delta_cells, scan
 from wstirling.matrices import (
     NotInverse,
     RingMatrix,
-    convolution_check,
+    convolution_sum,
     det_formula,
     determinant,
-    ehrenborg_det_check,
     hankel_matrix,
     identity_matrix,
     inverse_pair,
     inverse_relation_apply,
-    lu_check,
+    lu_factors,
     orthogonality_sum,
-    pq_binomial_orthogonality,
+    pq_binomial_delta_sum,
+    scaled_q_det_formula,
+    scaled_q_hankel_matrix,
 )
 from wstirling.ring import ONE, P, Q, RingValue, X, ZERO, ring_sum
-from wstirling.stirling import bracket, first_kind
+from wstirling.stirling import bracket, first_kind, second_kind
 from wstirling.weights import builtin
 
 CLASSICAL = builtin("classical")
@@ -112,7 +113,9 @@ def test_orthogonality_reports_skips():
 
 
 def test_pq_binomial_orthogonality():
-    assert pq_binomial_orthogonality(8)
+    for n in range(9):
+        for m in range(n + 1):
+            assert pq_binomial_delta_sum(n, m) == (1 if n == m else 0), (n, m)
 
 
 def test_inverse_pair_examples():
@@ -181,37 +184,73 @@ def test_inverse_relation_matches_bracket_expansion():
         assert back == powers
 
 
+def entry(kind, pair, alpha, beta, n, k):
+    return (first_kind if kind == "first" else second_kind)(pair, alpha, beta, n, k)
+
+
+def split_sum(kind, m1, m2, r, s, alpha, beta, pair):
+    """Oracle for convolution_sum: the sum as stated for the split r + s = n,
+    over the window outside which one factor vanishes by index range."""
+    window = range(max(r - m1, -s), min(r, m2 - s) + 1)
+    if kind == "first":
+        return ring_sum(first_kind(pair, alpha + m2, beta, m1, r - k)
+                        * first_kind(pair, alpha, beta + m1, m2, s + k) for k in window)
+    return ring_sum(second_kind(pair, alpha + s + k, beta, m1, r - k)
+                    * second_kind(pair, alpha, beta + r - k, m2, s + k) for k in window)
+
+
 def test_convolution_examples():
-    assert convolution_check("second", 1, 2, 2, 0, 0, CLASSICAL)
-    assert convolution_check("first", 1, 2, 2, 0, 0, CLASSICAL)
-    assert convolution_check("second", 3, 0, 2, 1, -1, PQ)
-    assert convolution_check("first", 3, 3, 4, 0, 0, PQ)
+    for kind, m1, m2, n, alpha, beta, pair in [("second", 1, 2, 2, 0, 0, CLASSICAL),
+                                               ("first", 1, 2, 2, 0, 0, CLASSICAL),
+                                               ("second", 3, 0, 2, 1, -1, PQ),
+                                               ("first", 3, 3, 4, 0, 0, PQ)]:
+        assert convolution_sum(kind, m1, m2, n, alpha, beta, pair) == \
+            entry(kind, pair, alpha, beta, m1 + m2, n)
+    assert convolution_sum("second", 1, 2, 2, 0, 0, CLASSICAL) == 3  # S(3, 2)
     with pytest.raises(ValueError):
-        convolution_check("third", 1, 1, 1, 0, 0, CLASSICAL)
+        convolution_sum("third", 1, 1, 1, 0, 0, CLASSICAL)
 
 
 def test_convolution_sweep():
+    # every split r + s = n is the row split, and that sum is the entry (m1+m2, n)
     for name in ("classical", "pq-binomial", "b-stirling", "zeta"):
         pair = builtin(name)
         for kind in ("first", "second"):
             for m1 in range(4):
                 for m2 in range(4):
                     for n in range(m1 + m2 + 1):
-                        assert convolution_check(kind, m1, m2, n, -1, 1, pair), \
+                        total = convolution_sum(kind, m1, m2, n, -1, 1, pair)
+                        assert total == entry(kind, pair, -1, 1, m1 + m2, n), \
                             f"{name} {kind} ({m1},{m2},{n})"
+                        for r in range(n + 1):
+                            assert split_sum(kind, m1, m2, r, n - r, -1, 1, pair) == total, \
+                                f"{name} {kind} ({m1},{m2},{n}) r={r}"
 
 
 def test_lu_example():
-    lower, upper, ok = lu_check("second", 1, 1, 0, 0, CLASSICAL)
-    assert ok
+    lower, upper = lu_factors("second", 1, 1, 0, 0, CLASSICAL)
     assert lower.to_lists() == [["1", "0"], ["1", "1"]]
     assert upper.to_lists() == [["1", "1"], ["0", "2"]]
     m = hankel_matrix("second", 1, 1, 0, 0, CLASSICAL)
     assert m.to_lists() == [["1", "1"], ["1", "3"]]
-    _, _, ok0 = lu_check("second", 0, 3, 1, 1, PQ)
-    assert ok0
-    with pytest.raises(ValueError):
-        lu_check("second", -1, 0, 0, 0, CLASSICAL)
+    assert lower * upper == m
+    lower, upper = lu_factors("second", 0, 3, 1, 1, PQ)
+    assert lower * upper == hankel_matrix("second", 0, 3, 1, 1, PQ)
+
+
+def test_hankel_arguments_are_checked():
+    for fn in (hankel_matrix, det_formula, lu_factors):
+        with pytest.raises(ValueError, match="kind must be first or second"):
+            fn("third", 1, 1, 0, 0, CLASSICAL)
+        with pytest.raises(ValueError, match="nonnegative"):
+            fn("first", -1, 0, 0, 0, CLASSICAL)
+        with pytest.raises(ValueError, match="nonnegative"):
+            fn("second", 0, -2, 0, 0, CLASSICAL)
+    with pytest.raises(ValueError, match="nonnegative"):
+        convolution_sum("first", 1, -1, 0, 0, 0, CLASSICAL)
+    for fn in (scaled_q_hankel_matrix, scaled_q_det_formula):
+        with pytest.raises(ValueError, match="nonnegative"):
+            fn(-1, 0)
 
 
 def test_lu_sweep():
@@ -220,9 +259,10 @@ def test_lu_sweep():
         for kind in ("first", "second"):
             for r in range(4):
                 for s in range(4):
-                    _, _, ok = lu_check(kind, r, s, 0, 0, pair)
-                    assert ok, f"{name} {kind} r={r} s={s}"
-                    det = determinant(hankel_matrix(kind, r, s, 0, 0, pair))
+                    lower, upper = lu_factors(kind, r, s, 0, 0, pair)
+                    matrix = hankel_matrix(kind, r, s, 0, 0, pair)
+                    assert lower * upper == matrix, f"{name} {kind} r={r} s={s}"
+                    det = determinant(matrix)
                     formula = det_formula(kind, r, s, 0, 0, pair)
                     assert det == formula, f"{name} {kind} r={r} s={s}: {det} != {formula}"
 
@@ -243,10 +283,7 @@ def test_det_examples():
 
 
 def test_ehrenborg():
-    assert ehrenborg_det_check(0, 0)
-    assert ehrenborg_det_check(1, 1)
     for r in range(3):
         for s in range(3):
-            assert ehrenborg_det_check(r, s), f"r={r} s={s}"
-    with pytest.raises(ValueError):
-        ehrenborg_det_check(-1, 0)
+            det = determinant(scaled_q_hankel_matrix(r, s))
+            assert det == scaled_q_det_formula(r, s), f"r={r} s={s}"

@@ -11,12 +11,12 @@ from wstirling.tableaux import (
     DomainViolation,
     EnumerationCapExceeded,
     IncompatibleTableaux,
-    convolution_split_check,
+    convolution_split,
     enumerate_T,
     enumerate_Td,
     juxtapose,
     tau,
-    triangular_split_check,
+    triangular_split,
     weight,
     weight_sum,
 )
@@ -165,19 +165,30 @@ def test_weight_sum_matches_definitions():
                                 (name, kind, alpha, beta, n, k)
 
 
+def partitions(pieces, whole):
+    """Do the pieces hold each tableau of whole exactly once?"""
+    return len(pieces) == len(set(pieces)) == len(whole) and set(pieces) == set(whole)
+
+
 def test_proof_partition_triangular():
-    assert triangular_split_check(4, 2)
+    def holds(n, k, alpha=0, beta=0):
+        return partitions(triangular_split(n, k, alpha, beta),
+                          enumerate_Td(alpha, beta, n - 1, n - k))
+    assert holds(4, 2)
     for n in range(1, 6):
         for k in range(n + 1):
-            assert triangular_split_check(n, k, alpha=-1, beta=1), (n, k)
+            assert holds(n, k, alpha=-1, beta=1), (n, k)
 
 
 def test_proof_partition_convolution():
-    assert convolution_split_check(2, 2, 2)
+    def holds(m1, m2, n, alpha=0, beta=0):
+        return partitions(convolution_split(m1, m2, n, alpha, beta),
+                          enumerate_Td(alpha, beta, m1 + m2 - 1, m1 + m2 - n))
+    assert holds(2, 2, 2)
     for m1 in range(4):
         for m2 in range(4):
             for n in range(m1 + m2 + 1):
-                assert convolution_split_check(m1, m2, n, alpha=1, beta=-1), (m1, m2, n)
+                assert holds(m1, m2, n, alpha=1, beta=-1), (m1, m2, n)
     # one factor collapses the union to a single split
-    assert convolution_split_check(3, 0, 2)
-    assert convolution_split_check(0, 3, 2)
+    assert holds(3, 0, 2)
+    assert holds(0, 3, 2)
