@@ -238,9 +238,11 @@ def _step(step, kind, down):
                     _value(kind, down), ("recurrence", "definition"))
 
 
-def _pq_form(tag, residual):
-    # residual() is a p,q form of genfunc, returning its residual at the cell
-    return _residual(lambda *cell: f"{tag}={cell}", lambda pair, *cell: residual()(*cell))
+def _pq_form(names, residual):
+    # residual() is a p,q form of genfunc, returning its residual at the cell,
+    # whose entries the counterexample names in order
+    return _residual(lambda *cell: " ".join(f"{name}={v}" for name, v in zip(names, cell)),
+                     lambda pair, *cell: residual()(*cell))
 
 
 def _inverse_pair(pair):
@@ -364,14 +366,14 @@ _IDENTITIES = (
              lambda nmax, grid: ((n, a, b) for n in range(min(nmax, 6) + 1) for a, b in grid),
              _residual(_n, lambda pair, n, a, b: genfunc.basis_expansion(n, a, b, pair) - X ** n)),
     Identity("genfunc", "pq-row-product", lambda nmax, grid: ((n,) for n in range(nmax + 1)),
-             _pq_form("n", lambda: genfunc.pq_product_form_residual), pairs="pq-binomial"),
+             _pq_form(("n",), lambda: genfunc.pq_product_form_residual), pairs="pq-binomial"),
     Identity("genfunc", "pq-column-series",
              lambda nmax, grid: ((k, nmax) for k in range(min(nmax, 4) + 1)),
-             _pq_form("k,order", lambda: genfunc.pq_series_reduction_residual),
+             _pq_form(("k", "order"), lambda: genfunc.pq_series_reduction_residual),
              pairs="pq-binomial"),
     Identity("genfunc", "pq-basis-expansion",
              lambda nmax, grid: ((n,) for n in range(min(nmax, 6) + 1)),
-             _pq_form("n", lambda: genfunc.pq_basis_form_residual), pairs="pq-binomial"),
+             _pq_form(("n",), lambda: genfunc.pq_basis_form_residual), pairs="pq-binomial"),
 
     Identity("orthogonality", "delta-sums",
              lambda nmax, grid: delta_cells(min(nmax, 6), grid),

@@ -29,6 +29,12 @@ raised instead.
 Rendering sorts monomials by that order, descending, so output is stable,
 e.g. "p^4 + p^3*q + 2*p^2*q^2".  parse() accepts exactly what render() emits,
 modulo whitespace.
+
+A second format serves the symmetric-function DP of a table's definition
+path: packed_line() turns a line of integer products, or of products in one
+variable with nonnegative coefficients, into Python ints the DP can run on
+(Kronecker substitution), and PackedLine.decode() turns each entry back into
+a RingValue.  See "packed lines" below.
 """
 
 from __future__ import annotations
@@ -462,6 +468,162 @@ def parse(text: str) -> RingValue:
         else:
             total.pop(key, None)
     return RingValue._raw(total)
+
+
+# -- packed lines --------------------------------------------------------------------
+#
+# A table's definition path runs its symmetric-function DP over one line of
+# weight products, a first-kind row or a second-kind column.  Two kinds of
+# line run it on Python ints instead of dicts:
+#
+# * every product is an integer: the DP runs on the integers themselves;
+# * every product lies in one variable y of p, q, z, has nonnegative
+#   coefficients, and at least one has two or more terms: the product
+#   sum c_e y^e is packed as the int sum c_e 2^(8B(e - S)), S the least
+#   exponent of the line (Kronecker substitution).  The DP over the packed
+#   products then yields y^(-tS) times its entry t, packed, as long as no
+#   coefficient reaches 2^(8B).  With nonnegative coefficients, no coefficient
+#   of an entry, or of any value the DP builds on the way to it, exceeds its
+#   value at y = 1.  So the same DP run first on the values at y = 1 bounds
+#   every coefficient, and B is that bound's byte count.  Values are packed
+#   and unpacked a byte string at a time, in time linear in their size.
+#
+# Every other line stays on dicts.  So does a line whose packed products would
+# be mostly zeros, more than _SPREAD slots a term (1 + q^100, say), which costs
+# the packed DP more than it saves; and so does every line the packed DP could
+# take past the term budget or the exponent range, so that the dict path
+# raises there exactly as it would have.
+
+
+_SPREAD = 4
+
+
+class PackedLine:
+    """One line of weight products, ready for a DP on Python ints.
+
+    values holds the products as given, ones their values at y = 1 (for an
+    integer line, the integers), and packed the products packed at the
+    current width (for an integer line, the integers again).  An entry the DP
+    builds from t products (e_t, or h_t) decodes with decode(entry, t).
+    """
+
+    __slots__ = ("values", "ones", "packed", "is_integer", "_slots", "_low", "_top",
+                 "_step", "_size")
+
+    def __init__(self, values, ones, slots=None, low=0, step=0):
+        self.values = values
+        self.ones = self.packed = ones
+        self.is_integer = slots is None
+        self._slots = slots  # per product, its coefficients of y^S, y^(S+1), ...
+        self._low = low  # S
+        self._top = max(map(len, slots)) - 1 if slots else 0  # the largest slot used
+        self._step = step  # key of y^(e+1) minus key of y^e
+        self._size = 0  # bytes per slot; 0 until widen() first runs
+
+    def fits(self, degree: int) -> bool:
+        """Whether the DP may build entries of up to degree products here.
+
+        A packed product spans at most top + 1 slots and an entry of degree
+        d - 1 at most (d - 1) * top + 1, which bounds the term pairs of every
+        product the dict path would make; entries of degree d hold exponents
+        in [d * S, d * (S + top)], which must stay in the ring's range.
+        """
+        top, low = self._top, self._low
+        return ((top + 1) * (max(degree - 1, 0) * top + 1) <= TERM_BUDGET
+                and -_LIMIT <= degree * low and degree * (low + top) < _LIMIT)
+
+    def widen(self, bound: int, state: list = None) -> None:
+        """Make slots hold any coefficient up to bound, re-packing the products
+        and, in place, the packed values of state."""
+        size = max(1, (bound.bit_length() + 7) // 8)
+        old = self._size
+        if self.is_integer or size <= old:
+            return
+        if old:
+            count = len(self.packed)
+            values = _resize(self.packed + (state or []), old, size)
+            self.packed = values[:count]
+            if state:
+                state[:] = values[count:]
+        else:  # the first width; the DP's values so far are its unit, 1 at any width
+            self.packed = [_pack_slots(slots, size) for slots in self._slots]
+        self._size = size
+
+    def decode(self, value: int, degree: int) -> RingValue:
+        """The RingValue of an entry packed from degree products."""
+        if self.is_integer or not self._size:  # before widen() the DP holds only 0 and 1
+            return RingValue.from_int(value)
+        step = self._step
+        key = _UNIT + degree * self._low * step
+        out = {}
+        for coeff in _unpack_slots(value, self._size):
+            if coeff:
+                out[key] = coeff
+            key += step
+        return RingValue._raw(out)
+
+
+def packed_line(values) -> PackedLine | None:
+    """The products values as a PackedLine, or None where they must stay on dicts."""
+    terms = [value.terms for value in values]
+    ints = [t.get(_UNIT, 0) for t in terms if not t or (len(t) == 1 and _UNIT in t)]
+    if len(ints) == len(terms):
+        return PackedLine(values, ints)
+    # y is the one variable of the first term that is not a constant
+    wide = next((t for t in terms if len(t) > 1), None)
+    if wide is None:  # monomials only: packing would buy nothing
+        return None
+    key = next(key for key in wide if key != _UNIT)
+    shift = next((s for s in _SHIFTS[:_X] if (key >> s) & _MASK != _LIMIT), None)
+    if shift is None:
+        return None
+    step = (1 << _DEGREE_SHIFT) + (1 << shift)
+    exps = []
+    for t in terms:
+        row = {}
+        for key, coeff in t.items():
+            e = ((key >> shift) & _MASK) - _LIMIT
+            if coeff < 0 or key != _UNIT + e * step:
+                return None
+            row[e] = coeff
+        exps.append(row)
+    low = min(min(row) for row in exps if row)
+    spans = [max(row) - low + 1 if row else 0 for row in exps]
+    if sum(spans) > _SPREAD * sum(map(len, exps)):
+        return None
+    slots = [[row.get(e, 0) for e in range(low, low + span)] for row, span in zip(exps, spans)]
+    return PackedLine(values, [sum(row.values()) for row in exps], slots, low, step)
+
+
+def _pack_slots(coeffs: list, size: int) -> int:
+    """The int holding coeffs[i] in slot i, size bytes a slot."""
+    return int.from_bytes(b"".join(c.to_bytes(size, "little") for c in coeffs), "little")
+
+
+def _unpack_slots(value: int, size: int) -> list:
+    """The coefficients in the slots of value, lowest first, up to its last nonzero one."""
+    data = value.to_bytes(-(-value.bit_length() // (8 * size)) * size, "little")
+    return [int.from_bytes(data[i:i + size], "little") for i in range(0, len(data), size)]
+
+
+def _resize(values: list, old: int, new: int) -> list:
+    """values, packed with old bytes a slot, packed with new > old bytes a slot.
+
+    All of them go through one byte string, so the cost per value is a few
+    calls however many bytes a slot has.
+    """
+    bits = 8 * old
+    chunks = [value.to_bytes(-(-value.bit_length() // bits) * old, "little") for value in values]
+    data = b"".join(chunks)
+    out = bytearray(len(data) // old * new)
+    for byte in range(old):  # little-endian: each slot keeps its low bytes
+        out[byte::new] = data[byte::old]
+    resized, start = [], 0
+    for chunk in chunks:
+        end = start + len(chunk) // old * new
+        resized.append(int.from_bytes(out[start:end], "little"))
+        start = end
+    return resized
 
 
 def product(values: Iterable[Coercible]) -> RingValue:

@@ -10,6 +10,14 @@ v(alpha+k)w(beta), ..., v(alpha)w(beta+k).  Negative n or k, and k > n, give
 Both kinds live in a StirlingTable, the one owner of computed values.  It
 builds them by definition (the symmetric-function DP) or by the triangular
 recurrence, walked iteratively, so the two paths cross-check each other.
+The definition path runs the DP of a line (a first-kind row, a second-kind
+column) on Python ints when ring.packed_line accepts its weight products:
+all integers (classical, legendre, merris, sun, b-stirling), or all in one
+of p, q, z with nonnegative coefficients (q-stirling, jacobi at nonnegative
+indices), which it packs into big ints by Kronecker substitution.  The
+entries are decoded into the same RingValues the dict DP would build.  Every
+other line, and the whole recurrence path, stays on the dict-based
+RingValue, so the cross-check also compares two arithmetic backends.
 first_kind and second_kind read from a small bounded cache of definition
 tables.  Next to them sit the vertical and horizontal recurrences (the
 horizontal ones consume row n+1, so they are evaluators used for cross
@@ -22,8 +30,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .ring import ONE, RingValue, X, ZERO, product, ring_sum
-from .symfunc import elementary_all, homogeneous_series
+from .ring import ONE, RingValue, X, ZERO, packed_line, product, ring_sum
+from .symfunc import elementary_all, elementary_packed, homogeneous_packed, homogeneous_series
 from .weights import WeightPair, WeightSpec, builtin
 
 KINDS = ("first", "second")
@@ -77,7 +85,9 @@ class StirlingTable:
 
     def _row(self, n: int) -> list:
         if self.method == "definition":
-            row = elementary_all(self._products(n - 1))[::-1]
+            products = self._products(n - 1)
+            line = packed_line(products)
+            row = (elementary_all(products) if line is None else elementary_packed(line))[::-1]
         else:
             # c(a,b;m,k) = c(a,b+1;m-1,k-1) + v(a+m-1)w(b) c(a,b+1;m-1,k), walked up
             # from row 0 at beta+n to row n at beta, shifting b down a step per row
@@ -93,9 +103,14 @@ class StirlingTable:
         steps = self._steps.get(k)
         if steps is None:
             v, w, a, b = self.weights.v, self.weights.w, self.alpha, self.beta
-            steps = self._steps[k] = (
-                homogeneous_series(self._products(k)) if self.method == "definition"
-                else _recurrence_column([v.eval(a + j) * w.eval(b + k - j) for j in range(k + 1)]))
+            if self.method == "definition":
+                products = self._products(k)
+                line = packed_line(products)
+                steps = homogeneous_series(products) if line is None else homogeneous_packed(line)
+            else:
+                steps = _recurrence_column([v.eval(a + j) * w.eval(b + k - j)
+                                            for j in range(k + 1)])
+            self._steps[k] = steps
             self._lines[k] = []
         column = self._lines[k]
         while len(column) <= d:

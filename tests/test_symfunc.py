@@ -1,8 +1,15 @@
 import itertools
 import random
 
-from wstirling.ring import ONE, P, Q, RingValue, X, ZERO, ring_sum, product
-from wstirling.symfunc import elementary, elementary_all, homogeneous, homogeneous_upto
+import pytest
+
+from wstirling import ring
+from wstirling.ring import (ONE, P, Q, Z, ExponentOverflow, RingValue, X, ZERO, packed_line,
+                            parse, ring_sum, product)
+from wstirling.symfunc import (elementary, elementary_all, elementary_dp, elementary_packed,
+                               homogeneous, homogeneous_packed, homogeneous_series,
+                               homogeneous_upto)
+from wstirling.weights import WeightSpec, builtin
 
 
 def brute_elementary(t, xs):
@@ -71,3 +78,126 @@ def test_bulk_helpers_agree():
     assert homogeneous_upto(4, xs) == [homogeneous(t, xs) for t in range(5)]
     assert homogeneous_upto(0, ()) == [ONE]
     assert elementary_all(()) == [ONE]
+
+
+# -- the packed-int backend against the dict DP ---------------------------------------
+
+def q_integers(*indices):
+    spec = WeightSpec("q-integer")
+    return [spec.eval(j) for j in indices]
+
+
+def jacobi_products(alpha, n):
+    v = builtin("jacobi").v
+    return [v.eval(alpha + j) for j in range(n)]
+
+
+def laurent_products(n):
+    # the spec weight z^-1 + i at i = 0..n-1: z^-1 alone at 0, then two terms
+    v = WeightSpec("polynomial", coefficients=["z^-1", 1])
+    return [v.eval(j) for j in range(n)]
+
+
+def assert_packed_matches(values, degree):
+    """Both packed DPs over values equal the dict DPs, entry by entry."""
+    line = packed_line(values)
+    assert line is not None
+    assert elementary_packed(line) == elementary_all(values)
+    packed = homogeneous_packed(packed_line(values))
+    for d, want in enumerate(itertools.islice(homogeneous_series(values), degree + 1)):
+        assert next(packed) == want, d
+
+
+LINES = {
+    "positive integers": [RingValue.from_int(c) for c in (3, 1, 4, 1, 5, 9, 2, 6)],
+    "negative integers": [RingValue.from_int(c) for c in (-3, -1, -4, -1, -5, -9, -2, -6)],
+    "mixed-sign integers": [RingValue.from_int(c) for c in (7, -2, 0, 5, -11)],
+    "q-stirling": q_integers(6, 5, 4, 3, 2, 1),
+    "q-stirling with a zero product": q_integers(3, 2, 1, 0),
+    "long q-stirling": q_integers(*range(12, 0, -1)),  # entries pass 32 slots
+    "jacobi": jacobi_products(1, 9),
+    "laurent in z": laurent_products(7),
+    # 254 + z and 256 + z: the largest value at z = 1 is 255 * 257 = 2^16 - 1
+    "byte boundary": [254 + Z, 256 + Z],
+    "gaps in p": [1 + P ** 3, 2 * P ** 2, RingValue.from_int(7)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(LINES))
+def test_packed_dp_matches_dict_dp(name):
+    assert_packed_matches(LINES[name], 12)
+
+
+def test_line_kinds():
+    for name in ("positive integers", "negative integers", "mixed-sign integers"):
+        assert packed_line(LINES[name]).is_integer, name
+    for name in ("q-stirling", "jacobi", "laurent in z", "byte boundary"):
+        assert not packed_line(LINES[name]).is_integer, name
+    # the boundary case is what it claims: the DP at z = 1 reaches exactly 16 bits
+    line = packed_line(LINES["byte boundary"])
+    assert max(elementary_dp(line.ones, 1, 0)).bit_length() == 16
+    assert elementary_packed(line)[2] == Z ** 2 + 510 * Z + 65024
+
+
+def test_column_outgrows_its_width():
+    # h_d at q = 1 grows about 3.5 bits a degree, so the slots widen from 1 byte
+    # through every size up to 11 bytes, and values pass 32 slots early
+    values = q_integers(9, 10, 11)
+    packed = homogeneous_packed(packed_line(values))
+    for d, want in enumerate(itertools.islice(homogeneous_series(values), 23)):
+        assert next(packed) == want, d
+    assert want.substitute({"q": 1}).as_int().bit_length() == 82
+    assert len(want.terms) == 221
+
+
+@pytest.mark.parametrize("values", [
+    jacobi_products(-3, 6),  # -3z + 9: mixed signs
+    [1 - Q, Q],  # a negative coefficient in one variable
+    [Q ** 2, 2 * Q, ONE],  # monomials only
+    [P + Q, ONE],  # two variables in one product
+    [P + 1, Q + 1],  # one variable a product, two in the line
+    [X + 1, ONE],  # the series variable
+], ids=["mixed signs", "negative coefficient", "monomials", "two variables",
+        "two variables across products", "x"])
+def test_ineligible_lines_stay_on_dicts(values):
+    assert packed_line(values) is None
+
+
+def test_lines_past_the_budget_return_to_dicts(monkeypatch):
+    # 1 + q^2 packs into 3 slots but has 2 terms; under a budget of 21 slot
+    # pairs the packed column stops after degree 4 and the dict DP, which walks
+    # 2 * d term pairs at degree d, carries on from its state
+    values = [1 + Q ** 2]
+    want = list(itertools.islice(homogeneous_series(values), 10))
+    monkeypatch.setattr(ring, "TERM_BUDGET", 21)
+    line = packed_line(values)
+    assert line.fits(4) and not line.fits(5)
+    assert list(itertools.islice(homogeneous_packed(line), 10)) == want
+    # under a budget of 2 no packed step fits, so the dict DP starts at degree 0
+    monkeypatch.setattr(ring, "TERM_BUDGET", 2)
+    assert list(itertools.islice(homogeneous_packed(packed_line(values)), 2)) == want[:2]
+    monkeypatch.setattr(ring, "TERM_BUDGET", 21)
+    # a row over budget never packs; its dict DP raises as it always did
+    wide = q_integers(5, 5)
+    assert not packed_line(wide).fits(2)
+    with pytest.raises(ring.TermBudgetExceeded):
+        elementary_packed(packed_line(wide))
+
+
+def test_mostly_empty_lines_stay_on_dicts():
+    # at most 4 slots a term: 1 + q^7 packs into 8 slots, 1 + q^8 into 9
+    assert packed_line([1 + Q ** 7]) is not None
+    assert packed_line([1 + Q ** 8]) is None
+    assert packed_line([parse("z^536870912 + 1")]) is None
+
+
+def test_lines_past_the_exponent_range_return_to_dicts():
+    big = parse("z^536870912 + z^536870913")  # z^(2^29) (1 + z): a product of two overflows
+    line = packed_line([big, big])
+    assert line.fits(1) and not line.fits(2)
+    with pytest.raises(ExponentOverflow):
+        elementary_packed(line)
+    column = homogeneous_packed(packed_line([big]))
+    assert [next(column) for _ in range(2)] == [ONE, big]
+    with pytest.raises(ExponentOverflow):
+        next(column)
