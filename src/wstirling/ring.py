@@ -547,6 +547,7 @@ class PackedLine:
                 state[:] = values[count:]
         else:  # the first width; the DP's values so far are its unit, 1 at any width
             self.packed = [_pack_slots(slots, size) for slots in self._slots]
+            self._slots = None  # later widths re-pack self.packed
         self._size = size
 
     def decode(self, value: int, degree: int) -> RingValue:
