@@ -488,13 +488,14 @@ def parse(text: str) -> RingValue:
 #   every coefficient, and B is that bound's byte count.  Values are packed
 #   and unpacked a byte string at a time, in time linear in their size.
 #
-# Every other line stays on dicts.  So does a line whose packed products would
-# be mostly zeros, more than _SPREAD slots a term (1 + q^100, say), which costs
-# the packed DP more than it saves; and so does every line the packed DP could
-# take past the term budget or the exponent range, so that the dict path
-# raises there exactly as it would have.
+# Every other line stays on dicts.  So does a line of fewer than _MIN_PRODUCTS
+# products, whose DP is a handful of ring operations, fewer than packing costs
+# to set up; a line whose packed products would be mostly zeros, more than
+# _SPREAD slots a term (1 + q^100, say), which costs the packed DP more than it
+# saves; and every line the packed DP could take past the term budget or the
+# exponent range, so that the dict path raises there exactly as it would have.
 
-
+_MIN_PRODUCTS = 5
 _SPREAD = 4
 
 
@@ -566,6 +567,8 @@ class PackedLine:
 
 def packed_line(values) -> PackedLine | None:
     """The products values as a PackedLine, or None where they must stay on dicts."""
+    if len(values) < _MIN_PRODUCTS:
+        return None
     terms = [value.terms for value in values]
     ints = [t.get(_UNIT, 0) for t in terms if not t or (len(t) == 1 and _UNIT in t)]
     if len(ints) == len(terms):

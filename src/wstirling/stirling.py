@@ -11,12 +11,12 @@ Both kinds live in a StirlingTable, the one owner of computed values.  It
 builds them by definition (the symmetric-function DP) or by the triangular
 recurrence, walked iteratively, so the two paths cross-check each other.
 The definition path runs the DP of a line (a first-kind row, a second-kind
-column) on Python ints when ring.packed_line accepts its weight products:
-all integers (classical, legendre, merris, sun, b-stirling), or all in one
-of p, q, z with nonnegative coefficients (q-stirling, jacobi at nonnegative
-indices), which it packs into big ints by Kronecker substitution.  The
-entries are decoded into the same RingValues the dict DP would build.  Every
-other line, and the whole recurrence path, stays on the dict-based
+column) on Python ints when ring.packed_line accepts its weight products: five
+or more, all integers (classical, legendre, merris, sun, b-stirling), or all
+in one of p, q, z with nonnegative coefficients (q-stirling, jacobi at
+nonnegative indices), which it packs into big ints by Kronecker substitution.
+The entries are decoded into the same RingValues the dict DP would build.
+Every other line, and the whole recurrence path, stays on the dict-based
 RingValue, so the cross-check also compares two arithmetic backends.
 first_kind and second_kind read from a small bounded cache of definition
 tables.  Next to them sit the vertical and horizontal recurrences (the

@@ -98,6 +98,12 @@ def laurent_products(n):
     return [v.eval(j) for j in range(n)]
 
 
+def five(*values):
+    """values padded with zero products to the five a line needs to pack; a
+    zero product changes no entry of h and only appends zeros to e."""
+    return list(values) + [ZERO] * (5 - len(values))
+
+
 def assert_packed_matches(values, degree):
     """Both packed DPs over values equal the dict DPs, entry by entry."""
     line = packed_line(values)
@@ -113,13 +119,13 @@ LINES = {
     "negative integers": [RingValue.from_int(c) for c in (-3, -1, -4, -1, -5, -9, -2, -6)],
     "mixed-sign integers": [RingValue.from_int(c) for c in (7, -2, 0, 5, -11)],
     "q-stirling": q_integers(6, 5, 4, 3, 2, 1),
-    "q-stirling with a zero product": q_integers(3, 2, 1, 0),
+    "q-stirling with a zero product": q_integers(4, 3, 2, 1, 0),
     "long q-stirling": q_integers(*range(12, 0, -1)),  # entries pass 32 slots
     "jacobi": jacobi_products(1, 9),
     "laurent in z": laurent_products(7),
     # 254 + z and 256 + z: the largest value at z = 1 is 255 * 257 = 2^16 - 1
-    "byte boundary": [254 + Z, 256 + Z],
-    "gaps in p": [1 + P ** 3, 2 * P ** 2, RingValue.from_int(7)],
+    "byte boundary": five(254 + Z, 256 + Z),
+    "gaps in p": five(1 + P ** 3, 2 * P ** 2, RingValue.from_int(7)),
 }
 
 
@@ -140,25 +146,26 @@ def test_line_kinds():
 
 
 def test_column_outgrows_its_width():
-    # h_d at q = 1 grows about 3.5 bits a degree, so the slots widen from 1 byte
-    # through every size up to 11 bytes, and values pass 32 slots early
-    values = q_integers(9, 10, 11)
+    # h_d at q = 1 grows about 4 bits a degree, so the slots widen from 1 byte
+    # through every size up to 11 bytes
+    values = q_integers(7, 8, 9, 10, 11)
     packed = homogeneous_packed(packed_line(values))
     for d, want in enumerate(itertools.islice(homogeneous_series(values), 23)):
         assert next(packed) == want, d
-    assert want.substitute({"q": 1}).as_int().bit_length() == 82
+    assert want.substitute({"q": 1}).as_int().bit_length() == 85
     assert len(want.terms) == 221
 
 
 @pytest.mark.parametrize("values", [
     jacobi_products(-3, 6),  # -3z + 9: mixed signs
-    [1 - Q, Q],  # a negative coefficient in one variable
-    [Q ** 2, 2 * Q, ONE],  # monomials only
-    [P + Q, ONE],  # two variables in one product
-    [P + 1, Q + 1],  # one variable a product, two in the line
-    [X + 1, ONE],  # the series variable
+    five(1 - Q, Q),  # a negative coefficient in one variable
+    five(Q ** 2, 2 * Q, ONE),  # monomials only
+    five(P + Q, ONE),  # two variables in one product
+    five(P + 1, Q + 1),  # one variable a product, two in the line
+    five(X + 1, ONE),  # the series variable
+    q_integers(4, 3, 2, 1),  # four products: too few to repay packing
 ], ids=["mixed signs", "negative coefficient", "monomials", "two variables",
-        "two variables across products", "x"])
+        "two variables across products", "x", "short"])
 def test_ineligible_lines_stay_on_dicts(values):
     assert packed_line(values) is None
 
@@ -167,7 +174,7 @@ def test_lines_past_the_budget_return_to_dicts(monkeypatch):
     # 1 + q^2 packs into 3 slots but has 2 terms; under a budget of 21 slot
     # pairs the packed column stops after degree 4 and the dict DP, which walks
     # 2 * d term pairs at degree d, carries on from its state
-    values = [1 + Q ** 2]
+    values = five(1 + Q ** 2)
     want = list(itertools.islice(homogeneous_series(values), 10))
     monkeypatch.setattr(ring, "TERM_BUDGET", 21)
     line = packed_line(values)
@@ -178,7 +185,7 @@ def test_lines_past_the_budget_return_to_dicts(monkeypatch):
     assert list(itertools.islice(homogeneous_packed(packed_line(values)), 2)) == want[:2]
     monkeypatch.setattr(ring, "TERM_BUDGET", 21)
     # a row over budget never packs; its dict DP raises as it always did
-    wide = q_integers(5, 5)
+    wide = five(*q_integers(5, 5))
     assert not packed_line(wide).fits(2)
     with pytest.raises(ring.TermBudgetExceeded):
         elementary_packed(packed_line(wide))
@@ -186,18 +193,18 @@ def test_lines_past_the_budget_return_to_dicts(monkeypatch):
 
 def test_mostly_empty_lines_stay_on_dicts():
     # at most 4 slots a term: 1 + q^7 packs into 8 slots, 1 + q^8 into 9
-    assert packed_line([1 + Q ** 7]) is not None
-    assert packed_line([1 + Q ** 8]) is None
-    assert packed_line([parse("z^536870912 + 1")]) is None
+    assert packed_line(five(1 + Q ** 7)) is not None
+    assert packed_line(five(1 + Q ** 8)) is None
+    assert packed_line(five(parse("z^536870912 + 1"))) is None
 
 
 def test_lines_past_the_exponent_range_return_to_dicts():
     big = parse("z^536870912 + z^536870913")  # z^(2^29) (1 + z): a product of two overflows
-    line = packed_line([big, big])
+    line = packed_line(five(big, big))
     assert line.fits(1) and not line.fits(2)
     with pytest.raises(ExponentOverflow):
         elementary_packed(line)
-    column = homogeneous_packed(packed_line([big]))
+    column = homogeneous_packed(packed_line(five(big)))
     assert [next(column) for _ in range(2)] == [ONE, big]
     with pytest.raises(ExponentOverflow):
         next(column)
