@@ -573,7 +573,7 @@ def packed_line(values) -> PackedLine | None:
     ints = [t.get(_UNIT, 0) for t in terms if not t or (len(t) == 1 and _UNIT in t)]
     if len(ints) == len(terms):
         return PackedLine(values, ints)
-    # y is the one variable of the first term that is not a constant
+    # y is the variable of a non-constant term of the first product with two or more terms
     wide = next((t for t in terms if len(t) > 1), None)
     if wide is None:  # monomials only: packing would buy nothing
         return None

@@ -102,12 +102,12 @@ class StirlingTable:
         """Column k, extended as far as row k + d."""
         steps = self._steps.get(k)
         if steps is None:
-            v, w, a, b = self.weights.v, self.weights.w, self.alpha, self.beta
             if self.method == "definition":
                 products = self._products(k)
                 line = packed_line(products)
                 steps = homogeneous_series(products) if line is None else homogeneous_packed(line)
             else:
+                v, w, a, b = self.weights.v, self.weights.w, self.alpha, self.beta
                 steps = _recurrence_column([v.eval(a + j) * w.eval(b + k - j)
                                             for j in range(k + 1)])
             self._steps[k] = steps

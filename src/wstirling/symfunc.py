@@ -43,13 +43,12 @@ def elementary_dp(xs: Sequence, one, zero) -> list:
 
 def elementary_packed(line: PackedLine) -> list:
     """elementary_all(line.values), computed on the line's ints."""
-    ones = line.ones
-    if not line.fits(len(ones)):
+    if not line.fits(len(line.ones)):
         return elementary_all(line.values)
-    ones = elementary_dp(ones, 1, 0)
+    at_one = elementary_dp(line.ones, 1, 0)
     if line.is_integer:
-        return [RingValue.from_int(e) for e in ones]
-    line.widen(max(ones))
+        return [RingValue.from_int(e) for e in at_one]
+    line.widen(max(at_one))
     return [line.decode(e, t) for t, e in enumerate(elementary_dp(line.packed, 1, 0))]
 
 
@@ -95,16 +94,16 @@ def homogeneous_packed(line: PackedLine) -> Iterator[RingValue]:
     could outgrow them.  At the first degree the line does not fit, the state
     goes back to homogeneous_series on RingValues.
     """
-    ones = [1] * len(line.ones)
-    packed = ones if line.is_integer else [1] * len(ones)
+    at_one = [1] * len(line.ones)  # the DP's state at y = 1
+    state = at_one if line.is_integer else [1] * len(at_one)
     degree = 0
     yield ONE
     while line.fits(degree + 1):
-        bound = homogeneous_step(line.ones, ones, 0)
+        bound = homogeneous_step(line.ones, at_one, 0)
         degree += 1
         if line.is_integer:
             yield RingValue.from_int(bound)
             continue
-        line.widen(bound, packed)
-        yield line.decode(homogeneous_step(line.packed, packed, 0), degree)
-    yield from homogeneous_series(line.values, [line.decode(h, degree) for h in packed])
+        line.widen(bound, state)
+        yield line.decode(homogeneous_step(line.packed, state, 0), degree)
+    yield from homogeneous_series(line.values, [line.decode(h, degree) for h in state])
