@@ -30,11 +30,11 @@ Rendering sorts monomials by that order, descending, so output is stable,
 e.g. "p^4 + p^3*q + 2*p^2*q^2".  parse() accepts exactly what render() emits,
 modulo whitespace.
 
-A second format serves the symmetric-function DP of a table's definition
-path: packed_line() turns a line of integer products, or of products in one
-variable with nonnegative coefficients, into Python ints the DP can run on
-(Kronecker substitution), and PackedLine.decode() turns each entry back into
-a RingValue.  See "packed lines" below.
+A second format serves the symmetric-function DP in symfunc: packed_line()
+turns a line of integer values, or of values in one variable with
+nonnegative coefficients, into Python ints the DP can run on (Kronecker
+substitution), and PackedLine.decode() turns each entry back into a
+RingValue.  See "packed lines" below.
 """
 
 from __future__ import annotations
@@ -472,9 +472,9 @@ def parse(text: str) -> RingValue:
 
 # -- packed lines --------------------------------------------------------------------
 #
-# A table's definition path runs its symmetric-function DP over one line of
-# weight products, a first-kind row or a second-kind column.  Two kinds of
-# line run it on Python ints instead of dicts:
+# symfunc runs its DP over one line of values; a table's definition path
+# hands it a first-kind row or a second-kind column of weight products.  Two
+# kinds of line run it on Python ints instead of dicts:
 #
 # * every product is an integer: the DP runs on the integers themselves;
 # * every product lies in one variable y of p, q, z, has nonnegative
@@ -502,18 +502,17 @@ _SPREAD = 4
 class PackedLine:
     """One line of weight products, ready for a DP on Python ints.
 
-    values holds the products as given, ones their values at y = 1 (for an
-    integer line, the integers), and packed the products packed at the
-    current width (for an integer line, the integers again).  An entry the DP
+    ones holds the products' values at y = 1 (for an integer line, the
+    integers themselves, which is all its DP needs), and packed, once widen()
+    has run, the products packed at the current width.  An entry the DP
     builds from t products (e_t, or h_t) decodes with decode(entry, t).
     """
 
-    __slots__ = ("values", "ones", "packed", "is_integer", "_slots", "_low", "_top",
-                 "_step", "_size")
+    __slots__ = ("ones", "packed", "is_integer", "_slots", "_low", "_top", "_step", "_size")
 
-    def __init__(self, values, ones, slots=None, low=0, step=0):
-        self.values = values
-        self.ones = self.packed = ones
+    def __init__(self, ones, slots=None, low=0, step=0):
+        self.ones = ones
+        self.packed = None
         self.is_integer = slots is None
         self._slots = slots  # per product, its coefficients of y^S, y^(S+1), ...
         self._low = low  # S
@@ -538,7 +537,7 @@ class PackedLine:
         and, in place, the packed values of state."""
         size = max(1, (bound.bit_length() + 7) // 8)
         old = self._size
-        if self.is_integer or size <= old:
+        if size <= old:
             return
         if old:
             count = len(self.packed)
@@ -553,7 +552,7 @@ class PackedLine:
 
     def decode(self, value: int, degree: int) -> RingValue:
         """The RingValue of an entry packed from degree products."""
-        if self.is_integer or not self._size:  # before widen() the DP holds only 0 and 1
+        if not self._size:  # before widen() the DP holds only 0 and 1
             return RingValue.from_int(value)
         step = self._step
         key = _UNIT + degree * self._low * step
@@ -566,13 +565,14 @@ class PackedLine:
 
 
 def packed_line(values) -> PackedLine | None:
-    """The products values as a PackedLine, or None where they must stay on dicts."""
+    """The products values, ints or RingValues, as a PackedLine, or None where
+    they must stay on dicts."""
     if len(values) < _MIN_PRODUCTS:
         return None
-    terms = [value.terms for value in values]
+    terms = [RingValue.coerce(value).terms for value in values]
     ints = [t.get(_UNIT, 0) for t in terms if not t or (len(t) == 1 and _UNIT in t)]
     if len(ints) == len(terms):
-        return PackedLine(values, ints)
+        return PackedLine(ints)
     # y is the variable of a non-constant term of the first product with two or more terms
     wide = next((t for t in terms if len(t) > 1), None)
     if wide is None:  # monomials only: packing would buy nothing
@@ -596,7 +596,7 @@ def packed_line(values) -> PackedLine | None:
     if sum(spans) > _SPREAD * sum(map(len, exps)):
         return None
     slots = [[row.get(e, 0) for e in range(low, low + span)] for row, span in zip(exps, spans)]
-    return PackedLine(values, [sum(row.values()) for row in exps], slots, low, step)
+    return PackedLine([sum(row.values()) for row in exps], slots, low, step)
 
 
 def _pack_slots(coeffs: list, size: int) -> int:

@@ -4,12 +4,15 @@ elementary(t, xs) sums products over t-subsets of xs; homogeneous(t, xs)
 over size-t multisets.  Both run in O(t * len(xs)) ring operations, which
 keeps triangle construction polynomial; homogeneous_series is the same h-DP
 resumable one degree at a time.  The DP only adds and multiplies, so xs may
-mix ints and RingValues; the ring's operators coerce.  elementary_dp and
-homogeneous_step take the DP's unit and zero, so the same code runs on plain
-ints: elementary_packed and homogeneous_packed run it on the ints of a
-ring.PackedLine and decode each entry.  Brute-force enumeration lives in the
-tests as an oracle.  Negative t gives 0 at this layer so callers can pass raw
-index differences.
+mix ints and RingValues; the ring's operators coerce.  Brute-force
+enumeration lives in the tests as an oracle.  Negative t gives 0 at this
+layer so callers can pass raw index differences.
+
+elementary_dp and homogeneous_step take the DP's unit and zero, so the same
+code runs on plain ints.  elementary_all and homogeneous_series pick the
+backend: where ring.packed_line accepts xs, they run the DP on its ints and
+decode each entry into the RingValue the dict DP would build; elsewhere they
+run it on RingValues.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from __future__ import annotations
 from itertools import islice
 from typing import Iterator, Sequence
 
-from .ring import ONE, ZERO, Coercible, PackedLine, RingValue
+from .ring import ONE, ZERO, Coercible, PackedLine, RingValue, packed_line
 
 
 def elementary(t: int, xs: Sequence[Coercible]) -> RingValue:
@@ -28,7 +31,14 @@ def elementary(t: int, xs: Sequence[Coercible]) -> RingValue:
 
 def elementary_all(xs: Sequence[Coercible]) -> list:
     """All of e_0 .. e_len(xs) in one pass."""
-    return elementary_dp(xs, ONE, ZERO)
+    line = packed_line(xs)
+    if line is None or not line.fits(len(xs)):
+        return elementary_dp(xs, ONE, ZERO)
+    at_one = elementary_dp(line.ones, 1, 0)
+    if line.is_integer:
+        return [RingValue.from_int(e) for e in at_one]
+    line.widen(max(at_one))
+    return [line.decode(e, t) for t, e in enumerate(elementary_dp(line.packed, 1, 0))]
 
 
 def elementary_dp(xs: Sequence, one, zero) -> list:
@@ -39,17 +49,6 @@ def elementary_dp(xs: Sequence, one, zero) -> list:
         for t in range(r + 1, 0, -1):
             e[t] = e[t] + x * e[t - 1]
     return e
-
-
-def elementary_packed(line: PackedLine) -> list:
-    """elementary_all(line.values), computed on the line's ints."""
-    if not line.fits(len(line.ones)):
-        return elementary_all(line.values)
-    at_one = elementary_dp(line.ones, 1, 0)
-    if line.is_integer:
-        return [RingValue.from_int(e) for e in at_one]
-    line.widen(max(at_one))
-    return [line.decode(e, t) for t, e in enumerate(elementary_dp(line.packed, 1, 0))]
 
 
 def homogeneous(t: int, xs: Sequence[Coercible]) -> RingValue:
@@ -63,19 +62,21 @@ def homogeneous_upto(t: int, xs: Sequence[Coercible]) -> list:
     return list(islice(homogeneous_series(xs), max(t, 0) + 1))
 
 
-def homogeneous_series(xs: Sequence[Coercible], state: list = None) -> Iterator[RingValue]:
+def homogeneous_series(xs: Sequence[Coercible]) -> Iterator[RingValue]:
     """h_0, h_1, ... of xs without end, one DP step of len(xs) products each.
 
     The state h[i] holds h_d(xs[0..i]) at the degree d last yielded; stepping
     to d + 1 uses h_{d+1}(xs[0..i]) = h_{d+1}(xs[0..i-1]) + xs[i] h_d(xs[0..i]),
     so a caller can stop at any degree and resume later at no extra cost.
-    Given the state of a series stopped at degree d, it yields h_{d+1}, ...
     """
-    if state is None:
-        state = [ONE] * len(xs)
-        yield ONE
-    while True:
-        yield homogeneous_step(xs, state, ZERO)
+    yield ONE
+    line = packed_line(xs)
+    if line is None:
+        yield from _homogeneous_from(xs, [ONE] * len(xs), ZERO)
+    elif line.is_integer:
+        yield from map(RingValue.from_int, _homogeneous_from(line.ones, [1] * len(xs), 0))
+    else:
+        yield from _homogeneous_packed(xs, line)
 
 
 def homogeneous_step(xs: Sequence, h: list, zero):
@@ -86,24 +87,26 @@ def homogeneous_step(xs: Sequence, h: list, zero):
     return total
 
 
-def homogeneous_packed(line: PackedLine) -> Iterator[RingValue]:
-    """homogeneous_series(line.values), computed on the line's ints.
+def _homogeneous_from(xs: Sequence, h: list, zero) -> Iterator:
+    """h_{d+1}, h_{d+2}, ... of xs, given the state h of the DP at degree d."""
+    while True:
+        yield homogeneous_step(xs, h, zero)
+
+
+def _homogeneous_packed(xs: Sequence, line: PackedLine) -> Iterator[RingValue]:
+    """h_1, h_2, ... of xs, whose products line packs.
 
     Each step runs first on the values at y = 1, whose total bounds every
     coefficient of the packed step, so the slots widen before a coefficient
     could outgrow them.  At the first degree the line does not fit, the state
-    goes back to homogeneous_series on RingValues.
+    is decoded and the DP carries on over xs on RingValues.
     """
-    at_one = [1] * len(line.ones)  # the DP's state at y = 1
-    state = at_one if line.is_integer else [1] * len(at_one)
+    at_one = [1] * len(xs)  # the DP's state at y = 1
+    state = [1] * len(xs)
     degree = 0
-    yield ONE
     while line.fits(degree + 1):
         bound = homogeneous_step(line.ones, at_one, 0)
         degree += 1
-        if line.is_integer:
-            yield RingValue.from_int(bound)
-            continue
         line.widen(bound, state)
         yield line.decode(homogeneous_step(line.packed, state, 0), degree)
-    yield from homogeneous_series(line.values, [line.decode(h, degree) for h in state])
+    yield from _homogeneous_from(xs, [line.decode(h, degree) for h in state], ZERO)

@@ -6,9 +6,8 @@ import pytest
 from wstirling import ring
 from wstirling.ring import (ONE, P, Q, Z, ExponentOverflow, RingValue, X, ZERO, packed_line,
                             parse, ring_sum, product)
-from wstirling.symfunc import (elementary, elementary_all, elementary_dp, elementary_packed,
-                               homogeneous, homogeneous_packed, homogeneous_series,
-                               homogeneous_upto)
+from wstirling.symfunc import (elementary, elementary_all, elementary_dp, homogeneous,
+                               homogeneous_series, homogeneous_step, homogeneous_upto)
 from wstirling.weights import WeightSpec, builtin
 
 
@@ -104,14 +103,18 @@ def five(*values):
     return list(values) + [ZERO] * (5 - len(values))
 
 
+def dict_homogeneous(values, degree):
+    """h_0 .. h_degree of values by the h-DP on RingValues alone."""
+    h = [ONE] * len(values)
+    return [ONE] + [homogeneous_step(values, h, ZERO) for _ in range(degree)]
+
+
 def assert_packed_matches(values, degree):
-    """Both packed DPs over values equal the dict DPs, entry by entry."""
-    line = packed_line(values)
-    assert line is not None
-    assert elementary_packed(line) == elementary_all(values)
-    packed = homogeneous_packed(packed_line(values))
-    for d, want in enumerate(itertools.islice(homogeneous_series(values), degree + 1)):
-        assert next(packed) == want, d
+    """values pack, and both public DPs over them equal the dict DPs."""
+    assert packed_line(values) is not None
+    assert elementary_all(values) == elementary_dp(values, ONE, ZERO)
+    assert list(itertools.islice(homogeneous_series(values), degree + 1)) == \
+        dict_homogeneous(values, degree)
 
 
 LINES = {
@@ -126,6 +129,8 @@ LINES = {
     # 254 + z and 256 + z: the largest value at z = 1 is 255 * 257 = 2^16 - 1
     "byte boundary": five(254 + Z, 256 + Z),
     "gaps in p": five(1 + P ** 3, 2 * P ** 2, RingValue.from_int(7)),
+    "plain ints": [3, 1, 4, 1, 5, 9],
+    "ints mixed with ring values": [3, 1 + Q, 0, Q ** 2 + 2 * Q, 5, 2],
 }
 
 
@@ -135,23 +140,23 @@ def test_packed_dp_matches_dict_dp(name):
 
 
 def test_line_kinds():
-    for name in ("positive integers", "negative integers", "mixed-sign integers"):
+    for name in ("positive integers", "negative integers", "mixed-sign integers", "plain ints"):
         assert packed_line(LINES[name]).is_integer, name
-    for name in ("q-stirling", "jacobi", "laurent in z", "byte boundary"):
+    for name in ("q-stirling", "jacobi", "laurent in z", "byte boundary",
+                 "ints mixed with ring values"):
         assert not packed_line(LINES[name]).is_integer, name
     # the boundary case is what it claims: the DP at z = 1 reaches exactly 16 bits
-    line = packed_line(LINES["byte boundary"])
-    assert max(elementary_dp(line.ones, 1, 0)).bit_length() == 16
-    assert elementary_packed(line)[2] == Z ** 2 + 510 * Z + 65024
+    values = LINES["byte boundary"]
+    assert max(elementary_dp(packed_line(values).ones, 1, 0)).bit_length() == 16
+    assert elementary_all(values)[2] == Z ** 2 + 510 * Z + 65024
 
 
 def test_column_outgrows_its_width():
     # h_d at q = 1 grows about 4 bits a degree, so the slots widen from 1 byte
     # through every size up to 11 bytes
     values = q_integers(7, 8, 9, 10, 11)
-    packed = homogeneous_packed(packed_line(values))
-    for d, want in enumerate(itertools.islice(homogeneous_series(values), 23)):
-        assert next(packed) == want, d
+    assert_packed_matches(values, 22)
+    want = dict_homogeneous(values, 22)[-1]
     assert want.substitute({"q": 1}).as_int().bit_length() == 85
     assert len(want.terms) == 221
 
@@ -175,20 +180,20 @@ def test_lines_past_the_budget_return_to_dicts(monkeypatch):
     # pairs the packed column stops after degree 4 and the dict DP, which walks
     # 2 * d term pairs at degree d, carries on from its state
     values = five(1 + Q ** 2)
-    want = list(itertools.islice(homogeneous_series(values), 10))
+    want = dict_homogeneous(values, 9)
     monkeypatch.setattr(ring, "TERM_BUDGET", 21)
     line = packed_line(values)
     assert line.fits(4) and not line.fits(5)
-    assert list(itertools.islice(homogeneous_packed(line), 10)) == want
+    assert list(itertools.islice(homogeneous_series(values), 10)) == want
     # under a budget of 2 no packed step fits, so the dict DP starts at degree 0
     monkeypatch.setattr(ring, "TERM_BUDGET", 2)
-    assert list(itertools.islice(homogeneous_packed(packed_line(values)), 2)) == want[:2]
+    assert list(itertools.islice(homogeneous_series(values), 2)) == want[:2]
     monkeypatch.setattr(ring, "TERM_BUDGET", 21)
     # a row over budget never packs; its dict DP raises as it always did
     wide = five(*q_integers(5, 5))
     assert not packed_line(wide).fits(2)
     with pytest.raises(ring.TermBudgetExceeded):
-        elementary_packed(packed_line(wide))
+        elementary_all(wide)
 
 
 def test_mostly_empty_lines_stay_on_dicts():
@@ -203,8 +208,8 @@ def test_lines_past_the_exponent_range_return_to_dicts():
     line = packed_line(five(big, big))
     assert line.fits(1) and not line.fits(2)
     with pytest.raises(ExponentOverflow):
-        elementary_packed(line)
-    column = homogeneous_packed(packed_line(five(big)))
+        elementary_all(five(big, big))
+    column = homogeneous_series(five(big))
     assert [next(column) for _ in range(2)] == [ONE, big]
     with pytest.raises(ExponentOverflow):
         next(column)
