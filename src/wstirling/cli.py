@@ -241,7 +241,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     table = sub.add_parser("table", help="emit a triangle as csv, json, or b-file")
-    table.add_argument("--kind", choices=("first", "second"), default="second")
+    table.add_argument("--kind", choices=stirling.KINDS, default="second")
     table.add_argument("--weights", default="builtin:classical")
     table.add_argument("--alpha", type=int, default=0)
     table.add_argument("--beta", type=int, default=0)
@@ -279,7 +279,7 @@ def _build_parser() -> argparse.ArgumentParser:
     enum.set_defaults(func=cmd_enumerate)
 
     det = sub.add_parser("det", help="Hankel-style determinant report")
-    det.add_argument("--kind", choices=("first", "second"), default="second")
+    det.add_argument("--kind", choices=stirling.KINDS, default="second")
     det.add_argument("--r", type=int, required=True)
     det.add_argument("--s", type=int, required=True)
     det.add_argument("--weights", default="builtin:classical")

@@ -22,7 +22,7 @@ from __future__ import annotations
 from math import comb
 
 from .ring import ONE, P, Q, RingValue, ZERO, product, ring_sum
-from .stirling import first_kind, pq_binomial, second_kind
+from .stirling import KINDS, first_kind, pq_binomial, second_kind
 from .weights import WeightPair, WeightSpec, builtin
 
 PAIR_KINDS = ("beta", "alpha")
@@ -35,7 +35,7 @@ def _sign(d: int) -> int:
 
 def _check(kind: str, *sizes: int) -> None:
     """The argument check of the Hankel, LU and convolution functions."""
-    if kind not in ("first", "second"):
+    if kind not in KINDS:
         raise ValueError(f"kind must be first or second, got {kind!r}")
     if min(sizes) < 0:
         raise ValueError(f"sizes must be nonnegative, got {sizes}")
