@@ -70,12 +70,14 @@ def pq_product_form_residual(n: int) -> RingValue:
     return (direct - target) if direct != target else (rescaled - target)
 
 
-def pq_series_reduction_residual(k: int, order: int) -> RingValue:
-    """Column form for V=(p^i, q^i): geometric expansion of the displayed
-    product against the symmetric-function values, first difference first."""
-    coeffs = _geometric([P ** (k - j) * Q ** j for j in range(k + 1)], order - k)
-    residuals = (coeffs[n - k] - pq_binomial(n, k) for n in range(k, order + 1))
-    return next((r for r in residuals if not r.is_zero()), ZERO)
+def pq_series_reduction_residual(k: int, n: int) -> RingValue:
+    """Column form for V=(p^i, q^i): coefficient x^n of the geometric expansion
+    of the displayed product, x^k / prod_j (1 - p^(k-j) q^j x), against the
+    symmetric-function value pq_binomial(n, k)."""
+    if n < k:
+        raise ValueError("coefficient index must be at least k")
+    return _geometric([P ** (k - j) * Q ** j for j in range(k + 1)], n - k)[n - k] \
+        - pq_binomial(n, k)
 
 
 def pq_basis_form_residual(n: int) -> RingValue:

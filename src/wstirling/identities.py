@@ -285,10 +285,6 @@ def _det(kind):
                     ("det", "formula"))
 
 
-def _lower_triangle(n_max):
-    return [(n, m) for n in range(n_max + 1) for m in range(n + 1)]
-
-
 def _partition(where, pieces, whole):
     # pieces(*cell) lists each tableau of whole(*cell) once; enumerators never repeat one
     return _compare(where, lambda pair, *cell: Counter(pieces(*cell)),
@@ -368,8 +364,9 @@ _IDENTITIES = (
     Identity("genfunc", "pq-row-product", lambda nmax, grid: ((n,) for n in range(nmax + 1)),
              _pq_form(("n",), lambda: genfunc.pq_product_form_residual), pairs="pq-binomial"),
     Identity("genfunc", "pq-column-series",
-             lambda nmax, grid: ((k, nmax) for k in range(min(nmax, 4) + 1)),
-             _pq_form(("k", "order"), lambda: genfunc.pq_series_reduction_residual),
+             lambda nmax, grid: ((k, n) for k in range(min(nmax, 4) + 1)
+                                 for n in range(k, nmax + 1)),
+             _pq_form(("k", "n"), lambda: genfunc.pq_series_reduction_residual),
              pairs="pq-binomial"),
     Identity("genfunc", "pq-basis-expansion",
              lambda nmax, grid: ((n,) for n in range(min(nmax, 6) + 1)),
@@ -389,11 +386,11 @@ _IDENTITIES = (
              lambda nmax, grid: (("alpha", min(nmax, 5), a, b) for a, b in grid),
              _inverse_pair),
     Identity("orthogonality", "inverse-relation-round-trip", _round_trips, _round_trip),
-    Identity("orthogonality", "pq-binomial-delta", lambda nmax, grid: [(min(nmax, 6),)],
-             _compare(lambda n_max: f"signed pq-binomial sum deviates below n={n_max}",
-                      lambda pair, n_max: [matrices.pq_binomial_delta_sum(n, m)
-                                           for n, m in _lower_triangle(n_max)],
-                      lambda pair, n_max: [int(n == m) for n, m in _lower_triangle(n_max)]),
+    Identity("orthogonality", "pq-binomial-delta",
+             lambda nmax, grid: ((n, m) for n in range(min(nmax, 6) + 1) for m in range(n + 1)),
+             _compare(lambda n, m: f"n={n} m={m}",
+                      lambda pair, n, m: matrices.pq_binomial_delta_sum(n, m),
+                      lambda pair, n, m: 1 if n == m else 0, ("value", None)),
              pairs="pq-binomial"),
 
     Identity("convolution", "row-split-first", _convolutions, _convolution("first")),

@@ -77,7 +77,8 @@ def test_criterion_2_generating_functions():
           probe("genfunc/pq-row-product"))
     check("criterion 2 p,q basis form n<=8", [(n,) for n in range(9)],
           probe("genfunc/pq-basis-expansion"))
-    check("criterion 2 p,q column form k<=8", [(k, 8 + k) for k in range(9)],
+    check("criterion 2 p,q column form k<=8",
+          [(k, n) for k in range(9) for n in range(k, 8 + k + 1)],
           probe("genfunc/pq-column-series"))
 
 

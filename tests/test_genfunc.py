@@ -73,5 +73,8 @@ def test_pq_forms():
         residual = pq_basis_form_residual(n)
         assert residual == ZERO, f"basis form n={n}: {residual}"
     for k in range(5):
-        residual = pq_series_reduction_residual(k, 8)
-        assert residual == ZERO, f"series reduction k={k}: {residual}"
+        for n in range(k, 9):
+            residual = pq_series_reduction_residual(k, n)
+            assert residual == ZERO, f"series reduction k={k} n={n}: {residual}"
+    with pytest.raises(ValueError):
+        pq_series_reduction_residual(3, 2)
