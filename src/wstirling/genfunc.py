@@ -76,8 +76,8 @@ def pq_series_reduction_residual(k: int, n: int) -> RingValue:
     symmetric-function value pq_binomial(n, k)."""
     if n < k:
         raise ValueError("coefficient index must be at least k")
-    return _geometric([P ** (k - j) * Q ** j for j in range(k + 1)], n - k)[n - k] \
-        - pq_binomial(n, k)
+    coeffs = _geometric([P ** (k - j) * Q ** j for j in range(k + 1)], n - k)
+    return coeffs[n - k] - pq_binomial(n, k)
 
 
 def pq_basis_form_residual(n: int) -> RingValue:

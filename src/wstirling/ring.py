@@ -500,7 +500,7 @@ _SPREAD = 4
 
 
 class PackedLine:
-    """One line of weight products, ready for a DP on Python ints.
+    """One line of values, ready for a DP on Python ints.
 
     ones holds the products' values at y = 1 (for an integer line, the
     integers themselves, which is all its DP needs), and packed, once widen()

@@ -94,7 +94,7 @@ def _homogeneous_from(xs: Sequence, h: list, zero) -> Iterator:
 
 
 def _homogeneous_packed(xs: Sequence, line: PackedLine) -> Iterator[RingValue]:
-    """h_1, h_2, ... of xs, whose products line packs.
+    """h_1, h_2, ... of xs, which line packs.
 
     Each step runs first on the values at y = 1, whose total bounds every
     coefficient of the packed step, so the slots widen before a coefficient
