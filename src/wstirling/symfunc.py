@@ -72,11 +72,15 @@ def homogeneous_series(xs: Sequence[Coercible]) -> Iterator[RingValue]:
     yield ONE
     line = packed_line(xs)
     if line is None:
-        yield from _homogeneous_from(xs, [ONE] * len(xs), ZERO)
+        h = [ONE] * len(xs)
     elif line.is_integer:
-        yield from map(RingValue.from_int, _homogeneous_from(line.ones, [1] * len(xs), 0))
+        h = [1] * len(xs)
+        while True:
+            yield RingValue.from_int(homogeneous_step(line.ones, h, 0))
     else:
-        yield from _homogeneous_packed(xs, line)
+        h = yield from _homogeneous_packed(line)
+    while True:
+        yield homogeneous_step(xs, h, ZERO)
 
 
 def homogeneous_step(xs: Sequence, h: list, zero):
@@ -87,26 +91,20 @@ def homogeneous_step(xs: Sequence, h: list, zero):
     return total
 
 
-def _homogeneous_from(xs: Sequence, h: list, zero) -> Iterator:
-    """h_{d+1}, h_{d+2}, ... of xs, given the state h of the DP at degree d."""
-    while True:
-        yield homogeneous_step(xs, h, zero)
-
-
-def _homogeneous_packed(xs: Sequence, line: PackedLine) -> Iterator[RingValue]:
-    """h_1, h_2, ... of xs, which line packs.
+def _homogeneous_packed(line: PackedLine) -> Iterator[RingValue]:
+    """h_1, h_2, ... of the values line packs, as far as the line fits; then
+    returns the DP's state, decoded, for homogeneous_series to carry on from.
 
     Each step runs first on the values at y = 1, whose total bounds every
     coefficient of the packed step, so the slots widen before a coefficient
-    could outgrow them.  At the first degree the line does not fit, the state
-    is decoded and the DP carries on over xs on RingValues.
+    could outgrow them.
     """
-    at_one = [1] * len(xs)  # the DP's state at y = 1
-    state = [1] * len(xs)
+    at_one = [1] * len(line.ones)  # the DP's state at y = 1
+    state = [1] * len(at_one)
     degree = 0
     while line.fits(degree + 1):
         bound = homogeneous_step(line.ones, at_one, 0)
         degree += 1
         line.widen(bound, state)
         yield line.decode(homogeneous_step(line.packed, state, 0), degree)
-    yield from _homogeneous_from(xs, [line.decode(h, degree) for h in state], ZERO)
+    return [line.decode(h, degree) for h in state]
