@@ -185,6 +185,9 @@ def test_lines_past_the_budget_return_to_dicts(monkeypatch):
     line = packed_line(values)
     assert line.fits(4) and not line.fits(5)
     assert list(itertools.islice(homogeneous_series(values), 10)) == want
+    # the dict DP, not the packed one, reaches degree 11 and its 22 term pairs
+    with pytest.raises(ring.TermBudgetExceeded):
+        list(itertools.islice(homogeneous_series(values), 12))
     # under a budget of 2 no packed step fits, so the dict DP starts at degree 0
     monkeypatch.setattr(ring, "TERM_BUDGET", 2)
     assert list(itertools.islice(homogeneous_series(values), 2)) == want[:2]
