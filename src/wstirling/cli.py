@@ -28,13 +28,20 @@ import sys
 
 from . import combinat, identities, matrices, stirling, tableaux
 from .ring import ExponentOverflow, TermBudgetExceeded
-from .tableaux import BTableau
+from .tableaux import BTableau, EnumerationCapExceeded
 from .weights import (CATALOG, NegativeQInteger, UndefinedIndex, UnknownBuiltin,
                       WeightPair, builtin)
 
 
 class UsageError(ValueError):
     """Bad flag combination or unusable parameters; maps to exit code 2."""
+
+
+class NonIntegerEntry(ValueError):
+    """A b-file entry is not an integer; maps to exit code 3."""
+
+
+RESOURCE_LIMITS = (EnumerationCapExceeded, ExponentOverflow, TermBudgetExceeded, NonIntegerEntry)
 
 
 def load_weights(text: str) -> WeightPair:
@@ -80,10 +87,7 @@ def cmd_table(args) -> int:
         raise UsageError("--nmax must be nonnegative")
     pair = load_weights(args.weights)
     table = stirling.StirlingTable(pair, args.kind, args.alpha, args.beta)
-    try:
-        rows = [table.row(n) for n in range(args.nmax + 1)]
-    except (NegativeQInteger, UndefinedIndex) as exc:
-        raise UsageError(f"weights are undefined on the requested triangle: {exc}") from exc
+    rows = [table.row(n) for n in range(args.nmax + 1)]
     if args.format == "csv":
         print(";".join(",".join(v.render() for v in row) for row in rows))
         return 0
@@ -96,16 +100,11 @@ def cmd_table(args) -> int:
         return 0
     # b-file: "index value" with a row-major linear index, integers only
     lines = []
-    index = 0
-    for row in rows:
-        for v in row:
-            try:
-                lines.append(f"{index} {v.as_int()}")
-            except ValueError:
-                print(f"error: b-file output needs integer entries; entry {index} "
-                      f"is {v.render()}", file=sys.stderr)
-                return 3
-            index += 1
+    for index, v in enumerate(v for row in rows for v in row):
+        if not v.is_constant():
+            raise NonIntegerEntry(
+                f"b-file output needs integer entries; entry {index} is {v.render()}")
+        lines.append(f"{index} {v.render()}")
     print("\n".join(lines))
     return 0
 
@@ -118,12 +117,9 @@ def cmd_det(args) -> int:
         raise UsageError("--r and --s must be nonnegative")
     pair = load_weights(args.weights)
     hankel = (args.kind, args.r, args.s, args.alpha, args.beta, pair)
-    try:
-        matrix = matrices.hankel_matrix(*hankel)
-        det = matrices.determinant(matrix)
-        formula = matrices.det_formula(*hankel)
-    except (NegativeQInteger, UndefinedIndex) as exc:
-        raise UsageError(f"weights are undefined on the requested matrix: {exc}") from exc
+    matrix = matrices.hankel_matrix(*hankel)
+    det = matrices.determinant(matrix)
+    formula = matrices.det_formula(*hankel)
     print(f"matrix (dim {args.r + 1}):")
     print(matrix.render())
     print(f"det={det.render()}")
@@ -181,14 +177,11 @@ def cmd_enumerate(args) -> int:
             _require(args, "n", "k")
             lines = [p.render() for p in
                      combinat.enumerate_signed_partitions(args.n, args.k, cap=cap)]
-    except combinat.EnumerationCapExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+    except RESOURCE_LIMITS:
+        raise
     except (combinat.NonCombinatorialWeights, combinat.InvalidColorBudget,
             UndefinedIndex) as exc:
         raise UsageError(f"weights do not define this object family: {exc}") from exc
-    except ExponentOverflow:
-        raise  # a resource limit (exit 3), not a usage error
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     for line in lines:
@@ -247,7 +240,7 @@ def _build_parser() -> argparse.ArgumentParser:
     table.add_argument("--beta", type=int, default=0)
     table.add_argument("--nmax", type=int, required=True)
     table.add_argument("--format", choices=("csv", "json", "bfile"), default="csv")
-    table.set_defaults(func=cmd_table)
+    table.set_defaults(func=cmd_table, undefined_on="triangle")
 
     verify = sub.add_parser("verify", help="run identity suites")
     verify.add_argument("--suite", choices=identities.SUITES + ("all",), required=True)
@@ -285,21 +278,25 @@ def _build_parser() -> argparse.ArgumentParser:
     det.add_argument("--weights", default="builtin:classical")
     det.add_argument("--alpha", type=int, default=0)
     det.add_argument("--beta", type=int, default=0)
-    det.set_defaults(func=cmd_det)
+    det.set_defaults(func=cmd_det, undefined_on="matrix")
 
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:  # argparse has printed its usage error or help
+        return exc.code
     except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ExponentOverflow, TermBudgetExceeded) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        code, message = 2, str(exc)
+    except (NegativeQInteger, UndefinedIndex) as exc:
+        code, message = 2, f"weights are undefined on the requested {args.undefined_on}: {exc}"
+    except RESOURCE_LIMITS as exc:
+        code, message = 3, str(exc)
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -18,11 +18,11 @@ color) mark of one column and color it under the same rule.
 """
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations
 from math import prod
 
-from .tableaux import (ENUMERATION_CAP, BTableau, EnumerationCapExceeded, enumerate_T,
-                       enumerate_Td)
+from .tableaux import (ENUMERATION_CAP, BTableau, EnumerationCapExceeded, capped_product,
+                       enumerate_T, enumerate_Td)
 from .weights import WeightPair, WeightSpec
 
 
@@ -135,11 +135,8 @@ def enumerate_01v(shape: BTableau, weights: WeightPair,
         raise NonCombinatorialWeights("enumeration needs nonnegative integer weights")
     per_column = [_placements(spec, ell) for top, bottom in shape.columns
                   for spec, ell in ((weights.v, top), (weights.w, bottom))]
-    total = prod(len(opts) for opts in per_column)
-    if total > cap:
-        raise EnumerationCapExceeded(f"{total} tableaux exceeds the cap of {cap}")
     return [ZeroOneTableau(shape, choice[0::2], choice[1::2], rows)
-            for choice in product(*per_column)]
+            for choice in capped_product(per_column, 0, cap, "zero-one tableaux")]
 
 
 # -- colored partitions and permutations ---------------------------------------
@@ -344,7 +341,7 @@ def enumerate_part(n: int, k: int, v: WeightSpec, cap: int = ENUMERATION_CAP) ->
         non_minima = sorted(e for block in blocks for e in block[1:])
         marks = _partition_marks([[(e, None) for e in block] for block in blocks])
         options = [range(1, _budget(v, top, row) + 1) for top, row, _ in marks]
-        for colors in _capped_product(options, len(out), cap, "colored partitions"):
+        for colors in capped_product(options, len(out), cap, "colored partitions"):
             cmap = dict(zip(non_minima, colors))
             out.append(ColoredPartition(tuple(
                 tuple((e, cmap.get(e)) for e in block) for block in blocks)))
@@ -393,7 +390,7 @@ def enumerate_perm(n: int, k: int, v: WeightSpec, cap: int = ENUMERATION_CAP) ->
     for non_minima in combinations(range(1, n + 1), n - k):
         minima = [e for e in range(n + 1) if e not in set(non_minima)]
         options = [_placements(v, a - 1) for a in non_minima]
-        for choice in _capped_product(options, len(out), cap, "colored permutations"):
+        for choice in capped_product(options, len(out), cap, "colored permutations"):
             word = [(m, None) for m in minima]
             for a, (r, c) in zip(non_minima, choice):
                 word.insert(r, (a, c))
@@ -415,14 +412,6 @@ def _is_member(groups: tuple, decode, n: int, k: int, v: WeightSpec) -> bool:
     # the group types already hold their ground set to 0..m
     return (sum(map(len, groups)) == n + 1 and len(groups) == k + 1
             and all(c <= _budget(v, top, row) for top, row, c in decode(groups)))
-
-
-def _capped_product(options: list, done: int, cap: int, noun: str):
-    """product(*options), refusing to grow an output of `done` objects past cap."""
-    total = prod(len(opts) for opts in options)
-    if total and done + total > cap:
-        raise EnumerationCapExceeded(f"more than {cap} {noun}")
-    return product(*options)
 
 
 # -- signed partitions ----------------------------------------------------------
@@ -490,7 +479,7 @@ def enumerate_signed_partitions(n: int, k: int, cap: int = ENUMERATION_CAP) -> l
         for a in rest:
             allowed = [0] + [j + 1 for j, m in enumerate(minima) if m < a]
             slots.append([(bp, bm) for bp in allowed for bm in allowed if bp != bm])
-        for choice in _capped_product(slots, len(out), cap, "signed partitions"):
+        for choice in capped_product(slots, len(out), cap, "signed partitions"):
             blocks = [[0]] + [[m, -m] for m in minima]
             for a, (bp, bm) in zip(rest, choice):
                 blocks[bp].append(a)

@@ -9,8 +9,10 @@ tableaux with distinct top entries, the second kind over plain ones.  The
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement
+from itertools import accumulate, combinations, combinations_with_replacement
+from itertools import product as cartesian
 from math import comb
+from operator import mul
 
 from .ring import ONE, RingValue, product, ring_sum
 from .weights import WeightPair
@@ -102,10 +104,23 @@ class BTableau:
 EMPTY = BTableau(())
 
 
-def _guard(count: int, cap: int):
-    if count > cap:
-        raise EnumerationCapExceeded(
-            f"enumeration of {count} tableaux exceeds the cap of {cap}")
+def _refuse_past(counts, cap: int, noun: str) -> None:
+    # counts: nondecreasing partial counts that end at the enumeration's count
+    if any(count > cap for count in counts):
+        raise EnumerationCapExceeded(f"more than {cap} {noun}")
+
+
+def _capped_binomial(n: int, s: int, cap: int) -> None:
+    # C(n - m + i, i), m = min(s, n - s), grows with i = 0..m up to C(n, s)
+    m = min(s, n - s)
+    _refuse_past((comb(n - m + i, i) for i in range(m + 1)), cap, "tableaux")
+
+
+def capped_product(options: list, done: int, cap: int, noun: str):
+    """product(*options), refusing to grow an output of `done` objects past cap."""
+    counts = accumulate(map(len, options), mul, initial=1)
+    _refuse_past((done + count for count in counts) if all(options) else (), cap, noun)
+    return cartesian(*options)
 
 
 def enumerate_T(alpha: int, beta: int, r: int, s: int,
@@ -122,7 +137,7 @@ def enumerate_T(alpha: int, beta: int, r: int, s: int,
         return [EMPTY] if r >= -1 else []
     if r < 0:
         return []
-    _guard(comb(r + s, s), cap)
+    _capped_binomial(r + s, s, cap)
     column_sum = alpha + beta + r
     return [BTableau.from_tops(tops, column_sum)
             for tops in combinations_with_replacement(range(alpha + r, alpha - 1, -1), s)]
@@ -135,7 +150,7 @@ def enumerate_Td(alpha: int, beta: int, r: int, s: int,
         return []
     if s == 0:
         return [EMPTY]
-    _guard(comb(r + 1, s), cap)
+    _capped_binomial(r + 1, s, cap)
     column_sum = alpha + beta + r
     return [BTableau.from_tops(tops, column_sum)
             for tops in combinations(range(alpha + r, alpha - 1, -1), s)]
