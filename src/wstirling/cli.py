@@ -15,7 +15,9 @@ acceptance gate runs too.
 Exit codes are a stable contract: 0 success, 1 a verified identity failed,
 2 usage error, 3 resource or cap error (an enumeration cap, a non-integer
 b-file entry, a computed exponent outside the ring's range, or a product
-past the ring's term-pair budget).  Output is
+past the ring's term-pair budget).  Commands return 0 or 1 and raise
+everything else; main alone turns an error into its code and an `error:`
+line on stderr, argparse's own exits included.  Output is
 byte-deterministic for identical invocations: iteration orders are fixed, the
 round-trip suite seeds its own RNG, and JSON is dumped with sorted keys.
 """

@@ -28,7 +28,7 @@ raised instead.
 
 Rendering sorts monomials by that order, descending, so output is stable,
 e.g. "p^4 + p^3*q + 2*p^2*q^2".  parse() accepts exactly what render() emits,
-modulo whitespace.
+modulo whitespace, and both take integers past the digit limit of str(int).
 
 A second format serves the symmetric-function DP in symfunc: packed_line()
 turns a line of integer values, or of values in one variable with
@@ -39,6 +39,7 @@ RingValue.  See "packed lines" below.
 
 from __future__ import annotations
 
+from decimal import Decimal
 from typing import Iterable, Mapping, Union
 
 VARIABLES = ("p", "q", "z", "x")
@@ -391,12 +392,15 @@ class RingValue:
                 if exp == 0:
                     continue
                 factors.append(VARIABLES[idx] if exp == 1 else f"{VARIABLES[idx]}^{exp}")
-            if not factors:
-                body = str(abs(coeff))
-            elif abs(coeff) == 1:
+            if factors and abs(coeff) == 1:
                 body = "*".join(factors)
             else:
-                body = "*".join([str(abs(coeff))] + factors)
+                try:
+                    body = str(abs(coeff))
+                except ValueError:  # past sys.get_int_max_str_digits(), which Decimal ignores
+                    body = str(Decimal(abs(coeff)))
+                if factors:
+                    body = "*".join([body] + factors)
             if not parts:
                 parts.append(body if coeff > 0 else f"-{body}")
             else:
@@ -442,9 +446,9 @@ def parse(text: str) -> RingValue:
             if not factor:
                 raise RingParseError(f"empty factor in {text!r}")
             if factor[0].isdigit():
-                if not factor.isdigit():
+                if not factor.isdecimal():  # "²" is a digit, which int() and Decimal refuse
                     raise RingParseError(f"bad integer factor {factor!r}")
-                coeff *= int(factor)
+                coeff *= int(Decimal(factor))  # int(str) has a digit limit, Decimal none
                 continue
             name, caret, exp_text = factor.partition("^")
             if name not in _VAR_INDEX:

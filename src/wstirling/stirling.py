@@ -44,8 +44,8 @@ class StirlingTable:
     row, so rows 0..N cost O(N^3) ring operations.  method "definition"
     evaluates the symmetric functions, "recurrence" the triangular
     recurrence; the two must agree, which the verification suites exploit.
-    Weight values are evaluated before anything is stored, so a query that
-    hits an undefined weight raises again when repeated.
+    Weight values are evaluated before anything is stored, and a column walk
+    that raises is dropped, so a query that fails raises again when repeated.
     """
 
     __slots__ = ("weights", "kind", "alpha", "beta", "method", "_lines", "_steps")
@@ -108,8 +108,12 @@ class StirlingTable:
             self._steps[k] = steps
             self._lines[k] = []
         column = self._lines[k]
-        while len(column) <= d:
-            column.append(next(steps))
+        try:
+            while len(column) <= d:
+                column.append(next(steps))
+        except BaseException:  # a generator that raised is finished
+            del self._steps[k], self._lines[k]
+            raise
         return column
 
 

@@ -4,6 +4,10 @@ A tableau here is a 2 x s array of integers whose top row is nonincreasing
 and whose columns all share one sum; the first kind sums weights over
 tableaux with distinct top entries, the second kind over plain ones.  The
 2 x 0 tableau is allowed and has weight 1.
+
+The enumeration cap, here and in combinat, is checked here alone: past `cap`
+objects an enumeration raises EnumerationCapExceeded("more than {cap} {noun}")
+at once, from partial counts that stop at the first one past the cap.
 """
 
 from __future__ import annotations

@@ -150,6 +150,24 @@ def test_term_budget_is_a_resource_error(capsys):
                    "the budget of 100000000 term pairs\n")
 
 
+def test_integers_of_any_size_render(capsys, tmp_path):
+    # with v = 10^1000 - 1, entry (5, 0) is v^5, past the 4300 digits str() gives an int
+    v = 10 ** 1000 - 1
+    spec = tmp_path / "huge.json"
+    spec.write_text(json.dumps({"v": {"kind": "constant", "value": v},
+                                "w": {"kind": "constant", "value": 1}}))
+    weights = "@" + str(spec)
+    for fmt in ("csv", "json", "bfile"):
+        code, out, err = run(capsys, "table", "--kind", "first", "--weights", weights,
+                             "--nmax", "5", "--format", fmt)
+        assert (code, err) == (0, ""), fmt
+        assert len(out) > 5000 * 2, fmt
+    code, out, err = run(capsys, "det", "--kind", "first", "--r", "3", "--s", "2",
+                         "--weights", weights)
+    assert (code, err) == (0, "")
+    assert out.endswith("\nEQUAL\n")
+
+
 def test_colored_models_need_w_one(capsys):
     # b-stirling has w(i) = i; its colored partition and permutation counts
     # would disagree with the triangle, whose (3, 1) entries are 0
@@ -230,6 +248,22 @@ def test_enumerate_cap_exceeded_exits_3(capsys):
                        "--n", "5", "--k", "2", "--weights", "builtin:merris(2)",
                        "--cap", "3")
     assert code == 3
+
+
+@pytest.mark.parametrize("argv, noun", [
+    (("--object", "T", "--r", "1000000", "--s", "1000000"), "tableaux"),
+    (("--object", "T", "--r", "100000", "--s", "100000"), "tableaux"),
+    (("--object", "zero-one", "--tops", ",".join(["9"] * 5000), "--column-sum", "9"),
+     "zero-one tableaux"),
+], ids=["T-1000000", "T-100000", "zero-one-5000-columns"])
+def test_enumeration_past_the_cap_is_refused_at_once(capsys, argv, noun):
+    # each count has 4700 digits or more; C(2000000, 1000000) alone takes
+    # seconds to compute, so the check must stop at the first partial count
+    # past the cap
+    start = time.monotonic()
+    code, out, err = run(capsys, "enumerate", *argv)
+    assert time.monotonic() - start < 1
+    assert (code, out, err) == (3, "", f"error: more than 1000000 {noun}\n")
 
 
 def test_enumerate_partitions_with_many_blocks(capsys):

@@ -1,5 +1,6 @@
 """Tests for the colored combinatorial models."""
 
+import re
 from itertools import permutations
 
 import pytest
@@ -102,6 +103,32 @@ def test_zero_one_tableau_validation():
     with pytest.raises(ValueError):
         ZeroOneTableau(BTableau(()), (), ())
     assert ZeroOneTableau(BTableau(()), (), (), rows=3).path() == "VVV"
+    with pytest.raises(ValueError, match="^need one above and one below placement per column$"):
+        ZeroOneTableau(shape, ((1, 1),), ())
+    with pytest.raises(ValueError, match="^below row 2 outside 1..1$"):
+        ZeroOneTableau(shape, ((1, 1),), ((2, 1),))
+
+
+def test_permutation_labeling_needs_distinct_tops():
+    t = ZeroOneTableau(BTableau.from_tops((1, 1), 1), ((1, 1), (1, 1)), ((1, 1), (1, 1)))
+    assert to_partition(t).render() == "{0,2_1,3_1}{1}"  # repeated tops read as a partition
+    with pytest.raises(ValueError, match="^permutation labeling needs distinct column tops$"):
+        to_permutation(t)
+
+
+@pytest.mark.parametrize("w, error, message", [
+    (WeightSpec("constant", value=0), ValueError, "the below placement needs w(0) >= 1"),
+    (WeightSpec("constant", value="q"), NonCombinatorialWeights,
+     "weight value at 0 is not an integer"),
+    (WeightSpec("constant", value=-1), NonCombinatorialWeights, "weight value at 0 is negative"),
+])
+def test_inverse_maps_check_the_below_weight(w, error, message):
+    pair = WeightPair(V24, w)
+    partition = ColoredPartition((((0, None), (1, 1)),))
+    permutation = ColoredPermutation((((0, None), (1, 1)),))
+    for inverse, colored in ((from_partition, partition), (from_permutation, permutation)):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            inverse(colored, pair)
 
 
 def test_path_from_shape():
@@ -331,6 +358,14 @@ def test_signed_partition_validation():
         SignedPartition(((0,), (1, 2, -2)))
     with pytest.raises(ValueError):
         SignedPartition(((0,), (1, -1, 2, -2)))
+    for blocks, message in [
+        (((1, -1),), "the first block contains 0"),
+        (((0,), (-1, 1)), "block elements are ordered by absolute value"),
+        (((0,), (2, -2), (1, -1)), "blocks are ordered by minimum absolute value"),
+        (((0,), (1, -1), (3, -3)), "ground set must be 0 and both copies of 1..n"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            SignedPartition(blocks)
 
 
 # -- special weight families --------------------------------------------------------
@@ -342,6 +377,10 @@ def test_tuple_decompositions():
     assert tuple_decomposition_check("product-shifted", 3, 2, shifts=(1, 2))
     with pytest.raises(ValueError):
         tuple_decomposition_check("mystery", 3, 1)
+    with pytest.raises(ValueError, match="^sun needs a positive power$"):
+        tuple_decomposition_check("sun", 3, 1, p=0)
+    with pytest.raises(ValueError, match="^product-shifted needs at least one shift$"):
+        tuple_decomposition_check("product-shifted", 3, 1)
 
 
 def test_shifted_weights_match_offset_ambient():

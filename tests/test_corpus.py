@@ -4,7 +4,8 @@
 and lines starting with `#` are skipped.  `tests/golden/corpus.json` holds what
 each command printed and returned.  Commands run in process through
 `cli.main`, from the repository root, so the spec paths under
-`tests/golden/specs/` and the messages that quote them are the same everywhere.
+`tests/golden/specs/` and the messages that quote them are the same everywhere,
+and with COLUMNS=80, the width argparse wraps its usage lines to.
 
 After an intended change of output, rewrite the record and review its diff:
 
@@ -40,6 +41,7 @@ def run(command: str) -> dict:
 
 def test_corpus_matches_record(monkeypatch):
     monkeypatch.chdir(ROOT)
+    monkeypatch.setenv("COLUMNS", "80")
     record = json.loads(RECORD.read_text(encoding="utf-8"))
     assert [entry["command"] for entry in record] == commands()
     assert [entry["command"] for entry in record if run(entry["command"]) != entry] == []
@@ -47,6 +49,7 @@ def test_corpus_matches_record(monkeypatch):
 
 def regenerate() -> None:
     os.chdir(ROOT)
+    os.environ["COLUMNS"] = "80"
     record = [run(command) for command in commands()]
     text = json.dumps(record, indent=1, ensure_ascii=False) + "\n"
     RECORD.write_text(text, encoding="utf-8")

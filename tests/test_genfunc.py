@@ -42,6 +42,8 @@ def test_basis_expand_examples():
     assert basis_expansion(0, 0, 0, CLASSICAL) == 1
     assert basis_expansion(1, 1, -1, builtin("jacobi")) == X
     assert basis_expansion(4, 0, 0, PQ) == X ** 4
+    with pytest.raises(ValueError, match="^exponent must be nonnegative$"):
+        basis_expansion(-1, 0, 0, CLASSICAL)
 
 
 def test_gf_invariants_across_catalog():

@@ -61,6 +61,10 @@ def test_matrix_basics():
         RingMatrix([[1, 2]])
     with pytest.raises(ValueError):
         RingMatrix([])
+    with pytest.raises(ValueError, match="^dimension must be at least 1$"):
+        RingMatrix.from_function(0, lambda i, j: 1)
+    with pytest.raises(ValueError, match="^dimension mismatch$"):
+        m * identity_matrix(3)
 
 
 def test_determinants_integer():

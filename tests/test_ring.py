@@ -91,6 +91,32 @@ def test_parse_rejects_garbage():
     for text in ["", "p +", "p^", "y + 1", "2**p", "x^-1"]:
         with pytest.raises(RingParseError):
             parse(text)
+    for text, message in [("2a*p", "bad integer factor '2a'"), ("3²", "bad integer factor '3²'"),
+                          ("p^a", "bad exponent 'a'"), ("q^1.5", "bad exponent '1.5'")]:
+        with pytest.raises(RingParseError, match=f"^{message}$"):
+            parse(text)
+
+
+def test_integers_of_any_size_render_and_parse():
+    # str() and int() refuse more than 4300 digits; these values have 5000 and 6000
+    big = 10 ** 1000 - 1
+    for v in [RingValue.from_int(big ** 5), -RingValue.from_int(big ** 5),
+              big ** 5 * P ** -2 - big ** 6 * Q * X + 1]:
+        text = v.render()
+        assert len(text) >= 5000
+        assert parse(text) == v
+    assert (-10 ** 5000 * P + 1).render() == "-1" + "0" * 5000 + "*p + 1"
+
+
+def test_construction_refusals():
+    with pytest.raises(ValueError, match="^exponent vector must have 4 entries, got \\(1, 2, 3\\)$"):
+        RingValue({(1, 2, 3): 1})
+    with pytest.raises(TypeError, match="^cannot coerce float into the ring$"):
+        RingValue.coerce(1.5)
+    with pytest.raises(KeyError, match="unknown variable 'y'"):
+        (P + Q).substitute({"y": 1})
+    with pytest.raises(ValueError, match="^not a constant: p \\+ 1$"):
+        (P + 1).as_int()
 
 
 def test_parse_render_round_trip_random():

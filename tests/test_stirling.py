@@ -3,9 +3,11 @@ import random
 
 import pytest
 
-from wstirling.ring import ONE, P, Q, RingValue, X, ZERO, product, ring_sum
+from wstirling import ring
+from wstirling.ring import ONE, P, Q, RingValue, TermBudgetExceeded, X, ZERO, product, ring_sum
 from wstirling.stirling import (
     StirlingTable,
+    _table,
     b_stirling_by_series,
     b_stirling_row_by_product,
     bracket,
@@ -85,6 +87,8 @@ def test_k_zero_columns():
 def test_kind_mismatch_rejected():
     with pytest.raises(ValueError):
         StirlingTable(CLASSICAL, "third")
+    with pytest.raises(ValueError, match="^unknown method 'other'$"):
+        StirlingTable(CLASSICAL, "first", method="other")
 
 
 def test_classical_textbook_oracle():
@@ -142,6 +146,31 @@ def test_undefined_weights_are_never_stored():
                     table.value(2, 1)
 
 
+@pytest.mark.parametrize("method", ["definition", "recurrence"])
+def test_failed_column_walk_is_walked_again(monkeypatch, method):
+    # column 1 multiplies q-integers of 6 and 7 terms, past a budget of 30 pairs;
+    # a walk that raised is finished, so a repeat must start a new one and
+    # raise the same error, not StopIteration
+    monkeypatch.setattr(ring, "TERM_BUDGET", 30)
+    table = StirlingTable(builtin("q-stirling"), "second", alpha=6, method=method)
+    for _ in range(2):
+        with pytest.raises(TermBudgetExceeded):
+            table.value(4, 1)
+    monkeypatch.setattr(ring, "TERM_BUDGET", 10 ** 8)
+    assert table.value(4, 1) == second_kind(builtin("q-stirling"), 6, 0, 4, 1)
+
+
+def test_failed_column_walk_inside_a_generator(monkeypatch):
+    # inside a generator expression a StopIteration would surface as RuntimeError
+    pair = builtin("q-stirling")
+    _table.cache_clear()
+    monkeypatch.setattr(ring, "TERM_BUDGET", 30)
+    for _ in range(2):
+        with pytest.raises(TermBudgetExceeded):
+            ring_sum(second_kind(pair, 6, 0, n, 1) for n in range(5))
+    _table.cache_clear()
+
+
 def rising_factorial_row(n):
     # coefficients of x(x+1)...(x+n-1), plain integers
     row = [1]
@@ -167,8 +196,9 @@ def test_vertical_examples():
     assert s_vertical(PQ, 0, 0, 1, 0) == P + Q
     for n in range(5):
         assert c_vertical(CLASSICAL, 0, 0, n, n) == 1
-    with pytest.raises(ValueError):
-        c_vertical(CLASSICAL, 0, 0, -1, 0)
+    for vertical in (c_vertical, s_vertical):
+        with pytest.raises(ValueError, match="^vertical recurrence needs n >= 0$"):
+            vertical(CLASSICAL, 0, 0, -1, 0)
 
 
 def test_vertical_matches_def():
