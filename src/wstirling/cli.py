@@ -102,7 +102,7 @@ def cmd_table(args) -> int:
         return 0
     # b-file: "index value" with a row-major linear index, integers only
     lines = []
-    for index, v in enumerate(v for row in rows for v in row):
+    for index, v in enumerate(entry for row in rows for entry in row):
         if not v.is_constant():
             raise NonIntegerEntry(
                 f"b-file output needs integer entries; entry {index} is {v.render()}")

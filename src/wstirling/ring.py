@@ -39,7 +39,6 @@ RingValue.  See "packed lines" below.
 
 from __future__ import annotations
 
-from decimal import Decimal
 from typing import Iterable, Mapping, Union
 
 VARIABLES = ("p", "q", "z", "x")
@@ -398,6 +397,7 @@ class RingValue:
                 try:
                     body = str(abs(coeff))
                 except ValueError:  # past sys.get_int_max_str_digits(), which Decimal ignores
+                    from decimal import Decimal  # imported on use, so start-up does not pay for it
                     body = str(Decimal(abs(coeff)))
                 if factors:
                     body = "*".join([body] + factors)
@@ -448,7 +448,8 @@ def parse(text: str) -> RingValue:
             if factor[0].isdigit():
                 if not factor.isdecimal():  # "²" is a digit, which int() and Decimal refuse
                     raise RingParseError(f"bad integer factor {factor!r}")
-                coeff *= int(Decimal(factor))  # int(str) has a digit limit, Decimal none
+                from decimal import Decimal  # int(str) has a digit limit, Decimal none
+                coeff *= int(Decimal(factor))
                 continue
             name, caret, exp_text = factor.partition("^")
             if name not in _VAR_INDEX:

@@ -89,6 +89,13 @@ def test_table_output_is_byte_deterministic(capsys):
     assert first == second
 
 
+def test_help_returns_0(capsys):
+    # argparse exits by raising SystemExit; main returns its code instead
+    code, out, err = run(capsys, "table", "--help")
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: wstirling table [-h]")
+
+
 def test_unknown_weights_are_usage_errors(capsys):
     assert run(capsys, "table", "--weights", "builtin:nope", "--nmax", "2")[0] == 2
     assert run(capsys, "table", "--weights", "classical", "--nmax", "2")[0] == 2
