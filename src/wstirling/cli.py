@@ -19,7 +19,8 @@ past the ring's term-pair budget).  Commands return 0 or 1 and raise
 everything else; main alone turns an error into its code and an `error:`
 line on stderr, argparse's own exits included.  Output is
 byte-deterministic for identical invocations: iteration orders are fixed, the
-round-trip suite seeds its own RNG, and JSON is dumped with sorted keys.
+round-trip identity seeds each cell's sequence from the cell, and JSON is
+dumped with sorted keys.
 """
 
 from __future__ import annotations

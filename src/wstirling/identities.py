@@ -12,11 +12,11 @@ Every parameter that sets a range (row bound, matrix dimension, series order)
 is part of the cell, so no probe reads nmax.
 
 Layer functions return the values they compute and only this module compares
-them, in one probe shape: compute the sides got and want from the pair and the
-cell, compare them, and write the cell and the tagged sides as the
-counterexample; a residual is compared with 0.  The only layer refusals that a
-probe turns into a counterexample are NotInverse, DomainViolation and
-InvalidColorBudget.  Sides call layer functions as module attributes
+them, in one probe shape, `_compare`: compute the sides got and want from the
+pair and the cell, compare them, and write the cell and the tagged sides as the
+counterexample; a residual is compared with 0, an inverse pair's products with
+the identity matrix.  The only layer refusals that a probe turns into a
+counterexample are DomainViolation and InvalidColorBudget.  Sides call layer functions as module attributes
 (stirling.first_kind), looked up at each call and never bound at import, so a
 caller that wraps a layer function sees the calls.
 """
@@ -180,30 +180,24 @@ def _split(m1, m2, n, a, b):
 # -- probes --------------------------------------------------------------------------
 
 
-def _probe(where, check):
-    """The probe of a cell description and a check, which returns None where the
-    identity holds or else a note, maybe empty; a layer refusal's message is a
-    note too.  The counterexample is where(*cell), then the note."""
-    def probe(*cell):
-        try:
-            note = check(*cell)
-        except (matrices.NotInverse, tableaux.DomainViolation,
-                combinat.InvalidColorBudget) as exc:
-            note = str(exc)
-        return None if note is None else " ".join(filter(None, (where(*cell), note)))
-    return probe
-
-
 def _compare(where, got, want, tags=(None, None)):
     """make_probe of the identity got(pair, *cell) == want(pair, *cell).  The
-    note names each side that has a tag, as tag=value."""
+    counterexample is where(*cell), then each side that has a tag, as
+    tag=value, or the message of a layer refusal."""
     def make_probe(pair):
-        def check(*cell):
-            sides = got(pair, *cell), want(pair, *cell)
-            return None if sides[0] == sides[1] else " ".join(
-                f"{tag}={side.render() if isinstance(side, RingValue) else side}"
-                for tag, side in zip(tags, sides) if tag)
-        return _probe(where, check)
+        def probe(*cell):
+            try:
+                sides = got(pair, *cell), want(pair, *cell)
+            except (tableaux.DomainViolation, combinat.InvalidColorBudget) as exc:
+                note = str(exc)
+            else:
+                if sides[0] == sides[1]:
+                    return None
+                note = " ".join(
+                    f"{tag}={side.render() if isinstance(side, RingValue) else side}"
+                    for tag, side in zip(tags, sides) if tag)
+            return " ".join(filter(None, (where(*cell), note)))
+        return probe
     return make_probe
 
 
@@ -245,25 +239,28 @@ def _pq_form(names, residual):
                      lambda pair, *cell: residual()(*cell))
 
 
-def _inverse_pair(pair):
-    def check(kind, r, a, b):
-        matrices.inverse_pair(kind, r, a, b, pair)  # raises NotInverse where it fails
-    return _probe(lambda kind, r, a, b: f"alpha={a} beta={b}", check)
+def _products(pair, kind, r, a, b):
+    # (A·B, B·A) of one inverse pair, each the identity matrix
+    first, second = matrices.inverse_pair(kind, r, a, b, pair)
+    return first * second, second * first
 
 
-def _round_trip(pair, seed=11):
-    rng = random.Random(seed)
+_INVERSE_PAIR = _compare(lambda kind, r, a, b: f"alpha={a} beta={b} kind={kind} r={r}",
+                         _products,
+                         lambda pair, kind, r, a, b: (matrices.identity_matrix(r + 1),) * 2)
 
-    def probe(fwd, bwd, r, a, b):
-        seq = [RingValue.coerce(rng.randint(-9, 9)) for _ in range(r + 1)]
-        for first, second in ((fwd, bwd), (bwd, fwd)):
-            mid = matrices.inverse_relation_apply(first, seq, r, a, b, pair)
-            back = matrices.inverse_relation_apply(second, mid, r, a, b, pair)
-            if back != seq:
-                return (f"alpha={a} beta={b} legs={first}->{second} "
-                        f"sequence={[v.render() for v in seq]}")
-        return None
-    return probe
+
+def _sequence(fwd, r, a, b):
+    # seeded from the cell, so both sides and the counterexample see one sequence
+    rng = random.Random(f"{fwd}:{r}:{a}:{b}")
+    return [rng.randint(-9, 9) for _ in range(r + 1)]
+
+
+def _round_trips_back(pair, fwd, bwd, r, a, b):
+    def leg(direction, seq):
+        return matrices.inverse_relation_apply(direction, seq, r, a, b, pair)
+    seq = _sequence(fwd, r, a, b)
+    return leg(bwd, leg(fwd, seq)), leg(fwd, leg(bwd, seq))
 
 
 def _convolution(kind):
@@ -296,36 +293,23 @@ def _weight_sum(kind):
                     _value(kind), ("tableau-sum", "definition"))
 
 
-def _tau(pair):
-    def bijective(n, k, a, b):
-        domain = tableaux.enumerate_Td(a, b, n - 1, n - k)
-        images = [tableaux.tau(t, n, k, a, b) for t in domain]
-        target = tableaux.enumerate_T(a, b, k, n - k)
-        if len(set(images)) != len(images) or set(images) != set(target):
-            return (f"domain={len(domain)} distinct-images={len(set(images))} "
-                    f"target={len(target)}")
-        return None
-    return _probe(_nk, bijective)
-
-
 def _count(tag, kind, count):
     # count(pair, n, k) objects against the integer entry at offsets 0, 0
     return _compare(lambda n, k: f"n={n} k={k}", count,
                     lambda pair, n, k: _value(kind)(pair, n, k, 0, 0).as_int(), (tag, "value"))
 
 
-def _figure(pair):
-    def probe(which):
-        if which == "partition":
-            t = combinat.ZeroOneTableau(BTableau.from_tops((3, 1, 1), 5),
-                                        ((3, 2), (1, 3), (2, 1)), ((1, 1),) * 3)
-            got, want = combinat.to_partition(t).render(), "{0,3_3}{1,2_1}{4,6_2}{5}{7}{8}"
-        else:
-            t = combinat.ZeroOneTableau(BTableau.from_tops((3, 1, 0), 5),
-                                        ((4, 1), (2, 1), (1, 4)), ((1, 1),) * 3)
-            got, want = combinat.to_permutation(t).render(), "(0 1_4 2_1)(3 4_1)(5)(6)"
-        return None if got == want else f"{which} rendered {got} expected {want}"
-    return probe
+# the paper's figures: the map to_<name>, then its tableau's tops and above
+# placements (column sum 5, every below placement (1, 1)) and the rendering
+_FIGURES = {"partition": ((3, 1, 1), ((3, 2), (1, 3), (2, 1)),
+                          "{0,3_3}{1,2_1}{4,6_2}{5}{7}{8}"),
+            "permutation": ((3, 1, 0), ((4, 1), (2, 1), (1, 4)), "(0 1_4 2_1)(3 4_1)(5)(6)")}
+
+
+def _figure(pair, name):
+    tops, above, _ = _FIGURES[name]
+    t = combinat.ZeroOneTableau(BTableau.from_tops(tops, 5), above, ((1, 1),) * 3)
+    return getattr(combinat, f"to_{name}")(t).render()
 
 
 # -- the registry --------------------------------------------------------------------
@@ -381,11 +365,14 @@ _IDENTITIES = (
                       lambda pair, n, m, *_: 1 if n == m else 0, ("value", None))),
     Identity("orthogonality", "inverse-pair-beta",
              lambda nmax, grid: (("beta", min(nmax, 5), a, b) for a, b in grid),
-             _inverse_pair),
+             _INVERSE_PAIR),
     Identity("orthogonality", "inverse-pair-alpha",
              lambda nmax, grid: (("alpha", min(nmax, 5), a, b) for a, b in grid),
-             _inverse_pair),
-    Identity("orthogonality", "inverse-relation-round-trip", _round_trips, _round_trip),
+             _INVERSE_PAIR),
+    Identity("orthogonality", "inverse-relation-round-trip", _round_trips,
+             _compare(lambda fwd, bwd, r, a, b: f"alpha={a} beta={b} legs={fwd}<->{bwd} "
+                      f"sequence={_sequence(fwd, r, a, b)}", _round_trips_back,
+                      lambda pair, fwd, bwd, r, a, b: (_sequence(fwd, r, a, b),) * 2)),
     Identity("orthogonality", "pq-binomial-delta",
              lambda nmax, grid: ((n, m) for n in range(min(nmax, 6) + 1) for m in range(n + 1)),
              _compare(lambda n, m: f"n={n} m={m}",
@@ -414,7 +401,10 @@ _IDENTITIES = (
     Identity("tableaux", "weight-sum-second", _tableau_rows, _weight_sum("second")),
     Identity("tableaux", "tau-bijection",
              lambda nmax, grid: _triangle(range(1, min(nmax, 6) + 1), _nonneg(grid), k_min=1),
-             _tau, pairs=NO_PAIR),
+             _partition(_nk, lambda n, k, a, b: [tableaux.tau(t, n, k, a, b) for t in
+                                                 tableaux.enumerate_Td(a, b, n - 1, n - k)],
+                        lambda n, k, a, b: tableaux.enumerate_T(a, b, k, n - k)),
+             pairs=NO_PAIR),
     Identity("tableaux", "triangular-split",
              lambda nmax, grid: _triangle(range(1, min(nmax, 5) + 1), _nonneg(grid)),
              _partition(_nk, lambda *cell: tableaux.triangular_split(*cell),
@@ -442,7 +432,10 @@ _IDENTITIES = (
                     lambda pair, n, k: len(combinat.enumerate_perm(n, k, pair.v))),
              applies=combinat.colors_by_v),
     Identity("combinatorial", "figure-renderings",
-             lambda nmax, grid: [("partition",), ("permutation",)], _figure, pairs=NO_PAIR),
+             lambda nmax, grid: [(name,) for name in _FIGURES],
+             _compare(lambda name: f"figure={name}", _figure,
+                      lambda pair, name: _FIGURES[name][2], ("rendered", "expected")),
+             pairs=NO_PAIR),
     Identity("combinatorial", "signed-partition-counts", _counts,
              _count("signed-partitions", "second",
                     lambda pair, n, k: len(combinat.enumerate_signed_partitions(n, k))),

@@ -7,6 +7,11 @@ this gate takes their probes from `wstirling.identities` and sweeps them with
 the same `scan` over its own, wider cell lists.  Cells where a q-integer or
 table weight is undefined are skipped, and every sweep must check at least one
 cell, so a regression cannot hide behind mass skipping.
+
+Criterion 9 compares `verify --suite all` with a golden report.  After an
+intended change of that report, rewrite it and review its diff:
+
+    PYTHONPATH=src python3 -m wstirling.cli verify --suite all > tests/golden/verify_all_nmax6.txt
 """
 
 import json
@@ -98,8 +103,7 @@ def test_criterion_3_orthogonality_and_inversion():
                 ("transposed-forward", "transposed-backward")]
         check(f"criterion 3 round trips length 7 [{pair.label}]",
               [(fwd, bwd, 6, a, b) for (fwd, bwd) in legs for (a, b) in ((0, 0), (1, -1))],
-              identities.REGISTRY["orthogonality/inverse-relation-round-trip"]
-              .make_probe(pair, seed=20260819))
+              probe("orthogonality/inverse-relation-round-trip", pair))
 
 
 def test_criterion_4_convolutions():

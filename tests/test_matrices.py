@@ -4,7 +4,6 @@ import pytest
 
 from wstirling.identities import REGISTRY, delta_cells, scan
 from wstirling.matrices import (
-    NotInverse,
     RingMatrix,
     convolution_sum,
     det_formula,
@@ -53,8 +52,8 @@ def test_matrix_basics():
     assert m.dim == 2
     assert m.entry(1, 0) == 3
     assert (m * identity_matrix(2)) == m
-    assert identity_matrix(3).is_identity()
-    assert not m.is_identity()
+    assert identity_matrix(3) == RingMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    assert m != identity_matrix(2)
     assert m.render() == "[ 1  2 ]\n[ 3  4 ]"
     assert m.to_lists() == [["1", "2"], ["3", "4"]]
     with pytest.raises(ValueError):
@@ -122,20 +121,28 @@ def test_pq_binomial_orthogonality():
             assert pq_binomial_delta_sum(n, m) == (1 if n == m else 0), (n, m)
 
 
+def assert_two_sided_inverse(kind, r, alpha, beta, pair):
+    a, b = inverse_pair(kind, r, alpha, beta, pair)
+    unit = identity_matrix(r + 1)
+    assert a * b == unit, (kind, r, alpha, beta, pair.label)
+    assert b * a == unit, (kind, r, alpha, beta, pair.label)
+    return a, b
+
+
 def test_inverse_pair_examples():
     for kind in ("beta", "alpha"):
-        a, b = inverse_pair(kind, 0, 0, 0, CLASSICAL)
+        a, b = assert_two_sided_inverse(kind, 0, 0, 0, CLASSICAL)
         assert a.rows == ((ONE,),) and b.rows == ((ONE,),)
-    a, b = inverse_pair("beta", 4, 0, 0, CLASSICAL)
+    a, b = assert_two_sided_inverse("beta", 4, 0, 0, CLASSICAL)
     # signed first-kind triangle against the plain second-kind triangle
     assert a.entry(3, 2) == -3 and a.entry(4, 2) == 11
     assert b.entry(4, 2) == 7
     # sliding the v-offset instead moves the signs onto the second kind
-    a, b = inverse_pair("alpha", 4, 0, 0, CLASSICAL)
+    a, b = assert_two_sided_inverse("alpha", 4, 0, 0, CLASSICAL)
     assert a.entry(3, 2) == 3 and a.entry(4, 2) == 11
     assert b.entry(3, 2) == -3 and b.entry(4, 2) == 7
-    inverse_pair("beta", 3, 0, 0, PQ)
-    inverse_pair("alpha", 3, -1, 2, builtin("zeta"))
+    assert_two_sided_inverse("beta", 3, 0, 0, PQ)
+    assert_two_sided_inverse("alpha", 3, -1, 2, builtin("zeta"))
     with pytest.raises(ValueError):
         inverse_pair("diagonal", 2, 0, 0, CLASSICAL)
     with pytest.raises(ValueError):
@@ -148,7 +155,7 @@ def test_inverse_pair_catalog_sweep():
         pair = builtin(name)
         for kind in ("beta", "alpha"):
             for alpha, beta in [(0, 0), (-2, 1), (1, -2)]:
-                inverse_pair(kind, 4, alpha, beta, pair)  # raises NotInverse on failure
+                assert_two_sided_inverse(kind, 4, alpha, beta, pair)
 
 
 def test_inverse_relation_round_trips():
