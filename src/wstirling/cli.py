@@ -159,13 +159,12 @@ def cmd_enumerate(args) -> int:
         if args.object in ("T", "Td"):
             _require(args, "r", "s")
             fn = tableaux.enumerate_T if args.object == "T" else tableaux.enumerate_Td
-            lines = [t.render() for t in fn(args.alpha, args.beta, args.r, args.s, cap=cap)]
+            objects = fn(args.alpha, args.beta, args.r, args.s, cap=cap)
         elif args.object == "zero-one":
             _require(args, "tops", "column_sum")
             pair = load_weights(args.weights)
             shape = BTableau.from_tops(_parse_tops(args.tops), args.column_sum)
-            lines = [t.render() for t in
-                     combinat.enumerate_01v(shape, pair, cap=cap, rows=args.rows)]
+            objects = combinat.enumerate_01v(shape, pair, cap=cap, rows=args.rows)
         elif args.object in ("partitions", "permutations"):
             _require(args, "n", "k")
             pair = load_weights(args.weights)
@@ -175,11 +174,10 @@ def cmd_enumerate(args) -> int:
                     "pair with w = 1")
             fn = (combinat.enumerate_part if args.object == "partitions"
                   else combinat.enumerate_perm)
-            lines = [p.render() for p in fn(args.n, args.k, pair.v, cap=cap)]
+            objects = fn(args.n, args.k, pair.v, cap=cap)
         else:  # signed-partitions
             _require(args, "n", "k")
-            lines = [p.render() for p in
-                     combinat.enumerate_signed_partitions(args.n, args.k, cap=cap)]
+            objects = combinat.enumerate_signed_partitions(args.n, args.k, cap=cap)
     except RESOURCE_LIMITS:
         raise
     except (combinat.NonCombinatorialWeights, combinat.InvalidColorBudget,
@@ -187,9 +185,9 @@ def cmd_enumerate(args) -> int:
         raise UsageError(f"weights do not define this object family: {exc}") from exc
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    for line in lines:
-        print(line)
-    print(f"count={len(lines)}")
+    for obj in objects:
+        print(obj.render())
+    print(f"count={len(objects)}")
     return 0
 
 

@@ -86,12 +86,16 @@ class ZeroOneTableau:
         if len(self.above) != width or len(self.below) != width:
             raise ValueError("need one above and one below placement per column")
         for (top, bottom), (ra, ca), (rb, cb) in zip(self.shape.columns, self.above, self.below):
+            if any(type(e) is not int for e in (ra, ca, rb, cb)):
+                raise ValueError(f"placement rows and colors are integers, got {ra, ca} {rb, cb}")
             if not 1 <= ra <= top + 1:
                 raise ValueError(f"above row {ra} outside 1..{top + 1}")
             if not 1 <= rb <= bottom + 1:
                 raise ValueError(f"below row {rb} outside 1..{bottom + 1}")
             if ca < 1 or cb < 1:
                 raise ValueError("colors are 1-based")
+        if type(self.rows) is not int:
+            raise ValueError(f"grid height is an integer, got {self.rows!r}")
         if width:
             expected = self.shape.column_sum + 2
             if self.rows == 0:

@@ -16,9 +16,9 @@ them, in one probe shape, `_compare`: compute the sides got and want from the
 pair and the cell, compare them, and write the cell and the tagged sides as the
 counterexample; a residual is compared with 0, an inverse pair's products with
 the identity matrix.  The only layer refusals that a probe turns into a
-counterexample are DomainViolation and InvalidColorBudget.  Sides call layer functions as module attributes
-(stirling.first_kind), looked up at each call and never bound at import, so a
-caller that wraps a layer function sees the calls.
+counterexample are DomainViolation and InvalidColorBudget.  Sides call layer
+functions as module attributes (stirling.first_kind), looked up at each call
+and never bound at import, so a wrapper of a layer function sees the calls.
 """
 
 from __future__ import annotations

@@ -48,7 +48,9 @@ class BTableau:
     columns: tuple
 
     def __post_init__(self):
-        cols = tuple((int(t), int(b)) for t, b in self.columns)
+        cols = tuple((t, b) for t, b in self.columns)
+        if any(type(e) is not int for col in cols for e in col):
+            raise ValueError(f"tableau entries are integers, got {cols}")
         object.__setattr__(self, "columns", cols)
         sums = {t + b for t, b in cols}
         if len(sums) > 1:

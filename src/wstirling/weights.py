@@ -16,12 +16,10 @@ from __future__ import annotations
 import json
 import re
 from functools import lru_cache
-from typing import Callable, Mapping, NamedTuple, Union
+from typing import Callable, Mapping, NamedTuple
 
 from .ring import ZERO, RingValue, ring_sum
 from .ring import parse as parse_ring
-
-WeightValue = Union[int, RingValue]
 
 _BASES = ("p", "q", "z")
 

@@ -107,6 +107,15 @@ def test_zero_one_tableau_validation():
         ZeroOneTableau(shape, ((1, 1),), ())
     with pytest.raises(ValueError, match="^below row 2 outside 1..1$"):
         ZeroOneTableau(shape, ((1, 1),), ((2, 1),))
+    wide = BTableau.from_tops((2,), 3)
+    with pytest.raises(ValueError, match=r"^placement rows and colors are integers, "
+                                         r"got \(1\.5, 1\) \(1, 2\.5\)$"):
+        ZeroOneTableau(wide, ((1.5, 1),), ((1, 2.5),))
+    with pytest.raises(ValueError, match=r"^placement rows and colors are integers, "
+                                         r"got \(1, 1\) \(1, True\)$"):
+        ZeroOneTableau(wide, ((1, 1),), ((1, True),))
+    with pytest.raises(ValueError, match=r"^grid height is an integer, got 5\.0$"):
+        ZeroOneTableau(wide, ((1, 1),), ((1, 2),), rows=5.0)
 
 
 def test_permutation_labeling_needs_distinct_tops():

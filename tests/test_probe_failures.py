@@ -22,8 +22,9 @@ import contextlib
 import io
 import pathlib
 
-from wstirling import identities, stirling, tableaux
+from wstirling import identities, matrices, stirling, tableaux
 from wstirling.cli import main
+from wstirling.weights import builtin
 
 RECORD = pathlib.Path(__file__).resolve().parent / "golden" / "verify_all_nmax6_faults.txt"
 COMMAND = ["verify", "--suite", "all", "--nmax", "6"]
@@ -66,6 +67,28 @@ def test_a_layer_refusal_is_the_counterexample(monkeypatch):
     probe = identities.REGISTRY["tableaux/tau-bijection"].probe()
     assert probe(3, 1, 0, 0) == ("alpha=0 beta=0 n=3 k=1 BTableau([2 2 / 0 0]) is not a "
                                  "distinct-top tableau for (alpha=0, beta=0, r=2) with 2 columns")
+
+
+def test_every_probe_is_a_comparison():
+    # one probe shape: every registry probe is the one _compare builds
+    for name, identity in identities.REGISTRY.items():
+        assert (identity.probe(builtin("classical")).__qualname__
+                == "_compare.<locals>.make_probe.<locals>.probe"), name
+
+
+def test_a_round_trip_cell_has_one_sequence(monkeypatch):
+    # reversing every leg's output breaks the round trips; the failing cell
+    # reports the same sequence whichever cells the probe ran before
+    apply = matrices.inverse_relation_apply
+    monkeypatch.setattr(matrices, "inverse_relation_apply",
+                        lambda *args: apply(*args)[::-1])
+    probe = identities.REGISTRY["orthogonality/inverse-relation-round-trip"].probe(
+        builtin("classical"))
+    cell = ("alpha-forward", "alpha-backward", 3, 0, 0)
+    first = probe(*cell)
+    assert first.startswith("alpha=0 beta=0 legs=alpha-forward<->alpha-backward sequence=[")
+    assert probe("beta-forward", "beta-backward", 3, 1, 1) is not None
+    assert probe(*cell) == first
 
 
 def regenerate() -> None:

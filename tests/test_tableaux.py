@@ -41,6 +41,11 @@ def test_tableau_type():
         tableau([1, 2], [1, 0])  # increasing top row
     with pytest.raises(ValueError):
         tableau([2, 1], [0, 0])  # column sums differ
+    # entries are ints as given, never converted: 1.7 would truncate to 1
+    assert BTableau([[2, 1]]).columns == ((2, 1),)
+    for columns in (((1.7, 0.3),), (("2", "1"),), ((True, 0),)):
+        with pytest.raises(ValueError, match=r"^tableau entries are integers, got \(\("):
+            BTableau(columns)
 
 
 def test_enumerate_T_examples():
