@@ -12,6 +12,11 @@ Four subcommands:
 cells and probes, and the sweep loop live in `wstirling.identities`, which the
 acceptance gate runs too.
 
+Each command imports only what it uses, because every CLI process pays for its
+imports: the top level has ring, weights and stirling (all `table` needs), `det`
+adds matrices, `enumerate` tableaux and combinat, and `verify` identities, which
+loads every layer.  The parser needs only SUITES and ring.ENUMERATION_CAP.
+
 Exit codes are a stable contract: 0 success, 1 a verified identity failed,
 2 usage error, 3 resource or cap error (an enumeration cap, a non-integer
 b-file entry, a computed exponent outside the ring's range, or a product
@@ -29,9 +34,8 @@ import argparse
 import json
 import sys
 
-from . import combinat, identities, matrices, stirling, tableaux
-from .ring import ExponentOverflow, TermBudgetExceeded
-from .tableaux import BTableau, EnumerationCapExceeded
+from . import stirling
+from .ring import ENUMERATION_CAP, EnumerationCapExceeded, ExponentOverflow, TermBudgetExceeded
 from .weights import (CATALOG, NegativeQInteger, UndefinedIndex, UnknownBuiltin,
                       WeightPair, builtin)
 
@@ -45,6 +49,9 @@ class NonIntegerEntry(ValueError):
 
 
 RESOURCE_LIMITS = (EnumerationCapExceeded, ExponentOverflow, TermBudgetExceeded, NonIntegerEntry)
+
+SUITES = ("recurrences", "genfunc", "orthogonality", "convolution", "lu",
+          "determinants", "tableaux", "combinatorial")
 
 
 def load_weights(text: str) -> WeightPair:
@@ -116,6 +123,8 @@ def cmd_table(args) -> int:
 
 
 def cmd_det(args) -> int:
+    from . import matrices
+
     if args.r < 0 or args.s < 0:
         raise UsageError("--r and --s must be nonnegative")
     pair = load_weights(args.weights)
@@ -152,6 +161,8 @@ def _parse_tops(text: str) -> tuple:
 
 
 def cmd_enumerate(args) -> int:
+    from . import combinat, tableaux
+
     cap = args.cap
     if cap < 0:
         raise UsageError("--cap must be nonnegative")
@@ -163,7 +174,7 @@ def cmd_enumerate(args) -> int:
         elif args.object == "zero-one":
             _require(args, "tops", "column_sum")
             pair = load_weights(args.weights)
-            shape = BTableau.from_tops(_parse_tops(args.tops), args.column_sum)
+            shape = tableaux.BTableau.from_tops(_parse_tops(args.tops), args.column_sum)
             objects = combinat.enumerate_01v(shape, pair, cap=cap, rows=args.rows)
         elif args.object in ("partitions", "permutations"):
             _require(args, "n", "k")
@@ -195,6 +206,8 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import identities
+
     if args.nmax < 0:
         raise UsageError("--nmax must be nonnegative")
     arange = _parse_range(args.alpha_range)
@@ -208,7 +221,7 @@ def cmd_verify(args) -> int:
     print(f"verify: suite={args.suite} nmax={args.nmax} "
           f"alpha=[{arange[0]}..{arange[-1]}] beta=[{brange[0]}..{brange[-1]}] "
           f"weights={scope}")
-    suites = identities.SUITES if args.suite == "all" else (args.suite,)
+    suites = SUITES if args.suite == "all" else (args.suite,)
     grid = [(a, b) for a in arange for b in brange]
     tally = {"PASS": 0, "FAIL": 0, "SKIP": 0}
     for identity, label, checked, skipped, failure in identities.verify(
@@ -244,7 +257,7 @@ def _build_parser() -> argparse.ArgumentParser:
     table.set_defaults(func=cmd_table, undefined_on="triangle")
 
     verify = sub.add_parser("verify", help="run identity suites")
-    verify.add_argument("--suite", choices=identities.SUITES + ("all",), required=True)
+    verify.add_argument("--suite", choices=SUITES + ("all",), required=True)
     verify.add_argument("--nmax", type=int, default=6)
     verify.add_argument("--weights", default=None)
     verify.add_argument("--alpha-range", default="-1:1",
@@ -269,7 +282,7 @@ def _build_parser() -> argparse.ArgumentParser:
     enum.add_argument("--rows", type=int, default=0,
                       help="grid rows for a width-0 zero-one tableau")
     enum.add_argument("--weights", default="builtin:classical")
-    enum.add_argument("--cap", type=int, default=tableaux.ENUMERATION_CAP)
+    enum.add_argument("--cap", type=int, default=ENUMERATION_CAP)
     enum.set_defaults(func=cmd_enumerate)
 
     det = sub.add_parser("det", help="Hankel-style determinant report")

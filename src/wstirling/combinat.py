@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import prod
 
-from .tableaux import (ENUMERATION_CAP, BTableau, EnumerationCapExceeded, capped_product,
-                       enumerate_T, enumerate_Td)
+from .ring import ENUMERATION_CAP, EnumerationCapExceeded
+from .tableaux import BTableau, capped_product, enumerate_T, enumerate_Td
 from .weights import WeightPair, WeightSpec
 
 
@@ -82,6 +82,8 @@ class ZeroOneTableau:
     rows: int = 0
 
     def __post_init__(self):
+        for side in ("above", "below"):
+            object.__setattr__(self, side, tuple((r, c) for r, c in getattr(self, side)))
         width = self.shape.width
         if len(self.above) != width or len(self.below) != width:
             raise ValueError("need one above and one below placement per column")
@@ -166,7 +168,7 @@ class ColoredPartition:
     blocks: tuple
 
     def __post_init__(self):
-        _check_groups(self.blocks, "block", sorted_groups=True)
+        object.__setattr__(self, "blocks", _check_groups(self.blocks, "block", True))
 
     def render(self) -> str:
         return "".join(
@@ -185,7 +187,7 @@ class ColoredPermutation:
     cycles: tuple
 
     def __post_init__(self):
-        _check_groups(self.cycles, "cycle", sorted_groups=False)
+        object.__setattr__(self, "cycles", _check_groups(self.cycles, "cycle", False))
 
     def word(self) -> tuple:
         return tuple(item for cycle in self.cycles for item in cycle)
@@ -195,14 +197,16 @@ class ColoredPermutation:
             "(" + " ".join(_mark(e, c) for e, c in cycle) + ")" for cycle in self.cycles)
 
 
-def _check_groups(groups: tuple, noun: str, sorted_groups: bool) -> None:
-    # groups of (element, color) pairs: blocks or cycles of 0..n
-    minima = []
-    elements = []
+def _check_groups(groups, noun: str, sorted_groups: bool) -> tuple:
+    # groups of (element, color) pairs: blocks or cycles of 0..n, returned as tuples
+    groups = tuple(tuple((e, c) for e, c in group) for group in groups)
+    minima, elements = [], []
     for group in groups:
         if not group:
             raise ValueError(f"{noun}s are nonempty")
         members = [e for e, _ in group]
+        if any(type(e) is not int for e in members):
+            raise ValueError(f"{noun} elements are integers, got {group}")
         if members[0] != min(members):
             raise ValueError(f"{noun}s start at their minimum")
         if sorted_groups and members != sorted(members):
@@ -217,6 +221,7 @@ def _check_groups(groups: tuple, noun: str, sorted_groups: bool) -> None:
         raise ValueError(f"{noun}s are ordered by minima")
     if sorted(elements) != list(range(len(elements))):
         raise ValueError("ground set must be 0..n without repeats")
+    return groups
 
 
 def _mark(e: int, c) -> str:
@@ -433,6 +438,7 @@ class SignedPartition:
     blocks: tuple
 
     def __post_init__(self):
+        object.__setattr__(self, "blocks", tuple(tuple(block) for block in self.blocks))
         if not self.blocks or 0 not in self.blocks[0]:
             raise ValueError("the first block contains 0")
         seen = []

@@ -30,10 +30,6 @@ from typing import Callable, Optional
 
 from . import combinat, genfunc, matrices, stirling, tableaux, weights
 from .ring import RingValue, X, ring_sum
-from .tableaux import BTableau
-
-SUITES = ("recurrences", "genfunc", "orthogonality", "convolution", "lu",
-          "determinants", "tableaux", "combinatorial")
 
 EACH = "each"  # once per weight pair, labeled with the pair
 NO_PAIR = "-"  # once, independent of the weights
@@ -308,7 +304,7 @@ _FIGURES = {"partition": ((3, 1, 1), ((3, 2), (1, 3), (2, 1)),
 
 def _figure(pair, name):
     tops, above, _ = _FIGURES[name]
-    t = combinat.ZeroOneTableau(BTableau.from_tops(tops, 5), above, ((1, 1),) * 3)
+    t = combinat.ZeroOneTableau(tableaux.BTableau.from_tops(tops, 5), above, ((1, 1),) * 3)
     return getattr(combinat, f"to_{name}")(t).render()
 
 

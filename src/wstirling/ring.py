@@ -86,6 +86,13 @@ class TermBudgetExceeded(ArithmeticError):
 TERM_BUDGET = 10 ** 8
 
 
+class EnumerationCapExceeded(ValueError):
+    """The enumeration would produce more objects than the configured cap."""
+
+
+ENUMERATION_CAP = 10 ** 6
+
+
 def _pack(exps) -> int:
     """Key of the exponent vector exps = (ep, eq, ez, ex)."""
     if not -_LIMIT <= min(exps) <= max(exps) < _LIMIT:

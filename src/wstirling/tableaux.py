@@ -13,15 +13,12 @@ at once, from partial counts that stop at the first one past the cap.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, combinations, combinations_with_replacement
-from itertools import product as cartesian
+from itertools import accumulate, combinations, combinations_with_replacement, product as cartesian
 from math import comb
 from operator import mul
 
-from .ring import ONE, RingValue, product, ring_sum
+from .ring import ENUMERATION_CAP, ONE, EnumerationCapExceeded, RingValue, product, ring_sum
 from .weights import WeightPair
-
-ENUMERATION_CAP = 10 ** 6
 
 
 class IncompatibleTableaux(ValueError):
@@ -30,10 +27,6 @@ class IncompatibleTableaux(ValueError):
 
 class DomainViolation(ValueError):
     """A tableau was passed to a map whose domain does not contain it."""
-
-
-class EnumerationCapExceeded(ValueError):
-    """The enumeration would produce more objects than the configured cap."""
 
 
 @dataclass(frozen=True)
