@@ -168,7 +168,7 @@ class ColoredPartition:
     blocks: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "blocks", _check_groups(self.blocks, "block", True))
+        object.__setattr__(self, "blocks", _check_groups(self.blocks, "block", sorted_groups=True))
 
     def render(self) -> str:
         return "".join(
@@ -187,7 +187,7 @@ class ColoredPermutation:
     cycles: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "cycles", _check_groups(self.cycles, "cycle", False))
+        object.__setattr__(self, "cycles", _check_groups(self.cycles, "cycle", sorted_groups=False))
 
     def word(self) -> tuple:
         return tuple(item for cycle in self.cycles for item in cycle)

@@ -2,12 +2,17 @@
 
 Everything drives main() in process and asserts on captured stdout/stderr,
 including the documented exit-code contract (0 success, 1 identity failure,
-2 usage error, 3 resource/cap error) and byte determinism.
+2 usage error, 3 resource/cap error) and byte determinism.  The tests of what
+each command imports, at the end, run fresh interpreters instead.
 """
 
 import json
+import os
 import pathlib
 import shlex
+import subprocess
+import sys
+import textwrap
 import time
 
 import pytest
@@ -19,6 +24,7 @@ from wstirling.stirling import b_stirling_by_series
 from wstirling.weights import builtin
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
+ROOT = GOLDEN.parent.parent
 
 
 def run(capsys, *argv):
@@ -441,3 +447,57 @@ def test_readme_python_examples(capsys):
         assert expected and all(expected), block
         exec(block, {})
         assert capsys.readouterr().out.splitlines() == expected, block
+
+
+# -- what each command imports ------------------------------------------------------
+#
+# These run in fresh interpreters: in this process an earlier test may already
+# have imported every module, which would hide a missing or eager import.
+
+def fresh_python(*args):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), COLUMNS="80")
+    return subprocess.run([sys.executable, *args], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_commands_import_only_what_they_use():
+    script = """
+        import json, sys
+        from wstirling import cli
+        lazy = ("identities", "matrices", "combinat", "tableaux", "genfunc")
+        loaded = lambda: [m for m in lazy if "wstirling." + m in sys.modules]
+        stages = [loaded()]
+        cli.main(["table", "--nmax", "3"])
+        stages.append(loaded())
+        cli.main(["det", "--r", "1", "--s", "0"])
+        stages.append(loaded())
+        print(json.dumps(stages))
+    """
+    done = fresh_python("-c", textwrap.dedent(script))
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1]) == [[], [], ["matrices"]]
+
+
+@pytest.mark.parametrize("command", [
+    "verify --suite lu --nmax 4 --weights builtin:q-stirling",
+    "enumerate --object partitions --n 3 --k 1 --weights builtin:classical",
+    "enumerate --object T --r 100000 --s 100000",
+    "det --kind second --r 2 --s 1 --weights builtin:classical --alpha 0 --beta 0",
+])
+def test_fresh_process_matches_corpus(command):
+    record = json.loads((GOLDEN / "corpus.json").read_text(encoding="utf-8"))
+    want = next(entry for entry in record if entry["command"] == command)
+    done = fresh_python("-m", "wstirling.cli", *shlex.split(command))
+    assert (done.returncode, done.stdout, done.stderr) == (
+        want["code"], want["stdout"], want["stderr"])
+
+
+def test_moved_constants_have_one_home():
+    from wstirling import cli, combinat, identities, ring, tableaux
+
+    suites = tuple(dict.fromkeys(i.suite for i in identities.REGISTRY.values()))
+    assert cli.SUITES == suites
+    assert not hasattr(identities, "SUITES")
+    assert ring.ENUMERATION_CAP == 10 ** 6
+    assert tableaux.EnumerationCapExceeded is ring.EnumerationCapExceeded
+    assert combinat.EnumerationCapExceeded is ring.EnumerationCapExceeded

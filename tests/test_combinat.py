@@ -321,6 +321,13 @@ def test_colored_type_validation():
         ((((0, None),), ((2, None),), ((1, None),)), "ordered by minima"),
         ((((0, None), (2, 1)),), "ground set"),
         ((((0, None), (1, 1)), ((1, None),)), "ground set"),
+        # 0.0 == 0 and True == 1, so only a type check tells these from 0..n
+        ((((0.0, None), (1.0, 1)),),
+         r"^(block|cycle) elements are integers, got \(\(0\.0, None\), \(1\.0, 1\)\)$"),
+        ((((0, None), (True, 1)),),
+         r"^(block|cycle) elements are integers, got \(\(0, None\), \(True, 1\)\)$"),
+        ((((0, None),), (("1", None),)),
+         r"^(block|cycle) elements are integers, got \(\('1', None\),\)$"),
     ]
     for kind in (ColoredPartition, ColoredPermutation):
         for groups, rule in cases:
@@ -339,6 +346,20 @@ def test_colored_type_validation():
     with pytest.raises(ValueError, match="interior budget at 1"):
         from_permutation(ColoredPermutation((((0, None), (1, 1), (2, 3)),)), _pair(V24))
     assert from_permutation(ColoredPermutation((((0, None), (1, 1), (2, 2)),)), _pair(V24))
+
+
+def test_list_fields_are_stored_as_tuples():
+    # a list-built object equals and hashes like its tuple-built twin
+    shape = BTableau.from_tops((1,), 1)
+    for built, twin in [
+        (ZeroOneTableau(shape, [[1, 1]], [[1, 1]]), ZeroOneTableau(shape, ((1, 1),), ((1, 1),))),
+        (ColoredPartition([[(0, None), [1, 1]]]), ColoredPartition((((0, None), (1, 1)),))),
+        (ColoredPermutation([[[0, None], (1, 1)]]), ColoredPermutation((((0, None), (1, 1)),))),
+        (SignedPartition([[0], [1, -1]]), SignedPartition(((0,), (1, -1)))),
+    ]:
+        assert built == twin and hash(built) == hash(twin)
+        assert built.render() == twin.render()
+        assert len({built, twin}) == 1
 
 
 # -- signed partitions -------------------------------------------------------------
