@@ -444,6 +444,8 @@ class SignedPartition:
         seen = []
         minima = [0]
         for block in self.blocks:
+            if any(type(e) is not int for e in block):
+                raise ValueError(f"block elements are integers, got {block}")
             if list(block) != sorted(block, key=_signed_key):
                 raise ValueError("block elements are ordered by absolute value")
             counts = {}

@@ -272,35 +272,18 @@ class RingValue:
         raise NonInvertibleSubstitution(f"not a unit: {self}")
 
     def substitute(self, assignment: Mapping[str, Coercible]) -> "RingValue":
-        """Ring homomorphism sending each assigned variable to its image."""
-        images = {}
+        """Ring homomorphism sending each assigned variable to its image.
+
+        Each term maps through **, so a negative exponent whose image is not a
+        unit raises NonInvertibleSubstitution from invert.
+        """
+        images = [RingValue.variable(name) for name in VARIABLES]
         for name, value in assignment.items():
             if name not in _VAR_INDEX:
                 raise KeyError(f"unknown variable {name!r}")
             images[_VAR_INDEX[name]] = RingValue.coerce(value)
-        result = ZERO
-        power_cache: dict = {}
-        for key, coeff in sorted(self.terms.items()):
-            term = RingValue.from_int(coeff)
-            for idx, exp in enumerate(_unpack(key)):
-                if exp == 0:
-                    continue
-                if idx in images:
-                    cached = power_cache.get((idx, exp))
-                    if cached is None:
-                        image = images[idx]
-                        if exp < 0 and len(image.terms) != 1:
-                            raise NonInvertibleSubstitution(
-                                f"negative exponent of {VARIABLES[idx]} with non-unit image {image}")
-                        cached = image ** exp
-                        power_cache[(idx, exp)] = cached
-                    term = term * cached
-                else:
-                    mono_exps = [0, 0, 0, 0]
-                    mono_exps[idx] = exp
-                    term = term * RingValue._raw({_pack(mono_exps): 1})
-            result = result + term
-        return result
+        return ring_sum(coeff * product(image ** exp for image, exp in zip(images, _unpack(key)))
+                        for key, coeff in sorted(self.terms.items()))
 
     def exact_div(self, divisor: Coercible) -> "RingValue":
         """Quotient self/divisor when it exists in the ring, else InexactDivision.
@@ -489,10 +472,10 @@ def parse(text: str) -> RingValue:
 # kinds of line run it on Python ints instead of dicts:
 #
 # * every product is an integer: the DP runs on the integers themselves;
-# * every product lies in one variable y of p, q, z, has nonnegative
-#   coefficients, and at least one has two or more terms: the product
-#   sum c_e y^e is packed as the int sum c_e 2^(8B(e - S)), S the least
-#   exponent of the line (Kronecker substitution).  The DP over the packed
+# * every product lies in one variable y of p, q, z and has nonnegative
+#   coefficients: the product sum c_e y^e is packed as the int
+#   sum c_e 2^(8B(e - S)), S the least exponent of the line (Kronecker
+#   substitution).  The DP over the packed
 #   products then yields y^(-tS) times its entry t, packed, as long as no
 #   coefficient reaches 2^(8B).  With nonnegative coefficients, no coefficient
 #   of an entry, or of any value the DP builds on the way to it, exceeds its
@@ -585,11 +568,8 @@ def packed_line(values) -> PackedLine | None:
     ints = [t.get(_UNIT, 0) for t in terms if not t or (len(t) == 1 and _UNIT in t)]
     if len(ints) == len(terms):
         return PackedLine(ints)
-    # y is the variable of a non-constant term of the first product with two or more terms
-    wide = next((t for t in terms if len(t) > 1), None)
-    if wide is None:  # monomials only: packing would buy nothing
-        return None
-    key = next(key for key in wide if key != _UNIT)
+    # y is the variable of the first non-constant term
+    key = next(key for t in terms for key in t if key != _UNIT)
     shift = next((s for s in _SHIFTS[:_X] if (key >> s) & _MASK != _LIMIT), None)
     if shift is None:
         return None

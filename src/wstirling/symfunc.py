@@ -1,12 +1,12 @@
 """Elementary and complete homogeneous symmetric functions by DP.
 
-elementary(t, xs) sums products over t-subsets of xs; homogeneous(t, xs)
-over size-t multisets.  Both run in O(t * len(xs)) ring operations, which
-keeps triangle construction polynomial; homogeneous_series is the same h-DP
-resumable one degree at a time.  The DP only adds and multiplies, so xs may
-mix ints and RingValues; the ring's operators coerce.  Brute-force
-enumeration lives in the tests as an oracle.  Negative t gives 0 at this
-layer so callers can pass raw index differences.
+elementary_all(xs) gives e_0 .. e_len(xs) of xs, the sums of products over
+t-subsets, and homogeneous_series(xs) gives h_0, h_1, ... without end, the
+sums over size-t multisets, resumable one degree at a time.  Each entry costs
+O(len(xs)) ring operations, which keeps triangle construction polynomial.
+The DP only adds and multiplies, so xs may mix ints and RingValues; the
+ring's operators coerce.  Brute-force enumeration lives in the tests as an
+oracle.
 
 elementary_dp and homogeneous_step take the DP's unit and zero, so the same
 code runs on plain ints.  elementary_all and homogeneous_series pick the
@@ -17,16 +17,9 @@ run it on RingValues.
 
 from __future__ import annotations
 
-from itertools import islice
 from typing import Iterator, Sequence
 
 from .ring import ONE, ZERO, Coercible, PackedLine, RingValue, packed_line
-
-
-def elementary(t: int, xs: Sequence[Coercible]) -> RingValue:
-    if t < 0 or t > len(xs):
-        return ZERO
-    return elementary_all(xs)[t]
 
 
 def elementary_all(xs: Sequence[Coercible]) -> list:
@@ -49,17 +42,6 @@ def elementary_dp(xs: Sequence, one, zero) -> list:
         for t in range(r + 1, 0, -1):
             e[t] = e[t] + x * e[t - 1]
     return e
-
-
-def homogeneous(t: int, xs: Sequence[Coercible]) -> RingValue:
-    if t < 0:
-        return ZERO
-    return homogeneous_upto(t, xs)[t]
-
-
-def homogeneous_upto(t: int, xs: Sequence[Coercible]) -> list:
-    """All of h_0 .. h_t; h_0 = 1 even on the empty list."""
-    return list(islice(homogeneous_series(xs), max(t, 0) + 1))
 
 
 def homogeneous_series(xs: Sequence[Coercible]) -> Iterator[RingValue]:

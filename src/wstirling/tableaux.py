@@ -17,7 +17,7 @@ from itertools import accumulate, combinations, combinations_with_replacement, p
 from math import comb
 from operator import mul
 
-from .ring import ENUMERATION_CAP, ONE, EnumerationCapExceeded, RingValue, product, ring_sum
+from .ring import ENUMERATION_CAP, EnumerationCapExceeded, RingValue, product, ring_sum
 from .weights import WeightPair
 
 
@@ -157,8 +157,6 @@ def enumerate_Td(alpha: int, beta: int, r: int, s: int,
 
 def weight(tableau: BTableau, weights: WeightPair) -> RingValue:
     """Product over columns of v(top) * w(bottom); empty tableau gives 1."""
-    if not tableau.columns:
-        return ONE
     return product(weights.v.eval(t) * weights.w.eval(b)
                    for t, b in tableau.columns)
 

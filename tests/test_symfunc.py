@@ -6,8 +6,7 @@ import pytest
 from wstirling import ring
 from wstirling.ring import (ONE, P, Q, Z, ExponentOverflow, RingValue, X, ZERO, packed_line,
                             parse, ring_sum, product)
-from wstirling.symfunc import (elementary, elementary_all, elementary_dp, homogeneous,
-                               homogeneous_series, homogeneous_step, homogeneous_upto)
+from wstirling.symfunc import elementary_all, elementary_dp, homogeneous_series, homogeneous_step
 from wstirling.weights import WeightSpec, builtin
 
 
@@ -20,21 +19,18 @@ def brute_homogeneous(t, xs):
 
 
 def test_elementary_examples():
-    assert elementary(0, ()) == 1
-    assert elementary(0, (5, 7)) == 1
-    assert elementary(2, (0, 1, 2, 3)) == 11
-    assert elementary(3, (1, 1)) == 0
-    assert elementary(-1, (1, 2)) == 0
-    assert elementary(1, (P, Q)) == P + Q
+    assert elementary_all(()) == [1]
+    assert elementary_all((5, 7)) == [1, 12, 35]
+    assert elementary_all((0, 1, 2, 3)) == [1, 6, 11, 6, 0]
+    assert elementary_all((1, 1)) == [1, 2, 1]
+    assert elementary_all((P, Q)) == [1, P + Q, P * Q]
 
 
 def test_homogeneous_examples():
-    assert homogeneous(2, (1, Q)) == 1 + Q + Q ** 2
-    assert homogeneous(2, (P ** 2, P * Q, Q ** 2)) == \
+    assert list(itertools.islice(homogeneous_series((1, Q)), 3)) == [1, 1 + Q, 1 + Q + Q ** 2]
+    assert list(itertools.islice(homogeneous_series((P ** 2, P * Q, Q ** 2)), 3))[2] == \
         P ** 4 + P ** 3 * Q + 2 * P ** 2 * Q ** 2 + P * Q ** 3 + Q ** 4
-    assert homogeneous(5, ()) == 0
-    assert homogeneous(0, ()) == 1
-    assert homogeneous(-2, (1,)) == 0
+    assert list(itertools.islice(homogeneous_series(()), 6)) == [1, 0, 0, 0, 0, 0]
 
 
 def test_matches_brute_force():
@@ -42,9 +38,9 @@ def test_matches_brute_force():
     for _ in range(120):
         n = rng.randrange(6)
         xs = [rng.choice([rng.randint(-3, 3), P, Q, P + Q, 2 * Q]) for _ in range(n)]
-        for t in range(6):
-            assert elementary(t, xs) == brute_elementary(t, xs)
-            assert homogeneous(t, xs) == brute_homogeneous(t, xs)
+        assert elementary_all(xs) == [brute_elementary(t, xs) for t in range(n + 1)]
+        assert list(itertools.islice(homogeneous_series(xs), 6)) == \
+            [brute_homogeneous(t, xs) for t in range(6)]
 
 
 def test_permutation_invariance():
@@ -53,9 +49,9 @@ def test_permutation_invariance():
     for _ in range(20):
         shuffled = xs[:]
         rng.shuffle(shuffled)
-        for t in range(6):
-            assert elementary(t, shuffled) == elementary(t, xs)
-            assert homogeneous(t, shuffled) == homogeneous(t, xs)
+        assert elementary_all(shuffled) == elementary_all(xs)
+        assert list(itertools.islice(homogeneous_series(shuffled), 6)) == \
+            list(itertools.islice(homogeneous_series(xs), 6))
 
 
 def test_generating_function_duality():
@@ -64,19 +60,26 @@ def test_generating_function_duality():
     for _ in range(25):
         n = rng.randrange(7)
         xs = [rng.choice([rng.randint(-2, 3), P, Q]) for _ in range(n)]
-        egf = ring_sum(elementary(t, xs) * X ** t for t in range(7))
-        hgf = ring_sum((-1) ** t * homogeneous(t, xs) * X ** t for t in range(7))
+        egf = ring_sum(e * X ** t for t, e in enumerate(elementary_all(xs)))
+        hgf = ring_sum((-1) ** t * h * X ** t
+                       for t, h in enumerate(itertools.islice(homogeneous_series(xs), 7)))
         prod = egf * hgf
         truncated = ring_sum(prod.coefficient("x", t) * X ** t for t in range(7))
         assert truncated == ONE
 
 
 def test_bulk_helpers_agree():
+    # the public functions against their DPs, on RingValues and on plain ints
     xs = (P, Q, 3, P * Q)
-    assert elementary_all(xs) == [elementary(t, xs) for t in range(5)]
-    assert homogeneous_upto(4, xs) == [homogeneous(t, xs) for t in range(5)]
-    assert homogeneous_upto(0, ()) == [ONE]
+    assert elementary_all(xs) == elementary_dp(xs, ONE, ZERO)
+    assert list(itertools.islice(homogeneous_series(xs), 5)) == dict_homogeneous(xs, 4)
+    ints = (2, -1, 3, 0, 5, 4)
+    h = [1] * len(ints)
+    assert elementary_all(ints) == elementary_dp(ints, 1, 0)
+    assert list(itertools.islice(homogeneous_series(ints), 4)) == \
+        [1] + [homogeneous_step(ints, h, 0) for _ in range(3)]
     assert elementary_all(()) == [ONE]
+    assert next(homogeneous_series(())) == ONE
 
 
 # -- the packed-int backend against the dict DP ---------------------------------------
@@ -129,6 +132,8 @@ LINES = {
     # 254 + z and 256 + z: the largest value at z = 1 is 255 * 257 = 2^16 - 1
     "byte boundary": five(254 + Z, 256 + Z),
     "gaps in p": five(1 + P ** 3, 2 * P ** 2, RingValue.from_int(7)),
+    "monomials": five(Q ** 2, 2 * Q, ONE),
+    "gaussian": [Q ** j for j in range(6)],  # e_t is q^(t(t-1)/2) times a Gaussian binomial
     "plain ints": [3, 1, 4, 1, 5, 9],
     "ints mixed with ring values": [3, 1 + Q, 0, Q ** 2 + 2 * Q, 5, 2],
 }
@@ -142,8 +147,8 @@ def test_packed_dp_matches_dict_dp(name):
 def test_line_kinds():
     for name in ("positive integers", "negative integers", "mixed-sign integers", "plain ints"):
         assert packed_line(LINES[name]).is_integer, name
-    for name in ("q-stirling", "jacobi", "laurent in z", "byte boundary",
-                 "ints mixed with ring values"):
+    for name in ("q-stirling", "jacobi", "laurent in z", "byte boundary", "monomials",
+                 "gaussian", "ints mixed with ring values"):
         assert not packed_line(LINES[name]).is_integer, name
     # the boundary case is what it claims: the DP at z = 1 reaches exactly 16 bits
     values = LINES["byte boundary"]
@@ -164,12 +169,11 @@ def test_column_outgrows_its_width():
 @pytest.mark.parametrize("values", [
     jacobi_products(-3, 6),  # -3z + 9: mixed signs
     five(1 - Q, Q),  # a negative coefficient in one variable
-    five(Q ** 2, 2 * Q, ONE),  # monomials only
     five(P + Q, ONE),  # two variables in one product
     five(P + 1, Q + 1),  # one variable a product, two in the line
     five(X + 1, ONE),  # the series variable
     q_integers(4, 3, 2, 1),  # four products: too few to repay packing
-], ids=["mixed signs", "negative coefficient", "monomials", "two variables",
+], ids=["mixed signs", "negative coefficient", "two variables",
         "two variables across products", "x", "short"])
 def test_ineligible_lines_stay_on_dicts(values):
     assert packed_line(values) is None
