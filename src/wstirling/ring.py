@@ -475,13 +475,13 @@ def parse(text: str) -> RingValue:
 # * every product lies in one variable y of p, q, z and has nonnegative
 #   coefficients: the product sum c_e y^e is packed as the int
 #   sum c_e 2^(8B(e - S)), S the least exponent of the line (Kronecker
-#   substitution).  The DP over the packed
-#   products then yields y^(-tS) times its entry t, packed, as long as no
-#   coefficient reaches 2^(8B).  With nonnegative coefficients, no coefficient
-#   of an entry, or of any value the DP builds on the way to it, exceeds its
-#   value at y = 1.  So the same DP run first on the values at y = 1 bounds
-#   every coefficient, and B is that bound's byte count.  Values are packed
-#   and unpacked a byte string at a time, in time linear in their size.
+#   substitution).  The DP over the packed products then yields y^(-tS)
+#   times its entry t, packed, as long as no coefficient reaches 2^(8B).
+#   With nonnegative coefficients, no coefficient of an entry, or of any
+#   value the DP builds on the way to it, exceeds its value at y = 1.  So
+#   the same DP run first on the values at y = 1 bounds every coefficient,
+#   and B is that bound's byte count.  Values are packed and unpacked a byte
+#   string at a time, in time linear in their size.
 #
 # Every other line stays on dicts.  So does a line of fewer than _MIN_PRODUCTS
 # products, whose DP is a handful of ring operations, fewer than packing costs

@@ -501,3 +501,23 @@ def test_moved_constants_have_one_home():
     assert ring.ENUMERATION_CAP == 10 ** 6
     assert tableaux.EnumerationCapExceeded is ring.EnumerationCapExceeded
     assert combinat.EnumerationCapExceeded is ring.EnumerationCapExceeded
+
+
+# The benchmark's tracer (perfbench/tracer.py) finds the names it wraps with
+# getattr, so a renamed or deleted function stops its traced child outright.
+@pytest.mark.parametrize("job", [
+    {"mode": "cli", "weights": ["builtin:classical"], "argv": [
+        "table", "--format", "csv", "--kind", "second", "--weights", "builtin:classical",
+        "--nmax", "6"]},
+    {"mode": "api", "weights": ["builtin:jacobi"], "kind": "first", "alpha": 1, "beta": 0,
+     "nmax": 6},
+    {"mode": "cli", "weights": ["builtin:q-stirling"], "argv": [
+        "det", "--kind", "second", "--r", "3", "--s", "1", "--weights", "builtin:q-stirling"]},
+    {"mode": "cli", "weights": "catalog", "argv": ["verify", "--suite", "tableaux", "--nmax", "3"]},
+], ids=["table", "api table", "det", "verify"])
+def test_traced_benchmark_child_runs(job, tmp_path):
+    record = tmp_path / "record.json"
+    done = fresh_python(str(ROOT / "perfbench" / "child.py"), str(ROOT / "src"), str(record),
+                        "1", json.dumps(dict(job, id="job")))
+    assert done.returncode == 0, done.stderr
+    assert json.loads(record.read_text(encoding="utf-8"))["trace"]["calls"]["ring.mul"] > 0

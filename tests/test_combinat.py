@@ -5,6 +5,7 @@ from itertools import permutations
 
 import pytest
 
+from wstirling import combinat
 from wstirling.combinat import (
     ColoredPartition,
     ColoredPermutation,
@@ -300,6 +301,13 @@ def test_perm_budget_follows_insertion_position_not_cycle():
     assert len(enumerate_perm(3, 1, V24)) == true_count
 
 
+def test_out_of_range_k_gives_no_objects():
+    for n, k in ((3, -1), (3, 4)):
+        assert enumerate_part(n, k, V24) == []
+        assert enumerate_perm(n, k, V24) == []
+        assert enumerate_signed_partitions(n, k) == []
+
+
 def test_enumeration_caps():
     with pytest.raises(EnumerationCapExceeded):
         enumerate_part(5, 2, V24, cap=10)
@@ -393,8 +401,12 @@ def test_signed_partition_validation():
         (((0,), (-1, 1)), "block elements are ordered by absolute value"),
         (((0,), (2, -2), (1, -1)), "blocks are ordered by minimum absolute value"),
         (((0,), (1, -1), (3, -3)), "ground set must be 0 and both copies of 1..n"),
+        # True == 1 and 0.0 == 0, so only a type check tells these from 0, +-1
+        (((0,), (True, -1)), "block elements are integers, got (True, -1)"),
+        (((0.0,), (1, -1)), "block elements are integers, got (0.0,)"),
+        (((0.0,), (1.0, -1.0)), "block elements are integers, got (0.0,)"),
     ]:
-        with pytest.raises(ValueError, match=f"^{message}$"):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             SignedPartition(blocks)
 
 
@@ -411,6 +423,12 @@ def test_tuple_decompositions():
         tuple_decomposition_check("sun", 3, 1, p=0)
     with pytest.raises(ValueError, match="^product-shifted needs at least one shift$"):
         tuple_decomposition_check("product-shifted", 3, 1)
+
+
+def test_tuple_decomposition_detects_a_wrong_factor_count(monkeypatch):
+    real = combinat.count_01v
+    monkeypatch.setattr(combinat, "count_01v", lambda shape, pair: real(shape, pair) + 1)
+    assert tuple_decomposition_check("sun", 4, 2, p=2) is False
 
 
 def test_shifted_weights_match_offset_ambient():

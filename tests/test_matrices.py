@@ -54,6 +54,11 @@ def test_matrix_basics():
     assert (m * identity_matrix(2)) == m
     assert identity_matrix(3) == RingMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     assert m != identity_matrix(2)
+    symbolic = RingMatrix([[P, Q], [1, P + Q]])
+    twin = RingMatrix([[P, Q], [ONE, Q + P]])
+    assert hash(symbolic) == hash(twin)
+    assert len({symbolic, twin, m}) == 2
+    assert not m == [[1, 2], [3, 4]] and m != "m"
     assert m.render() == "[ 1  2 ]\n[ 3  4 ]"
     assert m.to_lists() == [["1", "2"], ["3", "4"]]
     with pytest.raises(ValueError):

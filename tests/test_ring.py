@@ -45,6 +45,15 @@ def test_constants_compare_and_hash_like_ints():
     assert {RingValue.from_int(3): "a"}[3] == "a"
 
 
+def test_non_constants_hash_like_they_compare():
+    assert hash(P + Q) == hash(Q + P)
+    assert len({P * Q + 1, 1 + Q * P, (P + 1) * Q - Q + 1}) == 1
+    assert RingValue.monomial(0, p=3) is ZERO
+    # a foreign type is unequal, not an error
+    assert not P == "p" and P != "p"
+    assert not ONE == 1.0 and ONE != "1"
+
+
 def test_basic_arithmetic():
     assert (P + Q) * (P + Q) == P ** 2 + 2 * P * Q + Q ** 2
     assert (P - P) == ZERO

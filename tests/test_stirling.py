@@ -307,6 +307,7 @@ def test_bracket():
 def test_b_stirling_series_oracles():
     pair = builtin("b-stirling")
     assert b_stirling_by_series(4, 3) == 4
+    assert b_stirling_by_series(3, 4) == 0 and b_stirling_by_series(3, -1) == 0
     for n in range(9):
         row = b_stirling_row_by_product(n) if n else [ONE]
         for k in range(n + 1):

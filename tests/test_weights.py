@@ -194,6 +194,10 @@ def test_id_is_stable_and_content_based():
     assert hash(a) == hash(b)
     assert a == b
     assert a != WeightSpec("polynomial", coefficients=[1, 1])
+    # a foreign type is unequal, not an error
+    pair = builtin("classical")
+    assert not a == "polynomial" and a != 1
+    assert not pair == "classical" and pair != (pair.v, pair.w)
 
 
 def test_is_combinatorial():
