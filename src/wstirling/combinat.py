@@ -14,7 +14,8 @@ Those quotients are nonnegative integers for every polynomial weight; a table
 weight can break divisibility, which raises InvalidColorBudget rather than
 truncating.  A negative part has no grid rows and raises ValueError.  The
 partition and permutation models decode each non-minimum to the (top, row,
-color) mark of one column and color it under the same rule.
+color) mark of one column and color it under the same rule; from_partition
+and from_permutation raise DomainViolation for a color past its budget.
 """
 
 from dataclasses import dataclass
@@ -22,7 +23,7 @@ from itertools import combinations
 from math import prod
 
 from .ring import ENUMERATION_CAP, EnumerationCapExceeded
-from .tableaux import BTableau, capped_product, enumerate_T, enumerate_Td
+from .tableaux import BTableau, DomainViolation, capped_product
 from .weights import WeightPair, WeightSpec
 
 
@@ -250,7 +251,7 @@ def to_partition(t: ZeroOneTableau) -> ColoredPartition:
 
 
 def from_partition(p: ColoredPartition, weights: WeightPair) -> ZeroOneTableau:
-    """Inverse of to_partition; validates colors against the weight budgets."""
+    """Inverse of to_partition; a color past its budget raises DomainViolation."""
     return _tableau_from_marks(_partition_marks(p.blocks), len(p.blocks) - 1, weights)
 
 
@@ -297,7 +298,7 @@ def to_permutation(t: ZeroOneTableau) -> ColoredPermutation:
 
 
 def from_permutation(p: ColoredPermutation, weights: WeightPair) -> ZeroOneTableau:
-    """Inverse of to_permutation; validates colors against the weight budgets."""
+    """Inverse of to_permutation; a color past its budget raises DomainViolation."""
     return _tableau_from_marks(_permutation_marks(p.cycles), len(p.word()) - 2, weights)
 
 
@@ -320,7 +321,7 @@ def _tableau_from_marks(marks: list, column_sum: int, weights: WeightPair) -> Ze
     for top, row, c in marks:
         if c > _budget(weights.v, top, row):
             budget = "the v(0) budget" if row == 1 else f"the interior budget at {top}"
-            raise ValueError(f"color {c} exceeds {budget}")
+            raise DomainViolation(f"color {c} exceeds {budget}")
     marks = marks[::-1]
     shape = BTableau.from_tops(tuple(top for top, _, _ in marks), column_sum)
     return ZeroOneTableau(shape, tuple((row, c) for _, row, c in marks),
@@ -407,22 +408,6 @@ def enumerate_perm(n: int, k: int, v: WeightSpec, cap: int = ENUMERATION_CAP) ->
     return out
 
 
-def part_is_member(p: ColoredPartition, n: int, k: int, v: WeightSpec) -> bool:
-    """Check ground set, block count, and color budgets of a colored partition."""
-    return _is_member(p.blocks, _partition_marks, n, k, v)
-
-
-def perm_is_member(p: ColoredPermutation, n: int, k: int, v: WeightSpec) -> bool:
-    """Check a colored permutation's budgets through its insertion encoding."""
-    return _is_member(p.cycles, _permutation_marks, n, k, v)
-
-
-def _is_member(groups: tuple, decode, n: int, k: int, v: WeightSpec) -> bool:
-    # the group types already hold their ground set to 0..m
-    return (sum(map(len, groups)) == n + 1 and len(groups) == k + 1
-            and all(c <= _budget(v, top, row) for top, row, c in decode(groups)))
-
-
 # -- signed partitions ----------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -499,36 +484,3 @@ def enumerate_signed_partitions(n: int, k: int, cap: int = ENUMERATION_CAP) -> l
             out.append(SignedPartition(tuple(
                 tuple(sorted(block, key=_signed_key)) for block in blocks)))
     return out
-
-
-def tuple_decomposition_check(family: str, n: int, k: int, *, p: int = 0,
-                              shifts: tuple = (), cap: int = ENUMERATION_CAP) -> bool:
-    """Check the product-weight tableau count against per-factor counts.
-
-    On every shape the number of colored tableaux for v = product of the
-    factors must equal the product over factors of the per-shape counts,
-    which is the cardinality form of the tuples-of-identical-shape bijection.
-    """
-    if family == "sun":
-        if p < 1:
-            raise ValueError("sun needs a positive power")
-        factors = [WeightSpec("polynomial", coefficients=[0, 1])] * p
-        combined = WeightSpec("polynomial", coefficients=[0] * p + [1])
-    elif family == "product-shifted":
-        if not shifts:
-            raise ValueError("product-shifted needs at least one shift")
-        factors = [WeightSpec("polynomial", coefficients=[a, 1]) for a in shifts]
-        combined = WeightSpec("product-shifted", shifts=list(shifts))
-    else:
-        raise ValueError(f"unknown tuple decomposition family {family!r}")
-    combined_pair = WeightPair(combined, _ONE)
-    factor_pairs = [WeightPair(f, _ONE) for f in factors]
-    shape_sets = (enumerate_T(0, 0, k, n - k, cap=cap),
-                  enumerate_Td(0, 0, n - 1, n - k, cap=cap))
-    for shapes, rows in zip(shape_sets, (k + 2, n + 1)):
-        for shape in shapes:
-            lhs = len(enumerate_01v(shape, combined_pair, cap=cap, rows=rows))
-            rhs = prod(count_01v(shape, pair) for pair in factor_pairs)
-            if lhs != rhs:
-                return False
-    return True

@@ -5,8 +5,10 @@ product over x-linear factors; the column generating function of the second
 kind is a truncated geometric series; and the basis expansion writes x^n in
 terms of bracket polynomials with second-kind coefficients.  Everything is
 an ordinary RingValue in the series variable x, so coefficient extraction
-is exact.  The functions return the series, expansions and residuals they
-compute; wstirling.identities compares them with the other side.
+is exact.  The b-Stirling oracles expand the row product and the column
+series of V = (i, i) once more, from tabulated factors.  The functions
+return the series, expansions, residuals and values they compute;
+wstirling.identities compares them with the other side.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from math import comb
 
 from .ring import ONE, P, Q, RingValue, X, ZERO, product, ring_sum
 from .stirling import bracket, pq_binomial, second_kind
-from .weights import WeightPair, builtin
+from .weights import WeightPair, WeightSpec, builtin
 
 
 def cgf_product(n: int, alpha: int, beta: int, weights: WeightPair) -> RingValue:
@@ -87,3 +89,22 @@ def pq_basis_form_residual(n: int) -> RingValue:
         (-1) ** (n - k) * Q ** comb(n - k, 2) * pq_binomial(n, k)
         * product(X * Q ** t + P ** t for t in range(k))
         for k in range(n + 1)) - Q ** comb(n, 2) * X ** n
+
+
+# -- b-Stirling oracles for V = (i, i): factors from tabulated rows, no symfunc ----
+
+def b_stirling_row_by_product(n: int) -> list:
+    """First-kind row n for V=(i,i): its factors (n-1-t)t, 0 <= t < n, are
+    row n-3 of the tabulated triangle, expanded by a plain product."""
+    spec = WeightSpec("oeis-T", row=n - 3)
+    poly = product(X + spec.eval(j) for j in range(n))
+    return [poly.coefficient("x", d) for d in range(n + 1)]
+
+
+def b_stirling_by_series(n: int, k: int) -> RingValue:
+    """Second-kind value at (n, k) for V=(i,i): the x^n coefficient of
+    x^k / prod_j (1 - T_j x), T_j the entries of tabulated row k-2."""
+    if k < 0 or n < k:
+        return ZERO
+    spec = WeightSpec("oeis-T", row=k - 2)
+    return _geometric([spec.eval(j) for j in range(k + 1)], n - k)[n - k]

@@ -26,6 +26,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass
+from math import prod
 from typing import Callable, Optional
 
 from . import combinat, genfunc, matrices, stirling, tableaux, weights
@@ -144,8 +145,8 @@ def _round_trips(nmax, grid):
     return ((fwd, bwd, min(nmax, 5), a, b) for fwd, bwd in legs for a, b in grid)
 
 
-def _shapes(nmax, grid):
-    for n in range(min(nmax, 5) + 1):
+def _shapes(n_max, grid):
+    for n in range(n_max + 1):
         for k in range(n + 1):
             for a, b in _nonneg(grid):
                 for shape in (tableaux.enumerate_T(a, b, k, n - k)
@@ -153,8 +154,8 @@ def _shapes(nmax, grid):
                     yield shape, a, b
 
 
-def _counts(nmax, grid):
-    return ((n, k) for n in range(min(nmax, 4) + 1) for k in range(n + 1))
+def _entries(n_max):
+    return ((n, k) for n in range(n_max + 1) for k in range(n + 1))
 
 
 def _nk(n, k, a, b):
@@ -171,6 +172,14 @@ def _rs(r, s, a, b):
 
 def _split(m1, m2, n, a, b):
     return f"alpha={a} beta={b} m1={m1} m2={m2} n={n}"
+
+
+def _entry(n, k):
+    return f"n={n} k={k}"
+
+
+def _shape(shape, a, b):
+    return f"alpha={a} beta={b} shape={shape.render()}"
 
 
 # -- probes --------------------------------------------------------------------------
@@ -289,10 +298,39 @@ def _weight_sum(kind):
                     _value(kind), ("tableau-sum", "definition"))
 
 
-def _count(tag, kind, count):
-    # count(pair, n, k) objects against the integer entry at offsets 0, 0
-    return _compare(lambda n, k: f"n={n} k={k}", count,
-                    lambda pair, n, k: _value(kind)(pair, n, k, 0, 0).as_int(), (tag, "value"))
+def _at_origin(tag, kind, got):
+    # got(pair, n, k) against the entry at (n, k) and offsets 0, 0
+    return _compare(_entry, got, lambda pair, n, k: _value(kind)(pair, n, k, 0, 0), (tag, "value"))
+
+
+def _bijection(model, enumerate_objects, shapes):
+    # from_<model> takes the colored objects of (n, k) onto the colored tableaux on
+    # shapes(n, k) (and grid height), each once; to_<model> takes each image back
+    def images(pair, n, k):
+        found = [getattr(combinat, f"from_{model}")(obj, pair)
+                 for obj in enumerate_objects()(n, k, pair.v)]
+        return Counter(found), [getattr(combinat, f"to_{model}")(t) for t in found]
+
+    def colored(pair, n, k):
+        shape_list, rows = shapes(n, k)
+        return (Counter(t for shape in shape_list
+                        for t in combinat.enumerate_01v(shape, pair, rows=rows)),
+                enumerate_objects()(n, k, pair.v))
+    return _compare(_entry, images, colored)
+
+
+_FACTOR_SHIFTS = {"sun(2)": (0, 0), "legendre": (0, 1)}  # v(i) = prod of (i + shift)
+
+
+def _listed(pair, shape, a, b):
+    # a width-0 shape has no column sum to set its grid height; one row lists its tableau
+    return len(combinat.enumerate_01v(shape, pair, rows=0 if shape.width else 1))
+
+
+def _factor_counts(pair, shape, a, b):
+    return prod(combinat.count_01v(shape, weights.WeightPair(
+        weights.WeightSpec("polynomial", coefficients=[shift, 1]), pair.w))
+        for shift in _FACTOR_SHIFTS[pair.label])
 
 
 # the paper's figures: the map to_<name>, then its tableau's tops and above
@@ -351,6 +389,13 @@ _IDENTITIES = (
     Identity("genfunc", "pq-basis-expansion",
              lambda nmax, grid: ((n,) for n in range(min(nmax, 6) + 1)),
              _pq_form(("n",), lambda: genfunc.pq_basis_form_residual), pairs="pq-binomial"),
+    Identity("genfunc", "b-stirling-row-product", lambda nmax, grid: _entries(nmax),
+             _at_origin("product", "first",
+                        lambda pair, n, k: genfunc.b_stirling_row_by_product(n)[k]),
+             pairs="b-stirling"),
+    Identity("genfunc", "b-stirling-column-series", lambda nmax, grid: _entries(nmax),
+             _at_origin("series", "second", lambda pair, n, k: genfunc.b_stirling_by_series(n, k)),
+             pairs="b-stirling"),
 
     Identity("orthogonality", "delta-sums",
              lambda nmax, grid: delta_cells(min(nmax, 6), grid),
@@ -413,29 +458,40 @@ _IDENTITIES = (
                         tableaux.enumerate_Td(a, b, m1 + m2 - 1, m1 + m2 - n)),
              pairs=NO_PAIR),
 
-    Identity("combinatorial", "zero-one-counts", _shapes,
-             _compare(lambda shape, a, b: f"alpha={a} beta={b} shape={shape.render()}",
-                      lambda pair, shape, a, b: combinat.count_01v(shape, pair),
+    Identity("combinatorial", "zero-one-counts", lambda nmax, grid: _shapes(min(nmax, 5), grid),
+             _compare(_shape, lambda pair, shape, a, b: combinat.count_01v(shape, pair),
                       lambda pair, shape, a, b: tableaux.weight(shape, pair).as_int(),
                       ("count", "weight")),
              applies=lambda pair: pair.is_combinatorial()),
-    Identity("combinatorial", "partition-counts", _counts,
-             _count("partitions", "second",
-                    lambda pair, n, k: len(combinat.enumerate_part(n, k, pair.v))),
+    Identity("combinatorial", "partition-counts", lambda nmax, grid: _entries(min(nmax, 4)),
+             _at_origin("partitions", "second",
+                        lambda pair, n, k: len(combinat.enumerate_part(n, k, pair.v))),
              applies=combinat.colors_by_v),
-    Identity("combinatorial", "permutation-counts", _counts,
-             _count("permutations", "first",
-                    lambda pair, n, k: len(combinat.enumerate_perm(n, k, pair.v))),
+    Identity("combinatorial", "permutation-counts", lambda nmax, grid: _entries(min(nmax, 4)),
+             _at_origin("permutations", "first",
+                        lambda pair, n, k: len(combinat.enumerate_perm(n, k, pair.v))),
+             applies=combinat.colors_by_v),
+    Identity("combinatorial", "partition-bijection", lambda nmax, grid: _entries(min(nmax, 3)),
+             _bijection("partition", lambda: combinat.enumerate_part,
+                        lambda n, k: (tableaux.enumerate_T(0, 0, k, n - k), k + 2)),
+             applies=combinat.colors_by_v),
+    Identity("combinatorial", "permutation-bijection", lambda nmax, grid: _entries(min(nmax, 3)),
+             _bijection("permutation", lambda: combinat.enumerate_perm,
+                        lambda n, k: (tableaux.enumerate_Td(0, 0, n - 1, n - k), n + 1)),
              applies=combinat.colors_by_v),
     Identity("combinatorial", "figure-renderings",
              lambda nmax, grid: [(name,) for name in _FIGURES],
              _compare(lambda name: f"figure={name}", _figure,
                       lambda pair, name: _FIGURES[name][2], ("rendered", "expected")),
              pairs=NO_PAIR),
-    Identity("combinatorial", "signed-partition-counts", _counts,
-             _count("signed-partitions", "second",
-                    lambda pair, n, k: len(combinat.enumerate_signed_partitions(n, k))),
+    Identity("combinatorial", "signed-partition-counts", lambda nmax, grid: _entries(min(nmax, 4)),
+             _at_origin("signed-partitions", "second",
+                        lambda pair, n, k: len(combinat.enumerate_signed_partitions(n, k))),
              pairs="legendre"),
+    *(Identity("combinatorial", f"tuple-decomposition-{label}",
+               lambda nmax, grid: _shapes(min(nmax, 4), [(0, 0)]),
+               _compare(_shape, _listed, _factor_counts, ("listed", "factors")), pairs=label)
+      for label in _FACTOR_SHIFTS),
 )
 
 REGISTRY = {f"{i.suite}/{i.name}": i for i in _IDENTITIES}

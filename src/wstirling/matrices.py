@@ -88,9 +88,6 @@ class RingMatrix:
             "[ " + "  ".join(cell.rjust(w) for cell, w in zip(row, widths)) + " ]"
             for row in cells)
 
-    def to_lists(self) -> list:
-        return [[e.render() for e in row] for row in self.rows]
-
     def __repr__(self) -> str:
         return f"RingMatrix({self.dim}x{self.dim})"
 

@@ -23,6 +23,7 @@ horizontal ones consume row n+1, so they are evaluators used for cross
 checking, not for building tables), which take the entry as
 (pair, alpha, beta, n, k) just as first_kind does, and the
 falling-factorial-style bracket polynomial, returned as a RingValue in x.
+The b-Stirling oracles that cross-check it live in wstirling.genfunc.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from functools import lru_cache
 
 from .ring import ONE, RingValue, X, ZERO, product, ring_sum
 from .symfunc import elementary_all, homogeneous_series
-from .weights import WeightPair, WeightSpec, builtin
+from .weights import WeightPair, builtin
 
 KINDS = ("first", "second")
 
@@ -213,33 +214,3 @@ def bracket(n: int, alpha: int, beta: int, weights: WeightPair) -> RingValue:
 def pq_binomial(n: int, k: int) -> RingValue:
     """Two-variable binomial analogue: h_{n-k} of p^k, p^{k-1}q, ..., q^k."""
     return second_kind(builtin("pq-binomial"), 0, 0, n, k)
-
-
-def b_stirling_row_by_product(n: int) -> list:
-    """Independent first-kind oracle for V=(i,i): expand the row product.
-
-    The factor multiset {(n-1-t)t : 0<=t<n} is exactly row n-3 of the
-    tabulated triangle, so the coefficients come from a plain polynomial
-    product with no symmetric-function machinery.
-    """
-    spec = WeightSpec("oeis-T", row=n - 3)
-    poly = product(X + spec.eval(j) for j in range(n))
-    return [poly.coefficient("x", d) for d in range(n + 1)]
-
-
-def b_stirling_by_series(n: int, k: int) -> RingValue:
-    """Independent second-kind oracle for V=(i,i): geometric series expansion.
-
-    Expands x^k / prod_j (1 - T_j x) with T_j the row k-2 entries, truncated
-    at degree n; the coefficient of x^n is the value.
-    """
-    if k < 0 or n < k:
-        return ZERO
-    spec = WeightSpec("oeis-T", row=k - 2)
-    coeffs = [ONE] + [ZERO] * (n - k)
-    for j in range(k + 1):
-        t = spec.eval(j)
-        # multiply by 1/(1 - t*x): running geometric accumulation
-        for d in range(1, n - k + 1):
-            coeffs[d] = coeffs[d] + t * coeffs[d - 1]
-    return coeffs[n - k]

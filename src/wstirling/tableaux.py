@@ -26,7 +26,7 @@ class IncompatibleTableaux(ValueError):
 
 
 class DomainViolation(ValueError):
-    """A tableau was passed to a map whose domain does not contain it."""
+    """An object was passed to a map whose domain does not contain it."""
 
 
 @dataclass(frozen=True)

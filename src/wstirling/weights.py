@@ -347,7 +347,3 @@ _FAMILIES = {
     "sun": (lambda m: m >= 0, lambda m: (WeightSpec("polynomial", coefficients=[0] * m + [1]),
                                          _one())),
 }
-
-
-def combinatorial_catalog() -> tuple:
-    return tuple(name for name in CATALOG if builtin(name).is_combinatorial())

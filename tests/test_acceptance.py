@@ -22,10 +22,8 @@ import pytest
 
 from wstirling import combinat, identities, matrices, tableaux
 from wstirling.cli import main
-from wstirling.ring import ONE
-from wstirling.stirling import (b_stirling_by_series, b_stirling_row_by_product, first_kind,
-                                pq_binomial, second_kind)
-from wstirling.weights import CATALOG, builtin, combinatorial_catalog
+from wstirling.stirling import first_kind, pq_binomial, second_kind
+from wstirling.weights import CATALOG, builtin
 
 PAIRS = [builtin(name) for name in CATALOG]
 GRID_SMALL = [(a, b) for a in (-1, 0, 1) for b in (-1, 0, 1)]
@@ -152,7 +150,7 @@ def test_criterion_6_tableau_layer():
 
 
 def test_criterion_7_combinatorial_layer():
-    names = combinatorial_catalog()
+    names = [name for name in CATALOG if builtin(name).is_combinatorial()]
     assert "classical" in names and "legendre" in names
     corners = [(0, 0), (1, 0), (0, 1), (1, 1)]
     for name in names:
@@ -200,20 +198,28 @@ def test_criterion_7_combinatorial_layer():
         check(f"criterion 7 partition counts [{pair.label}]", cells,
               probe("combinatorial/partition-counts", pair))
         check(f"criterion 7 permutation counts [{pair.label}]", cells, perm_probe)
+        for model in ("partition", "permutation"):
+            check(f"criterion 7 {model} bijection n<=4 [{pair.label}]", cells[:15],
+                  probe(f"combinatorial/{model}-bijection", pair))
 
     check("criterion 7 signed partitions n<=5",
           [(n, k) for n in range(6) for k in range(n + 1)],
           probe("combinatorial/signed-partition-counts", builtin("legendre")))
 
+    # tuple decompositions: every shape of T and Td at offsets 0, 0 for n <= 4
+    for label in ("sun(2)", "legendre"):
+        name = f"combinatorial/tuple-decomposition-{label}"
+        check(f"criterion 7 tuple decomposition [{label}]",
+              identities.REGISTRY[name].cells(9, []), probe(name, builtin(label)))
+
 
 def test_criterion_8_sequence_cross_checks():
     pair = builtin("b-stirling")
-    for n in range(9):
-        product_row = b_stirling_row_by_product(n) if n else [ONE]
-        for k in range(n + 1):
-            assert product_row[k] == first_kind(pair, 0, 0, n, k)
-            assert b_stirling_by_series(n, k) == second_kind(pair, 0, 0, n, k)
-    print("PASS criterion 8 b-stirling vs independent expansions n<=8")
+    cells = [(n, k) for n in range(9) for k in range(n + 1)]
+    check("criterion 8 b-stirling row product n<=8", cells,
+          probe("genfunc/b-stirling-row-product", pair))
+    check("criterion 8 b-stirling column series n<=8", cells,
+          probe("genfunc/b-stirling-column-series", pair))
 
     # textbook recurrences, coded straight off the standard definitions
     classical = builtin("classical")

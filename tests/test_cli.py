@@ -19,8 +19,8 @@ import pytest
 
 from wstirling import matrices
 from wstirling.cli import main
+from wstirling.genfunc import b_stirling_by_series
 from wstirling.ring import InexactDivision, RingValue
-from wstirling.stirling import b_stirling_by_series
 from wstirling.weights import builtin
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -377,7 +377,7 @@ def test_verify_skips_table_weights_without_default(capsys, tmp_path):
     delta = next(line for line in out.splitlines()
                  if line.startswith("PASS orthogonality/delta-sums "))
     assert int(delta.rsplit("skipped=", 1)[1]) > 0
-    assert out.splitlines()[-1] == "result: 29 identities, 28 passed, 0 failed, 1 skipped"
+    assert out.splitlines()[-1] == "result: 31 identities, 30 passed, 0 failed, 1 skipped"
 
 
 def test_verify_malformed_spec_is_usage_error(capsys, tmp_path):

@@ -5,7 +5,7 @@ from itertools import permutations
 
 import pytest
 
-from wstirling import combinat
+from wstirling import combinat, identities
 from wstirling.combinat import (
     ColoredPartition,
     ColoredPermutation,
@@ -21,15 +21,12 @@ from wstirling.combinat import (
     enumerate_signed_partitions,
     from_partition,
     from_permutation,
-    part_is_member,
-    perm_is_member,
     to_partition,
     to_permutation,
-    tuple_decomposition_check,
 )
 from wstirling.stirling import first_kind, second_kind
-from wstirling.tableaux import BTableau, enumerate_T, enumerate_Td, weight
-from wstirling.weights import WeightPair, WeightSpec, builtin, combinatorial_catalog
+from wstirling.tableaux import BTableau, DomainViolation, enumerate_T, enumerate_Td, weight
+from wstirling.weights import CATALOG, WeightPair, WeightSpec, builtin
 
 ONE = WeightSpec("constant", value=1)
 IDENT = WeightSpec("polynomial", coefficients=[0, 1])
@@ -40,12 +37,19 @@ def _pair(v: WeightSpec) -> WeightPair:
     return WeightPair(v, ONE)
 
 
+def _scan(name, pair, cells):
+    """The registry's identity `name` at pair over cells: (checked, failure)."""
+    checked, _, failure = identities.scan(cells, identities.REGISTRY[name].probe(pair))
+    return checked, failure
+
+
 # -- counting and enumerating colored tableaux ----------------------------------
 
 def test_count_matches_weight_for_catalog():
     shapes = list(enumerate_T(0, 0, 3, 2)) + list(enumerate_Td(0, 0, 3, 2))
-    for name in combinatorial_catalog():
-        pair = builtin(name)
+    for pair in (builtin(name) for name in CATALOG):
+        if not pair.is_combinatorial():
+            continue
         for shape in shapes:
             assert count_01v(shape, pair) == weight(shape, pair).as_int()
 
@@ -158,7 +162,6 @@ def test_partition_golden():
                        ((3, 2), (1, 3), (2, 1)), ((1, 1),) * 3)
     p = to_partition(t)
     assert p.render() == "{0,3_3}{1,2_1}{4,6_2}{5}{7}{8}"
-    assert part_is_member(p, 8, 5, V24)
     assert from_partition(p, _pair(V24)) == t
 
 
@@ -168,7 +171,6 @@ def test_permutation_golden():
     q = to_permutation(t)
     assert q.render() == "(0 1_4 2_1)(3 4_1)(5)(6)"
     assert q.word() == ((0, None), (1, 4), (2, 1), (3, None), (4, 1), (5, None), (6, None))
-    assert perm_is_member(q, 6, 3, V24)
     assert from_permutation(q, _pair(V24)) == t
 
 
@@ -197,7 +199,6 @@ def test_partition_bijection(v, alpha, beta):
         assert len(set(images)) == len(images)
         big_n, big_k = n + alpha + beta, k + alpha + beta
         for t, p in zip(tableaux, images):
-            assert part_is_member(p, big_n, big_k, v)
             assert from_partition(p, _pair(v)) == t
         expected = [p for p in enumerate_part(big_n, big_k, v)
                     if _restricted(p.blocks, big_n, alpha, beta)]
@@ -215,7 +216,6 @@ def test_permutation_bijection(v, alpha, beta):
         assert len(set(images)) == len(images)
         big_n, big_k = n + alpha + beta, k + alpha + beta
         for t, q in zip(tableaux, images):
-            assert perm_is_member(q, big_n, big_k, v)
             assert from_permutation(q, _pair(v)) == t
         expected = [q for q in enumerate_perm(big_n, big_k, v)
                     if _restricted(q.cycles, big_n, alpha, beta)]
@@ -234,14 +234,16 @@ def _restricted(groups, big_n, alpha, beta):
     return all(len(g) == 1 for g in groups if g[0][0] > big_n - beta)
 
 
+CELLS_4 = [(n, k) for n in range(5) for k in range(n + 1)]
+
+
 def test_round_trip_on_full_partition_set():
-    for p in enumerate_part(4, 2, V24):
-        assert to_partition(from_partition(p, _pair(V24))) == p
+    # the registry's bijection: from_partition onto the colored tableaux, then back
+    assert _scan("combinatorial/partition-bijection", _pair(V24), CELLS_4) == (15, None)
 
 
 def test_round_trip_on_full_permutation_set():
-    for q in enumerate_perm(4, 2, V24):
-        assert to_permutation(from_permutation(q, _pair(V24))) == q
+    assert _scan("combinatorial/permutation-bijection", _pair(V24), CELLS_4) == (15, None)
 
 
 # -- direct enumerations ----------------------------------------------------------
@@ -265,7 +267,6 @@ def test_enumerate_perm_counts():
             for k in range(n + 1):
                 out = enumerate_perm(n, k, v)
                 assert len(set(out)) == len(out)
-                assert all(perm_is_member(q, n, k, v) for q in out)
                 assert len(out) == first_kind(_pair(v), 0, 0, n, k).as_int()
 
 
@@ -346,12 +347,12 @@ def test_colored_type_validation():
         ColoredPartition(unsorted)
     assert ColoredPermutation(unsorted).render() == "(0 2_1 1_1)"
     # V24 offers 4 colors in grid row 1 and 2 in each interior row
-    with pytest.raises(ValueError, match="v\\(0\\) budget"):
+    with pytest.raises(DomainViolation, match="^color 9 exceeds the v\\(0\\) budget$"):
         from_partition(ColoredPartition((((0, None), (1, 9)),)), _pair(V24))
-    with pytest.raises(ValueError, match="v\\(0\\) budget"):
+    with pytest.raises(DomainViolation, match="^color 5 exceeds the v\\(0\\) budget$"):
         from_permutation(ColoredPermutation((((0, None), (1, 5)),)), _pair(V24))
     # 2 enters after letter 1, the interior grid row 2 of the column with top 1
-    with pytest.raises(ValueError, match="interior budget at 1"):
+    with pytest.raises(DomainViolation, match="^color 3 exceeds the interior budget at 1$"):
         from_permutation(ColoredPermutation((((0, None), (1, 1), (2, 3)),)), _pair(V24))
     assert from_permutation(ColoredPermutation((((0, None), (1, 1), (2, 2)),)), _pair(V24))
 
@@ -412,23 +413,31 @@ def test_signed_partition_validation():
 
 # -- special weight families --------------------------------------------------------
 
+TUPLE_FAMILIES = ("sun(2)", "legendre")
+
+
+def _tuple_cells(pair):
+    # every shape of T and Td at offsets 0, 0 for n <= 4, as the registry lists them
+    return identities.REGISTRY[f"combinatorial/tuple-decomposition-{pair.label}"].cells(9, [(0, 0)])
+
+
 def test_tuple_decompositions():
-    assert tuple_decomposition_check("sun", 4, 2, p=2)
-    assert tuple_decomposition_check("sun", 3, 1, p=3)
-    assert tuple_decomposition_check("product-shifted", 4, 2, shifts=(0, 1))
-    assert tuple_decomposition_check("product-shifted", 3, 2, shifts=(1, 2))
-    with pytest.raises(ValueError):
-        tuple_decomposition_check("mystery", 3, 1)
-    with pytest.raises(ValueError, match="^sun needs a positive power$"):
-        tuple_decomposition_check("sun", 3, 1, p=0)
-    with pytest.raises(ValueError, match="^product-shifted needs at least one shift$"):
-        tuple_decomposition_check("product-shifted", 3, 1)
+    for label in TUPLE_FAMILIES:
+        pair = builtin(label)
+        checked, failure = _scan(f"combinatorial/tuple-decomposition-{label}", pair,
+                                 _tuple_cells(pair))
+        assert failure is None and checked == 62, (label, checked, failure)
 
 
 def test_tuple_decomposition_detects_a_wrong_factor_count(monkeypatch):
     real = combinat.count_01v
     monkeypatch.setattr(combinat, "count_01v", lambda shape, pair: real(shape, pair) + 1)
-    assert tuple_decomposition_check("sun", 4, 2, p=2) is False
+    for label in TUPLE_FAMILIES:
+        pair = builtin(label)
+        checked, failure = _scan(f"combinatorial/tuple-decomposition-{label}", pair,
+                                 _tuple_cells(pair))
+        # the first shape, 2 x 0, has one tableau and, planted, 1 + 1 per factor
+        assert (checked, failure) == (0, "alpha=0 beta=0 shape=[] listed=1 factors=4")
 
 
 def test_shifted_weights_match_offset_ambient():

@@ -22,7 +22,7 @@ import contextlib
 import io
 import pathlib
 
-from wstirling import identities, matrices, stirling, tableaux
+from wstirling import combinat, identities, matrices, stirling, tableaux
 from wstirling.cli import main
 from wstirling.weights import builtin
 
@@ -67,6 +67,23 @@ def test_a_layer_refusal_is_the_counterexample(monkeypatch):
     probe = identities.REGISTRY["tableaux/tau-bijection"].probe()
     assert probe(3, 1, 0, 0) == ("alpha=0 beta=0 n=3 k=1 BTableau([2 2 / 0 0]) is not a "
                                  "distinct-top tableau for (alpha=0, beta=0, r=2) with 2 columns")
+
+
+def test_an_over_budget_color_is_the_counterexample(monkeypatch):
+    # partitions enumerated one color past their budgets: from_partition refuses
+    # the first with DomainViolation, which the probe reports for its cell
+    enumerate_part = combinat.enumerate_part
+
+    def recolored(*args, **kwargs):
+        return [combinat.ColoredPartition(tuple(
+            tuple((e, c if c is None else c + 1) for e, c in block) for block in p.blocks))
+            for p in enumerate_part(*args, **kwargs)]
+
+    monkeypatch.setattr(combinat, "enumerate_part", recolored)
+    probe = identities.REGISTRY["combinatorial/partition-bijection"].probe(builtin("classical"))
+    cells = [(n, k) for n in range(4) for k in range(n + 1)]
+    assert identities.scan(cells, probe) == (
+        4, 0, "n=2 k=1 color 2 exceeds the interior budget at 1")
 
 
 def test_every_probe_is_a_comparison():

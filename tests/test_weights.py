@@ -15,7 +15,6 @@ from wstirling.weights import (
     WeightPair,
     WeightSpec,
     builtin,
-    combinatorial_catalog,
     swap,
 )
 
@@ -202,7 +201,7 @@ def test_id_is_stable_and_content_based():
 
 def test_is_combinatorial():
     expected = {"classical", "b-stirling", "legendre", "noncentral(1)", "merris(2)", "sun(2)"}
-    assert set(combinatorial_catalog()) == expected
+    assert {name for name in CATALOG if builtin(name).is_combinatorial()} == expected
     assert not builtin("noncentral(-1)").is_combinatorial()
     assert not builtin("zeta").is_combinatorial()
     assert WeightSpec("table", values={0: 2}, default=0).is_combinatorial()
