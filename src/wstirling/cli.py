@@ -66,11 +66,11 @@ def load_weights(text: str) -> WeightPair:
         try:
             with open(path, "r", encoding="utf-8") as handle:
                 raw = handle.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise UsageError(f"cannot read weight spec {path}: {exc}") from exc
         try:
             return WeightPair.from_json(raw, label="@" + path)
-        except (ValueError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError, RecursionError) as exc:
             raise UsageError(f"invalid weight spec {path}: {exc}") from exc
     raise UsageError(f"weights must look like builtin:NAME or @file.json, got {text!r}")
 

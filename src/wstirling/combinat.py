@@ -16,10 +16,13 @@ truncating.  A negative part has no grid rows and raises ValueError.  The
 partition and permutation models decode each non-minimum to the (top, row,
 color) mark of one column and color it under the same rule; from_partition
 and from_permutation raise DomainViolation for a color past its budget.
+Their enumerations never walk to an object with a mark that offers no
+color, so a zero budget (v(0) = 0, say) costs them nothing and a refusal
+past the cap comes at once.
 """
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from math import prod
 
 from .ring import ENUMERATION_CAP, EnumerationCapExceeded
@@ -97,16 +100,7 @@ class ZeroOneTableau:
                 raise ValueError(f"below row {rb} outside 1..{bottom + 1}")
             if ca < 1 or cb < 1:
                 raise ValueError("colors are 1-based")
-        if type(self.rows) is not int:
-            raise ValueError(f"grid height is an integer, got {self.rows!r}")
-        if width:
-            expected = self.shape.column_sum + 2
-            if self.rows == 0:
-                object.__setattr__(self, "rows", expected)
-            elif self.rows != expected:
-                raise ValueError("grid height must equal column sum + 2")
-        elif self.rows < 1:
-            raise ValueError("a width-0 tableau needs an explicit grid height")
+        object.__setattr__(self, "rows", _grid_height(self.shape, self.rows))
 
     def path(self) -> str:
         """Full lattice path from the upper-right corner, over {V, H}."""
@@ -127,6 +121,20 @@ class ZeroOneTableau:
                                              " ".join(_mark(*rc) for rc in self.below))
 
 
+def _grid_height(shape: BTableau, rows) -> int:
+    """The grid height of a tableau on shape: column sum + 2, which rows must
+    equal unless it is 0; a width-0 shape has no column sum, so rows sets it."""
+    if type(rows) is not int:
+        raise ValueError(f"grid height is an integer, got {rows!r}")
+    if shape.width:
+        if rows not in (0, shape.column_sum + 2):
+            raise ValueError("grid height must equal column sum + 2")
+        return shape.column_sum + 2
+    if rows < 1:
+        raise ValueError("a width-0 tableau needs an explicit grid height")
+    return rows
+
+
 def count_01v(shape: BTableau, weights: WeightPair) -> int:
     """Number of colored 0,1-tableaux on a shape; equals its weight."""
     if not weights.is_combinatorial():
@@ -140,6 +148,7 @@ def enumerate_01v(shape: BTableau, weights: WeightPair,
                   cap: int = ENUMERATION_CAP, rows: int = 0) -> list:
     if not weights.is_combinatorial():
         raise NonCombinatorialWeights("enumeration needs nonnegative integer weights")
+    rows = _grid_height(shape, rows)
     per_column = [_placements(spec, ell) for top, bottom in shape.columns
                   for spec, ell in ((weights.v, top), (weights.w, bottom))]
     return [ZeroOneTableau(shape, choice[0::2], choice[1::2], rows)
@@ -347,7 +356,7 @@ def enumerate_part(n: int, k: int, v: WeightSpec, cap: int = ENUMERATION_CAP) ->
     i + 1 of a column with top a_j - j.
     """
     out = []
-    for blocks in _set_partitions(n, k):
+    for blocks in _set_partitions(n, k, v):
         non_minima = sorted(e for block in blocks for e in block[1:])
         marks = _partition_marks([[(e, None) for e in block] for block in blocks])
         options = [range(1, _budget(v, top, row) + 1) for top, row, _ in marks]
@@ -358,31 +367,56 @@ def enumerate_part(n: int, k: int, v: WeightSpec, cap: int = ENUMERATION_CAP) ->
     return out
 
 
-def _set_partitions(n: int, k: int):
-    """Partitions of {0..n} into k + 1 blocks listed in order of their minima.
-    Element e joins an existing block, in creation order, or opens the next one;
-    it joins only while the elements after it can still open the missing blocks."""
+def _set_partitions(n: int, k: int, v: WeightSpec):
+    """Partitions of {0..n} into k + 1 blocks, listed in order of their minima,
+    whose every non-minimum has a color under the v budgets.
+
+    Element e joins an existing block, in creation order, or opens the next
+    one.  Joining block i while o blocks are open makes e the (e + 1 - o)-th
+    non-minimum, so its mark is (top o - 1, row i + 1), and the join is
+    taken only where that row offers a color.  Every partition makes n - k
+    joins; a choice is taken only while the elements after it can still make
+    the rest, at some later count of open blocks that offers a color.
+    """
     if k < 0 or k > n:
         return
+    # joins[o]: the blocks an element may join while o are open; rows 2.. share one budget
+    joins = [range(0)] * (k + 2)
+    if k < n:
+        first = _budget(v, 0, 1) > 0
+        for o in range(1, k + 2):
+            interior = o > 1 and _budget(v, o - 1, 2) > 0
+            joins[o] = range(0 if first else 1, o if interior else int(first))
+    # ahead[o]: a join is possible at o or at a later count of open blocks
+    ahead = [False] * (k + 3)
+    for o in range(k + 1, 0, -1):
+        ahead[o] = ahead[o + 1] or bool(joins[o])
     block = [0] * (n + 1)  # block[e]: the block element e is in; 0 seeds block 0
     opened = [1] * (n + 2)  # opened[e]: blocks opened by elements 0..e-1
-    e = 0
-    while True:
-        for j in range(e + 1, n + 1):  # the first choices for elements e+1..n
-            block[j] = 0 if n - j > k - opened[j] else opened[j]
-            opened[j + 1] = max(opened[j], block[j] + 1)
-        blocks = [[] for _ in range(k + 1)]
-        for element, index in enumerate(block):
-            blocks[index].append(element)
-        yield blocks
-        # the last element with a next choice: a later existing block, or a new one
-        e = n
-        while e and not (block[e] + 1 < opened[e] or block[e] + 1 == opened[e] <= k):
+    untried = [None] * (n + 1)  # untried[e]: element e's remaining choices, in order
+    e = 1
+    while e:
+        if e > n:
+            blocks = [[] for _ in range(k + 1)]
+            for element, index in enumerate(block):
+                blocks[index].append(element)
+            yield blocks
             e -= 1
-        if not e:
-            return
-        block[e] += 1
-        opened[e + 1] = max(opened[e], block[e] + 1)
+            continue
+        if untried[e] is None:
+            o = opened[e]
+            left = n - k - (e - o)  # joins still to make: elements 1..e-1 made e - o
+            can_join = left == 1 or left > 1 and ahead[o]
+            can_open = o <= k and (left == 0 or ahead[o + 1])
+            untried[e] = chain(joins[o] if can_join else (), (o,) if can_open else ())
+        choice = next(untried[e], None)
+        if choice is None:  # back to the last element with a next choice
+            untried[e] = None
+            e -= 1
+        else:
+            block[e] = choice
+            opened[e + 1] = opened[e] + (choice == opened[e])
+            e += 1
 
 
 def enumerate_perm(n: int, k: int, v: WeightSpec, cap: int = ENUMERATION_CAP) -> list:
@@ -396,10 +430,14 @@ def enumerate_perm(n: int, k: int, v: WeightSpec, cap: int = ENUMERATION_CAP) ->
     """
     if k < 0 or k > n:
         return []
+    placements = {a: _placements(v, a - 1) for a in range(1, n + 1)} if k < n else {}
+    # a value with no placement is never a non-minimum; leaving it out of the
+    # pool skips every combination that holds it, none of which has a coloring
+    pool = [a for a, options in placements.items() if options]
     out = []
-    for non_minima in combinations(range(1, n + 1), n - k):
+    for non_minima in combinations(pool, n - k):
         minima = [e for e in range(n + 1) if e not in set(non_minima)]
-        options = [_placements(v, a - 1) for a in non_minima]
+        options = [placements[a] for a in non_minima]
         for choice in capped_product(options, len(out), cap, "colored permutations"):
             word = [(m, None) for m in minima]
             for a, (r, c) in zip(non_minima, choice):

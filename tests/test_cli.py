@@ -294,6 +294,32 @@ def test_enumerate_partitions_with_many_blocks(capsys):
     assert time.monotonic() - start < 10
 
 
+@pytest.mark.parametrize("objects, n, k, weights", [
+    ("partitions", "12", "6", "classical"),
+    ("partitions", "14", "7", "classical"),
+    ("partitions", "14", "7", "legendre"),
+    ("permutations", "30", "15", "classical"),
+])
+def test_zero_budget_enumerations_refuse_at_once(capsys, objects, n, k, weights):
+    # v(0) = 0 gives a join to block 0, or an insertion of 1, no colors; the
+    # enumerators must skip those choices, not walk through millions of
+    # uncolorable objects before the first one that counts toward the cap
+    start = time.monotonic()
+    code, out, err = run(capsys, "enumerate", "--object", objects, "--n", n, "--k", k,
+                         "--weights", f"builtin:{weights}", "--cap", "10")
+    assert time.monotonic() - start < 1
+    assert (code, out, err) == (3, "", f"error: more than 10 colored {objects}\n")
+
+
+@pytest.mark.parametrize("weights", ["classical", "b-stirling"])
+def test_enumerate_zero_one_checks_the_grid_height(capsys, weights):
+    # b-stirling has no placement on this shape, so the height is checked
+    # before any tableau is built, whatever the weights
+    code, out, err = run(capsys, "enumerate", "--object", "zero-one", "--tops", "1",
+                         "--column-sum", "1", "--rows", "5", "--weights", f"builtin:{weights}")
+    assert (code, out, err) == (2, "", "error: grid height must equal column sum + 2\n")
+
+
 def test_enumerate_negative_cap_is_usage_error(capsys):
     code, out, err = run(capsys, "enumerate", "--object", "partitions",
                          "--n", "3", "--k", "1", "--cap", "-5")
@@ -401,6 +427,18 @@ def test_verify_malformed_spec_is_usage_error(capsys, tmp_path):
                            "--weights", "@" + str(spec))
         assert code == 2, text
         assert "invalid weight spec" in err, text
+
+
+@pytest.mark.parametrize("content, message", [
+    (b'\xff\xfe{"v": {}}', "cannot read weight spec {path}: 'utf-8' codec can't decode"),
+    (b"[" * 200000 + b"]" * 200000, "invalid weight spec {path}: maximum recursion depth"),
+], ids=["not-utf-8", "nested-200000-deep"])
+def test_undecodable_spec_is_usage_error(capsys, tmp_path, content, message):
+    spec = tmp_path / "spec.json"
+    spec.write_bytes(content)
+    code, out, err = run(capsys, "table", "--nmax", "2", "--weights", "@" + str(spec))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: " + message.format(path=spec)) and err.count("\n") == 1
 
 
 def test_verify_all_on_one_small_weight(capsys):
