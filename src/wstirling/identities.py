@@ -303,19 +303,20 @@ def _at_origin(tag, kind, got):
     return _compare(_entry, got, lambda pair, n, k: _value(kind)(pair, n, k, 0, 0), (tag, "value"))
 
 
-def _bijection(model, enumerate_objects, shapes):
-    # from_<model> takes the colored objects of (n, k) onto the colored tableaux on
-    # shapes(n, k) (and grid height), each once; to_<model> takes each image back
+def _bijection(maps, shapes):
+    # maps() gives the enumerator of the colored objects of (n, k) and the maps from
+    # and to tableaux: from takes the objects onto the colored tableaux on shapes(n, k)
+    # (and grid height), each once, and to takes each image back to its object
     def images(pair, n, k):
-        found = [getattr(combinat, f"from_{model}")(obj, pair)
-                 for obj in enumerate_objects()(n, k, pair.v)]
-        return Counter(found), [getattr(combinat, f"to_{model}")(t) for t in found]
+        listed, from_tableau, to_tableau = maps()
+        found = [from_tableau(obj, pair) for obj in listed(n, k, pair.v)]
+        return Counter(found), [to_tableau(t) for t in found]
 
     def colored(pair, n, k):
         shape_list, rows = shapes(n, k)
         return (Counter(t for shape in shape_list
                         for t in combinat.enumerate_01v(shape, pair, rows=rows)),
-                enumerate_objects()(n, k, pair.v))
+                maps()[0](n, k, pair.v))
     return _compare(_entry, images, colored)
 
 
@@ -472,11 +473,13 @@ _IDENTITIES = (
                         lambda pair, n, k: len(combinat.enumerate_perm(n, k, pair.v))),
              applies=combinat.colors_by_v),
     Identity("combinatorial", "partition-bijection", lambda nmax, grid: _entries(min(nmax, 3)),
-             _bijection("partition", lambda: combinat.enumerate_part,
+             _bijection(lambda: (combinat.enumerate_part, combinat.from_partition,
+                                 combinat.to_partition),
                         lambda n, k: (tableaux.enumerate_T(0, 0, k, n - k), k + 2)),
              applies=combinat.colors_by_v),
     Identity("combinatorial", "permutation-bijection", lambda nmax, grid: _entries(min(nmax, 3)),
-             _bijection("permutation", lambda: combinat.enumerate_perm,
+             _bijection(lambda: (combinat.enumerate_perm, combinat.from_permutation,
+                                 combinat.to_permutation),
                         lambda n, k: (tableaux.enumerate_Td(0, 0, n - 1, n - k), n + 1)),
              applies=combinat.colors_by_v),
     Identity("combinatorial", "figure-renderings",
