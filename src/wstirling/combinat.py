@@ -430,9 +430,10 @@ def enumerate_perm(n: int, k: int, v: WeightSpec, cap: int = ENUMERATION_CAP) ->
     """
     if k < 0 or k > n:
         return []
-    placements = {a: _placements(v, a - 1) for a in range(1, n + 1)} if k < n else {}
     # a value with no placement is never a non-minimum; leaving it out of the
     # pool skips every combination that holds it, none of which has a coloring
+    # (k = n has no non-minima, so no weight is read)
+    placements = {a: _placements(v, a - 1) for a in range(1, n + 1)} if k < n else {}
     pool = [a for a, options in placements.items() if options]
     out = []
     for non_minima in combinations(pool, n - k):
