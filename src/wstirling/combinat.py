@@ -375,8 +375,9 @@ def _set_partitions(n: int, k: int, v: WeightSpec):
     one.  Joining block i while o blocks are open makes e the (e + 1 - o)-th
     non-minimum, so its mark is (top o - 1, row i + 1), and the join is
     taken only where that row offers a color.  Every partition makes n - k
-    joins; a choice is taken only while the elements after it can still make
-    the rest, at some later count of open blocks that offers a color.
+    joins and k opens: an element joins only while joins are left, and opens
+    only while opens are left and the elements after it can still make the
+    remaining joins, at some later count of open blocks that offers a color.
     """
     if k < 0 or k > n:
         return
@@ -406,9 +407,8 @@ def _set_partitions(n: int, k: int, v: WeightSpec):
         if untried[e] is None:
             o = opened[e]
             left = n - k - (e - o)  # joins still to make: elements 1..e-1 made e - o
-            can_join = left == 1 or left > 1 and ahead[o]
             can_open = o <= k and (left == 0 or ahead[o + 1])
-            untried[e] = chain(joins[o] if can_join else (), (o,) if can_open else ())
+            untried[e] = chain(joins[o] if left else (), (o,) if can_open else ())
         choice = next(untried[e], None)
         if choice is None:  # back to the last element with a next choice
             untried[e] = None
@@ -437,13 +437,14 @@ def enumerate_perm(n: int, k: int, v: WeightSpec, cap: int = ENUMERATION_CAP) ->
     pool = [a for a, options in placements.items() if options]
     out = []
     for non_minima in combinations(pool, n - k):
-        minima = [e for e in range(n + 1) if e not in set(non_minima)]
+        minima = set(range(n + 1)).difference(non_minima)
+        start = [(m, None) for m in sorted(minima)]
         options = [placements[a] for a in non_minima]
         for choice in capped_product(options, len(out), cap, "colored permutations"):
-            word = [(m, None) for m in minima]
+            word = start.copy()
             for a, (r, c) in zip(non_minima, choice):
                 word.insert(r, (a, c))
-            out.append(_word_to_cycles(word, set(minima)))
+            out.append(_word_to_cycles(word, minima))
     return out
 
 

@@ -231,6 +231,15 @@ def _triangular(kind):
     return make_probe
 
 
+def _duality(kind):
+    # the paper's duality: swapping v with w and alpha with beta keeps every entry
+    def make_probe(pair):
+        swapped = weights.swap(pair)
+        return _compare(_nk, lambda pair, n, k, a, b: _value(kind)(swapped, n, k, b, a),
+                        _value(kind), ("swapped", "value"))(pair)
+    return make_probe
+
+
 def _step(step, kind, down):
     # step() is the recurrence; it computes the entry (n + down, k + down) from other rows
     return _compare(_nk, lambda pair, n, k, a, b: step()(pair, a, b, n, k),
@@ -308,19 +317,17 @@ def _bijection(maps, shapes):
     # and to tableaux: from takes the objects onto the colored tableaux on shapes(n, k)
     # (and grid height), each once, and to takes each image back to its object
     def images(pair, n, k):
+        # the images, and the objects that do not come back from theirs
         listed, from_tableau, to_tableau = maps()
-        found = [from_tableau(obj, pair) for obj in listed(n, k, pair.v)]
-        return Counter(found), [to_tableau(t) for t in found]
+        objects = listed(n, k, pair.v)
+        found = [from_tableau(obj, pair) for obj in objects]
+        return Counter(found), [obj for obj, t in zip(objects, found) if to_tableau(t) != obj]
 
     def colored(pair, n, k):
         shape_list, rows = shapes(n, k)
         return (Counter(t for shape in shape_list
-                        for t in combinat.enumerate_01v(shape, pair, rows=rows)),
-                maps()[0](n, k, pair.v))
+                        for t in combinat.enumerate_01v(shape, pair, rows=rows)), [])
     return _compare(_entry, images, colored)
-
-
-_FACTOR_SHIFTS = {"sun(2)": (0, 0), "legendre": (0, 1)}  # v(i) = prod of (i + shift)
 
 
 def _listed(pair, shape, a, b):
@@ -329,9 +336,13 @@ def _listed(pair, shape, a, b):
 
 
 def _factor_counts(pair, shape, a, b):
+    # v(i) is the product of i + shift over its shifts: product-shifted, or sun's i^m
+    v = pair.v
+    shifts = (v.params["shifts"] if v.kind == "product-shifted"
+              else [0] * (len(v.params["coefficients"]) - 1))
     return prod(combinat.count_01v(shape, weights.WeightPair(
         weights.WeightSpec("polynomial", coefficients=[shift, 1]), pair.w))
-        for shift in _FACTOR_SHIFTS[pair.label])
+        for shift in shifts)
 
 
 # the paper's figures: the map to_<name>, then its tableau's tops and above
@@ -362,6 +373,8 @@ _IDENTITIES = (
              _step(lambda: stirling.c_horizontal_alpha, "first", 0)),
     Identity("recurrences", "horizontal-second", _step_rows,
              _step(lambda: stirling.s_horizontal, "second", 0)),
+    Identity("recurrences", "duality-first", _rows, _duality("first")),
+    Identity("recurrences", "duality-second", _rows, _duality("second")),
 
     Identity("genfunc", "row-product-first",
              lambda nmax, grid: ((n, a, b) for n in range(nmax + 1) for a, b in grid),
@@ -494,7 +507,7 @@ _IDENTITIES = (
     *(Identity("combinatorial", f"tuple-decomposition-{label}",
                lambda nmax, grid: _shapes(min(nmax, 4), [(0, 0)]),
                _compare(_shape, _listed, _factor_counts, ("listed", "factors")), pairs=label)
-      for label in _FACTOR_SHIFTS),
+      for label in ("sun(2)", "legendre")),
 )
 
 REGISTRY = {f"{i.suite}/{i.name}": i for i in _IDENTITIES}

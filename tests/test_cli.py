@@ -356,7 +356,7 @@ def test_verify_single_suite_classical(capsys):
     lines = out.splitlines()
     assert lines[0].startswith("verify: suite=recurrences")
     assert all(line.startswith("PASS ") for line in lines[1:-1])
-    assert lines[-1].startswith("result: 7 identities, 7 passed, 0 failed")
+    assert lines[-1].startswith("result: 9 identities, 9 passed, 0 failed")
 
 
 def test_verify_q_weights_report_skips(capsys):
@@ -403,7 +403,7 @@ def test_verify_skips_table_weights_without_default(capsys, tmp_path):
     delta = next(line for line in out.splitlines()
                  if line.startswith("PASS orthogonality/delta-sums "))
     assert int(delta.rsplit("skipped=", 1)[1]) > 0
-    assert out.splitlines()[-1] == "result: 31 identities, 30 passed, 0 failed, 1 skipped"
+    assert out.splitlines()[-1] == "result: 33 identities, 32 passed, 0 failed, 1 skipped"
 
 
 def test_verify_malformed_spec_is_usage_error(capsys, tmp_path):

@@ -246,6 +246,13 @@ def test_round_trip_on_full_permutation_set():
     assert _scan("combinatorial/permutation-bijection", _pair(V24), CELLS_4) == (15, None)
 
 
+@pytest.mark.parametrize("name", ["partition", "permutation"])
+def test_a_lost_round_trip_names_its_cell(monkeypatch, name):
+    # the images still match the colored tableaux; only the way back fails
+    monkeypatch.setattr(combinat, f"to_{name}", lambda tableau: None)
+    assert _scan(f"combinatorial/{name}-bijection", _pair(V24), CELLS_4) == (0, "n=0 k=0")
+
+
 # -- direct enumerations ----------------------------------------------------------
 
 def test_enumerate_part_counts():
@@ -416,17 +423,20 @@ def test_signed_partition_validation():
 TUPLE_FAMILIES = ("sun(2)", "legendre")
 
 
-def _tuple_cells(pair):
+def _tuple_cells():
     # every shape of T and Td at offsets 0, 0 for n <= 4, as the registry lists them
-    return identities.REGISTRY[f"combinatorial/tuple-decomposition-{pair.label}"].cells(9, [(0, 0)])
+    return identities.REGISTRY["combinatorial/tuple-decomposition-sun(2)"].cells(9, [(0, 0)])
 
 
 def test_tuple_decompositions():
-    for label in TUPLE_FAMILIES:
-        pair = builtin(label)
+    # the probes take the factors from v, so they also hold for sun(3), three
+    # factors i, and for nonzero shifts, (i + 1)(i + 2)
+    for label, pair in [("sun(2)", builtin("sun(2)")), ("legendre", builtin("legendre")),
+                        ("sun(2)", builtin("sun(3)")),
+                        ("legendre", _pair(WeightSpec("product-shifted", shifts=[1, 2])))]:
         checked, failure = _scan(f"combinatorial/tuple-decomposition-{label}", pair,
-                                 _tuple_cells(pair))
-        assert failure is None and checked == 62, (label, checked, failure)
+                                 _tuple_cells())
+        assert failure is None and checked == 62, (label, pair.v, checked, failure)
 
 
 def test_tuple_decomposition_detects_a_wrong_factor_count(monkeypatch):
@@ -435,7 +445,7 @@ def test_tuple_decomposition_detects_a_wrong_factor_count(monkeypatch):
     for label in TUPLE_FAMILIES:
         pair = builtin(label)
         checked, failure = _scan(f"combinatorial/tuple-decomposition-{label}", pair,
-                                 _tuple_cells(pair))
+                                 _tuple_cells())
         # the first shape, 2 x 0, has one tableau and, planted, 1 + 1 per factor
         assert (checked, failure) == (0, "alpha=0 beta=0 shape=[] listed=1 factors=4")
 

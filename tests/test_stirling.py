@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from wstirling import ring
+from wstirling import identities, ring, weights
 from wstirling.genfunc import b_stirling_by_series, b_stirling_row_by_product
 from wstirling.ring import ONE, P, Q, RingValue, TermBudgetExceeded, X, ZERO, product, ring_sum
 from wstirling.stirling import (
@@ -19,7 +19,7 @@ from wstirling.stirling import (
     s_vertical,
     second_kind,
 )
-from wstirling.weights import NegativeQInteger, builtin, swap
+from wstirling.weights import NegativeQInteger, builtin
 
 CLASSICAL = builtin("classical")
 PQ = builtin("pq-binomial")
@@ -238,16 +238,22 @@ def test_horizontal_matches_def():
 
 
 def test_duality():
+    # the registry's recurrences/duality-* identities: swapping v with w and
+    # alpha with beta leaves both kinds unchanged
+    cells = [(n, k, alpha, beta) for alpha, beta in [(0, 0), (1, -1), (-2, 2), (2, 1)]
+             for n in range(7) for k in range(n + 1)]
     for name in ("classical", "pq-binomial", "b-stirling", "jacobi", "zeta"):
-        pair = builtin(name)
-        flipped = swap(pair)
-        for alpha, beta in [(0, 0), (1, -1), (-2, 2), (2, 1)]:
-            for n in range(7):
-                for k in range(n + 1):
-                    assert first_kind(pair, alpha, beta, n, k) == \
-                        first_kind(flipped, beta, alpha, n, k), f"{name} ({alpha},{beta},{n},{k})"
-                    assert second_kind(pair, alpha, beta, n, k) == \
-                        second_kind(flipped, beta, alpha, n, k), f"{name} ({alpha},{beta},{n},{k})"
+        for kind in ("first", "second"):
+            probe = identities.REGISTRY[f"recurrences/duality-{kind}"].probe(builtin(name))
+            assert identities.scan(cells, probe) == (112, 0, None), (name, kind)
+
+
+def test_duality_names_its_cell(monkeypatch):
+    # an unswapped pair reads the other offsets: at alpha=1 beta=0, e_1 of v(2), v(1)
+    monkeypatch.setattr(weights, "swap", lambda pair: pair)
+    probe = identities.REGISTRY["recurrences/duality-first"].probe(CLASSICAL)
+    assert probe(2, 1, 0, 0) is None
+    assert probe(2, 1, 1, 0) == "alpha=1 beta=0 n=2 k=1 swapped=1 value=3"
 
 
 def test_pq_closed_forms():
