@@ -30,11 +30,17 @@ Rendering sorts monomials by that order, descending, so output is stable,
 e.g. "p^4 + p^3*q + 2*p^2*q^2".  parse() accepts exactly what render() emits,
 modulo whitespace, and both take integers past the digit limit of str(int).
 
+A product with a one-term factor shifts the keys of the other; two values
+dense in the same one of p, q, z multiply as two big ints (Kronecker
+substitution); the rest walk every pair of terms.  exact_div divides by one
+term in one pass, and otherwise, or to name a failure, by leading-term
+cancellation.  Every product ends in the same guard test.
+
 A second format serves the symmetric-function DP in symfunc: packed_line()
 turns a line of integer values, or of values in one variable with
 nonnegative coefficients, into Python ints the DP can run on (Kronecker
-substitution), and PackedLine.decode() turns each entry back into a
-RingValue.  See "packed lines" below.
+substitution again, with the same slot codec), and PackedLine.decode()
+turns each entry back into a RingValue.  See "packed lines" below.
 """
 
 from __future__ import annotations
@@ -233,16 +239,22 @@ class RingValue:
                                      f"exceeds the budget of {TERM_BUDGET} term pairs")
         if len(a) > len(b):
             a, b = b, a
-        out: dict = {}
-        for ka, ca in a.items():
-            ka -= _UNIT
-            for kb, cb in b.items():
-                key = ka + kb
-                acc = out.get(key, 0) + ca * cb
-                if acc:
-                    out[key] = acc
-                else:
-                    del out[key]
+        out = None
+        if len(a) == 1:
+            out = _mul_term(a, b)
+        elif len(a) * len(b) >= _KRONECKER_PAIRS:
+            out = _mul_kronecker(a, b)
+        if out is None:
+            out = {}
+            for ka, ca in a.items():
+                ka -= _UNIT
+                for kb, cb in b.items():
+                    key = ka + kb
+                    acc = out.get(key, 0) + ca * cb
+                    if acc:
+                        out[key] = acc
+                    else:
+                        del out[key]
         for key in out:
             if key & _GUARD:
                 raise ExponentOverflow("a product has an exponent outside [-2^30, 2^30)")
@@ -297,12 +309,19 @@ class RingValue:
         of exponents in [-2^30, 2^30), below 2^31; one guard test rejects
         both failures.  So every field the loop builds stays below 2^32 and
         never carries into the next.
+
+        A one-term divisor, Bareiss's usual pivot, divides in one pass instead;
+        where that finds no quotient in range, the loop runs to name the failure.
         """
         divisor = RingValue.coerce(divisor)
         if not divisor.terms:
             raise ZeroDivisionError("exact_div by zero")
         if not self.terms:
             return ZERO
+        if len(divisor.terms) == 1:
+            out = _div_term(self.terms, divisor.terms)
+            if out is not None:
+                return RingValue._raw(out)
         low, dlow = _floor(self.terms), _floor(divisor.terms)
         if (low & _MASK) < (dlow & _MASK):  # x is the lowest field
             raise InexactDivision("quotient would need a negative power of x")
@@ -398,6 +417,75 @@ class RingValue:
         return "".join(parts)
 
 
+# -- fast paths of __mul__ and exact_div: each returns the terms of its result,
+# before the guard test, or None where the general loop must run
+
+_KRONECKER_PAIRS = 256
+_DENSE = 2
+
+
+def _mul_term(term: dict, terms: dict) -> dict:
+    """term * terms, term a single term: every key shifts by the same amount."""
+    (shift, coeff), = term.items()
+    shift -= _UNIT
+    return {key + shift: coeff * c for key, c in terms.items()}
+
+
+def _mul_kronecker(a: dict, b: dict) -> dict | None:
+    """a * b by Kronecker substitution, or None unless both lie in one y of
+    p, q, z, each spanning at most _DENSE slots a term.
+
+    Each value packs as the int sum c_e 2^(8B(e - S)), S its least exponent.
+    A coefficient of the product sums at most min(len a, len b) products of
+    coefficients, so B bytes a slot, one bit of them the sign, hold it.
+    """
+    found = _exponent_rows([a, b])
+    if found is None:
+        return None
+    step, rows = found
+    lows, slots = [], []
+    for row in rows:
+        low = min(row)
+        span = max(row) - low + 1
+        if span > _DENSE * len(row):
+            return None
+        lows.append(low)
+        slots.append([row.get(e, 0) for e in range(low, low + span)])
+    bound = max(map(abs, a.values())) * max(map(abs, b.values())) * min(len(a), len(b))
+    size = bound.bit_length() // 8 + 1
+    coeffs = _unpack_slots(_pack_slots(slots[0], size) * _pack_slots(slots[1], size), size,
+                           len(slots[0]) + len(slots[1]) - 1)
+    return _slot_terms(coeffs, _UNIT + sum(lows) * step, step)
+
+
+def _exponent_rows(values: list) -> tuple | None:
+    """(step, rows) when every term in the term maps values lies in one y of
+    p, q, z, the variable of the first non-constant term, else None.  step is
+    the key of y^(e+1) minus that of y^e; rows[i] maps e to c for each term
+    c y^e of values[i]."""
+    key = next(key for terms in values for key in terms if key != _UNIT)
+    shift = next((s for s in _SHIFTS[:_X] if (key >> s) & _MASK != _LIMIT), None)
+    if shift is None:
+        return None
+    step = (1 << _DEGREE_SHIFT) + (1 << shift)
+    if any(key != _UNIT + (key >> _DEGREE_SHIFT) * step for terms in values for key in terms):
+        return None
+    return step, [{key >> _DEGREE_SHIFT: c for key, c in terms.items()} for terms in values]
+
+
+def _div_term(terms: dict, term: dict) -> dict | None:
+    """terms / term, term a single term, or None unless every coefficient
+    divides and every quotient exponent is in range, x's nonnegative."""
+    (shift, coeff), = term.items()
+    if any(c % coeff for c in terms.values()):
+        return None
+    if shift & _MASK != _LIMIT and min(key & _MASK for key in terms) < shift & _MASK:
+        return None  # a negative power of x, which the guard test does not see
+    shift -= _UNIT
+    out = {key - shift: c // coeff for key, c in terms.items()}
+    return None if any(key & _GUARD for key in out) else out
+
+
 ZERO = RingValue._raw({})
 ONE = RingValue._raw({_UNIT: 1})
 
@@ -476,12 +564,14 @@ def parse(text: str) -> RingValue:
 #   coefficients: the product sum c_e y^e is packed as the int
 #   sum c_e 2^(8B(e - S)), S the least exponent of the line (Kronecker
 #   substitution).  The DP over the packed products then yields y^(-tS)
-#   times its entry t, packed, as long as no coefficient reaches 2^(8B).
+#   times its entry t, packed, as long as no coefficient reaches 2^(8B - 1).
 #   With nonnegative coefficients, no coefficient of an entry, or of any
 #   value the DP builds on the way to it, exceeds its value at y = 1.  So
 #   the same DP run first on the values at y = 1 bounds every coefficient,
-#   and B is that bound's byte count.  Values are packed and unpacked a byte
-#   string at a time, in time linear in their size.
+#   and B is the byte count of that bound and a sign bit: the slot codec,
+#   _pack_slots and _unpack_slots, is the signed one RingValue's Kronecker
+#   products use.  Values are packed and unpacked a byte string at a time,
+#   in time linear in their size.
 #
 # Every other line stays on dicts.  So does a line of fewer than _MIN_PRODUCTS
 # products, whose DP is a handful of ring operations, fewer than packing costs
@@ -530,7 +620,7 @@ class PackedLine:
     def widen(self, bound: int, state: list = None) -> None:
         """Make slots hold any coefficient up to bound, re-packing the products
         and, in place, the packed values of state."""
-        size = max(1, (bound.bit_length() + 7) // 8)
+        size = bound.bit_length() // 8 + 1  # one bit of a slot is the sign
         old = self._size
         if size <= old:
             return
@@ -550,13 +640,8 @@ class PackedLine:
         if not self._size:  # before widen() the DP holds only 0 and 1
             return RingValue.from_int(value)
         step = self._step
-        key = _UNIT + degree * self._low * step
-        out = {}
-        for coeff in _unpack_slots(value, self._size):
-            if coeff:
-                out[key] = coeff
-            key += step
-        return RingValue._raw(out)
+        coeffs = _unpack_slots(value, self._size, degree * self._top + 1)
+        return RingValue._raw(_slot_terms(coeffs, _UNIT + degree * self._low * step, step))
 
 
 def packed_line(values) -> PackedLine | None:
@@ -568,21 +653,10 @@ def packed_line(values) -> PackedLine | None:
     ints = [t.get(_UNIT, 0) for t in terms if not t or (len(t) == 1 and _UNIT in t)]
     if len(ints) == len(terms):
         return PackedLine(ints)
-    # y is the variable of the first non-constant term
-    key = next(key for t in terms for key in t if key != _UNIT)
-    shift = next((s for s in _SHIFTS[:_X] if (key >> s) & _MASK != _LIMIT), None)
-    if shift is None:
+    found = _exponent_rows(terms)
+    if found is None or any(c < 0 for t in terms for c in t.values()):
         return None
-    step = (1 << _DEGREE_SHIFT) + (1 << shift)
-    exps = []
-    for t in terms:
-        row = {}
-        for key, coeff in t.items():
-            e = ((key >> shift) & _MASK) - _LIMIT
-            if coeff < 0 or key != _UNIT + e * step:
-                return None
-            row[e] = coeff
-        exps.append(row)
+    step, exps = found
     low = min(min(row) for row in exps if row)
     spans = [max(row) - low + 1 if row else 0 for row in exps]
     if sum(spans) > _SPREAD * sum(map(len, exps)):
@@ -592,18 +666,43 @@ def packed_line(values) -> PackedLine | None:
 
 
 def _pack_slots(coeffs: list, size: int) -> int:
-    """The int holding coeffs[i] in slot i, size bytes a slot."""
-    return int.from_bytes(b"".join(c.to_bytes(size, "little") for c in coeffs), "little")
+    """The int sum coeffs[i] 2^(8 size i), each |coeffs[i]| < 2^(8 size - 1).
+
+    Flipping the top bit of a two's complement slot c gives c + 2^(8 size - 1),
+    nonnegative, so no slot borrows; subtracting halves leaves the sum."""
+    halves = _halves(size, len(coeffs))
+    data = b"".join(c.to_bytes(size, "little", signed=True) for c in coeffs)
+    return (int.from_bytes(data, "little") ^ halves) - halves
 
 
-def _unpack_slots(value: int, size: int) -> list:
-    """The coefficients in the slots of value, lowest first, up to its last nonzero one."""
-    data = value.to_bytes(-(-value.bit_length() // (8 * size)) * size, "little")
-    return [int.from_bytes(data[i:i + size], "little") for i in range(0, len(data), size)]
+def _unpack_slots(value: int, size: int, count: int) -> list:
+    """The count coefficients, lowest first, that _pack_slots packed into
+    value: the steps of _pack_slots in reverse."""
+    halves = _halves(size, count)
+    data = ((value + halves) ^ halves).to_bytes(count * size, "little")
+    from_bytes = int.from_bytes
+    return [from_bytes(data[i:i + size], "little", signed=True) for i in range(0, len(data), size)]
+
+
+def _halves(size: int, count: int) -> int:
+    """The int with 2^(8 size - 1), half a slot, in each of count slots."""
+    return int.from_bytes((bytes(size - 1) + b"\x80") * count, "little")
+
+
+def _slot_terms(coeffs: list, key: int, step: int) -> dict:
+    """The terms of sum coeffs[i] y^(e + i), key the key of y^e and step the
+    key of y^(e+1) minus that of y^e."""
+    out = {}
+    for coeff in coeffs:
+        if coeff:
+            out[key] = coeff
+        key += step
+    return out
 
 
 def _resize(values: list, old: int, new: int) -> list:
     """values, packed with old bytes a slot, packed with new > old bytes a slot.
+    Every slot of values holds a nonnegative coefficient, as on a PackedLine.
 
     All of them go through one byte string, so the cost per value is a few
     calls however many bytes a slot has.

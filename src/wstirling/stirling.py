@@ -15,8 +15,12 @@ row, a second-kind column) to symfunc, which picks the arithmetic: packed
 Python ints for the integer lines of classical, legendre, merris, sun and
 b-stirling and the one-variable lines of q-stirling and jacobi at
 nonnegative indices, RingValues for the rest.  The recurrence path always
-runs on the dict-based RingValue, so the cross-check also compares two
-arithmetic backends.
+runs on RingValues, whose products pick their arithmetic: a one-term factor
+shifts the other's keys (pq-binomial, q-binomial, zeta), two values dense in
+one variable with 256 or more term pairs multiply as big ints (q-stirling),
+the rest walk term pairs.  The big-int products and the packed lines share
+one slot codec (ring._pack_slots, ring._unpack_slots), so on q-stirling the
+two paths differ in algorithm, not in that codec.
 first_kind and second_kind read from a small bounded cache of definition
 tables.  Next to them sit the vertical and horizontal recurrences (the
 horizontal ones consume row n+1, so they are evaluators used for cross

@@ -1,8 +1,9 @@
+import collections
 import random
 
 import pytest
 
-from wstirling import ring
+from wstirling import cli, ring
 from wstirling.ring import (
     ONE,
     P,
@@ -20,6 +21,8 @@ from wstirling.ring import (
     product,
     ring_sum,
 )
+from wstirling.stirling import StirlingTable
+from wstirling.weights import builtin
 
 
 def rand_value(rng, max_terms=5, exp_range=(-3, 3), coeff_range=(-9, 9), laurent=True):
@@ -392,3 +395,170 @@ def test_term_budget(monkeypatch):
             bad()
     # a resource limit, not malformed input: the CLI maps it to exit 3
     assert not issubclass(TermBudgetExceeded, ValueError)
+
+
+# -- the fast paths of products and quotients against the references above ---------
+
+def count_paths(monkeypatch) -> collections.Counter:
+    """Count the results each fast path returns; None, no result, counts 0."""
+    seen = collections.Counter()
+    for name in ("_mul_term", "_mul_kronecker", "_div_term"):
+        def counted(*args, path=getattr(ring, name), name=name):
+            out = path(*args)
+            seen[name] += out is not None
+            return out
+        monkeypatch.setattr(ring, name, counted)
+    return seen
+
+
+def one_var(var, coeffs):
+    """The tuple terms of sum c y^e over coeffs {e: c}, y the variable var."""
+    at = "pqz".index(var)
+    return {tuple(e if i == at else 0 for i in range(4)): c for e, c in coeffs.items() if c}
+
+
+def dense(rng, var, count, low, spread=0):
+    """count terms in var with mixed signs, spanning count + spread exponents
+    from low, both ends used."""
+    inner = rng.sample(range(low + 1, low + count + spread - 1), count - 2)
+    return one_var(var, {e: rng.choice([-1, 1]) * rng.randint(1, 9)
+                         for e in [low, low + count + spread - 1] + inner})
+
+
+def test_kronecker_products_match_the_dict_loop(monkeypatch):
+    seen = count_paths(monkeypatch)
+    rng = random.Random(20090101)
+    taken = 0
+    for var in "pqz":
+        # term counts on both sides of 256 pairs; spans up to twice the term count
+        for na, nb, spread, kronecker in [(16, 16, 0, True), (12, 30, 12, True),
+                                          (40, 7, 40, True), (15, 17, 5, False),
+                                          (16, 20, 17, False), (20, 20, 21, False)]:
+            a = dense(rng, var, na, rng.randint(-9, 4), spread)
+            b = dense(rng, var, nb, rng.randint(-9, 4), min(spread, nb))
+            got = RingValue(a) * RingValue(b)
+            assert got == RingValue(ref_mul(a, b)) and got.render() == ref_render(ref_mul(a, b))
+            taken += kronecker
+            assert seen["_mul_kronecker"] == taken, (var, na, nb, spread)
+    # two variables, or x, stay on the dict loop
+    for a, b in [(dense(rng, "p", 20, 0), dense(rng, "q", 20, 0)),
+                 (dense(rng, "z", 20, 0), {k[:3] + (k[0] + 1,): c
+                                           for k, c in dense(rng, "p", 20, 0).items()})]:
+        assert RingValue(a) * RingValue(b) == RingValue(ref_mul(a, b))
+    assert seen["_mul_kronecker"] == taken
+
+
+@pytest.mark.parametrize("ca, na, cb, nb, top", [
+    (7, 31, 151, 40, 2 ** 15 - 1),  # 7 * 151 * 31: the most two-byte slots hold
+    (-7, 31, 151, 40, 2 ** 15 - 1),
+    (2 ** 10, 32, 1, 32, 2 ** 15),  # one more: three-byte slots
+    (-(2 ** 10), 32, 1, 32, 2 ** 15),
+])
+def test_kronecker_slots_on_a_byte_boundary(monkeypatch, ca, na, cb, nb, top):
+    seen = count_paths(monkeypatch)
+    for var in "pqz":
+        a = one_var(var, {e: ca for e in range(-3, na - 3)})
+        b = one_var(var, {e: cb for e in range(nb)})
+        want = ref_mul(a, b)
+        assert max(map(abs, want.values())) == top  # the bound is reached
+        assert RingValue(a) * RingValue(b) == RingValue(want)
+    assert seen["_mul_kronecker"] == 3
+
+
+def test_kronecker_products_at_the_range_edges(monkeypatch):
+    seen = count_paths(monkeypatch)
+    for var in "pqz":
+        high = one_var(var, {e: e % 5 - 2 for e in range(LIMIT - 20, LIMIT)})
+        low = one_var(var, {e: e % 3 + 1 for e in range(-LIMIT, -LIMIT + 20)})
+        up = one_var(var, {e: 1 for e in range(20)})
+        down = one_var(var, {e: -1 for e in range(-19, 1)})
+        for a, b in [(high, down), (low, up)]:
+            assert RingValue(a) * RingValue(b) == RingValue(ref_mul(a, b))
+        for a, b in [(high, up), (low, down)]:
+            assert not in_range(ref_mul(a, b))
+            with pytest.raises(ExponentOverflow):
+                RingValue(a) * RingValue(b)
+    assert seen["_mul_kronecker"] == 12
+
+
+def test_kronecker_budget_comes_before_packing(monkeypatch):
+    packed = []
+    pack_slots = ring._pack_slots
+    monkeypatch.setattr(ring, "_pack_slots", lambda *args: packed.append(args) or pack_slots(*args))
+    rng = random.Random(5)
+    a, b = dense(rng, "q", 16, -2), dense(rng, "q", 16, 0, 8)
+    monkeypatch.setattr(ring, "TERM_BUDGET", 255)
+    with pytest.raises(TermBudgetExceeded):
+        RingValue(a) * RingValue(b)
+    assert packed == []
+    monkeypatch.setattr(ring, "TERM_BUDGET", 256)
+    assert RingValue(a) * RingValue(b) == RingValue(ref_mul(a, b))
+    assert len(packed) == 2
+
+
+def division_outcome(dividend, divisor):
+    """dividend.exact_div(divisor), or the type and message of its error."""
+    try:
+        return dividend.exact_div(divisor)
+    except (InexactDivision, ExponentOverflow) as err:
+        return type(err), str(err)
+
+
+def test_one_term_division_matches_long_division(monkeypatch):
+    seen = count_paths(monkeypatch)
+    rng = random.Random(1968)
+    found = collections.Counter()
+    for trial in range(400):
+        kind = trial % 4
+        coeff = rng.choice([2, -2, 3, -3, 1, -1])
+        dexps = [rng.randint(-3, 3) for _ in range(3)] + [rng.choice([0, 1, 2])]
+        quotient = {}
+        while len(quotient) < 2:
+            quotient = rand_terms(rng, [rng.randint(-3, 3) for _ in range(3)] + [2])
+        dividend = ref_mul(quotient, {tuple(dexps): coeff})
+        if kind == 1:  # an indivisible coefficient below the leading term
+            key = min(dividend, key=ref_order)
+            dividend[key] += rng.choice([-1, 1])
+        elif kind == 2:  # x would go negative
+            dexps[3] = max(k[3] for k in dividend) + rng.randint(1, 2)
+        elif kind == 3:  # a quotient exponent past either end of the range
+            at, edge = rng.randrange(3), rng.choice([LIMIT - 1, -LIMIT])
+            dexps[at] = -3 if edge > 0 else 3
+            dividend = {k[:at] + (edge,) + k[at + 1:]: c for k, c in dividend.items()}
+        divisor = {tuple(dexps): coeff}
+        got = division_outcome(RingValue(dividend), RingValue(divisor))
+        with monkeypatch.context() as patch:
+            patch.setattr(ring, "_div_term", lambda terms, term: None)  # the loop alone
+            assert division_outcome(RingValue(dividend), RingValue(divisor)) == got
+        want = ref_exact_div(dividend, divisor)
+        if isinstance(got, RingValue):
+            assert got == RingValue(want)
+            found["exact"] += 1
+        elif got[0] is ExponentOverflow:
+            assert got[1] == "a quotient has an exponent outside [-2^30, 2^30)"
+            assert want is not None and not in_range(want)
+            found["overflow"] += 1
+        else:
+            assert got[0] is InexactDivision and want is None
+            if got[1] == "quotient would need a negative power of x":
+                found["negative x"] += 1
+            else:
+                assert kind == 1 and got[1] == (
+                    f"leading coefficient {dividend[key]} not divisible by {coeff}")
+                found["indivisible"] += 1
+    assert min(found.values()) >= 60 and len(found) == 4, found
+    assert seen["_div_term"] == found["exact"]
+
+
+# the fewest results each fast path returns over the jobs below
+REACH = {"_mul_kronecker": 250, "_mul_term": 150, "_div_term": 80}
+
+
+def test_fast_paths_are_reached(monkeypatch, capsys):
+    # a later change to eligibility cannot drain a path silently
+    seen = count_paths(monkeypatch)
+    assert cli.main(["det", "--kind", "second", "--weights", "builtin:q-stirling",
+                     "--r", "8", "--s", "3"]) == 0
+    StirlingTable(builtin("q-stirling"), "first", method="recurrence").row(20)
+    StirlingTable(builtin("q-binomial"), "second", method="recurrence").row(12)
+    assert [name for name, least in REACH.items() if seen[name] < least] == [], seen
