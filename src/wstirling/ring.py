@@ -425,10 +425,15 @@ _DENSE = 2
 
 
 def _mul_term(term: dict, terms: dict) -> dict:
-    """term * terms, term a single term: every key shifts by the same amount."""
+    """term * terms, term a single term: every key shifts by the same amount.
+    A loop, because a comprehension costs more on the one- and few-term
+    values most products have."""
     (shift, coeff), = term.items()
     shift -= _UNIT
-    return {key + shift: coeff * c for key, c in terms.items()}
+    out = {}
+    for key, c in terms.items():
+        out[key + shift] = coeff * c
+    return out
 
 
 def _mul_kronecker(a: dict, b: dict) -> dict | None:
