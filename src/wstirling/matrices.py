@@ -62,9 +62,6 @@ class RingMatrix:
     def dim(self) -> int:
         return len(self.rows)
 
-    def entry(self, i: int, j: int) -> RingValue:
-        return self.rows[i][j]
-
     def __mul__(self, other: "RingMatrix") -> "RingMatrix":
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")

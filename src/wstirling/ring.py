@@ -31,16 +31,18 @@ e.g. "p^4 + p^3*q + 2*p^2*q^2".  parse() accepts exactly what render() emits,
 modulo whitespace, and both take integers past the digit limit of str(int).
 
 A product with a one-term factor shifts the keys of the other; two values
-dense in the same one of p, q, z multiply as two big ints (Kronecker
-substitution); the rest walk every pair of terms.  exact_div divides by one
-term in one pass, and otherwise, or to name a failure, by leading-term
-cancellation.  Every product ends in the same guard test.
+in the same one of p, q, z, dense enough to pack, multiply as two big ints
+(Kronecker substitution); the rest walk every pair of terms.  exact_div
+divides by one term in one pass, and otherwise, or to name a failure, by
+leading-term cancellation.  Every product ends in the same guard test.
 
 A second format serves the symmetric-function DP in symfunc: packed_line()
 turns a line of integer values, or of values in one variable with
 nonnegative coefficients, into Python ints the DP can run on (Kronecker
-substitution again, with the same slot codec), and PackedLine.decode()
-turns each entry back into a RingValue.  See "packed lines" below.
+substitution again), and PackedLine.decode() turns each entry back into a
+RingValue.  One builder, _slot_lists, lays out the slots of both big-int
+formats under one density limit, at most _SPREAD slots a term, and one
+signed codec packs them.  See "packed lines" below.
 """
 
 from __future__ import annotations
@@ -421,7 +423,6 @@ class RingValue:
 # before the guard test, or None where the general loop must run
 
 _KRONECKER_PAIRS = 256
-_DENSE = 2
 
 
 def _mul_term(term: dict, terms: dict) -> dict:
@@ -437,45 +438,22 @@ def _mul_term(term: dict, terms: dict) -> dict:
 
 
 def _mul_kronecker(a: dict, b: dict) -> dict | None:
-    """a * b by Kronecker substitution, or None unless both lie in one y of
-    p, q, z, each spanning at most _DENSE slots a term.
+    """a * b by Kronecker substitution, or None unless _slot_lists takes both:
+    one y of p, q, z, at most _SPREAD slots a term.
 
-    Each value packs as the int sum c_e 2^(8B(e - S)), S its least exponent.
+    Each value packs as the int sum c_e 2^(8B(e - S)), S their least exponent.
     A coefficient of the product sums at most min(len a, len b) products of
     coefficients, so B bytes a slot, one bit of them the sign, hold it.
     """
-    found = _exponent_rows([a, b])
+    found = _slot_lists([a, b])
     if found is None:
         return None
-    step, rows = found
-    lows, slots = [], []
-    for row in rows:
-        low = min(row)
-        span = max(row) - low + 1
-        if span > _DENSE * len(row):
-            return None
-        lows.append(low)
-        slots.append([row.get(e, 0) for e in range(low, low + span)])
+    low, step, (sa, sb) = found
     bound = max(map(abs, a.values())) * max(map(abs, b.values())) * min(len(a), len(b))
     size = bound.bit_length() // 8 + 1
-    coeffs = _unpack_slots(_pack_slots(slots[0], size) * _pack_slots(slots[1], size), size,
-                           len(slots[0]) + len(slots[1]) - 1)
-    return _slot_terms(coeffs, _UNIT + sum(lows) * step, step)
-
-
-def _exponent_rows(values: list) -> tuple | None:
-    """(step, rows) when every term in the term maps values lies in one y of
-    p, q, z, the variable of the first non-constant term, else None.  step is
-    the key of y^(e+1) minus that of y^e; rows[i] maps e to c for each term
-    c y^e of values[i]."""
-    key = next(key for terms in values for key in terms if key != _UNIT)
-    shift = next((s for s in _SHIFTS[:_X] if (key >> s) & _MASK != _LIMIT), None)
-    if shift is None:
-        return None
-    step = (1 << _DEGREE_SHIFT) + (1 << shift)
-    if any(key != _UNIT + (key >> _DEGREE_SHIFT) * step for terms in values for key in terms):
-        return None
-    return step, [{key >> _DEGREE_SHIFT: c for key, c in terms.items()} for terms in values]
+    coeffs = _unpack_slots(_pack_slots(sa, size) * _pack_slots(sb, size), size,
+                           len(sa) + len(sb) - 1)
+    return _slot_terms(coeffs, _UNIT + 2 * low * step, step)
 
 
 def _div_term(terms: dict, term: dict) -> dict | None:
@@ -584,6 +562,7 @@ def parse(text: str) -> RingValue:
 # _SPREAD slots a term (1 + q^100, say), which costs the packed DP more than it
 # saves; and every line the packed DP could take past the term budget or the
 # exponent range, so that the dict path raises there exactly as it would have.
+# _slot_lists applies the same limit to the factors of a Kronecker product.
 
 _MIN_PRODUCTS = 5
 _SPREAD = 4
@@ -593,22 +572,23 @@ class PackedLine:
     """One line of values, ready for a DP on Python ints.
 
     ones holds the products' values at y = 1 (for an integer line, the
-    integers themselves, which is all its DP needs), and packed, once widen()
-    has run, the products packed at the current width.  An entry the DP
-    builds from t products (e_t, or h_t) decodes with decode(entry, t).
+    integers themselves, which is all its DP needs), and packed the products
+    packed at the current width, first that of their largest coefficient.
+    An entry the DP builds from t products (e_t, or h_t) decodes with
+    decode(entry, t).
     """
 
-    __slots__ = ("ones", "packed", "is_integer", "_slots", "_low", "_top", "_step", "_size")
+    __slots__ = ("ones", "packed", "is_integer", "_low", "_top", "_step", "_size")
 
     def __init__(self, ones, slots=None, low=0, step=0):
         self.ones = ones
-        self.packed = None
         self.is_integer = slots is None
-        self._slots = slots  # per product, its coefficients of y^S, y^(S+1), ...
         self._low = low  # S
         self._top = max(map(len, slots)) - 1 if slots else 0  # the largest slot used
         self._step = step  # key of y^(e+1) minus key of y^e
-        self._size = 0  # bytes per slot; 0 until widen() first runs
+        # bytes per slot, first enough for the largest coefficient and its sign
+        self._size = max(map(max, filter(None, slots))).bit_length() // 8 + 1 if slots else 0
+        self.packed = [_pack_slots(row, self._size) for row in slots] if slots else None
 
     def fits(self, degree: int) -> bool:
         """Whether the DP may build entries of up to degree products here.
@@ -626,24 +606,17 @@ class PackedLine:
         """Make slots hold any coefficient up to bound, re-packing the products
         and, in place, the packed values of state."""
         size = bound.bit_length() // 8 + 1  # one bit of a slot is the sign
-        old = self._size
-        if size <= old:
+        if size <= self._size:
             return
-        if old:
-            count = len(self.packed)
-            values = _resize(self.packed + (state or []), old, size)
-            self.packed = values[:count]
-            if state:
-                state[:] = values[count:]
-        else:  # the first width; the DP's values so far are its unit, 1 at any width
-            self.packed = [_pack_slots(slots, size) for slots in self._slots]
-            self._slots = None  # later widths re-pack self.packed
+        count = len(self.packed)
+        values = _resize(self.packed + (state or []), self._size, size)
+        self.packed = values[:count]
+        if state:
+            state[:] = values[count:]
         self._size = size
 
     def decode(self, value: int, degree: int) -> RingValue:
         """The RingValue of an entry packed from degree products."""
-        if not self._size:  # before widen() the DP holds only 0 and 1
-            return RingValue.from_int(value)
         step = self._step
         coeffs = _unpack_slots(value, self._size, degree * self._top + 1)
         return RingValue._raw(_slot_terms(coeffs, _UNIT + degree * self._low * step, step))
@@ -658,16 +631,36 @@ def packed_line(values) -> PackedLine | None:
     ints = [t.get(_UNIT, 0) for t in terms if not t or (len(t) == 1 and _UNIT in t)]
     if len(ints) == len(terms):
         return PackedLine(ints)
-    found = _exponent_rows(terms)
-    if found is None or any(c < 0 for t in terms for c in t.values()):
+    if any(c < 0 for t in terms for c in t.values()):
         return None
-    step, exps = found
-    low = min(min(row) for row in exps if row)
-    spans = [max(row) - low + 1 if row else 0 for row in exps]
-    if sum(spans) > _SPREAD * sum(map(len, exps)):
+    found = _slot_lists(terms)
+    if found is None:
         return None
-    slots = [[row.get(e, 0) for e in range(low, low + span)] for row, span in zip(exps, spans)]
-    return PackedLine([sum(row.values()) for row in exps], slots, low, step)
+    low, step, slots = found
+    return PackedLine([sum(t.values()) for t in terms], slots, low, step)
+
+
+def _slot_lists(values: list) -> tuple | None:
+    """(S, step, slots) when every term of the term maps values lies in one y
+    of p, q, z and their slots from S, y's least exponent, number at most
+    _SPREAD a term; else None.  step is the key of y^(e+1) minus that of y^e;
+    slots[i] holds the coefficients of y^S, y^(S+1), ... of values[i], up to
+    its largest exponent.  The limit is tested on the exponents alone, before
+    any list is built, so 1 + y^(2^29) builds none."""
+    key = next(key for terms in values for key in terms if key != _UNIT)
+    shift = next((s for s in _SHIFTS[:_X] if (key >> s) & _MASK != _LIMIT), None)
+    if shift is None:
+        return None
+    step = (1 << _DEGREE_SHIFT) + (1 << shift)
+    if any(key != _UNIT + (key >> _DEGREE_SHIFT) * step for terms in values for key in terms):
+        return None
+    rows = [{key >> _DEGREE_SHIFT: c for key, c in terms.items()} for terms in values]
+    low = min(min(row) for row in rows if row)
+    spans = [max(row) - low + 1 if row else 0 for row in rows]
+    if sum(spans) > _SPREAD * sum(map(len, rows)):
+        return None
+    return low, step, [[row.get(e, 0) for e in range(low, low + span)]
+                       for row, span in zip(rows, spans)]
 
 
 def _pack_slots(coeffs: list, size: int) -> int:

@@ -19,8 +19,8 @@ runs on RingValues, whose products pick their arithmetic: a one-term factor
 shifts the other's keys (pq-binomial, q-binomial, zeta), two values dense in
 one variable with 256 or more term pairs multiply as big ints (q-stirling),
 the rest walk term pairs.  The big-int products and the packed lines share
-one slot codec (ring._pack_slots, ring._unpack_slots), so on q-stirling the
-two paths differ in algorithm, not in that codec.
+one slot builder, density limit and codec (ring._slot_lists, _pack_slots,
+_unpack_slots), so on q-stirling the two paths differ in algorithm alone.
 first_kind and second_kind read from a small bounded cache of definition
 tables.  Next to them sit the vertical and horizontal recurrences (the
 horizontal ones consume row n+1, so they are evaluators used for cross

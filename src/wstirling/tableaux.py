@@ -134,8 +134,6 @@ def enumerate_T(alpha: int, beta: int, r: int, s: int,
         return []
     if s == 0:
         return [EMPTY] if r >= -1 else []
-    if r < 0:
-        return []
     _capped_binomial(r + s, s, cap)
     column_sum = alpha + beta + r
     return [BTableau.from_tops(tops, column_sum)
@@ -190,10 +188,7 @@ def tau(tableau: BTableau, n: int, k: int, alpha: int, beta: int) -> BTableau:
             f"(alpha={alpha}, beta={beta}, r={n - 1}) with {s} columns")
     new_sum = alpha + beta + k
     tops = [t - (s - j) for j, t in enumerate(tableau.tops(), start=1)]
-    image = BTableau.from_tops(tops, new_sum)
-    if not image.is_member(alpha, beta, k):
-        raise DomainViolation(f"image {image!r} left the target tableau set")
-    return image
+    return BTableau.from_tops(tops, new_sum)
 
 
 def weight_sum(kind: str, n: int, k: int, alpha: int, beta: int,

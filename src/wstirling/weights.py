@@ -264,7 +264,7 @@ _KINDS = {
                       lambda params, offset: _counts(params["value"])),
     "polynomial": _Kind(
         {"coefficients": _coefficients_in},
-        lambda params, j: ring_sum(c * j ** t for t, c in enumerate(params["coefficients"])),
+        lambda params, j: ring_sum(c * j ** t for t, c in enumerate(params["coefficients"]) if c),
         lambda params, offset: offset >= 0 and all(map(_counts, params["coefficients"]))),
     "monomial": _Kind({"base": _base_in},
                       lambda params, j: RingValue.variable(params["base"]) ** j, _never),

@@ -50,7 +50,7 @@ def det_cofactor(matrix: RingMatrix) -> RingValue:
 def test_matrix_basics():
     m = RingMatrix([[1, 2], [3, 4]])
     assert m.dim == 2
-    assert m.entry(1, 0) == 3
+    assert m.rows[1][0] == 3
     assert (m * identity_matrix(2)) == m
     assert identity_matrix(3) == RingMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     assert m != identity_matrix(2)
@@ -139,12 +139,12 @@ def test_inverse_pair_examples():
         assert a.rows == ((ONE,),) and b.rows == ((ONE,),)
     a, b = assert_two_sided_inverse("beta", 4, 0, 0, CLASSICAL)
     # signed first-kind triangle against the plain second-kind triangle
-    assert a.entry(3, 2) == -3 and a.entry(4, 2) == 11
-    assert b.entry(4, 2) == 7
+    assert a.rows[3][2] == -3 and a.rows[4][2] == 11
+    assert b.rows[4][2] == 7
     # sliding the v-offset instead moves the signs onto the second kind
     a, b = assert_two_sided_inverse("alpha", 4, 0, 0, CLASSICAL)
-    assert a.entry(3, 2) == 3 and a.entry(4, 2) == 11
-    assert b.entry(3, 2) == -3 and b.entry(4, 2) == 7
+    assert a.rows[3][2] == 3 and a.rows[4][2] == 11
+    assert b.rows[3][2] == -3 and b.rows[4][2] == 7
     assert_two_sided_inverse("beta", 3, 0, 0, PQ)
     assert_two_sided_inverse("alpha", 3, -1, 2, builtin("zeta"))
     with pytest.raises(ValueError):

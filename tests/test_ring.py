@@ -1,5 +1,7 @@
 import collections
 import random
+import time
+import tracemalloc
 
 import pytest
 
@@ -430,16 +432,21 @@ def test_kronecker_products_match_the_dict_loop(monkeypatch):
     rng = random.Random(20090101)
     taken = 0
     for var in "pqz":
-        # term counts on both sides of 256 pairs; spans up to twice the term count
-        for na, nb, spread, kronecker in [(16, 16, 0, True), (12, 30, 12, True),
-                                          (40, 7, 40, True), (15, 17, 5, False),
-                                          (16, 20, 17, False), (20, 20, 21, False)]:
-            a = dense(rng, var, na, rng.randint(-9, 4), spread)
-            b = dense(rng, var, nb, rng.randint(-9, 4), min(spread, nb))
+        # (terms, low, spread) of each factor: term counts on both sides of 256
+        # pairs, and slots, counted from the pair's least exponent, at most 4 a
+        # term (40 + 120 = 4 * (10 + 30); 16 + 112 = 4 * (16 + 16)) and one past
+        for (na, la, sa), (nb, lb, sb), kronecker in [
+                ((16, 0, 0), (16, 0, 0), True), ((12, -5, 12), (30, 3, 12), True),
+                ((40, 2, 40), (7, -9, 0), True), ((15, 0, 0), (17, 0, 0), False),
+                ((10, 0, 30), (30, 0, 90), True), ((10, 0, 30), (30, 0, 91), False),
+                ((16, 0, 0), (16, 96, 0), True), ((16, 0, 0), (16, 97, 0), False)]:
+            base = rng.randint(-9, 4)
+            a = dense(rng, var, na, base + la, sa)
+            b = dense(rng, var, nb, base + lb, sb)
             got = RingValue(a) * RingValue(b)
             assert got == RingValue(ref_mul(a, b)) and got.render() == ref_render(ref_mul(a, b))
             taken += kronecker
-            assert seen["_mul_kronecker"] == taken, (var, na, nb, spread)
+            assert seen["_mul_kronecker"] == taken, (var, na, la, sa, nb, lb, sb)
     # two variables, or x, stay on the dict loop
     for a, b in [(dense(rng, "p", 20, 0), dense(rng, "q", 20, 0)),
                  (dense(rng, "z", 20, 0), {k[:3] + (k[0] + 1,): c
@@ -467,14 +474,15 @@ def test_kronecker_slots_on_a_byte_boundary(monkeypatch, ca, na, cb, nb, top):
 
 def test_kronecker_products_at_the_range_edges(monkeypatch):
     seen = count_paths(monkeypatch)
+    half = LIMIT // 2  # factors near the same half of the range, so they pack together
     for var in "pqz":
-        high = one_var(var, {e: e % 5 - 2 for e in range(LIMIT - 20, LIMIT)})
-        low = one_var(var, {e: e % 3 + 1 for e in range(-LIMIT, -LIMIT + 20)})
-        up = one_var(var, {e: 1 for e in range(20)})
-        down = one_var(var, {e: -1 for e in range(-19, 1)})
-        for a, b in [(high, down), (low, up)]:
-            assert RingValue(a) * RingValue(b) == RingValue(ref_mul(a, b))
-        for a, b in [(high, up), (low, down)]:
+        high = one_var(var, {e: e % 5 - 2 for e in range(half - 20, half)})
+        low = one_var(var, {e: e % 3 + 1 for e in range(-half, -half + 20)})
+        for a, b in [(high, one_var(var, {e: 1 for e in range(half - 19, half + 1)})),
+                     (low, one_var(var, {e: -1 for e in range(-half, -half + 20)}))]:
+            assert RingValue(a) * RingValue(b) == RingValue(ref_mul(a, b))  # reaches an end
+        for a, b in [(high, one_var(var, {e: 1 for e in range(half - 18, half + 2)})),
+                     (low, one_var(var, {e: -1 for e in range(-half - 1, -half + 19)}))]:
             assert not in_range(ref_mul(a, b))
             with pytest.raises(ExponentOverflow):
                 RingValue(a) * RingValue(b)
@@ -494,6 +502,23 @@ def test_kronecker_budget_comes_before_packing(monkeypatch):
     monkeypatch.setattr(ring, "TERM_BUDGET", 256)
     assert RingValue(a) * RingValue(b) == RingValue(ref_mul(a, b))
     assert len(packed) == 2
+
+
+def test_sparse_values_build_no_slot_list():
+    # 1 + z^(2^29) would fill 2^29 + 1 slots; the density limit is tested on
+    # the exponents first, so neither a line nor a product of 2 * 128 term
+    # pairs lays them out
+    sparse, dense = parse("z^536870912 + 1"), ring_sum(Z ** e for e in range(128))
+    tracemalloc.start()
+    try:
+        began = time.perf_counter()
+        line, got = ring.packed_line([sparse] * 5), sparse * dense
+        took = time.perf_counter() - began
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert line is None and got == dense + Z ** 536870912 * dense
+    assert peak < 2 ** 22 and took < 0.5, (peak, took)
 
 
 def division_outcome(dividend, divisor):

@@ -55,6 +55,11 @@ def test_enumerate_T_examples():
     for r in range(4):
         assert enumerate_T(0, 0, r, 0) == [EMPTY]
     assert enumerate_T(0, 0, 2, -1) == []
+    # below r = 0 no top fits in alpha..alpha+r, so no tableau with columns
+    # exists, and the cap refuses none of them
+    for alpha, beta, r, s in [(0, 0, -1, 1), (2, -1, -1, 3), (0, 0, -2, 1), (-3, 4, -7, 2),
+                              (0, 0, -1, 10 ** 7)]:
+        assert enumerate_T(alpha, beta, r, s) == []
     # plain tableaux survive r < s-1 as long as r is nonnegative
     wide = enumerate_T(0, 0, 1, 3)
     assert len(wide) == comb(4, 3)

@@ -1,6 +1,7 @@
 import json
 import pathlib
 import re
+import time
 
 import pytest
 
@@ -145,6 +146,15 @@ def test_builtin_parameterized():
     assert builtin("merris(2)").v.eval(3) == 5
     assert builtin("sun(2)").v.eval(3) == 9
     assert builtin("sun(0)").v.eval(3) == 1
+
+
+def test_polynomial_weights_skip_zero_coefficients():
+    # sun(m) is i^m, m zero coefficients under a one; a power j^t for each of
+    # them would take minutes at m = 200000
+    v = builtin("sun(200000)").v
+    start = time.monotonic()
+    assert v.eval(2) == 2 ** 200000
+    assert time.monotonic() - start < 1
 
 
 def test_builtin_rejections():
