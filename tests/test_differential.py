@@ -88,10 +88,15 @@ def count_backends(monkeypatch) -> collections.Counter:
             seen["monomials" if terms == 1 else "multi-term"] += 1
         return line
 
+    widened = {}  # id -> line, held so that no id is reused
+
     def counted_widen(line, bound, state=None):
+        # a line packs at construction, so only a widen after its first one
+        # re-packs values the DP has built
         before = line.packed
         widen(line, bound, state)
-        seen["re-packed"] += before is not None and line.packed is not before
+        seen["re-packed"] += id(line) in widened and line.packed is not before
+        widened[id(line)] = line
 
     def counted_column(line):
         state = yield from homogeneous_packed(line)

@@ -4,9 +4,9 @@ A public module-level function or class whose name the package's code never
 reads, as a bare name or as an attribute, is reached from tests alone; so is
 a public method whose name it never reads as an attribute.  Mentions in
 docstrings, comments and strings do not count, and neither does an import
-that nothing then reads, or a local name that matches a method's.  If such a name checks a
-claim of the paper, that claim belongs in wstirling.identities, whose probes
-then call it; otherwise it goes.
+that nothing then reads, or a local name that matches a method's.  If such a
+name checks a claim of the paper, that claim belongs in wstirling.identities,
+whose probes then call it; otherwise it goes.
 """
 
 import ast

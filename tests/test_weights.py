@@ -150,7 +150,7 @@ def test_builtin_parameterized():
 
 def test_polynomial_weights_skip_zero_coefficients():
     # sun(m) is i^m, m zero coefficients under a one; a power j^t for each of
-    # them would take minutes at m = 200000
+    # them would cost time quadratic in m
     v = builtin("sun(200000)").v
     start = time.monotonic()
     assert v.eval(2) == 2 ** 200000
