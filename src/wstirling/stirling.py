@@ -7,20 +7,22 @@ the second-kind value is the homogeneous function h_{n-k} of the k+1 products
 v(alpha+k)w(beta), ..., v(alpha)w(beta+k).  Negative n or k, and k > n, give
 0; n = 0 gives the Kronecker delta.
 
-Both kinds live in a StirlingTable, the one owner of computed values.  It
-builds them by definition (the symmetric-function DP) or by the triangular
-recurrence, walked iteratively, so the two paths cross-check each other.
-The definition path hands the weight products of a line (a first-kind
-row, a second-kind column) to symfunc, which picks the arithmetic: packed
+Both kinds live in a StirlingTable, the one owner of computed values.  The
+triangular recurrences are single steps of the symmetric-function DPs, so
+both of its methods run symfunc's two DPs on the weight products of a line
+(a first-kind row, a second-kind column) and differ only in the order of
+the products and in the arithmetic.  Method "definition" hands the line to
+elementary_all or homogeneous_series, which pick the arithmetic: packed
 Python ints for the integer lines of classical, legendre, merris, sun and
 b-stirling and the one-variable lines of q-stirling and jacobi at
-nonnegative indices, RingValues for the rest.  The recurrence path always
-runs on RingValues, whose products pick their arithmetic: a one-term factor
+nonnegative indices, RingValues for the rest.  Method "recurrence" runs
+elementary_dp and homogeneous_dict_series over the reversed line, always on
+RingValues, whose products pick their own arithmetic: a one-term factor
 shifts the other's keys (pq-binomial, q-binomial, zeta), two values dense in
 one variable with 256 or more term pairs multiply as big ints (q-stirling),
-the rest walk term pairs.  The big-int products and the packed lines share
-one slot builder, density limit and codec (ring._slot_lists, _pack_slots,
-_unpack_slots), so on q-stirling the two paths differ in algorithm alone.
+the rest walk term pairs.  So definition against recurrence checks the
+packed lines and their decoding against RingValue arithmetic; the vertical
+and horizontal recurrences below and wstirling.genfunc check the DPs.
 first_kind and second_kind read from a small bounded cache of definition
 tables.  Next to them sit the vertical and horizontal recurrences (the
 horizontal ones consume row n+1, so they are evaluators used for cross
@@ -35,7 +37,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .ring import ONE, RingValue, X, ZERO, product, ring_sum
-from .symfunc import elementary_all, homogeneous_series
+from .symfunc import elementary_all, elementary_dp, homogeneous_dict_series, homogeneous_series
 from .weights import WeightPair, builtin
 
 KINDS = ("first", "second")
@@ -87,30 +89,30 @@ class StirlingTable:
         v, w = self.weights.v, self.weights.w
         return [v.eval(self.alpha + top - t) * w.eval(self.beta + t) for t in range(top + 1)]
 
-    def _row(self, n: int) -> list:
+    def _dp(self, top: int):
+        """First-kind row top + 1 as e_0 .. e_(top+1) of its products, or
+        second-kind column top as the generator of its h_0, h_1, ...
+
+        The recurrence method takes the products reversed, the order in which
+        the triangular recurrence meets them: row n, walked up from row 0,
+        multiplies in v(alpha+m-1)w(beta+n-m) at row m.
+        """
+        products = self._products(top)
+        first = self.kind == "first"
         if self.method == "definition":
-            row = elementary_all(self._products(n - 1))[::-1]
-        else:
-            # c(a,b;m,k) = c(a,b+1;m-1,k-1) + v(a+m-1)w(b) c(a,b+1;m-1,k), walked up
-            # from row 0 at beta+n to row n at beta, shifting b down a step per row
-            v, w, row = self.weights.v, self.weights.w, [ONE]
-            for m in range(1, n + 1):
-                top = v.eval(self.alpha + m - 1) * w.eval(self.beta + n - m)
-                row = [left + top * right for left, right in zip([ZERO] + row, row + [ZERO])]
-        self._lines[n] = row
+            return elementary_all(products) if first else homogeneous_series(products)
+        products.reverse()
+        return elementary_dp(products, ONE, ZERO) if first else homogeneous_dict_series(products)
+
+    def _row(self, n: int) -> list:
+        row = self._lines[n] = self._dp(n - 1)[::-1]
         return row
 
     def _column(self, k: int, d: int) -> list:
         """Column k, extended as far as row k + d."""
         steps = self._steps.get(k)
         if steps is None:
-            if self.method == "definition":
-                steps = homogeneous_series(self._products(k))
-            else:
-                v, w, a, b = self.weights.v, self.weights.w, self.alpha, self.beta
-                steps = _recurrence_column([v.eval(a + j) * w.eval(b + k - j)
-                                            for j in range(k + 1)])
-            self._steps[k] = steps
+            steps = self._steps[k] = self._dp(k)
             self._lines[k] = []
         column = self._lines[k]
         try:
@@ -120,22 +122,6 @@ class StirlingTable:
             del self._steps[k], self._lines[k]
             raise
         return column
-
-
-def _recurrence_column(c: list):
-    """s(alpha,beta;k+d,k) for d = 0, 1, ..., where c[j] = v(alpha+j)w(beta+k-j).
-
-    Entry j of the state is s(alpha,beta+k-j;j+d,j), starting on the diagonal
-    s(.;j,j) = 1, so the walk visits just the entries the recurrence needs.
-    Raising d applies s(a,b;m,j) = s(a,b+1;m-1,j-1) + v(a+j)w(b) s(a,b;m-1,j)
-    for ascending j, where s(a,b+1;m-1,j-1) is entry j-1, already raised.
-    """
-    state = [ONE] * len(c)
-    while True:
-        yield state[-1]
-        lower = ZERO
-        for j, cj in enumerate(c):
-            lower = state[j] = lower + cj * state[j]
 
 
 # verify --suite all reuses about 2100 tables across suites; 1024 keeps most of

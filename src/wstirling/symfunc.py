@@ -12,7 +12,10 @@ elementary_dp and homogeneous_step take the DP's unit and zero, so the same
 code runs on plain ints.  elementary_all and homogeneous_series pick the
 backend: where ring.packed_line accepts xs, they run the DP on its ints and
 decode each entry into the RingValue the dict DP would build; elsewhere they
-run it on RingValues.
+run it on RingValues.  homogeneous_dict_series is the h-DP on RingValues
+alone, from degree 0 or from a state the packed DP hands back; it is
+homogeneous_series' dict path, and StirlingTable's recurrence method calls
+it and elementary_dp directly, so that method never packs.
 """
 
 from __future__ import annotations
@@ -61,6 +64,15 @@ def homogeneous_series(xs: Sequence[Coercible]) -> Iterator[RingValue]:
             yield RingValue.from_int(homogeneous_step(line.ones, h, 0))
     else:
         h = yield from _homogeneous_packed(line)
+    yield from homogeneous_dict_series(xs, h)
+
+
+def homogeneous_dict_series(xs: Sequence[Coercible], h: list | None = None) -> Iterator[RingValue]:
+    """h_0, h_1, ... of xs without end by the DP on RingValues alone; given
+    the DP's state h at some degree d, h_{d+1}, h_{d+2}, ... instead."""
+    if h is None:
+        yield ONE
+        h = [ONE] * len(xs)
     while True:
         yield homogeneous_step(xs, h, ZERO)
 
