@@ -20,9 +20,11 @@ loads every layer.  The parser needs only SUITES and ring.ENUMERATION_CAP.
 Exit codes are a stable contract: 0 success, 1 a verified identity failed,
 2 usage error, 3 resource or cap error (an enumeration cap, a non-integer
 b-file entry, a computed exponent outside the ring's range, or a product
-past the ring's term-pair budget).  Commands return 0 or 1 and raise
-everything else; main alone turns an error into its code and an `error:`
-line on stderr, argparse's own exits included.  Output is
+past the ring's term-pair budget), 141 stdout closed by its reader (the
+status a shell reports for a process killed by SIGPIPE; `| head` does it).
+Commands return 0 or 1 and raise everything else; main alone turns an error
+into its code and an `error:` line on stderr, argparse's own exits included,
+and a closed stdout into 141 with nothing on stderr.  Output is
 byte-deterministic for identical invocations: iteration orders are fixed, the
 round-trip identity seeds each cell's sequence from the cell, and JSON is
 dumped with sorted keys.
@@ -32,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import stirling
@@ -300,7 +303,14 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so that a closed stdout raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout: point it at devnull, so that the
+        # interpreter's last flush cannot raise again, and exit as SIGPIPE would
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except SystemExit as exc:  # argparse has printed its usage error or help
         return exc.code
     except UsageError as exc:

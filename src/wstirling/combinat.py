@@ -22,11 +22,11 @@ past the cap comes at once.
 """
 
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import chain, combinations, product
 from math import prod
 
-from .ring import ENUMERATION_CAP, EnumerationCapExceeded
-from .tableaux import BTableau, DomainViolation, capped_product
+from .ring import ENUMERATION_CAP
+from .tableaux import BTableau, DomainViolation, capped_count, capped_product
 from .weights import WeightPair, WeightSpec
 
 
@@ -60,6 +60,11 @@ def _budget(spec: WeightSpec, ell: int, row: int) -> int:
         raise InvalidColorBudget(
             f"(value({ell}) - value(0)) = {diff} is not a nonnegative multiple of {ell}")
     return diff // ell
+
+
+def _placement_count(spec: WeightSpec, ell: int) -> int:
+    """len(_placements(spec, ell)), from the budgets alone."""
+    return _budget(spec, ell, 1) + (ell and ell * _budget(spec, ell, 2))
 
 
 def _placements(spec: WeightSpec, ell: int) -> list:
@@ -139,8 +144,7 @@ def count_01v(shape: BTableau, weights: WeightPair) -> int:
     """Number of colored 0,1-tableaux on a shape; equals its weight."""
     if not weights.is_combinatorial():
         raise NonCombinatorialWeights("counting needs nonnegative integer weights")
-    return prod(_budget(spec, ell, 1) + (ell and ell * _budget(spec, ell, 2))
-                for top, bottom in shape.columns
+    return prod(_placement_count(spec, ell) for top, bottom in shape.columns
                 for spec, ell in ((weights.v, top), (weights.w, bottom)))
 
 
@@ -149,10 +153,16 @@ def enumerate_01v(shape: BTableau, weights: WeightPair,
     if not weights.is_combinatorial():
         raise NonCombinatorialWeights("enumeration needs nonnegative integer weights")
     rows = _grid_height(shape, rows)
-    per_column = [_placements(spec, ell) for top, bottom in shape.columns
-                  for spec, ell in ((weights.v, top), (weights.w, bottom))]
+    columns = [(spec, ell) for top, bottom in shape.columns
+               for spec, ell in ((weights.v, top), (weights.w, bottom))]
+    # the cap is decided from the sizes, before any placement list is built
+    sizes = [_placement_count(spec, ell) for spec, ell in columns]
+    capped_count(sizes, 0, cap, "zero-one tableaux")
+    if not all(sizes):
+        return []
+    per_column = [_placements(spec, ell) for spec, ell in columns]
     return [ZeroOneTableau(shape, choice[0::2], choice[1::2], rows)
-            for choice in capped_product(per_column, 0, cap, "zero-one tableaux")]
+            for choice in product(*per_column)]
 
 
 # -- colored partitions and permutations ---------------------------------------
@@ -433,14 +443,15 @@ def enumerate_perm(n: int, k: int, v: WeightSpec, cap: int = ENUMERATION_CAP) ->
     # a value with no placement is never a non-minimum; leaving it out of the
     # pool skips every combination that holds it, none of which has a coloring
     # (k = n has no non-minima, so no weight is read)
-    placements = {a: _placements(v, a - 1) for a in range(1, n + 1)} if k < n else {}
-    pool = [a for a, options in placements.items() if options]
+    sizes = {a: _placement_count(v, a - 1) for a in range(1, n + 1)} if k < n else {}
+    pool = [a for a, size in sizes.items() if size]
     out = []
     for non_minima in combinations(pool, n - k):
+        # decided from the sizes, before any placement list is built
+        capped_count([sizes[a] for a in non_minima], len(out), cap, "colored permutations")
         minima = set(range(n + 1)).difference(non_minima)
         start = [(m, None) for m in sorted(minima)]
-        options = [placements[a] for a in non_minima]
-        for choice in capped_product(options, len(out), cap, "colored permutations"):
+        for choice in product(*(_placements(v, a - 1) for a in non_minima)):
             word = start.copy()
             for a, (r, c) in zip(non_minima, choice):
                 word.insert(r, (a, c))

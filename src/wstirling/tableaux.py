@@ -115,10 +115,15 @@ def _capped_binomial(n: int, s: int, cap: int) -> None:
     _refuse_past((comb(n - m + i, i) for i in range(m + 1)), cap, "tableaux")
 
 
+def capped_count(sizes: list, done: int, cap: int, noun: str) -> None:
+    """Refuse to grow an output of `done` objects past cap by the product of sizes."""
+    counts = accumulate(sizes, mul, initial=1)
+    _refuse_past((done + count for count in counts) if all(sizes) else (), cap, noun)
+
+
 def capped_product(options: list, done: int, cap: int, noun: str):
     """product(*options), refusing to grow an output of `done` objects past cap."""
-    counts = accumulate(map(len, options), mul, initial=1)
-    _refuse_past((done + count for count in counts) if all(options) else (), cap, noun)
+    capped_count([len(option) for option in options], done, cap, noun)
     return cartesian(*options)
 
 
@@ -130,11 +135,9 @@ def enumerate_T(alpha: int, beta: int, r: int, s: int,
     which automatically lands in the allowed range, so enumeration reduces
     to nonincreasing top rows drawn from {alpha..alpha+r}.
     """
-    if s < 0:
+    if s < 0 or r < -1:
         return []
-    if s == 0:
-        return [EMPTY] if r >= -1 else []
-    _capped_binomial(r + s, s, cap)
+    _capped_binomial(max(r + s, 0), s, cap)  # C(r+s, s); at r = -1, s = 0 the empty tableau
     column_sum = alpha + beta + r
     return [BTableau.from_tops(tops, column_sum)
             for tops in combinations_with_replacement(range(alpha + r, alpha - 1, -1), s)]
@@ -145,8 +148,6 @@ def enumerate_Td(alpha: int, beta: int, r: int, s: int,
     """The subset of enumerate_T whose top rows are distinct."""
     if s < 0 or r < s - 1:
         return []
-    if s == 0:
-        return [EMPTY]
     _capped_binomial(r + 1, s, cap)
     column_sum = alpha + beta + r
     return [BTableau.from_tops(tops, column_sum)

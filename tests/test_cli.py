@@ -2,8 +2,9 @@
 
 Everything drives main() in process and asserts on captured stdout/stderr,
 including the documented exit-code contract (0 success, 1 identity failure,
-2 usage error, 3 resource/cap error) and byte determinism.  The tests of what
-each command imports, at the end, run fresh interpreters instead.
+2 usage error, 3 resource/cap error, 141 stdout closed) and byte determinism.
+The tests of a closed stdout, of peak memory and of what each command
+imports run fresh interpreters instead.
 """
 
 import json
@@ -320,6 +321,60 @@ def test_enumerate_zero_one_checks_the_grid_height(capsys, weights):
     assert (code, out, err) == (2, "", "error: grid height must equal column sum + 2\n")
 
 
+@pytest.mark.parametrize("argv, noun", [
+    (("T", "--r", "3", "--s", "0"), "tableaux"),
+    (("Td", "--r", "3", "--s", "0"), "tableaux"),
+    (("zero-one", "--tops", "1", "--column-sum", "1"), "zero-one tableaux"),
+    (("partitions", "--n", "3", "--k", "1"), "colored partitions"),
+    (("permutations", "--n", "3", "--k", "1"), "colored permutations"),
+    (("signed-partitions", "--n", "2", "--k", "1"), "signed partitions"),
+], ids=["T", "Td", "zero-one", "partitions", "permutations", "signed-partitions"])
+def test_cap_zero_refuses_every_family(capsys, argv, noun):
+    # each of these has at least one object, the empty tableau at s = 0 too
+    code, out, err = run(capsys, "enumerate", "--object", *argv, "--cap", "0")
+    assert (code, out, err) == (3, "", f"error: more than 0 {noun}\n")
+
+
+@pytest.mark.parametrize("argv, noun", [
+    (("zero-one", "--tops", "1", "--column-sum", "1"), "zero-one tableaux"),
+    (("permutations", "--n", "2", "--k", "1"), "colored permutations"),
+], ids=["zero-one", "permutations"])
+def test_huge_budgets_are_refused_before_any_placement_list(argv, noun):
+    # v(0) = 10^9 colors in one placement list: the cap must be decided from
+    # the list sizes, so the child is refused in a few MB.  Its address space
+    # is limited to 1 GiB, so a regression fails fast with a MemoryError.
+    # VmHWM is the peak RSS since exec; ru_maxrss would count this process's.
+    script = f"""
+        import json, resource, time
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+        from wstirling.cli import main
+        start = time.monotonic()
+        code = main(["enumerate", "--object", *{argv!r},
+                     "--weights", "builtin:noncentral(1000000000)"])
+        with open("/proc/self/status", encoding="ascii") as status:
+            peak_kb = int(next(line.split()[1] for line in status if line.startswith("VmHWM:")))
+        print(json.dumps([code, time.monotonic() - start, peak_kb]))
+    """
+    done = fresh_python("-c", textwrap.dedent(script))
+    assert (done.returncode, done.stderr) == (0, f"error: more than 1000000 {noun}\n")
+    code, seconds, peak_kb = json.loads(done.stdout)
+    assert code == 3 and seconds < 2 and peak_kb < 64 * 1024
+
+
+def test_closed_stdout_exits_141_quietly():
+    # 18564 tableaux, far more than a pipe holds, so the child is still
+    # writing when the reader closes its end
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    argv = [sys.executable, "-m", "wstirling.cli", "enumerate", "--object", "T",
+            "--r", "12", "--s", "6"]
+    with subprocess.Popen(argv, cwd=ROOT, env=env, stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE) as child:
+        assert child.stdout.readline() == b"[12 12 12 12 12 12 / 0 0 0 0 0 0]\n"
+        child.stdout.close()
+        assert child.stderr.read() == b""
+        assert child.wait(timeout=60) == 141
+
+
 def test_enumerate_negative_cap_is_usage_error(capsys):
     code, out, err = run(capsys, "enumerate", "--object", "partitions",
                          "--n", "3", "--k", "1", "--cap", "-5")
@@ -538,7 +593,7 @@ def test_moved_constants_have_one_home():
     assert not hasattr(identities, "SUITES")
     assert ring.ENUMERATION_CAP == 10 ** 6
     assert tableaux.EnumerationCapExceeded is ring.EnumerationCapExceeded
-    assert combinat.EnumerationCapExceeded is ring.EnumerationCapExceeded
+    assert not hasattr(combinat, "EnumerationCapExceeded")
 
 
 # The benchmark's tracer (perfbench/tracer.py) finds the names it wraps with

@@ -9,7 +9,6 @@ from wstirling import combinat, identities
 from wstirling.combinat import (
     ColoredPartition,
     ColoredPermutation,
-    EnumerationCapExceeded,
     InvalidColorBudget,
     NonCombinatorialWeights,
     SignedPartition,
@@ -24,6 +23,7 @@ from wstirling.combinat import (
     to_partition,
     to_permutation,
 )
+from wstirling.ring import EnumerationCapExceeded
 from wstirling.stirling import first_kind, second_kind
 from wstirling.tableaux import BTableau, DomainViolation, enumerate_T, enumerate_Td, weight
 from wstirling.weights import CATALOG, WeightPair, WeightSpec, builtin

@@ -1,4 +1,5 @@
-"""Every public name in src/wstirling has a caller in src/wstirling.
+"""Every public name in src/wstirling has a caller in src/wstirling, and
+every name a module imports is read there.
 
 A public module-level function or class whose name the package's code never
 reads, as a bare name or as an attribute, is reached from tests alone; so is
@@ -6,7 +7,8 @@ a public method whose name it never reads as an attribute.  Mentions in
 docstrings, comments and strings do not count, and neither does an import
 that nothing then reads, or a local name that matches a method's.  If such a
 name checks a claim of the paper, that claim belongs in wstirling.identities,
-whose probes then call it; otherwise it goes.
+whose probes then call it; otherwise it goes.  An import that its module
+never reads as a name is left over from code that moved, and goes too.
 """
 
 import ast
@@ -49,3 +51,33 @@ def test_mentions_are_not_callers(tmp_path):
         encoding="utf-8")
     (tmp_path / "other.py").write_text("from .layer import unused_method\n", encoding="utf-8")
     assert names_only_tests_reach(tmp_path) == ["layer.unused", "layer.Box.unused_method"]
+
+
+def unused_imports(src=SRC):
+    """module.name for each name a module imports and never reads"""
+    found = []
+    for path in sorted(src.glob("*.py")):
+        nodes = list(ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
+        read = {node.id for node in nodes
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        bound = [(alias.asname or alias.name).partition(".")[0] for node in nodes
+                 if isinstance(node, (ast.Import, ast.ImportFrom))
+                 and getattr(node, "module", None) != "__future__" for alias in node.names]
+        found += [f"{path.stem}.{name}" for name in bound if name not in read]
+    return found
+
+
+def test_every_import_is_read():
+    assert unused_imports() == []
+
+
+def test_unused_imports_are_found(tmp_path):
+    (tmp_path / "layer.py").write_text(
+        '"""json and escape are named here only."""\n'
+        "from __future__ import annotations\n\n"
+        "import json\nimport os.path\nfrom re import compile as build, escape\n"
+        "from typing import Sequence\n\n\n"
+        "def first(words: Sequence[str]) -> str:\n"
+        "    return build(words[0]).pattern + 'escape'  # escape\n",
+        encoding="utf-8")
+    assert unused_imports(tmp_path) == ["layer.json", "layer.os", "layer.escape"]

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from wstirling import identities, ring, weights
+from wstirling import identities, ring, symfunc, weights
 from wstirling.genfunc import b_stirling_by_series, b_stirling_row_by_product
 from wstirling.ring import ONE, P, Q, RingValue, TermBudgetExceeded, X, ZERO, product, ring_sum
 from wstirling.stirling import (
@@ -19,7 +19,7 @@ from wstirling.stirling import (
     s_vertical,
     second_kind,
 )
-from wstirling.weights import NegativeQInteger, builtin
+from wstirling.weights import CATALOG, NegativeQInteger, builtin
 
 CLASSICAL = builtin("classical")
 PQ = builtin("pq-binomial")
@@ -123,6 +123,28 @@ def test_tri_matches_def_on_catalog_sample():
                             f"{name} c ({alpha},{beta},{n},{k})"
                         assert stab.value(n, k) == second_kind(pair, alpha, beta, n, k), \
                             f"{name} s ({alpha},{beta},{n},{k})"
+
+
+def test_recurrence_tables_never_pack(monkeypatch):
+    # definition against recurrence checks the packed lines and their decoding
+    # only while the recurrence stays on RingValue arithmetic; routed through
+    # the packed backend, it would compare that backend with itself
+    def refuse(values):
+        raise AssertionError("a recurrence table asked for a packed line")
+
+    grid = [(0, 0), (2, 1), (1, 3)]
+    keys = [(name, kind, alpha, beta) for name in CATALOG for kind in ("first", "second")
+            for alpha, beta in grid]
+    with monkeypatch.context() as patch:
+        patch.setattr(symfunc, "packed_line", refuse)
+        patch.setattr(ring, "packed_line", refuse)
+        with pytest.raises(AssertionError, match="packed line"):  # the patch takes
+            StirlingTable(CLASSICAL, "first").row(8)
+        got = {key: [recurrence_table(builtin(key[0]), *key[1:]).row(n) for n in range(10)]
+               for key in keys}
+    for (name, kind, alpha, beta), rows in got.items():
+        table = StirlingTable(builtin(name), kind, alpha, beta)
+        assert rows == [table.row(n) for n in range(10)], (name, kind, alpha, beta)
 
 
 def test_table_memo_entries_match_definition():

@@ -93,9 +93,10 @@ def test_enumeration_cap():
         enumerate_T(0, 0, 100, 50, cap=1000)
     with pytest.raises(EnumerationCapExceeded):
         enumerate_Td(0, 0, 60, 30, cap=1000)
-    # still a ValueError, and the class combinat raises too
+    # still a ValueError, and the class combinat's enumerations raise too
     assert issubclass(EnumerationCapExceeded, ValueError)
-    assert combinat.EnumerationCapExceeded is EnumerationCapExceeded
+    with pytest.raises(EnumerationCapExceeded):
+        combinat.enumerate_signed_partitions(5, 2, cap=3)
 
 
 def test_weight_examples():
