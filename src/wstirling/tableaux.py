@@ -137,7 +137,7 @@ def enumerate_T(alpha: int, beta: int, r: int, s: int,
     """
     if s < 0 or r < -1:
         return []
-    _capped_binomial(max(r + s, 0), s, cap)  # C(r+s, s); at r = -1, s = 0 the empty tableau
+    _capped_binomial(max(r + s, 0), s, cap)  # C(r+s, s), and C(0, 0) for the 2 x 0 at r = -1
     column_sum = alpha + beta + r
     return [BTableau.from_tops(tops, column_sum)
             for tops in combinations_with_replacement(range(alpha + r, alpha - 1, -1), s)]
