@@ -100,9 +100,6 @@ class BTableau:
         return f"BTableau({self.render()})"
 
 
-EMPTY = BTableau(())
-
-
 def _refuse_past(counts, cap: int, noun: str) -> None:
     # counts: nondecreasing partial counts that end at the enumeration's count
     if any(count > cap for count in counts):

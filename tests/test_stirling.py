@@ -138,7 +138,7 @@ def test_recurrence_tables_never_pack(monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(symfunc, "packed_line", refuse)
         patch.setattr(ring, "packed_line", refuse)
-        with pytest.raises(AssertionError, match="packed line"):  # the patch takes
+        with pytest.raises(AssertionError, match="packed line"):  # the definition packs
             StirlingTable(CLASSICAL, "first").row(8)
         got = {key: [recurrence_table(builtin(key[0]), *key[1:]).row(n) for n in range(10)]
                for key in keys}

@@ -6,7 +6,6 @@ from wstirling import combinat
 from wstirling.ring import ONE, P
 from wstirling.stirling import first_kind, pq_binomial, second_kind
 from wstirling.tableaux import (
-    EMPTY,
     BTableau,
     DomainViolation,
     EnumerationCapExceeded,
@@ -24,6 +23,7 @@ from wstirling.weights import NegativeQInteger, WeightPair, WeightSpec, builtin
 
 CLASSICAL = builtin("classical")
 PQ = builtin("pq-binomial")
+EMPTY = BTableau(())  # the 2 x 0 tableau
 
 
 def tableau(tops, bottoms):
