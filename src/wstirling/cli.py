@@ -5,7 +5,7 @@ Four subcommands:
 
     table      emit a weighted triangle as csv, json, or an OEIS-style b-file
     verify     run one (or all) of the identity suites and report pass/fail/skip
-    enumerate  stream canonical renderings of combinatorial objects
+    enumerate  print canonical renderings of combinatorial objects
     det        print a Hankel-style matrix, its determinant, and the closed form
 
 `verify` only parses its arguments and renders lines: the identities, their
@@ -269,7 +269,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="inclusive LO:HI; write a negative LO as --beta-range=-3:-2")
     verify.set_defaults(func=cmd_verify)
 
-    enum = sub.add_parser("enumerate", help="stream canonical object renderings")
+    enum = sub.add_parser("enumerate", help="print canonical object renderings")
     enum.add_argument("--object", required=True,
                       choices=("T", "Td", "zero-one", "partitions",
                                "permutations", "signed-partitions"))

@@ -17,8 +17,11 @@ partition and permutation models decode each non-minimum to the (top, row,
 color) mark of one column and color it under the same rule; from_partition
 and from_permutation raise DomainViolation for a color past its budget.
 Their enumerations never walk to an object with a mark that offers no
-color, so a zero budget (v(0) = 0, say) costs them nothing and a refusal
-past the cap comes at once.
+color, so a zero budget (v(0) = 0, say) costs them nothing.  Every
+enumeration here decides its cap from its count before it builds anything:
+the product of placement counts for zero-one tableaux, e_{n-k} of each
+value 1..n's colors for permutations, h_{n-k} of each top 0..k's for
+partitions and h_{n-k} of j(j + 1), j <= k, for signed partitions.
 """
 
 from dataclasses import dataclass
@@ -26,7 +29,7 @@ from itertools import chain, combinations, product
 from math import prod
 
 from .ring import ENUMERATION_CAP
-from .tableaux import BTableau, DomainViolation, capped_count, capped_product
+from .tableaux import BTableau, DomainViolation, capped_sum
 from .weights import WeightPair, WeightSpec
 
 
@@ -155,9 +158,8 @@ def enumerate_01v(shape: BTableau, weights: WeightPair,
     rows = _grid_height(shape, rows)
     columns = [(spec, ell) for top, bottom in shape.columns
                for spec, ell in ((weights.v, top), (weights.w, bottom))]
-    # the cap is decided from the sizes, before any placement list is built
     sizes = [_placement_count(spec, ell) for spec, ell in columns]
-    capped_count(sizes, 0, cap, "zero-one tableaux")
+    capped_sum(sizes, len(sizes), cap, "zero-one tableaux")
     if not all(sizes):
         return []
     per_column = [_placements(spec, ell) for spec, ell in columns]
@@ -365,12 +367,16 @@ def enumerate_part(n: int, k: int, v: WeightSpec, cap: int = ENUMERATION_CAP) ->
     The j-th smallest non-minimum a_j, in block i, is colored as grid row
     i + 1 of a column with top a_j - j.
     """
+    if k < 0 or k > n:
+        return []
+    sizes = [_placement_count(v, top) for top in range(k + 1)] if k < n else []
+    capped_sum(sizes, n - k, cap, "colored partitions", complete=True)
     out = []
     for blocks in _set_partitions(n, k, v):
         non_minima = sorted(e for block in blocks for e in block[1:])
         marks = _partition_marks([[(e, None) for e in block] for block in blocks])
         options = [range(1, _budget(v, top, row) + 1) for top, row, _ in marks]
-        for colors in capped_product(options, len(out), cap, "colored partitions"):
+        for colors in product(*options):
             cmap = dict(zip(non_minima, colors))
             out.append(ColoredPartition(tuple(
                 tuple((e, cmap.get(e)) for e in block) for block in blocks)))
@@ -389,8 +395,6 @@ def _set_partitions(n: int, k: int, v: WeightSpec):
     only while opens are left and the elements after it can still make the
     remaining joins, at some later count of open blocks that offers a color.
     """
-    if k < 0 or k > n:
-        return
     # joins[o]: the blocks an element may join while o are open; rows 2.. share one budget
     joins = [range(0)] * (k + 2)
     if k < n:
@@ -444,11 +448,10 @@ def enumerate_perm(n: int, k: int, v: WeightSpec, cap: int = ENUMERATION_CAP) ->
     # pool skips every combination that holds it, none of which has a coloring
     # (k = n has no non-minima, so no weight is read)
     sizes = {a: _placement_count(v, a - 1) for a in range(1, n + 1)} if k < n else {}
+    capped_sum(sizes.values(), n - k, cap, "colored permutations")
     pool = [a for a, size in sizes.items() if size]
     out = []
     for non_minima in combinations(pool, n - k):
-        # decided from the sizes, before any placement list is built
-        capped_count([sizes[a] for a in non_minima], len(out), cap, "colored permutations")
         minima = set(range(n + 1)).difference(non_minima)
         start = [(m, None) for m in sorted(minima)]
         for choice in product(*(_placements(v, a - 1) for a in non_minima)):
@@ -520,6 +523,8 @@ def enumerate_signed_partitions(n: int, k: int, cap: int = ENUMERATION_CAP) -> l
     different blocks, each no newer than the value's own."""
     if k < 0 or k > n:
         return []
+    capped_sum([j * (j + 1) for j in range(k + 1)], n - k, cap, "signed partitions",
+               complete=True)
     out = []
     for minima in combinations(range(1, n + 1), k):
         rest = [a for a in range(1, n + 1) if a not in minima]
@@ -527,7 +532,7 @@ def enumerate_signed_partitions(n: int, k: int, cap: int = ENUMERATION_CAP) -> l
         for a in rest:
             allowed = [0] + [j + 1 for j, m in enumerate(minima) if m < a]
             slots.append([(bp, bm) for bp in allowed for bm in allowed if bp != bm])
-        for choice in capped_product(slots, len(out), cap, "signed partitions"):
+        for choice in product(*slots):
             blocks = [[0]] + [[m, -m] for m in minima]
             for a, (bp, bm) in zip(rest, choice):
                 blocks[bp].append(a)

@@ -5,17 +5,17 @@ and whose columns all share one sum; the first kind sums weights over
 tableaux with distinct top entries, the second kind over plain ones.  The
 2 x 0 tableau is allowed and has weight 1.
 
-The enumeration cap, here and in combinat, is checked here alone: past `cap`
-objects an enumeration raises EnumerationCapExceeded("more than {cap} {noun}")
-at once, from partial counts that stop at the first one past the cap.
+The enumeration cap, here and in combinat, is decided here alone, from the
+count before the first object: T and Td count C(r+s, s) and C(r+1, s),
+combinat's families e or h of each mark's colors.  The first lower bound on
+the count past `cap` raises EnumerationCapExceeded("more than {cap} {noun}").
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, combinations, combinations_with_replacement, product as cartesian
+from itertools import combinations, combinations_with_replacement
 from math import comb
-from operator import mul
 
 from .ring import ENUMERATION_CAP, EnumerationCapExceeded, RingValue, product, ring_sum
 from .weights import WeightPair
@@ -101,7 +101,7 @@ class BTableau:
 
 
 def _refuse_past(counts, cap: int, noun: str) -> None:
-    # counts: nondecreasing partial counts that end at the enumeration's count
+    # counts: lower bounds on the enumeration's count that end at the count
     if any(count > cap for count in counts):
         raise EnumerationCapExceeded(f"more than {cap} {noun}")
 
@@ -112,16 +112,26 @@ def _capped_binomial(n: int, s: int, cap: int) -> None:
     _refuse_past((comb(n - m + i, i) for i in range(m + 1)), cap, "tableaux")
 
 
-def capped_count(sizes: list, done: int, cap: int, noun: str) -> None:
-    """Refuse to grow an output of `done` objects past cap by the product of sizes."""
-    counts = accumulate(sizes, mul, initial=1)
-    _refuse_past((done + count for count in counts) if all(sizes) else (), cap, noun)
+def capped_sum(sizes, degree: int, cap: int, noun: str, complete: bool = False) -> None:
+    """Refuse past cap a family of e_degree(sizes) objects, h_degree(sizes) if complete.
 
+    The DP reads the nonzero sizes largest first and holds each entry at cap + 1.
+    Every size is at least 1, so each h-DP entry is a lower bound on the count,
+    and so is each e-DP entry that the sizes still to come can carry to degree,
+    the only ones it fills.  The first entry past the cap refuses.
+    """
+    sizes = sorted(filter(None, sizes), reverse=True)
+    sums = [1] + [0] * degree  # sums[j]: e_j (h_j if complete) of the sizes read so far
 
-def capped_product(options: list, done: int, cap: int, noun: str):
-    """product(*options), refusing to grow an output of `done` objects past cap."""
-    capped_count([len(option) for option in options], done, cap, noun)
-    return cartesian(*options)
+    def lower_bounds():
+        yield sums[degree]  # the empty product at degree 0
+        for i, x in enumerate(sizes, 1):
+            for j in (range(1, degree + 1) if complete
+                      else range(min(i, degree), max(1, degree - len(sizes) + i) - 1, -1)):
+                sums[j] = min(sums[j] + x * sums[j - 1], cap + 1)
+                yield sums[j]
+
+    _refuse_past(lower_bounds(), cap, noun)
 
 
 def enumerate_T(alpha: int, beta: int, r: int, s: int,

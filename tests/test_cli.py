@@ -300,11 +300,15 @@ def test_enumerate_partitions_with_many_blocks(capsys):
     ("partitions", "14", "7", "classical"),
     ("partitions", "14", "7", "legendre"),
     ("permutations", "30", "15", "classical"),
+    ("permutations", "8000", "4000", "classical"),
+    ("partitions", "4000", "2000", "classical"),
 ])
 def test_zero_budget_enumerations_refuse_at_once(capsys, objects, n, k, weights):
     # v(0) = 0 gives a join to block 0, or an insertion of 1, no colors; the
     # enumerators must skip those choices, not walk through millions of
-    # uncolorable objects before the first one that counts toward the cap
+    # uncolorable objects before the first one that counts toward the cap.
+    # At n = 8000 the count's DP must stop at its first entry past the cap:
+    # one that fills every entry first takes seconds.
     start = time.monotonic()
     code, out, err = run(capsys, "enumerate", "--object", objects, "--n", n, "--k", k,
                          "--weights", f"builtin:{weights}", "--cap", "10")
@@ -335,30 +339,52 @@ def test_cap_zero_refuses_every_family(capsys, argv, noun):
     assert (code, out, err) == (3, "", f"error: more than 0 {noun}\n")
 
 
+def assert_refused_in_a_fresh_process(argv, message):
+    # The child's address space is limited to 1 GiB, so a regression fails
+    # fast with a MemoryError.  VmHWM is the peak RSS since exec; ru_maxrss
+    # would count this process's.
+    script = f"""
+        import json, resource, time
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+        from wstirling.cli import main
+        start = time.monotonic()
+        code = main(["enumerate", "--object", *{argv!r}])
+        with open("/proc/self/status", encoding="ascii") as status:
+            peak_kb = int(next(line.split()[1] for line in status if line.startswith("VmHWM:")))
+        print(json.dumps([code, time.monotonic() - start, peak_kb]))
+    """
+    done = fresh_python("-c", textwrap.dedent(script))
+    assert (done.returncode, done.stderr) == (0, f"error: {message}\n")
+    code, seconds, peak_kb = json.loads(done.stdout)
+    assert code == 3 and seconds < 2 and peak_kb < 64 * 1024
+
+
 @pytest.mark.parametrize("argv, noun", [
     (("zero-one", "--tops", "1", "--column-sum", "1"), "zero-one tableaux"),
     (("permutations", "--n", "2", "--k", "1"), "colored permutations"),
 ], ids=["zero-one", "permutations"])
 def test_huge_budgets_are_refused_before_any_placement_list(argv, noun):
     # v(0) = 10^9 colors in one placement list: the cap must be decided from
-    # the list sizes, so the child is refused in a few MB.  Its address space
-    # is limited to 1 GiB, so a regression fails fast with a MemoryError.
-    # VmHWM is the peak RSS since exec; ru_maxrss would count this process's.
-    script = f"""
-        import json, resource, time
-        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-        from wstirling.cli import main
-        start = time.monotonic()
-        code = main(["enumerate", "--object", *{argv!r},
-                     "--weights", "builtin:noncentral(1000000000)"])
-        with open("/proc/self/status", encoding="ascii") as status:
-            peak_kb = int(next(line.split()[1] for line in status if line.startswith("VmHWM:")))
-        print(json.dumps([code, time.monotonic() - start, peak_kb]))
-    """
-    done = fresh_python("-c", textwrap.dedent(script))
-    assert (done.returncode, done.stderr) == (0, f"error: more than 1000000 {noun}\n")
-    code, seconds, peak_kb = json.loads(done.stdout)
-    assert code == 3 and seconds < 2 and peak_kb < 64 * 1024
+    # the list sizes, so the child is refused in a few MB
+    assert_refused_in_a_fresh_process(
+        argv + ("--weights", "builtin:noncentral(1000000000)"), f"more than 1000000 {noun}")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("permutations", "--n", "2", "--k", "1", "--weights", "builtin:noncentral(1000000)"),
+     "more than 1000000 colored permutations"),
+    (("partitions", "--n", "2", "--k", "1", "--weights", "builtin:noncentral(1000000)"),
+     "more than 1000000 colored partitions"),
+    (("partitions", "--n", "30", "--k", "15"), "more than 1000000 colored partitions"),
+    (("signed-partitions", "--n", "2000", "--k", "1000", "--cap", "10"),
+     "more than 10 signed partitions"),
+], ids=["permutations-noncentral", "partitions-noncentral", "partitions-30-15",
+        "signed-partitions-2000-1000"])
+def test_refusals_that_need_the_whole_count(argv, message):
+    # the family is past the cap, but its first skeleton is not (10^6 objects
+    # in the first two), so the count must be decided before the first
+    # object, not tallied from the objects already built
+    assert_refused_in_a_fresh_process(argv, message)
 
 
 def test_closed_stdout_exits_141_quietly():

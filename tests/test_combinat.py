@@ -1,6 +1,7 @@
 """Tests for the colored combinatorial models."""
 
 import re
+from functools import partial
 from itertools import permutations
 
 import pytest
@@ -26,7 +27,7 @@ from wstirling.combinat import (
 from wstirling.ring import EnumerationCapExceeded
 from wstirling.stirling import first_kind, second_kind
 from wstirling.tableaux import BTableau, DomainViolation, enumerate_T, enumerate_Td, weight
-from wstirling.weights import CATALOG, WeightPair, WeightSpec, builtin
+from wstirling.weights import CATALOG, UndefinedIndex, WeightPair, WeightSpec, builtin
 
 ONE = WeightSpec("constant", value=1)
 IDENT = WeightSpec("polynomial", coefficients=[0, 1])
@@ -323,6 +324,42 @@ def test_enumeration_caps():
         enumerate_perm(5, 2, V24, cap=10)
     with pytest.raises(EnumerationCapExceeded):
         enumerate_signed_partitions(6, 3, cap=10)
+
+
+def test_each_colored_family_is_capped_at_its_count():
+    # the cap is decided from the count alone, so it must be exact: cap =
+    # count enumerates, cap = count - 1 refuses
+    cells = [(n, k) for n in range(6) for k in range(n + 1)]
+    runs = [partial(enumerate_signed_partitions, n, k) for n, k in cells]
+    for pair in (builtin(name) for name in CATALOG):
+        if combinat.colors_by_v(pair):
+            runs += [partial(family, n, k, pair.v)
+                     for family in (enumerate_part, enumerate_perm) for n, k in cells]
+        if pair.is_combinatorial():
+            runs += [partial(enumerate_01v, shape, pair, rows=0 if shape.width else 1)
+                     for n, k in cells
+                     for shape in enumerate_T(0, 0, k, n - k) + enumerate_Td(0, 0, n - 1, n - k)]
+    for run in runs:
+        count = len(run())
+        assert len(run(cap=count)) == count
+        if count:
+            with pytest.raises(EnumerationCapExceeded, match=f"^more than {count - 1} "):
+                run(cap=count - 1)
+
+
+@pytest.mark.parametrize("v, error", [
+    (WeightSpec("table", values={0: 1, 1: 3, 2: 2}), InvalidColorBudget),
+    (WeightSpec("table", values={0: 1, 1: 2}), UndefinedIndex),
+    (WeightSpec("polynomial", coefficients=[1, 1, -1]), NonCombinatorialWeights),
+], ids=["budget", "undefined", "negative"])
+def test_weight_errors_win_over_the_cap(v, error):
+    # each run reads v(0..2) for its count, and a bad weight there is reported
+    # even at cap 0, which every one of these families would exceed
+    runs = [partial(enumerate_part, 3, 2, v), partial(enumerate_perm, 3, 1, v),
+            partial(enumerate_01v, BTableau.from_tops((2,), 2), _pair(v))]
+    for run in runs:
+        with pytest.raises(error):
+            run(cap=0)
 
 
 def test_colored_type_validation():

@@ -1,5 +1,6 @@
 """Every public name in src/wstirling has a caller in src/wstirling, and
-every name a module imports is read there.
+every private module-level name and every name a module imports is read
+there.
 
 A public module-level function or class whose name the package's code never
 reads, as a bare name or as an attribute, is reached from tests alone; so is
@@ -8,7 +9,8 @@ docstrings, comments and strings do not count, and neither does an import
 that nothing then reads, or a local name that matches a method's.  If such a
 name checks a claim of the paper, that claim belongs in wstirling.identities,
 whose probes then call it; otherwise it goes.  An import that its module
-never reads as a name is left over from code that moved, and goes too.
+never reads as a name is left over from code that moved, and goes too; so
+does a private module-level function or class that the package never reads.
 """
 
 import ast
@@ -27,14 +29,27 @@ def public_names(tree):
                         if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"))
 
 
-def names_only_tests_reach(src=SRC):
+def parse(src):
+    """each module's tree, the attribute names the package reads, and all names it reads"""
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(src.glob("*.py"))}
     nodes = [node for tree in trees.values() for node in ast.walk(tree)]
     attributes = {node.attr for node in nodes if isinstance(node, ast.Attribute)}
-    read = attributes | {node.id for node in nodes if isinstance(node, ast.Name)}
+    return trees, attributes, attributes | {node.id for node in nodes if isinstance(node, ast.Name)}
+
+
+def names_only_tests_reach(src=SRC):
+    trees, attributes, read = parse(src)
     return [f"{module}.{name}" for module, tree in trees.items() for name in public_names(tree)
             if name.rsplit(".", 1)[-1] not in (attributes if "." in name else read)]
+
+
+def unread_private_names(src=SRC):
+    """module.name for each private module-level function or class nothing reads"""
+    trees, _, read = parse(src)
+    return [f"{module}.{node.name}" for module, tree in trees.items() for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and node.name.startswith("_") and node.name not in read]
 
 
 def test_every_public_name_has_a_caller_in_src():
@@ -51,6 +66,24 @@ def test_mentions_are_not_callers(tmp_path):
         encoding="utf-8")
     (tmp_path / "other.py").write_text("from .layer import unused_method\n", encoding="utf-8")
     assert names_only_tests_reach(tmp_path) == ["layer.unused", "layer.Box.unused_method"]
+
+
+def test_every_private_name_is_read():
+    assert unread_private_names() == []
+
+
+def test_unread_private_names_are_found(tmp_path):
+    (tmp_path / "layer.py").write_text(
+        '"""_orphan() and _Spare are named here only."""\n'
+        "def _orphan():\n    return '_Spare'  # _orphan\n\n\n"
+        "def _helper():\n    return 1\n\n\n"
+        "class _Spare:\n    def _unread_method(self):\n        return 0\n\n\n"
+        "class _Used:\n    def _unread_method(self):\n        return 0\n",
+        encoding="utf-8")
+    (tmp_path / "other.py").write_text(
+        "from .layer import _Spare, _Used, _helper\n\n\n"
+        "def run():\n    return _helper(), _Used\n", encoding="utf-8")
+    assert unread_private_names(tmp_path) == ["layer._orphan", "layer._Spare"]
 
 
 def unused_imports(src=SRC):

@@ -1,4 +1,6 @@
-from math import comb
+import random
+from itertools import combinations, combinations_with_replacement
+from math import comb, prod
 
 import pytest
 
@@ -10,6 +12,7 @@ from wstirling.tableaux import (
     DomainViolation,
     EnumerationCapExceeded,
     IncompatibleTableaux,
+    capped_sum,
     convolution_split,
     enumerate_T,
     enumerate_Td,
@@ -97,6 +100,30 @@ def test_enumeration_cap():
     assert issubclass(EnumerationCapExceeded, ValueError)
     with pytest.raises(EnumerationCapExceeded):
         combinat.enumerate_signed_partitions(5, 2, cap=3)
+
+
+def _brute_sum(sizes, degree, complete):
+    # e_degree sums over sets of positions, h_degree over multisets
+    pick = combinations_with_replacement if complete else combinations
+    return sum(prod(chosen) for chosen in pick(sizes, degree))
+
+
+@pytest.mark.parametrize("complete", [False, True], ids=["e", "h"])
+def test_capped_sum_refuses_exactly_past_the_count(complete):
+    # degree 0, degrees past the nonzero sizes, and e_2(100, 1) = 100, whose
+    # e_1 = 101 can no longer reach degree 2 once both sizes are read
+    cases = [([], 0), ([], 2), ([0, 0], 1), ([5, 0, 1], 0), ([0, 2, 0], 2), ([0, 3, 2], 3),
+             ([100, 1], 2), ([1, 100], 2), ([1] * 6, 6)]
+    rng = random.Random(20)
+    for _ in range(400):
+        sizes = [rng.choice([0, 0, 1, 1, 2, 3, 7]) for _ in range(rng.randrange(7))]
+        cases.append((sizes, rng.randrange(len(sizes) + 3)))
+    for sizes, degree in cases:
+        count = _brute_sum(sizes, degree, complete)
+        capped_sum(sizes, degree, count, "things", complete)
+        if count:
+            with pytest.raises(EnumerationCapExceeded, match=f"^more than {count - 1} things$"):
+                capped_sum(sizes, degree, count - 1, "things", complete)
 
 
 def test_weight_examples():
