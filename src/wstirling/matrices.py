@@ -2,7 +2,13 @@
 
 Matrices here are small dense square grids of exact ring values, read
 entry by entry through first_kind/second_kind(pair, alpha, beta, n, k), the
-signature the stirling recurrence steps share.  The two inverse pairs
+signature the stirling recurrence steps share, except the first-kind
+Hankel matrix.  Its entry (i, j) is first_kind(alpha-i, beta-j, s+i+j, s+j),
+e_i of products v(a)w(b) whose indices sum to a + b = alpha+beta+s-1 in
+every entry, so all of them are terms of one sequence x_u =
+v(alpha+s-1-u)w(beta+u) and the entry is e_i of x_-j, ..., x_(s+i-1).  Row i
+is then one e-DP truncated at degree i, not a table per entry; lu_factors still
+reads tables, so the LU identity compares the two.  The two inverse pairs
 differ in which offset re-anchors with the indices: the "beta" pair slides
 the w-offset (row n uses beta-n+1, column k uses beta-k), the "alpha" pair
 slides the v-offset the same way.  One entry rule per pair serves both the
@@ -246,14 +252,34 @@ def convolution_sum(kind: str, m1: int, m2: int, n: int, alpha: int, beta: int,
 
 # -- LU factorization and determinants ----------------------------------------------
 
+def _first_hankel_rows(r: int, s: int, alpha: int, beta: int, weights: WeightPair) -> list:
+    """Rows of the first-kind hankel_matrix (see the module docstring): row i
+    walks its e-DP down from x_(s+i-1) and reads e_i at u = 0, -1, ..., -r."""
+    v, w = weights.v, weights.w
+    # the order in which entries (0, 0), (0, 1), ..., (1, 0), ... first need them
+    x = {u: v.eval(alpha + s - 1 - u) * w.eval(beta + u)
+         for u in (*range(s), *range(-1, -r - 1, -1), *range(s, s + r))}
+    rows = [[ONE] * (r + 1)]
+    for i in range(1, r + 1):
+        e = [ONE] + [ZERO] * i
+        row = []
+        for u in range(s + i - 1, -r - 1, -1):
+            # s + i - u products so far; e_t is zero past that
+            for t in range(min(i, s + i - u), 0, -1):
+                e[t] = e[t] + x[u] * e[t - 1]
+            if u <= 0:
+                row.append(e[i])
+        rows.append(row)
+    return rows
+
+
 def hankel_matrix(kind: str, r: int, s: int, alpha: int, beta: int,
                   weights: WeightPair) -> RingMatrix:
-    """The (r+1)-square matrix with entries at (s+i+j, s+j) and sliding offsets."""
+    """The (r+1)-square matrix with entries at (s+i+j, s+j) and sliding
+    offsets: first_kind(alpha-i, beta-j) or second_kind(alpha, beta-j)."""
     _check(kind, r, s)
     if kind == "first":
-        return RingMatrix.from_function(
-            r + 1,
-            lambda i, j: first_kind(weights, alpha - i, beta - j, s + i + j, s + j))
+        return RingMatrix(_first_hankel_rows(r, s, alpha, beta, weights))
     return RingMatrix.from_function(
         r + 1,
         lambda i, j: second_kind(weights, alpha, beta - j, s + i + j, s + j))

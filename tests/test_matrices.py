@@ -1,7 +1,9 @@
+import itertools
 import random
 
 import pytest
 
+from wstirling import matrices
 from wstirling.identities import REGISTRY, delta_cells, scan
 from wstirling.matrices import (
     RingMatrix,
@@ -20,7 +22,7 @@ from wstirling.matrices import (
 )
 from wstirling.ring import ONE, P, Q, RingValue, X, ZERO, ring_sum
 from wstirling.stirling import bracket, first_kind, second_kind
-from wstirling.weights import builtin
+from wstirling.weights import CATALOG, NegativeQInteger, UndefinedIndex, builtin
 
 CLASSICAL = builtin("classical")
 PQ = builtin("pq-binomial")
@@ -251,6 +253,49 @@ def test_lu_example():
     assert lower * upper == m
     lower, upper = lu_factors("second", 0, 3, 1, 1, PQ)
     assert lower * upper == hankel_matrix("second", 0, 3, 1, 1, PQ)
+
+
+def outcome(build):
+    """What build returns, or the type and message of the weight error it raises."""
+    try:
+        return build()
+    except (NegativeQInteger, UndefinedIndex) as exc:
+        return type(exc), str(exc)
+
+
+def test_first_kind_hankel_is_its_entries():
+    # each entry read from its own table is the oracle for the per-row DP,
+    # refusals included: the same error at the same weight index
+    for name in CATALOG:
+        pair = builtin(name)
+        for r, s, alpha, beta in itertools.product(range(6), range(4), range(-3, 4),
+                                                   range(-3, 4)):
+            entries = outcome(lambda: RingMatrix.from_function(
+                r + 1, lambda i, j: first_kind(pair, alpha - i, beta - j, s + i + j, s + j)))
+            built = outcome(lambda: hankel_matrix("first", r, s, alpha, beta, pair))
+            assert built == entries, f"{name} r={r} s={s} alpha={alpha} beta={beta}"
+
+
+def test_first_kind_hankel_builds_no_table(monkeypatch):
+    # one truncated e-DP per row builds a 13 x 13 zeta matrix in 1437 ring
+    # products; one table per entry would take 17589
+    def refuse(*args):
+        raise AssertionError("first_kind called")
+
+    calls = 0
+    mul = RingValue.__mul__
+
+    def counted(self, other):
+        nonlocal calls
+        calls += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(matrices, "first_kind", refuse)
+    monkeypatch.setattr(RingValue, "__mul__", counted)
+    matrix = hankel_matrix("first", 12, 0, 0, 1, builtin("zeta"))
+    monkeypatch.undo()
+    assert calls <= 2000
+    assert determinant(matrix) == det_formula("first", 12, 0, 0, 1, builtin("zeta"))
 
 
 def test_hankel_arguments_are_checked():

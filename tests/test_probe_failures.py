@@ -1,10 +1,12 @@
 """The failure path of every identity probe, pinned by a golden report.
 
-Two faults are planted for one `verify --suite all --nmax 6` run over the
+Three faults are planted for one `verify --suite all --nmax 6` run over the
 whole catalog:
 
 * a definition-method `StirlingTable.value(3, 1)` answers the true value
   plus 1, while recurrence-method tables stay exact;
+* the first-kind Hankel matrix, which reads no table, has entry (2, 0)
+  plus 1;
 * `tableaux.enumerate_Td` drops its last tableau whenever it would return
   more than two.
 
@@ -31,18 +33,26 @@ COMMAND = ["verify", "--suite", "all", "--nmax", "6"]
 
 
 def plant_faults(setattr_) -> None:
-    """Install both faults through setattr_(owner, name, value)."""
+    """Install the three faults through setattr_(owner, name, value)."""
     value, enumerate_Td = stirling.StirlingTable.value, tableaux.enumerate_Td
+    first_hankel_rows = matrices._first_hankel_rows
 
     def faulty_value(self, n, k):
         got = value(self, n, k)
         return got + 1 if self.method == "definition" and (n, k) == (3, 1) else got
+
+    def faulty_first_hankel_rows(*args):
+        rows = first_hankel_rows(*args)
+        if len(rows) > 2:
+            rows[2][0] += 1
+        return rows
 
     def faulty_enumerate_Td(*args, **kwargs):
         found = enumerate_Td(*args, **kwargs)
         return found[:-1] if len(found) > 2 else found
 
     setattr_(stirling.StirlingTable, "value", faulty_value)
+    setattr_(matrices, "_first_hankel_rows", faulty_first_hankel_rows)
     setattr_(tableaux, "enumerate_Td", faulty_enumerate_Td)
 
 
