@@ -107,6 +107,8 @@ def determinant(matrix: RingMatrix) -> RingValue:
 
     Most divisors are one-term pivots (all 650 of a 13 x 13 pq-binomial,
     zeta or q-binomial Hankel matrix), which exact_div takes in one pass.
+    The multi-term pivots of q-stirling and jacobi, in one variable, divide
+    as two big ints under a coefficient bound, else by cancellation.
     """
     n = matrix.dim
     m = [list(row) for row in matrix.rows]

@@ -33,7 +33,8 @@ modulo whitespace, and both take integers past the digit limit of str(int).
 A product with a one-term factor shifts the keys of the other; two values
 in the same one of p, q, z, dense enough to pack, multiply as two big ints
 (Kronecker substitution); the rest walk every pair of terms.  exact_div
-divides by one term in one pass, and otherwise, or to name a failure, by
+divides by one term in one pass, by more in one of p, q, z as two big ints
+certified by a coefficient bound, and otherwise, or to name a failure, by
 leading-term cancellation.  Every product ends in the same guard test.
 
 A second format serves the symmetric-function DP in symfunc: packed_line()
@@ -312,8 +313,9 @@ class RingValue:
         both failures.  So every field the loop builds stays below 2^32 and
         never carries into the next.
 
-        A one-term divisor, Bareiss's usual pivot, divides in one pass instead;
-        where that finds no quotient in range, the loop runs to name the failure.
+        A one-term divisor, Bareiss's usual pivot, divides in one pass instead,
+        and more terms in self's one variable of p, q, z as two big ints; where
+        neither returns a quotient, the loop runs and names any failure.
         """
         divisor = RingValue.coerce(divisor)
         if not divisor.terms:
@@ -322,8 +324,10 @@ class RingValue:
             return ZERO
         if len(divisor.terms) == 1:
             out = _div_term(self.terms, divisor.terms)
-            if out is not None:
-                return RingValue._raw(out)
+        else:
+            out = _div_kronecker(self.terms, divisor.terms)
+        if out is not None:
+            return RingValue._raw(out)
         low, dlow = _floor(self.terms), _floor(divisor.terms)
         if (low & _MASK) < (dlow & _MASK):  # x is the lowest field
             raise InexactDivision("quotient would need a negative power of x")
@@ -466,6 +470,38 @@ def _div_term(terms: dict, term: dict) -> dict | None:
         return None  # a negative power of x, which the guard test does not see
     shift -= _UNIT
     out = {key - shift: c // coeff for key, c in terms.items()}
+    return None if any(key & _GUARD for key in out) else out
+
+
+def _div_kronecker(terms: dict, dterms: dict) -> dict | None:
+    """terms / dterms by Kronecker substitution, or None unless _slot_lists
+    takes both and the quotient is exact, certified and in range.
+
+    Stripped of their low zero slots, both are polynomials in y with nonzero
+    constant terms, and so is a quotient.  Its slots, B bytes each, cannot
+    have carried if max|q| max|d| min(len q, len d) < 2^(8B - 1): then q * d
+    and n are signed slot vectors with one packed value, so they are equal.
+    """
+    found = _slot_lists([terms, dterms])
+    if found is None:
+        return None
+    _, step, (sn, sd) = found
+    zn = next(i for i, c in enumerate(sn) if c)
+    zd = next(i for i, c in enumerate(sd) if c)
+    sn, sd = sn[zn:], sd[zd:]
+    count = len(sn) - len(sd) + 1
+    if count < 1:
+        return None
+    dmax = max(map(abs, sd))
+    size = max(dmax, max(map(abs, sn))).bit_length() // 8 + 2
+    quotient, rem = divmod(_pack_slots(sn, size), _pack_slots(sd, size))
+    try:
+        coeffs = _unpack_slots(quotient, size, count)
+    except OverflowError:  # count slots do not hold it
+        return None
+    if rem or max(map(abs, coeffs)) * dmax * min(count, len(sd)) >> (8 * size - 1):
+        return None
+    out = _slot_terms(coeffs, _UNIT + (zn - zd) * step, step)
     return None if any(key & _GUARD for key in out) else out
 
 

@@ -404,7 +404,7 @@ def test_term_budget(monkeypatch):
 def count_paths(monkeypatch) -> collections.Counter:
     """Count the results each fast path returns; None, no result, counts 0."""
     seen = collections.Counter()
-    for name in ("_mul_term", "_mul_kronecker", "_div_term"):
+    for name in ("_mul_term", "_mul_kronecker", "_div_term", "_div_kronecker"):
         def counted(*args, path=getattr(ring, name), name=name):
             out = path(*args)
             seen[name] += out is not None
@@ -575,8 +575,98 @@ def test_one_term_division_matches_long_division(monkeypatch):
     assert seen["_div_term"] == found["exact"]
 
 
+def shifted(terms, at, by):
+    """terms with exponent at moved by by."""
+    return {k[:at] + (k[at] + by,) + k[at + 1:]: c for k, c in terms.items()}
+
+
+def test_kronecker_division_matches_long_division(monkeypatch):
+    seen = count_paths(monkeypatch)
+    rng = random.Random(1968)
+    found = collections.Counter()
+    for trial in range(600):
+        var, kind = "pqz"[trial % 3], trial // 3 % 5
+        at = "pqz".index(var)
+        quotient = dense(rng, var, rng.randint(2, 8), rng.randint(-4, 4), rng.randint(0, 4))
+        divisor = dense(rng, var, rng.randint(2, 8), rng.randint(-9, 4), rng.randint(0, 4))
+        qlow, qtop = min(k[at] for k in quotient), max(k[at] for k in quotient)
+        if kind == 1:  # operands near either end of the range, the quotient near 0
+            divisor = shifted(divisor, at, rng.choice([LIMIT - 40, -(LIMIT - 40)]))
+        elif kind == 2:  # a quotient exponent past either end of the range
+            dtop, dlow = max(k[at] for k in divisor), min(k[at] for k in divisor)
+            if rng.random() < 0.5:
+                quotient = shifted(quotient, at, LIMIT + rng.randint(0, 3) - qtop)
+                divisor = shifted(divisor, at, -20 - dtop)
+            else:
+                quotient = shifted(quotient, at, -LIMIT - rng.randint(1, 4) - qlow)
+                divisor = shifted(divisor, at, 20 - dlow)
+        elif kind == 3:  # a second variable, or x, in either operand
+            other = rng.choice([i for i in range(4) if i != at])
+            if rng.random() < 0.5:  # a term each
+                quotient = {shift: c for k, c in quotient.items()
+                            for shift in shifted({k: c}, other, rng.randint(1, 2))}
+            else:
+                divisor = shifted(divisor, other, rng.randint(1, 2))
+        dividend = ref_mul(quotient, divisor)
+        if kind == 4:  # a divisor that does not divide: one coefficient moved, or longer
+            if rng.random() < 0.5:
+                dividend, divisor = divisor, dividend
+            else:
+                spot = rng.choice(sorted(dividend))
+                spot = spot[:at] + (spot[at] + rng.randint(-2, 2),) + spot[at + 1:]
+                dividend[spot] = dividend.get(spot, 0) + rng.choice([-1, 1])
+        assert in_range(dividend) and in_range(divisor)
+        got = division_outcome(RingValue(dividend), RingValue(divisor))
+        with monkeypatch.context() as patch:
+            patch.setattr(ring, "_div_kronecker", lambda terms, dterms: None)  # the loop alone
+            assert division_outcome(RingValue(dividend), RingValue(divisor)) == got
+        want = ref_exact_div(dividend, divisor)
+        if kind == 2:
+            assert got == (ExponentOverflow, "a quotient has an exponent outside [-2^30, 2^30)")
+            assert want is not None and not in_range(want)
+        elif kind == 4:
+            assert got[0] is InexactDivision and want is None
+        else:
+            assert got == RingValue(want) == RingValue(quotient)
+            if kind != 3:  # one variable: the path takes it
+                found["taken"] += 1
+                # the dividend has fewer low zero slots than the divisor, or more
+                found["fewer low zeros" if qlow < 0 else "more low zeros" if qlow else "same"] += 1
+        found[kind] += 1
+    assert min(found.values()) >= 10, found
+    assert seen["_div_kronecker"] == found["taken"], (seen, found)
+
+
+def test_kronecker_division_refuses_a_quotient_wider_than_its_slots(monkeypatch):
+    # (1 - y)^8 [21]_y^9 = (1 - y^21)^8 [21]_y has 189 terms, the largest 70,
+    # while its quotient [21]_y^9 by (1 - y)^8 reaches 1.7 * 10^10: the packed
+    # ints divide exactly, but the quotient's slots carry into each other
+    seen = count_paths(monkeypatch)
+    for var in "pqz":
+        y = RingValue(one_var(var, {1: 1}))
+        divisor, quotient = (1 - y) ** 8, ring_sum(y ** e for e in range(21)) ** 9
+        dividend = divisor * quotient
+        assert len(dividend.terms) == 189 and max(dividend.terms.values()) == 70
+        assert max(quotient.terms.values()) == 17148949027
+        assert dividend.exact_div(divisor) == quotient
+    assert seen["_div_kronecker"] == 0
+
+
+@pytest.mark.parametrize("coeff", [2 ** 15 - 1, -(2 ** 15 - 1), 2 ** 23 - 1, 3])
+def test_kronecker_division_slots_keep_a_spare_byte(monkeypatch, coeff):
+    # coeff (1 - y^10) / (1 - y): the certificate's bound 2 |coeff| takes one
+    # bit more than the dividend's largest coefficient, so slots one byte
+    # narrower would refuse the first three
+    seen = count_paths(monkeypatch)
+    for var in "pqz":
+        quotient = one_var(var, {e: coeff for e in range(10)})
+        divisor = one_var(var, {-4: 1, -3: -1})
+        assert RingValue(ref_mul(quotient, divisor)).exact_div(RingValue(divisor)) == RingValue(quotient)
+    assert seen["_div_kronecker"] == 3
+
+
 # the fewest results each fast path returns over the jobs below
-REACH = {"_mul_kronecker": 250, "_mul_term": 150, "_div_term": 80}
+REACH = {"_mul_kronecker": 250, "_mul_term": 150, "_div_term": 80, "_div_kronecker": 80}
 
 
 def test_fast_paths_are_reached(monkeypatch, capsys):
