@@ -654,14 +654,15 @@ def test_kronecker_division_refuses_a_quotient_wider_than_its_slots(monkeypatch)
 
 @pytest.mark.parametrize("coeff", [2 ** 15 - 1, -(2 ** 15 - 1), 2 ** 23 - 1, 3])
 def test_kronecker_division_slots_keep_a_spare_byte(monkeypatch, coeff):
-    # coeff (1 - y^10) / (1 - y): the certificate's bound 2 |coeff| takes one
-    # bit more than the dividend's largest coefficient, so slots one byte
-    # narrower would refuse the first three
+    # coeff y^-4 (1 - y^10) / (y^-4 (1 - y)): the certificate's bound 2 |coeff|
+    # takes one bit more than the dividend's largest coefficient, so slots one
+    # byte narrower would refuse the first three
     seen = count_paths(monkeypatch)
     for var in "pqz":
         quotient = one_var(var, {e: coeff for e in range(10)})
         divisor = one_var(var, {-4: 1, -3: -1})
-        assert RingValue(ref_mul(quotient, divisor)).exact_div(RingValue(divisor)) == RingValue(quotient)
+        dividend = RingValue(ref_mul(quotient, divisor))
+        assert dividend.exact_div(RingValue(divisor)) == RingValue(quotient)
     assert seen["_div_kronecker"] == 3
 
 
