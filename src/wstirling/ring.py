@@ -493,7 +493,7 @@ def _div_kronecker(terms: dict, dterms: dict) -> dict | None:
     if count < 1:
         return None
     dmax = max(map(abs, sd))
-    size = max(dmax, max(map(abs, sn))).bit_length() // 8 + 2
+    size = max(dmax, max(map(abs, sn))).bit_length() // 8 + 2  # a sign bit, a byte to spare
     quotient, rem = divmod(_pack_slots(sn, size), _pack_slots(sd, size))
     try:
         coeffs = _unpack_slots(quotient, size, count)
