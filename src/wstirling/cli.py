@@ -39,8 +39,7 @@ import sys
 
 from . import stirling
 from .ring import ENUMERATION_CAP, EnumerationCapExceeded, ExponentOverflow, TermBudgetExceeded
-from .weights import (CATALOG, NegativeQInteger, UndefinedIndex, UnknownBuiltin,
-                      WeightPair, builtin)
+from .weights import CATALOG, UndefinedIndex, UnknownBuiltin, WeightPair, builtin
 
 
 class UsageError(ValueError):
@@ -315,7 +314,7 @@ def main(argv=None) -> int:
         return exc.code
     except UsageError as exc:
         code, message = 2, str(exc)
-    except (NegativeQInteger, UndefinedIndex) as exc:
+    except UndefinedIndex as exc:
         code, message = 2, f"weights are undefined on the requested {args.undefined_on}: {exc}"
     except RESOURCE_LIMITS as exc:
         code, message = 3, str(exc)

@@ -3,8 +3,8 @@
 Each Identity names its suite, says which weight pairs it runs for, lists its
 cells lazily from the sweep ranges, and builds a probe for one weight pair.  A
 probe takes one cell and returns None where the identity holds, or a
-counterexample string.  Where the weights are undefined it raises
-NegativeQInteger or UndefinedIndex, and `scan` counts the cell as skipped.
+counterexample string.  Where a weight is undefined (a table weight with no
+default) it raises UndefinedIndex, and `scan` counts the cell as skipped.
 `wstirling verify` runs the registry at its --nmax and offset grid; the
 acceptance gate runs the same probes over its own, wider cell lists.
 
@@ -62,7 +62,7 @@ def scan(cells, probe):
     for cell in cells:
         try:
             note = probe(*cell)
-        except (weights.NegativeQInteger, weights.UndefinedIndex):
+        except weights.UndefinedIndex:
             skipped += 1
             continue
         if note is not None:

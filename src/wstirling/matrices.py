@@ -159,8 +159,7 @@ ORTHOGONALITY_RELATIONS = {"signed-c-dot-S": 0, "S-dot-signed-c": 0,
 def orthogonality_sum(relation: str, n: int, m: int, alpha: int, beta: int,
                       weights: WeightPair) -> RingValue:
     """One sum of ORTHOGONALITY_RELATIONS at (n, m); it equals the Kronecker
-    delta of n and m.  Raises NegativeQInteger or UndefinedIndex where the
-    weights are undefined."""
+    delta of n and m.  Raises UndefinedIndex where the weights are undefined."""
     if relation not in ORTHOGONALITY_RELATIONS:
         raise ValueError(f"unknown orthogonality relation {relation!r}")
     if relation == "S-dot-signed-c":

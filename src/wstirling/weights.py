@@ -32,10 +32,6 @@ class UndefinedIndex(KeyError):
     """A table weight was queried outside its value map with no default."""
 
 
-class NegativeQInteger(ValueError):
-    """q-integer and pq-integer weights are undefined at negative indices."""
-
-
 class UnknownBuiltin(ValueError):
     """The requested builtin weight pair does not exist."""
 
@@ -217,15 +213,18 @@ def _counts(value: RingValue) -> bool:
 
 
 def _eval_q_integer(params, j):
-    if j < 0:
-        raise NegativeQInteger(f"[{j}]_q is undefined")
-    return RingValue({(0, t, 0, 0): 1 for t in range(j)})
+    return _q_number(j, lambda t: (0, t, 0, 0))
 
 
 def _eval_pq_integer(params, j):
-    if j < 0:
-        raise NegativeQInteger(f"[{j}]_pq is undefined")
-    return RingValue({(j - 1 - t, t, 0, 0): 1 for t in range(j)})
+    return _q_number(j, lambda t: (j - 1 - t, t, 0, 0))
+
+
+def _q_number(j, monomial):
+    # sign(j) times the sum over t in [min(j, 0), max(j, 0)), one rule for every
+    # integer j: in the Laurent ring, [-m]_pq = -(pq)^-m [m]_pq and [-m]_q = -q^-m [m]_q
+    sign = -1 if j < 0 else 1
+    return RingValue({monomial(t): sign for t in range(min(j, 0), max(j, 0))})
 
 
 def _eval_product_shifted(params, j):

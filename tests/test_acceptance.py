@@ -4,9 +4,9 @@ Run with `python3 -m pytest tests/test_acceptance.py -v` to get one pass/fail
 line per criterion.  Every check is exact (integer or polynomial identity);
 there are no tolerances.  The identities are the ones `wstirling verify` runs:
 this gate takes their probes from `wstirling.identities` and sweeps them with
-the same `scan` over its own, wider cell lists.  Cells where a q-integer or
-table weight is undefined are skipped, and every sweep must check at least one
-cell, so a regression cannot hide behind mass skipping.
+the same `scan` over its own, wider cell lists.  Cells where a table weight
+without a default is undefined are skipped, and every sweep must check at least
+one cell, so a regression cannot hide behind mass skipping.
 
 Criterion 9 compares `verify --suite all` with a golden report.  After an
 intended change of that report, rewrite it and review its diff:
@@ -58,8 +58,7 @@ def test_criterion_1_recurrences_match_definitions():
             cells = tri_cells if name.startswith("triangular") else step_cells
             checked, _, failure = identities.scan(cells, probe("recurrences/" + name, pair))
             assert failure is None, f"{pair.label}/{name}: {failure}"
-            if pair.label not in ("q-stirling",):
-                assert checked > 0, f"{pair.label}/{name} never ran"
+            assert checked > 0, f"{pair.label}/{name} never ran"
             total += checked
     print(f"PASS criterion 1 recurrences checked={total}")
 

@@ -153,15 +153,17 @@ def test_exponent_past_the_range_is_a_resource_error(capsys):
 
 
 def test_term_budget_is_a_resource_error(capsys):
-    # a q-integer weight at index j has j terms, so these products would walk
-    # 9 * 10^10 term pairs; the budget stops the first before its loop starts
-    start = time.monotonic()
-    code, out, err = run(capsys, "table", "--kind", "second", "--weights", "builtin:q-stirling",
-                         "--alpha", "300000", "--nmax", "2")
-    assert time.monotonic() - start < 10  # time enough to build the three weights
-    assert (code, out) == (3, "")
-    assert err == ("error: a product of 300000-term and 300000-term values exceeds "
-                   "the budget of 100000000 term pairs\n")
+    # a q-integer weight at index j has |j| terms, so these products would walk
+    # 9 * 10^10 term pairs; the budget stops the first before its loop starts,
+    # at a positive offset and at its mirror
+    for alpha in ("300000", "-300000"):
+        start = time.monotonic()
+        code, out, err = run(capsys, "table", "--kind", "second", "--weights",
+                             "builtin:q-stirling", "--alpha", alpha, "--nmax", "2")
+        assert time.monotonic() - start < 10, alpha  # time enough to build the three weights
+        assert (code, out) == (3, ""), alpha
+        assert err == ("error: a product of 300000-term and 300000-term values exceeds "
+                       "the budget of 100000000 term pairs\n"), alpha
 
 
 def test_integers_of_any_size_render(capsys, tmp_path):
@@ -437,8 +439,10 @@ def test_verify_single_suite_classical(capsys):
 
 
 def test_verify_q_weights_report_skips(capsys):
-    code, out, _ = run(capsys, "verify", "--suite", "orthogonality",
-                       "--weights", "builtin:q-stirling", "--nmax", "4")
+    # q-integers are total, so a table weight with no default is what leaves
+    # every cell of an identity undefined
+    code, out, _ = run(capsys, "verify", "--suite", "orthogonality", "--weights",
+                       "@" + str(GOLDEN / "specs" / "table_no_default.json"), "--nmax", "4")
     assert code == 0
     assert "skipped=" in out
     assert "SKIP orthogonality/inverse-pair-alpha" in out

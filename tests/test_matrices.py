@@ -22,11 +22,14 @@ from wstirling.matrices import (
 )
 from wstirling.ring import ONE, P, Q, RingValue, X, ZERO, ring_sum
 from wstirling.stirling import bracket, first_kind, second_kind
-from wstirling.weights import CATALOG, NegativeQInteger, UndefinedIndex, builtin
+from wstirling.weights import CATALOG, UndefinedIndex, WeightPair, WeightSpec, builtin
 
 CLASSICAL = builtin("classical")
 PQ = builtin("pq-binomial")
 B = builtin("b-stirling")
+# v is a table with no default: undefined below index 0 and above index 4
+NO_DEFAULT = WeightPair(WeightSpec("table", values={i: i for i in range(5)}),
+                        WeightSpec("constant", value=1), label="table-no-default")
 
 
 def det_cofactor(matrix: RingMatrix) -> RingValue:
@@ -116,7 +119,7 @@ def test_orthogonality_offsets():
 
 
 def test_orthogonality_reports_skips():
-    checked, skipped, failure = delta_sums(4, [(-2, 0)], builtin("q-stirling"))
+    checked, skipped, failure = delta_sums(4, [(-2, 0)], NO_DEFAULT)
     assert skipped > 0
     assert failure is None
 
@@ -259,21 +262,23 @@ def outcome(build):
     """What build returns, or the type and message of the weight error it raises."""
     try:
         return build()
-    except (NegativeQInteger, UndefinedIndex) as exc:
+    except UndefinedIndex as exc:
         return type(exc), str(exc)
 
 
 def test_first_kind_hankel_is_its_entries():
     # each entry read from its own table is the oracle for the per-row DP,
     # refusals included: the same error at the same weight index
-    for name in CATALOG:
-        pair = builtin(name)
+    refusals = 0
+    for pair in [builtin(name) for name in CATALOG] + [NO_DEFAULT]:
         for r, s, alpha, beta in itertools.product(range(6), range(4), range(-3, 4),
                                                    range(-3, 4)):
             entries = outcome(lambda: RingMatrix.from_function(
                 r + 1, lambda i, j: first_kind(pair, alpha - i, beta - j, s + i + j, s + j)))
             built = outcome(lambda: hankel_matrix("first", r, s, alpha, beta, pair))
-            assert built == entries, f"{name} r={r} s={s} alpha={alpha} beta={beta}"
+            assert built == entries, f"{pair.label} r={r} s={s} alpha={alpha} beta={beta}"
+            refusals += isinstance(entries, tuple)
+    assert refusals > 0
 
 
 def test_first_kind_hankel_builds_no_table(monkeypatch):

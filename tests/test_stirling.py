@@ -19,7 +19,7 @@ from wstirling.stirling import (
     s_vertical,
     second_kind,
 )
-from wstirling.weights import CATALOG, NegativeQInteger, builtin
+from wstirling.weights import CATALOG, UndefinedIndex, WeightPair, WeightSpec, builtin
 
 CLASSICAL = builtin("classical")
 PQ = builtin("pq-binomial")
@@ -112,9 +112,8 @@ def test_tri_examples():
 def test_tri_matches_def_on_catalog_sample():
     for name in ("classical", "pq-binomial", "b-stirling", "jacobi", "zeta", "q-stirling"):
         pair = builtin(name)
-        lo = 0 if name == "q-stirling" else -1
-        for alpha in (lo, 1):
-            for beta in (lo, 1):
+        for alpha in (-1, 1):
+            for beta in (-1, 1):
                 ctab = recurrence_table(pair, "first", alpha, beta)
                 stab = recurrence_table(pair, "second", alpha, beta)
                 for n in range(7):
@@ -157,13 +156,15 @@ def test_table_memo_entries_match_definition():
 
 
 def test_undefined_weights_are_never_stored():
-    pair = builtin("q-stirling")  # v(i) = [i]_q, undefined for i < 0
+    # v is a table with no default, undefined for i < 0
+    pair = WeightPair(WeightSpec("table", values={i: i for i in range(5)}),
+                      WeightSpec("constant", value=1))
     for kind in ("first", "second"):
         for method in ("definition", "recurrence"):
             table = StirlingTable(pair, kind, alpha=-2, method=method)
             assert table.value(0, 0) == 1  # row 0 reads no weight
             for _ in range(2):
-                with pytest.raises(NegativeQInteger):
+                with pytest.raises(UndefinedIndex, match="no value at index -"):
                     table.value(2, 1)
 
 
