@@ -38,7 +38,8 @@ import os
 import sys
 
 from . import stirling
-from .ring import ENUMERATION_CAP, EnumerationCapExceeded, ExponentOverflow, TermBudgetExceeded
+from .ring import (ENUMERATION_CAP, EnumerationCapExceeded, ExponentOverflow, TermBudgetExceeded,
+                   is_constant, render)
 from .weights import CATALOG, UndefinedIndex, UnknownBuiltin, WeightPair, builtin
 
 
@@ -101,22 +102,22 @@ def cmd_table(args) -> int:
     table = stirling.StirlingTable(pair, args.kind, args.alpha, args.beta)
     rows = [table.row(n) for n in range(args.nmax + 1)]
     if args.format == "csv":
-        print(";".join(",".join(v.render() for v in row) for row in rows))
+        print(";".join(",".join(render(v) for v in row) for row in rows))
         return 0
     if args.format == "json":
         payload = {"params": {"kind": args.kind, "label": pair.label,
                               "weights": pair.to_dict(), "alpha": args.alpha,
                               "beta": args.beta, "nmax": args.nmax},
-                   "rows": [[v.render() for v in row] for row in rows]}
+                   "rows": [[render(v) for v in row] for row in rows]}
         print(json.dumps(payload, sort_keys=True))
         return 0
     # b-file: "index value" with a row-major linear index, integers only
     lines = []
     for index, v in enumerate(entry for row in rows for entry in row):
-        if not v.is_constant():
+        if not is_constant(v):
             raise NonIntegerEntry(
-                f"b-file output needs integer entries; entry {index} is {v.render()}")
-        lines.append(f"{index} {v.render()}")
+                f"b-file output needs integer entries; entry {index} is {render(v)}")
+        lines.append(f"{index} {render(v)}")
     print("\n".join(lines))
     return 0
 
@@ -136,8 +137,8 @@ def cmd_det(args) -> int:
     formula = matrices.det_formula(*hankel)
     print(f"matrix (dim {args.r + 1}):")
     print(matrix.render())
-    print(f"det={det.render()}")
-    print(f"formula={formula.render()}")
+    print(f"det={render(det)}")
+    print(f"formula={render(formula)}")
     equal = det == formula
     print("EQUAL" if equal else "DIFFER")
     return 0 if equal else 1

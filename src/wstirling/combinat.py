@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from itertools import chain, combinations, product
 from math import prod
 
-from .ring import ENUMERATION_CAP
+from .ring import ENUMERATION_CAP, as_int, is_constant
 from .tableaux import BTableau, DomainViolation, capped_sum
 from .weights import WeightPair, WeightSpec
 
@@ -43,9 +43,9 @@ class InvalidColorBudget(ArithmeticError):
 
 def _value_at(spec: WeightSpec, i: int) -> int:
     value = spec.eval(i)
-    if not value.is_constant():
+    if not is_constant(value):
         raise NonCombinatorialWeights(f"weight value at {i} is not an integer")
-    n = value.as_int()
+    n = as_int(value)
     if n < 0:
         raise NonCombinatorialWeights(f"weight value at {i} is negative")
     return n

@@ -4,7 +4,7 @@ Three shapes: the row generating function of the first kind is a finite
 product over x-linear factors; the column generating function of the second
 kind is a truncated geometric series; and the basis expansion writes x^n in
 terms of bracket polynomials with second-kind coefficients.  Everything is
-an ordinary RingValue in the series variable x, so coefficient extraction
+an ordinary ring value in the series variable x, so coefficient extraction
 is exact.  The b-Stirling oracles expand the row product and the column
 series of V = (i, i) once more, from tabulated factors.  The functions
 return the series, expansions, residuals and values they compute;
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from math import comb
 
-from .ring import ONE, P, Q, RingValue, X, ZERO, product, ring_sum
+from .ring import P, Q, RingValue, X, product, ring_sum
 from .stirling import bracket, pq_binomial, second_kind
 from .weights import WeightPair, WeightSpec, builtin
 
@@ -30,7 +30,7 @@ def cgf_product(n: int, alpha: int, beta: int, weights: WeightPair) -> RingValue
 
 def _geometric(rates, upto: int) -> list:
     """Coefficients of prod_a 1/(1 - a*x) through degree upto."""
-    coeffs = [ONE] + [ZERO] * upto
+    coeffs = [1] + [0] * upto
     for a in rates:
         for d in range(1, upto + 1):
             coeffs[d] = coeffs[d] + a * coeffs[d - 1]
@@ -67,8 +67,8 @@ def pq_product_form_residual(n: int) -> RingValue:
     direct = ring_sum(
         P ** comb(n - k, 2) * Q ** comb(k, 2) * pq_binomial(n, k) * X ** k
         for k in range(n + 1))
-    rescaled = Q ** comb(n, 2) * cgf_product(n, 0, 0, builtin("pq-binomial")).substitute(
-        {"p": P * Q ** -1, "q": 1})
+    row = RingValue.coerce(cgf_product(n, 0, 0, builtin("pq-binomial")))  # 1 at n = 0
+    rescaled = Q ** comb(n, 2) * row.substitute({"p": P * Q ** -1, "q": 1})
     return (direct - target) if direct != target else (rescaled - target)
 
 
@@ -97,7 +97,7 @@ def b_stirling_row_by_product(n: int) -> list:
     """First-kind row n for V=(i,i): its factors (n-1-t)t, 0 <= t < n, are
     row n-3 of the tabulated triangle, expanded by a plain product."""
     spec = WeightSpec("oeis-T", row=n - 3)
-    poly = product(X + spec.eval(j) for j in range(n))
+    poly = RingValue.coerce(product(X + spec.eval(j) for j in range(n)))  # 1 at n = 0
     return [poly.coefficient("x", d) for d in range(n + 1)]
 
 
@@ -105,6 +105,6 @@ def b_stirling_by_series(n: int, k: int) -> RingValue:
     """Second-kind value at (n, k) for V=(i,i): the x^n coefficient of
     x^k / prod_j (1 - T_j x), T_j the entries of tabulated row k-2."""
     if k < 0 or n < k:
-        return ZERO
+        return 0
     spec = WeightSpec("oeis-T", row=k - 2)
     return _geometric([spec.eval(j) for j in range(k + 1)], n - k)[n - k]

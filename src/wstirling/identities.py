@@ -30,7 +30,7 @@ from math import prod
 from typing import Callable, Optional
 
 from . import combinat, genfunc, matrices, stirling, tableaux, weights
-from .ring import RingValue, X, ring_sum
+from .ring import X, as_int, render, ring_sum
 
 EACH = "each"  # once per weight pair, labeled with the pair
 NO_PAIR = "-"  # once, independent of the weights
@@ -198,9 +198,8 @@ def _compare(where, got, want, tags=(None, None)):
             else:
                 if sides[0] == sides[1]:
                     return None
-                note = " ".join(
-                    f"{tag}={side.render() if isinstance(side, RingValue) else side}"
-                    for tag, side in zip(tags, sides) if tag)
+                note = " ".join(f"{tag}={side if isinstance(side, str) else render(side)}"
+                                for tag, side in zip(tags, sides) if tag)
             return " ".join(filter(None, (where(*cell), note)))
         return probe
     return make_probe
@@ -474,7 +473,7 @@ _IDENTITIES = (
 
     Identity("combinatorial", "zero-one-counts", lambda nmax, grid: _shapes(min(nmax, 5), grid),
              _compare(_shape, lambda pair, shape, a, b: combinat.count_01v(shape, pair),
-                      lambda pair, shape, a, b: tableaux.weight(shape, pair).as_int(),
+                      lambda pair, shape, a, b: as_int(tableaux.weight(shape, pair)),
                       ("count", "weight")),
              applies=lambda pair: pair.is_combinatorial()),
     Identity("combinatorial", "partition-counts", lambda nmax, grid: _entries(min(nmax, 4)),

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from math import comb
 
-from .ring import ONE, P, Q, RingValue, ZERO, product, ring_sum
+from .ring import Coercible, P, Q, exact_div, is_zero, product, render, ring_sum
 from .stirling import KINDS, first_kind, pq_binomial, second_kind
 from .weights import WeightPair, WeightSpec, builtin
 
@@ -48,12 +48,12 @@ def _check(kind: str, *sizes: int) -> None:
 
 
 class RingMatrix:
-    """Immutable square matrix of RingValue entries."""
+    """Immutable square matrix of ring values, ints or RingValues."""
 
     __slots__ = ("rows",)
 
     def __init__(self, rows):
-        grid = tuple(tuple(RingValue.coerce(e) for e in row) for row in rows)
+        grid = tuple(tuple(row) for row in rows)
         if not grid or any(len(row) != len(grid) for row in grid):
             raise ValueError("matrix must be square and at least 1x1")
         self.rows = grid
@@ -85,7 +85,7 @@ class RingMatrix:
         return hash(self.rows)
 
     def render(self) -> str:
-        cells = [[e.render() for e in row] for row in self.rows]
+        cells = [[render(e) for e in row] for row in self.rows]
         widths = [max(len(cells[i][j]) for i in range(self.dim)) for j in range(self.dim)]
         return "\n".join(
             "[ " + "  ".join(cell.rjust(w) for cell, w in zip(row, widths)) + " ]"
@@ -96,12 +96,12 @@ class RingMatrix:
 
 
 def identity_matrix(dim: int) -> RingMatrix:
-    return RingMatrix.from_function(dim, lambda i, j: ONE if i == j else ZERO)
+    return RingMatrix.from_function(dim, lambda i, j: 1 if i == j else 0)
 
 
 # -- determinants ----------------------------------------------------------------
 
-def determinant(matrix: RingMatrix) -> RingValue:
+def determinant(matrix: RingMatrix) -> Coercible:
     """Bareiss elimination; every division is exact over an integral domain,
     so an InexactDivision here is a bug and is raised, not worked around.
 
@@ -113,18 +113,18 @@ def determinant(matrix: RingMatrix) -> RingValue:
     n = matrix.dim
     m = [list(row) for row in matrix.rows]
     sign = 1
-    prev = ONE
+    prev = 1
     for col in range(n - 1):
-        pivot_row = next((i for i in range(col, n) if not m[i][col].is_zero()), None)
+        pivot_row = next((i for i in range(col, n) if not is_zero(m[i][col])), None)
         if pivot_row is None:
-            return ZERO
+            return 0
         if pivot_row != col:
             m[col], m[pivot_row] = m[pivot_row], m[col]
             sign = -sign
         for i in range(col + 1, n):
             for j in range(col + 1, n):
-                m[i][j] = (m[i][j] * m[col][col] - m[i][col] * m[col][j]).exact_div(prev)
-            m[i][col] = ZERO
+                m[i][j] = exact_div(m[i][j] * m[col][col] - m[i][col] * m[col][j], prev)
+            m[i][col] = 0
         prev = m[col][col]
     return m[n - 1][n - 1] * sign
 
@@ -157,7 +157,7 @@ ORTHOGONALITY_RELATIONS = {"signed-c-dot-S": 0, "S-dot-signed-c": 0,
 
 
 def orthogonality_sum(relation: str, n: int, m: int, alpha: int, beta: int,
-                      weights: WeightPair) -> RingValue:
+                      weights: WeightPair) -> Coercible:
     """One sum of ORTHOGONALITY_RELATIONS at (n, m); it equals the Kronecker
     delta of n and m.  Raises UndefinedIndex where the weights are undefined."""
     if relation not in ORTHOGONALITY_RELATIONS:
@@ -167,7 +167,7 @@ def orthogonality_sum(relation: str, n: int, m: int, alpha: int, beta: int,
     return _orthogonal_sum(weights, alpha, beta, n, m, ORTHOGONALITY_RELATIONS[relation])
 
 
-def pq_binomial_delta_sum(n: int, m: int) -> RingValue:
+def pq_binomial_delta_sum(n: int, m: int) -> Coercible:
     """The signed pq-binomial orthogonality sum at (n, m), which is the Kronecker
     delta: sum over k of (-1)^(k-m) p^C(k-m,2) q^C(n-k,2) [n k] [k m].  Stated
     with binomial-power prefactors, not as a weight specialization."""
@@ -220,7 +220,7 @@ def inverse_relation_apply(direction: str, sequence, r: int, alpha: int, beta: i
     """
     if direction not in DIRECTIONS:
         raise ValueError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
-    seq = [RingValue.coerce(x) for x in sequence]
+    seq = list(sequence)
     if len(seq) != r + 1:
         raise ValueError(f"sequence must have length r+1 = {r + 1}, got {len(seq)}")
     family, leg = direction.split("-")
@@ -235,7 +235,7 @@ def inverse_relation_apply(direction: str, sequence, r: int, alpha: int, beta: i
 # -- convolutions -------------------------------------------------------------------
 
 def convolution_sum(kind: str, m1: int, m2: int, n: int, alpha: int, beta: int,
-                    weights: WeightPair) -> RingValue:
+                    weights: WeightPair) -> Coercible:
     """The convolution sum, which is the entry (m1+m2, n) at (alpha, beta).
 
     The paper states a sum for each split r + s = n, over the k outside which
@@ -260,9 +260,9 @@ def _first_hankel_rows(r: int, s: int, alpha: int, beta: int, weights: WeightPai
     # the order in which entries (0, 0), (0, 1), ..., (1, 0), ... first need them
     x = {u: v.eval(alpha + s - 1 - u) * w.eval(beta + u)
          for u in (*range(s), *range(-1, -r - 1, -1), *range(s, s + r))}
-    rows = [[ONE] * (r + 1)]
+    rows = [[1] * (r + 1)]
     for i in range(1, r + 1):
-        e = [ONE] + [ZERO] * i
+        e = [1] + [0] * i
         row = []
         for u in range(s + i - 1, -r - 1, -1):
             # s + i - u products so far; e_t is zero past that
@@ -303,7 +303,7 @@ def lu_factors(kind: str, r: int, s: int, alpha: int, beta: int, weights: Weight
 
 
 def det_formula(kind: str, r: int, s: int, alpha: int, beta: int,
-                weights: WeightPair) -> RingValue:
+                weights: WeightPair) -> Coercible:
     """Closed-form product for the determinant of hankel_matrix."""
     _check(kind, r, s)
     if kind == "first":
@@ -325,7 +325,7 @@ def scaled_q_hankel_matrix(r: int, s: int) -> RingMatrix:
         lambda i, j: Q ** comb(s + j, 2) * second_kind(pair, 0, 0, s + i + j, s + j))
 
 
-def scaled_q_det_formula(r: int, s: int) -> RingValue:
+def scaled_q_det_formula(r: int, s: int) -> Coercible:
     """Closed form of the determinant of scaled_q_hankel_matrix."""
     _check("second", r, s)
     qint = WeightSpec("q-integer")

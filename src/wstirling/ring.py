@@ -3,8 +3,15 @@
 Every value lives in Z[p, q, z, p^-1, q^-1, z^-1][x]: integer coefficients,
 signed exponents for p, q, z, nonnegative exponents for x.  A value is stored
 as a map from a packed int key to a nonzero integer coefficient; the zero
-polynomial is the empty map.  Plain Python ints coerce to constant values and
-compare equal to them.
+polynomial is the empty map.
+
+A value is an int or a RingValue.  Integer values stay ints wherever they
+arise (weights, integer table lines, sums and products of ints); parse(),
+StirlingTable.row and any value that holds a variable are RingValues.  A
+RingValue may still hold a constant, and equality, hashing and render treat
+it like the int.  The operators take an int operand as it is, and the module
+functions render, exact_div, is_constant, as_int and is_zero take either
+kind, so the int case lives in this module alone.
 
 The key of the exponent vector (ep, eq, ez, ex) is
 
@@ -178,31 +185,16 @@ class RingValue:
             return RingValue.from_int(value)
         raise TypeError(f"cannot coerce {type(value).__name__} into the ring")
 
-    # -- predicates and conversions ----------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def is_constant(self) -> bool:
-        t = self.terms
-        return not t or (len(t) == 1 and _UNIT in t)
-
-    def as_int(self) -> int:
-        """The value as a plain integer; raises if any variable is present."""
-        t = self.terms
-        if not t:
-            return 0
-        if len(t) == 1 and _UNIT in t:
-            return t[_UNIT]
-        raise ValueError(f"not a constant: {self}")
-
     def __bool__(self) -> bool:
         return bool(self.terms)
 
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other: Coercible) -> "RingValue":
-        other = RingValue.coerce(other)
+        if isinstance(other, int):
+            if not other:
+                return self
+            other = RingValue._raw({_UNIT: other})
         if not self.terms:
             return other
         if not other.terms:
@@ -222,13 +214,18 @@ class RingValue:
         return RingValue._raw({k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other: Coercible) -> "RingValue":
-        return self + (-RingValue.coerce(other))
+        return self + (-other)
 
-    def __rsub__(self, other: Coercible) -> "RingValue":
-        return RingValue.coerce(other) + (-self)
+    def __rsub__(self, other: int) -> "RingValue":
+        return -self + other
 
     def __mul__(self, other: Coercible) -> "RingValue":
-        other = RingValue.coerce(other)
+        if isinstance(other, int):
+            if other == 1:
+                return self
+            if not other:
+                return ZERO
+            return RingValue._raw({k: c * other for k, c in self.terms.items()})
         a, b = self.terms, other.terms
         if not a or not b:
             return ZERO
@@ -343,8 +340,8 @@ class RingValue:
                 raise InexactDivision(f"{divisor} does not divide {self}")
             c, rem = divmod(dividend[rkey], lead_coeff)
             if rem:
-                raise InexactDivision(
-                    f"leading coefficient {dividend[rkey]} not divisible by {lead_coeff}")
+                raise InexactDivision(f"leading coefficient {_digits(dividend[rkey])} "
+                                      f"not divisible by {_digits(lead_coeff)}")
             quotient[qkey] = c
             for dk, dc in dpoly.items():
                 key = qkey + dk
@@ -385,8 +382,8 @@ class RingValue:
         return NotImplemented
 
     def __hash__(self) -> int:
-        if self.is_constant():
-            return hash(self.terms.get(_UNIT, 0))
+        if is_constant(self):
+            return hash(as_int(self))
         return hash(frozenset(self.terms.items()))
 
     def __repr__(self) -> str:
@@ -409,11 +406,7 @@ class RingValue:
             if factors and abs(coeff) == 1:
                 body = "*".join(factors)
             else:
-                try:
-                    body = str(abs(coeff))
-                except ValueError:  # past sys.get_int_max_str_digits(), which Decimal ignores
-                    from decimal import Decimal  # imported on use, so start-up does not pay for it
-                    body = str(Decimal(abs(coeff)))
+                body = _digits(abs(coeff))
                 if factors:
                     body = "*".join([body] + factors)
             if not parts:
@@ -512,6 +505,48 @@ P = RingValue.monomial(1, p=1)
 Q = RingValue.monomial(1, q=1)
 Z = RingValue.monomial(1, z=1)
 X = RingValue.monomial(1, x=1)
+
+
+# -- operations on a value of either kind, an int or a RingValue ---------------------
+
+def is_zero(value: Coercible) -> bool:
+    return not value
+
+
+def is_constant(value: Coercible) -> bool:
+    """Whether value holds no variable."""
+    return isinstance(value, int) or value.terms.keys() <= _ONE_TERMS.keys()
+
+
+def as_int(value: Coercible) -> int:
+    """The value as a plain integer; raises ValueError if it holds a variable."""
+    if not is_constant(value):
+        raise ValueError(f"not a constant: {render(value)}")
+    return value if isinstance(value, int) else value.terms.get(_UNIT, 0)
+
+
+def render(value: Coercible) -> str:
+    """The canonical text of value, which parse() reads back."""
+    return value.render() if isinstance(value, RingValue) else _digits(value)
+
+
+def exact_div(value: Coercible, divisor: Coercible) -> Coercible:
+    """RingValue.exact_div for either kind of operand; two ints divide as ints."""
+    if isinstance(value, RingValue) or isinstance(divisor, RingValue):
+        return RingValue.coerce(value).exact_div(divisor)
+    quotient, rem = divmod(value, divisor)
+    if rem:
+        raise InexactDivision(f"{render(divisor)} does not divide {render(value)}")
+    return quotient
+
+
+def _digits(n: int) -> str:
+    """str(n), also past sys.get_int_max_str_digits(), which Decimal ignores."""
+    try:
+        return str(n)
+    except ValueError:
+        from decimal import Decimal  # imported on use, so start-up does not pay for it
+        return str(Decimal(n))
 
 
 def parse(text: str) -> RingValue:
@@ -663,10 +698,9 @@ def packed_line(values) -> PackedLine | None:
     they must stay on dicts."""
     if len(values) < _MIN_PRODUCTS:
         return None
+    if all(map(is_constant, values)):
+        return PackedLine(list(map(as_int, values)))
     terms = [RingValue.coerce(value).terms for value in values]
-    ints = [t.get(_UNIT, 0) for t in terms if not t or (len(t) == 1 and _UNIT in t)]
-    if len(ints) == len(terms):
-        return PackedLine(ints)
     if any(c < 0 for t in terms for c in t.values()):
         return None
     found = _slot_lists(terms)
@@ -755,15 +789,15 @@ def _resize(values: list, old: int, new: int) -> list:
     return resized
 
 
-def product(values: Iterable[Coercible]) -> RingValue:
-    result = ONE
+def product(values: Iterable[Coercible]) -> Coercible:
+    result = 1
     for value in values:
         result = result * value
     return result
 
 
-def ring_sum(values: Iterable[Coercible]) -> RingValue:
-    result = ZERO
+def ring_sum(values: Iterable[Coercible]) -> Coercible:
+    result = 0
     for value in values:
         result = result + value
     return result

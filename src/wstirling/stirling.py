@@ -11,24 +11,26 @@ Both kinds live in a StirlingTable, the one owner of computed values.  The
 triangular recurrences are single steps of the symmetric-function DPs, so
 both of its methods run symfunc's two DPs on the weight products of a line
 (a first-kind row, a second-kind column) and differ only in the order of
-the products and in the arithmetic.  Method "definition" hands the line to
-elementary_all or homogeneous_series, which pick the arithmetic: packed
-Python ints for the integer lines of classical, legendre, merris, sun and
-b-stirling and the one-variable lines of q-stirling and jacobi at
-nonnegative indices, RingValues for the rest.  Method "recurrence" runs
-elementary_dp and homogeneous_dict_series over the reversed line, always on
-RingValues, whose products pick their own arithmetic: a one-term factor
-shifts the other's keys (pq-binomial, q-binomial, zeta), two values dense in
-one variable with 256 or more term pairs multiply as big ints (q-stirling),
-the rest walk term pairs.  So definition against recurrence checks the
-packed lines and their decoding against RingValue arithmetic; the vertical
-and horizontal recurrences below and wstirling.genfunc check the DPs.
-first_kind and second_kind read from a small bounded cache of definition
-tables.  Next to them sit the vertical and horizontal recurrences (the
-horizontal ones consume row n+1, so they are evaluators used for cross
-checking, not for building tables), which take the entry as
-(pair, alpha, beta, n, k) just as first_kind does, and the
-falling-factorial-style bracket polynomial, returned as a RingValue in x.
+the products and in the arithmetic.  Every value is an int or a RingValue
+(see wstirling.ring): a line of integer weight products, as for classical,
+legendre, merris, sun and b-stirling, builds int entries on either method.
+Method "definition" hands the line to elementary_all or homogeneous_series,
+which pick the arithmetic: the ints themselves, packed ints for the
+one-variable lines of q-stirling and jacobi at nonnegative indices,
+RingValues for the rest.  Method "recurrence" runs elementary_dp and
+homogeneous_dict_series over the reversed line on the values as they are;
+RingValue products pick their own arithmetic: a one-term factor shifts the
+other's keys (pq-binomial, q-binomial, zeta), two values dense in one
+variable with 256 or more term pairs multiply as big ints (q-stirling), the
+rest walk term pairs.  So definition against recurrence checks the packed
+lines and their decoding against RingValue arithmetic; the vertical and
+horizontal recurrences below and wstirling.genfunc check the DPs.
+StirlingTable.row hands out RingValues.  first_kind and second_kind read
+from a small bounded cache of definition tables.  Next to them sit the
+vertical and horizontal recurrences (the horizontal ones consume row n+1,
+so they are evaluators used for cross checking, not for building tables),
+which take the entry as (pair, alpha, beta, n, k) just as first_kind does,
+and the falling-factorial-style bracket polynomial, a RingValue in x.
 The b-Stirling oracles that cross-check it live in wstirling.genfunc.
 """
 
@@ -36,7 +38,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .ring import ONE, RingValue, X, ZERO, product, ring_sum
+from .ring import Coercible, RingValue, X, product, ring_sum
 from .symfunc import elementary_all, elementary_dp, homogeneous_dict_series, homogeneous_series
 from .weights import WeightPair, builtin
 
@@ -71,18 +73,19 @@ class StirlingTable:
         self._lines: dict = {}  # first kind: n -> row n; second kind: k -> column k from row k
         self._steps: dict = {}  # second kind: k -> the DP that extends column k by a row
 
-    def value(self, n: int, k: int) -> RingValue:
+    def value(self, n: int, k: int) -> Coercible:
         if n < 0 or k < 0 or k > n:
-            return ZERO
+            return 0
         if n == 0:
-            return ONE
+            return 1
         if self.kind == "first":
             return (self._lines.get(n) or self._row(n))[k]
         column = self._lines.get(k)
         return (column if column and len(column) > n - k else self._column(k, n - k))[n - k]
 
     def row(self, n: int) -> list:
-        return [self.value(n, k) for k in range(n + 1)]
+        """Row n as RingValues."""
+        return [RingValue.coerce(self.value(n, k)) for k in range(n + 1)]
 
     def _products(self, top: int) -> list:
         # v(alpha+top-t)w(beta+t), t = 0..top: first-kind row top+1, second-kind column top
@@ -102,7 +105,7 @@ class StirlingTable:
         if self.method == "definition":
             return elementary_all(products) if first else homogeneous_series(products)
         products.reverse()
-        return elementary_dp(products, ONE, ZERO) if first else homogeneous_dict_series(products)
+        return elementary_dp(products) if first else homogeneous_dict_series(products)
 
     def _row(self, n: int) -> list:
         row = self._lines[n] = self._dp(n - 1)[::-1]
@@ -131,19 +134,19 @@ def _table(pair: WeightPair, kind: str, alpha: int, beta: int) -> StirlingTable:
     return StirlingTable(pair, kind, alpha, beta)
 
 
-def first_kind(pair: WeightPair, alpha: int, beta: int, n: int, k: int) -> RingValue:
+def first_kind(pair: WeightPair, alpha: int, beta: int, n: int, k: int) -> Coercible:
     """First-kind value by definition, from a shared table."""
     return _table(pair, "first", alpha, beta).value(n, k)
 
 
-def second_kind(pair: WeightPair, alpha: int, beta: int, n: int, k: int) -> RingValue:
+def second_kind(pair: WeightPair, alpha: int, beta: int, n: int, k: int) -> Coercible:
     """Second-kind value by definition, from a shared table."""
     return _table(pair, "second", alpha, beta).value(n, k)
 
 
 # -- vertical recurrences: compute entry (n+1, k+1) from row slice j=k..n ------
 
-def c_vertical(pair: WeightPair, alpha: int, beta: int, n: int, k: int) -> RingValue:
+def c_vertical(pair: WeightPair, alpha: int, beta: int, n: int, k: int) -> Coercible:
     """First-kind entry at (n+1, k+1) summed from entries at j = k..n."""
     if n < 0:
         raise ValueError("vertical recurrence needs n >= 0")
@@ -153,7 +156,7 @@ def c_vertical(pair: WeightPair, alpha: int, beta: int, n: int, k: int) -> RingV
         for j in range(k, n + 1))
 
 
-def s_vertical(pair: WeightPair, alpha: int, beta: int, n: int, k: int) -> RingValue:
+def s_vertical(pair: WeightPair, alpha: int, beta: int, n: int, k: int) -> Coercible:
     """Second-kind entry at (n+1, k+1) summed from entries at j = k..n."""
     if n < 0:
         raise ValueError("vertical recurrence needs n >= 0")
@@ -165,7 +168,7 @@ def s_vertical(pair: WeightPair, alpha: int, beta: int, n: int, k: int) -> RingV
 
 # -- horizontal recurrences: evaluate (n, k) from definitional row n+1 ---------
 
-def c_horizontal(pair: WeightPair, alpha: int, beta: int, n: int, k: int) -> RingValue:
+def c_horizontal(pair: WeightPair, alpha: int, beta: int, n: int, k: int) -> Coercible:
     """First-kind entry at (n, k) as an alternating sum over row n+1."""
     top = pair.v.eval(alpha + n) * pair.w.eval(beta - 1)
     return ring_sum(
@@ -173,7 +176,7 @@ def c_horizontal(pair: WeightPair, alpha: int, beta: int, n: int, k: int) -> Rin
         for j in range(k, n + 1))
 
 
-def c_horizontal_alpha(pair: WeightPair, alpha: int, beta: int, n: int, k: int) -> RingValue:
+def c_horizontal_alpha(pair: WeightPair, alpha: int, beta: int, n: int, k: int) -> Coercible:
     """Variant of c_horizontal that shifts alpha instead of beta."""
     top = pair.v.eval(alpha - 1) * pair.w.eval(beta + n)
     return ring_sum(
@@ -181,7 +184,7 @@ def c_horizontal_alpha(pair: WeightPair, alpha: int, beta: int, n: int, k: int) 
         for j in range(k, n + 1))
 
 
-def s_horizontal(pair: WeightPair, alpha: int, beta: int, n: int, k: int) -> RingValue:
+def s_horizontal(pair: WeightPair, alpha: int, beta: int, n: int, k: int) -> Coercible:
     """Second-kind entry at (n, k) as an alternating sum over row n+1."""
     return ring_sum(
         (-1) ** j
@@ -192,7 +195,7 @@ def s_horizontal(pair: WeightPair, alpha: int, beta: int, n: int, k: int) -> Rin
 
 # -- bracket polynomial ---------------------------------------------------------
 
-def bracket(n: int, alpha: int, beta: int, weights: WeightPair) -> RingValue:
+def bracket(n: int, alpha: int, beta: int, weights: WeightPair) -> Coercible:
     """Monic x-polynomial of degree n with roots v(alpha+t)w(beta-t), t = 0..n-1."""
     if n < 0:
         raise ValueError("bracket degree must be nonnegative")
@@ -201,6 +204,6 @@ def bracket(n: int, alpha: int, beta: int, weights: WeightPair) -> RingValue:
 
 # -- named families -------------------------------------------------------------
 
-def pq_binomial(n: int, k: int) -> RingValue:
+def pq_binomial(n: int, k: int) -> Coercible:
     """Two-variable binomial analogue: h_{n-k} of p^k, p^{k-1}q, ..., q^k."""
     return second_kind(builtin("pq-binomial"), 0, 0, n, k)

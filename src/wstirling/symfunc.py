@@ -4,42 +4,42 @@ elementary_all(xs) gives e_0 .. e_len(xs) of xs, the sums of products over
 t-subsets, and homogeneous_series(xs) gives h_0, h_1, ... without end, the
 sums over size-t multisets, resumable one degree at a time.  Each entry costs
 O(len(xs)) ring operations, which keeps triangle construction polynomial.
-The DP only adds and multiplies, so xs may mix ints and RingValues; the
-ring's operators coerce.  Brute-force enumeration lives in the tests as an
-oracle.
+The DP only adds and multiplies, starting from the ints 1 and 0, so xs may
+mix ints and RingValues, and an entry over ints alone is an int.  Brute-force
+enumeration lives in the tests as an oracle.
 
-elementary_dp and homogeneous_step take the DP's unit and zero, so the same
-code runs on plain ints.  elementary_all and homogeneous_series pick the
-backend: where ring.packed_line accepts xs, they run the DP on its ints and
-decode each entry into the RingValue the dict DP would build; elsewhere they
-run it on RingValues.  homogeneous_dict_series is the h-DP on RingValues
-alone, from degree 0 or from a state the packed DP hands back; it is
-homogeneous_series' dict path, and StirlingTable's recurrence method calls
-it and elementary_dp directly, so that method never packs.
+elementary_all and homogeneous_series pick the backend: where
+ring.packed_line accepts xs, they run the DP on its ints, which an integer
+line returns as they are and any other line decodes into the RingValue the
+DP on values would build; elsewhere they run it on the values.
+homogeneous_dict_series is the h-DP on the values alone, from degree 0 or
+from a state the packed DP hands back; it is homogeneous_series' fallback,
+and StirlingTable's recurrence method calls it and elementary_dp directly,
+so that method never packs.
 """
 
 from __future__ import annotations
 
 from typing import Iterator, Sequence
 
-from .ring import ONE, ZERO, Coercible, PackedLine, RingValue, packed_line
+from .ring import Coercible, PackedLine, RingValue, packed_line
 
 
 def elementary_all(xs: Sequence[Coercible]) -> list:
     """All of e_0 .. e_len(xs) in one pass."""
     line = packed_line(xs)
     if line is None or not line.fits(len(xs)):
-        return elementary_dp(xs, ONE, ZERO)
-    at_one = elementary_dp(line.ones, 1, 0)
+        return elementary_dp(xs)
+    at_one = elementary_dp(line.ones)
     if line.is_integer:
-        return [RingValue.from_int(e) for e in at_one]
+        return at_one
     line.widen(max(at_one))
-    return [line.decode(e, t) for t, e in enumerate(elementary_dp(line.packed, 1, 0))]
+    return [line.decode(e, t) for t, e in enumerate(elementary_dp(line.packed))]
 
 
-def elementary_dp(xs: Sequence, one, zero) -> list:
-    """elementary_all in the ring whose unit and zero are one and zero."""
-    e = [one] + [zero] * len(xs)
+def elementary_dp(xs: Sequence) -> list:
+    """elementary_all by the DP on the values as they are."""
+    e = [1] + [0] * len(xs)
     for r, x in enumerate(xs):
         # descending t so e[t-1] is still the previous row's value
         for t in range(r + 1, 0, -1):
@@ -47,39 +47,36 @@ def elementary_dp(xs: Sequence, one, zero) -> list:
     return e
 
 
-def homogeneous_series(xs: Sequence[Coercible]) -> Iterator[RingValue]:
+def homogeneous_series(xs: Sequence[Coercible]) -> Iterator[Coercible]:
     """h_0, h_1, ... of xs without end, one DP step of len(xs) products each.
 
     The state h[i] holds h_d(xs[0..i]) at the degree d last yielded; stepping
     to d + 1 uses h_{d+1}(xs[0..i]) = h_{d+1}(xs[0..i-1]) + xs[i] h_d(xs[0..i]),
     so a caller can stop at any degree and resume later at no extra cost.
     """
-    yield ONE
+    yield 1
     line = packed_line(xs)
-    if line is None:
-        h = [ONE] * len(xs)
-    elif line.is_integer:
-        h = [1] * len(xs)
-        while True:
-            yield RingValue.from_int(homogeneous_step(line.ones, h, 0))
-    else:
+    h = [1] * len(xs)
+    if line is not None and line.is_integer:
+        xs = line.ones  # the DP runs on the integers themselves
+    elif line is not None:
         h = yield from _homogeneous_packed(line)
     yield from homogeneous_dict_series(xs, h)
 
 
-def homogeneous_dict_series(xs: Sequence[Coercible], h: list | None = None) -> Iterator[RingValue]:
-    """h_0, h_1, ... of xs without end by the DP on RingValues alone; given
+def homogeneous_dict_series(xs: Sequence[Coercible], h: list | None = None) -> Iterator[Coercible]:
+    """h_0, h_1, ... of xs without end by the DP on the values alone; given
     the DP's state h at some degree d, h_{d+1}, h_{d+2}, ... instead."""
     if h is None:
-        yield ONE
-        h = [ONE] * len(xs)
+        yield 1
+        h = [1] * len(xs)
     while True:
-        yield homogeneous_step(xs, h, ZERO)
+        yield homogeneous_step(xs, h)
 
 
-def homogeneous_step(xs: Sequence, h: list, zero):
+def homogeneous_step(xs: Sequence, h: list):
     """Raise the state h of the h-DP by one degree in place; return its total."""
-    total = zero
+    total = 0
     for i, x in enumerate(xs):
         total = h[i] = total + x * h[i]
     return total
@@ -97,8 +94,8 @@ def _homogeneous_packed(line: PackedLine) -> Iterator[RingValue]:
     state = [1] * len(at_one)
     degree = 0
     while line.fits(degree + 1):
-        bound = homogeneous_step(line.ones, at_one, 0)
+        bound = homogeneous_step(line.ones, at_one)
         degree += 1
         line.widen(bound, state)
-        yield line.decode(homogeneous_step(line.packed, state, 0), degree)
+        yield line.decode(homogeneous_step(line.packed, state), degree)
     return [line.decode(h, degree) for h in state]

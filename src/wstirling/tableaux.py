@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
 from math import comb
 
-from .ring import ENUMERATION_CAP, EnumerationCapExceeded, RingValue, product, ring_sum
+from .ring import ENUMERATION_CAP, Coercible, EnumerationCapExceeded, product, ring_sum
 from .weights import WeightPair
 
 
@@ -161,7 +161,7 @@ def enumerate_Td(alpha: int, beta: int, r: int, s: int,
             for tops in combinations(range(alpha + r, alpha - 1, -1), s)]
 
 
-def weight(tableau: BTableau, weights: WeightPair) -> RingValue:
+def weight(tableau: BTableau, weights: WeightPair) -> Coercible:
     """Product over columns of v(top) * w(bottom); empty tableau gives 1."""
     return product(weights.v.eval(t) * weights.w.eval(b)
                    for t, b in tableau.columns)

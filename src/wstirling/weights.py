@@ -18,7 +18,7 @@ import re
 from functools import lru_cache
 from typing import Callable, Mapping, NamedTuple
 
-from .ring import ZERO, RingValue, ring_sum
+from .ring import Coercible, RingValue, as_int, is_constant, is_zero, render, ring_sum
 from .ring import parse as parse_ring
 
 _BASES = ("p", "q", "z")
@@ -51,7 +51,7 @@ class WeightSpec:
         # the JSON form is canonical, so it is the identity
         self._key = json.dumps(self.to_dict(), sort_keys=True)
 
-    def eval(self, i: int) -> RingValue:
+    def eval(self, i: int) -> Coercible:
         value = self._cache.get(i)
         if value is None:
             if len(self._cache) >= EVAL_MEMO_SIZE:
@@ -138,21 +138,21 @@ def swap(pair: WeightPair) -> WeightPair:
 
 # -- parameters --------------------------------------------------------------------
 
-def _value_in(value) -> RingValue:
+def _value_in(value) -> Coercible:
     # JSON true would otherwise count as 1 and be echoed back as true
     if isinstance(value, bool):
         raise ValueError(f"weight values must be integers or strings, got {value!r}")
     out = parse_ring(value) if isinstance(value, str) else RingValue.coerce(value)
     if out.degree("x") > 0:
         raise ValueError("weights may not use the series variable x")
-    return out
+    return out if isinstance(value, str) else value  # an int stays an int
 
 
 def _value_out(value):
     """The JSON form of a parsed parameter: ring values as ints or strings,
     tuples as lists, maps with string keys."""
     if isinstance(value, RingValue):
-        return value.as_int() if value.is_constant() else value.render()
+        return as_int(value) if is_constant(value) else render(value)
     if isinstance(value, tuple):
         return [_value_out(v) for v in value]
     if isinstance(value, dict):
@@ -178,7 +178,7 @@ def _coefficients_in(coefficients) -> tuple:
     if not isinstance(coefficients, (list, tuple)):
         raise ValueError("polynomial coefficients must be a list, lowest degree first")
     coeffs = [_value_in(c) for c in coefficients]
-    while coeffs and coeffs[-1].is_zero():
+    while coeffs and is_zero(coeffs[-1]):
         coeffs.pop()
     return tuple(coeffs)
 
@@ -208,8 +208,8 @@ def _check_params(kind: str, params: dict) -> dict:
 
 # -- the kinds ---------------------------------------------------------------------
 
-def _counts(value: RingValue) -> bool:
-    return value.is_constant() and value.as_int() >= 0
+def _counts(value: Coercible) -> bool:
+    return is_constant(value) and as_int(value) >= 0
 
 
 def _eval_q_integer(params, j):
@@ -231,14 +231,14 @@ def _eval_product_shifted(params, j):
     out = 1
     for a in params["shifts"]:
         out *= j + a
-    return RingValue.from_int(out)
+    return out
 
 
 def _eval_oeis_t(params, j):
     r = params["row"]
     if 0 <= j <= r:
-        return RingValue.from_int(((j + 2) // 2) * (r - j + (j + 3) // 2))
-    return RingValue.from_int(0)
+        return ((j + 2) // 2) * (r - j + (j + 3) // 2)
+    return 0
 
 
 def _eval_table(params, j):
@@ -250,7 +250,7 @@ def _eval_table(params, j):
 
 class _Kind(NamedTuple):
     params: dict  # name -> parser, in JSON order; every name but "default" is required
-    evaluate: Callable  # (params, index after the offset) -> RingValue
+    evaluate: Callable  # (params, index after the offset) -> int or RingValue
     combinatorial: Callable  # (params, offset) -> bool
 
 
@@ -277,7 +277,7 @@ _KINDS = {
                     lambda params, offset: True),
     "table": _Kind({"values": _values_in, "default": _value_in}, _eval_table,
                    lambda params, offset: all(map(_counts, (*params["values"].values(),
-                                                           params.get("default", ZERO))))),
+                                                           params.get("default", 0))))),
 }
 
 KINDS = tuple(_KINDS)

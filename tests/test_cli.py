@@ -21,7 +21,7 @@ import pytest
 from wstirling import matrices
 from wstirling.cli import main
 from wstirling.genfunc import b_stirling_by_series
-from wstirling.ring import InexactDivision, RingValue
+from wstirling.ring import InexactDivision, RingValue, as_int
 from wstirling.weights import builtin
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -63,7 +63,7 @@ def test_table_bfile_matches_independent_rows(capsys):
     index = 0
     for n in range(7):
         for k in range(n + 1):
-            expected.append(f"{index} {b_stirling_by_series(n, k).as_int()}")
+            expected.append(f"{index} {as_int(b_stirling_by_series(n, k))}")
             index += 1
     assert out.splitlines() == expected
 
@@ -622,8 +622,29 @@ def test_moved_constants_have_one_home():
     assert not hasattr(combinat, "EnumerationCapExceeded")
 
 
+# perfbench/child.py prints an api job's rows with v.render(), and its tracer
+# wraps RingValue.render, .exact_div and .coerce by name: integer values must
+# not reach the one or stop the other.
+@pytest.mark.parametrize("job, trace, argv", [
+    ({"mode": "api", "weights": ["builtin:classical"], "kind": "first", "alpha": 1, "beta": -1,
+      "nmax": 9}, "0",
+     ["table", "--format", "csv", "--kind", "first", "--weights", "builtin:classical",
+      "--alpha", "1", "--beta", "-1", "--nmax", "9"]),
+    ({"mode": "cli", "weights": ["builtin:classical"]}, "1",
+     ["det", "--kind", "second", "--r", "3", "--s", "1", "--weights", "builtin:classical"]),
+], ids=["api table", "traced det"])
+def test_benchmark_child_prints_what_the_cli_prints(job, trace, argv, tmp_path):
+    done = fresh_python(str(ROOT / "perfbench" / "child.py"), str(ROOT / "src"),
+                        str(tmp_path / "record.json"), trace,
+                        json.dumps(dict(job, id="job", argv=argv)))
+    want = fresh_python("-m", "wstirling.cli", *argv)
+    assert (want.returncode, done.returncode) == (0, 0), done.stderr
+    assert done.stdout == want.stdout
+
+
 # The benchmark's tracer (perfbench/tracer.py) finds the names it wraps with
 # getattr, so a renamed or deleted function stops its traced child outright.
+# Every job evaluates weights; a classical table multiplies no RingValue.
 @pytest.mark.parametrize("job", [
     {"mode": "cli", "weights": ["builtin:classical"], "argv": [
         "table", "--format", "csv", "--kind", "second", "--weights", "builtin:classical",
@@ -639,4 +660,4 @@ def test_traced_benchmark_child_runs(job, tmp_path):
     done = fresh_python(str(ROOT / "perfbench" / "child.py"), str(ROOT / "src"), str(record),
                         "1", json.dumps(dict(job, id="job")))
     assert done.returncode == 0, done.stderr
-    assert json.loads(record.read_text(encoding="utf-8"))["trace"]["calls"]["ring.mul"] > 0
+    assert json.loads(record.read_text(encoding="utf-8"))["trace"]["calls"]["weights.eval"] > 0

@@ -20,7 +20,7 @@ from wstirling.matrices import (
     scaled_q_det_formula,
     scaled_q_hankel_matrix,
 )
-from wstirling.ring import ONE, P, Q, RingValue, X, ZERO, ring_sum
+from wstirling.ring import ONE, P, Q, RingValue, X, ZERO, is_zero, ring_sum
 from wstirling.stirling import bracket, first_kind, second_kind
 from wstirling.weights import CATALOG, UndefinedIndex, WeightPair, WeightSpec, builtin
 
@@ -46,7 +46,7 @@ def det_cofactor(matrix: RingMatrix) -> RingValue:
             got = memo[cols] = ring_sum(
                 (-1) ** idx * rows[row][c] * minor(cols[:idx] + cols[idx + 1:])
                 for idx, c in enumerate(cols)
-                if not rows[row][c].is_zero())
+                if not is_zero(rows[row][c]))
         return got
 
     return minor(tuple(range(n)))
@@ -87,6 +87,16 @@ def test_determinants_integer():
     # needs a row swap
     swapped = RingMatrix([[0, 1], [1, 0]])
     assert determinant(swapped) == -1
+
+
+def test_integer_hankel_matrices_stay_on_ints():
+    for name in ("classical", "legendre", "b-stirling"):
+        for kind in ("first", "second"):
+            hankel = (kind, 4, 1, 1, -1, builtin(name))
+            matrix = hankel_matrix(*hankel)
+            assert {type(e) for row in matrix.rows for e in row} == {int}
+            det = determinant(matrix)
+            assert type(det) is int and det == det_formula(*hankel), (name, kind)
 
 
 def test_determinants_polynomial_paths_agree():

@@ -96,6 +96,13 @@ def test_an_over_budget_color_is_the_counterexample(monkeypatch):
         4, 0, "n=2 k=1 color 2 exceeds the interior budget at 1")
 
 
+def test_a_side_past_the_digit_limit_is_rendered():
+    # str() refuses an int of more than 4300 digits; the counterexample writes it
+    probe = identities._compare(lambda n: f"n={n}", lambda pair, n: 10 ** 5000 + n,
+                                lambda pair, n: 0, ("got", "want"))(None)
+    assert probe(1) == "n=1 got=1" + "0" * 4999 + "1 want=0"
+
+
 def test_every_probe_is_a_comparison():
     # one probe shape: every registry probe is the one _compare builds
     for name, identity in identities.REGISTRY.items():

@@ -19,6 +19,8 @@ from wstirling.ring import (
     InexactDivision,
     NonInvertibleSubstitution,
     TermBudgetExceeded,
+    as_int,
+    is_zero,
     parse,
     product,
     ring_sum,
@@ -130,7 +132,7 @@ def test_construction_refusals():
     with pytest.raises(KeyError, match="unknown variable 'y'"):
         (P + Q).substitute({"y": 1})
     with pytest.raises(ValueError, match="^not a constant: p \\+ 1$"):
-        (P + 1).as_int()
+        as_int(P + 1)
 
 
 def test_parse_render_round_trip_random():
@@ -227,11 +229,65 @@ def test_exact_div_random_products():
     for _ in range(200):
         a = rand_value(rng, max_terms=4)
         b = rand_value(rng, max_terms=4)
-        if b.is_zero():
+        if is_zero(b):
             continue
         assert (a * b).exact_div(b) == a
         checked += 1
     assert checked > 150
+
+
+# -- the value contract: an int or a RingValue ------------------------------------------
+
+@pytest.mark.parametrize("n", [0, 1, -1, -7, 10 ** 5000 + 1],
+                         ids=["0", "1", "-1", "-7", "past the digit limit"])
+def test_ring_functions_treat_an_int_like_its_constant(n):
+    value = RingValue.from_int(n)
+    for fn in (ring.render, ring.is_constant, ring.as_int, ring.is_zero):
+        assert fn(n) == fn(value), fn.__name__
+    assert type(ring.as_int(n)) is int
+    for divisor in filter(None, (1, -1, 7, n)):
+        outcomes = []
+        for dividend, by in ((n, divisor), (value, RingValue.from_int(divisor))):
+            try:
+                outcomes.append(ring.exact_div(dividend, by))
+            except InexactDivision:
+                outcomes.append(InexactDivision)
+        assert outcomes[0] == outcomes[1], divisor
+    assert type(ring.exact_div(n, 1)) is int
+
+
+def test_ring_functions_on_variables():
+    assert not ring.is_constant(P + 1) and not ring.is_zero(P)
+    assert ring.render(P - 2) == "p - 2"
+    assert ring.exact_div(2 * P, 2) == P and ring.exact_div(6, RingValue.from_int(3)) == 2
+
+
+def test_int_division_fails_as_the_method_does():
+    for dividend in (7, RingValue.from_int(7)):
+        with pytest.raises(InexactDivision):
+            ring.exact_div(dividend, 2)
+    for dividend in (0, 5, RingValue.from_int(5)):
+        with pytest.raises(ZeroDivisionError):
+            ring.exact_div(dividend, 0)
+    with pytest.raises(ZeroDivisionError):
+        RingValue.from_int(5).exact_div(0)
+
+
+def test_operators_take_an_int_operand_as_it_is(monkeypatch):
+    def refuse(value):
+        raise AssertionError(f"coerced {value!r}")
+    monkeypatch.setattr(RingValue, "coerce", staticmethod(refuse))
+    v = P - 2
+    assert v + 0 is v and 0 + v is v
+    assert v * 1 is v and 1 * v is v
+    assert v * 0 is ZERO and 0 * v is ZERO
+    assert v + 1 == 1 + v == P - 1 and v + -1 == -1 + v == P - 3
+    assert v * -1 == -1 * v == 2 - P and v * 3 == 3 * v == 3 * P - 6
+    assert v - 1 == P - 3 and 1 - v == 3 - P
+    # a constant that cancels the constant term leaves no zero coefficient behind
+    assert (v + 2).terms == (2 + v).terms == P.terms
+    assert (RingValue.from_int(4) + -4).terms == {}
+    assert isinstance(ZERO + 3, RingValue) and ZERO + 3 == 3
 
 
 def test_product_and_sum_helpers():

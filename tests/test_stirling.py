@@ -5,7 +5,8 @@ import pytest
 
 from wstirling import identities, ring, symfunc, weights
 from wstirling.genfunc import b_stirling_by_series, b_stirling_row_by_product
-from wstirling.ring import ONE, P, Q, RingValue, TermBudgetExceeded, X, ZERO, product, ring_sum
+from wstirling.ring import (ONE, P, Q, RingValue, TermBudgetExceeded, X, ZERO, as_int, product,
+                            ring_sum)
 from wstirling.stirling import (
     StirlingTable,
     _table,
@@ -126,8 +127,8 @@ def test_tri_matches_def_on_catalog_sample():
 
 def test_recurrence_tables_never_pack(monkeypatch):
     # definition against recurrence checks the packed lines and their decoding
-    # only while the recurrence stays on RingValue arithmetic; routed through
-    # the packed backend, it would compare that backend with itself
+    # only while the recurrence stays on the values' own arithmetic; routed
+    # through the packed backend, it would compare that backend with itself
     def refuse(values):
         raise AssertionError("a recurrence table asked for a packed line")
 
@@ -144,6 +145,23 @@ def test_recurrence_tables_never_pack(monkeypatch):
     for (name, kind, alpha, beta), rows in got.items():
         table = StirlingTable(builtin(name), kind, alpha, beta)
         assert rows == [table.row(n) for n in range(10)], (name, kind, alpha, beta)
+
+
+@pytest.mark.parametrize("method", ["definition", "recurrence"])
+def test_integer_weights_give_int_entries_and_rows_give_ring_values(method):
+    for name in ("classical", "legendre", "b-stirling"):
+        pair = builtin(name)
+        for kind in ("first", "second"):
+            for alpha, beta in [(0, 0), (2, -1)]:
+                table = StirlingTable(pair, kind, alpha, beta, method=method)
+                for n in range(9):
+                    values = [table.value(n, k) for k in range(-1, n + 2)]
+                    assert {type(v) for v in values} == {int}, (name, kind, n)
+                    row = table.row(n)
+                    assert all(type(v) is RingValue for v in row) and row == values[1:-1]
+            value_fn = first_kind if kind == "first" else second_kind
+            assert {type(value_fn(pair, 1, 1, n, k))
+                    for n in range(9) for k in range(n + 1)} == {int}, (name, kind)
 
 
 def test_table_memo_entries_match_definition():
@@ -209,7 +227,7 @@ def test_no_recursion_depth_limit(method):
         // math.factorial(k)
     assert StirlingTable(CLASSICAL, "second", method=method).value(n, k) == want
     row = StirlingTable(CLASSICAL, "first", method=method).row(1100)
-    assert [v.as_int() for v in row] == rising_factorial_row(1100)
+    assert [as_int(v) for v in row] == rising_factorial_row(1100)
 
 
 def test_vertical_examples():
@@ -295,7 +313,7 @@ def test_pq_closed_forms():
 def test_pq_binomial_specializations():
     for n in range(11):
         for k in range(n + 1):
-            value = pq_binomial(n, k)
+            value = RingValue.coerce(pq_binomial(n, k))  # 1 at n = k = 0
             assert value.substitute({"p": 1}) == gaussian_binomial(n, k)
             assert value.substitute({"p": 1, "q": 1}) == math.comb(n, k)
 
@@ -315,7 +333,7 @@ def test_carlitz_double_sum():
             for j in range(k, n + 1):
                 for t in range(j + 1, n + 2):
                     total += (-1) ** (t - j - 1) * math.comb(t, j + 1) \
-                        * first_kind(CLASSICAL, 0, 0, n + 1, t).as_int()
+                        * as_int(first_kind(CLASSICAL, 0, 0, n + 1, t))
             assert first_kind(CLASSICAL, 0, 0, n, k) == total, f"({n},{k})"
 
 
@@ -325,7 +343,7 @@ def test_bracket():
     two = bracket(2, 0, 0, PQ)
     assert two == (X - P * Q ** -1) * (X - 1)
     for n in range(5):
-        b = bracket(n, 1, -1, builtin("jacobi"))
+        b = RingValue.coerce(bracket(n, 1, -1, builtin("jacobi")))  # 1 at n = 0
         assert b.degree("x") == n
         assert b.coefficient("x", n) == 1
     with pytest.raises(ValueError):

@@ -5,7 +5,7 @@ import pytest
 
 from wstirling import ring
 from wstirling.ring import (ONE, P, Q, Z, ExponentOverflow, RingValue, X, ZERO, packed_line,
-                            parse, ring_sum, product)
+                            as_int, parse, ring_sum, product)
 from wstirling.symfunc import elementary_all, elementary_dp, homogeneous_series, homogeneous_step
 from wstirling.weights import WeightSpec, builtin
 
@@ -71,13 +71,13 @@ def test_generating_function_duality():
 def test_bulk_helpers_agree():
     # the public functions against their DPs, on RingValues and on plain ints
     xs = (P, Q, 3, P * Q)
-    assert elementary_all(xs) == elementary_dp(xs, ONE, ZERO)
+    assert elementary_all(xs) == elementary_dp(xs)
     assert list(itertools.islice(homogeneous_series(xs), 5)) == dict_homogeneous(xs, 4)
     ints = (2, -1, 3, 0, 5, 4)
     h = [1] * len(ints)
-    assert elementary_all(ints) == elementary_dp(ints, 1, 0)
+    assert elementary_all(ints) == elementary_dp(ints)
     assert list(itertools.islice(homogeneous_series(ints), 4)) == \
-        [1] + [homogeneous_step(ints, h, 0) for _ in range(3)]
+        [1] + [homogeneous_step(ints, h) for _ in range(3)]
     assert elementary_all(()) == [ONE]
     assert next(homogeneous_series(())) == ONE
 
@@ -109,13 +109,13 @@ def five(*values):
 def dict_homogeneous(values, degree):
     """h_0 .. h_degree of values by the h-DP on RingValues alone."""
     h = [ONE] * len(values)
-    return [ONE] + [homogeneous_step(values, h, ZERO) for _ in range(degree)]
+    return [ONE] + [homogeneous_step(values, h) for _ in range(degree)]
 
 
 def assert_packed_matches(values, degree):
     """values pack, and both public DPs over them equal the dict DPs."""
     assert packed_line(values) is not None
-    assert elementary_all(values) == elementary_dp(values, ONE, ZERO)
+    assert elementary_all(values) == elementary_dp(values)
     assert list(itertools.islice(homogeneous_series(values), degree + 1)) == \
         dict_homogeneous(values, degree)
 
@@ -152,7 +152,7 @@ def test_line_kinds():
         assert not packed_line(LINES[name]).is_integer, name
     # the boundary case is what it claims: the DP at z = 1 reaches exactly 16 bits
     values = LINES["byte boundary"]
-    assert max(elementary_dp(packed_line(values).ones, 1, 0)).bit_length() == 16
+    assert max(elementary_dp(packed_line(values).ones)).bit_length() == 16
     assert elementary_all(values)[2] == Z ** 2 + 510 * Z + 65024
 
 
@@ -162,7 +162,7 @@ def test_column_outgrows_its_width():
     values = q_integers(7, 8, 9, 10, 11)
     assert_packed_matches(values, 22)
     want = dict_homogeneous(values, 22)[-1]
-    assert want.substitute({"q": 1}).as_int().bit_length() == 85
+    assert as_int(want.substitute({"q": 1})).bit_length() == 85
     assert len(want.terms) == 221
 
 

@@ -6,7 +6,7 @@ import time
 import pytest
 
 from wstirling import weights
-from wstirling.ring import P, Q, RingValue, Z, parse
+from wstirling.ring import P, Q, RingValue, Z, as_int, parse
 from wstirling.weights import (
     CATALOG,
     KINDS,
@@ -94,9 +94,9 @@ def test_product_shifted_weight():
 
 def test_oeis_row_weight():
     spec = WeightSpec("oeis-T", row=2)
-    assert [spec.eval(j).as_int() for j in range(-1, 4)] == [0, 3, 3, 4, 0]
+    assert [as_int(spec.eval(j)) for j in range(-1, 4)] == [0, 3, 3, 4, 0]
     wide = WeightSpec("oeis-T", row=5)
-    assert [wide.eval(j).as_int() for j in range(6)] == [6, 6, 10, 10, 12, 12]
+    assert [as_int(wide.eval(j)) for j in range(6)] == [6, 6, 10, 10, 12, 12]
 
 
 def test_table_weight():
@@ -169,8 +169,8 @@ def test_b_stirling_products_match_oeis_rows():
     for k in range(2, 13):
         row = WeightSpec("oeis-T", row=k - 2)
         products = sorted(
-            (b.v.eval(k - j) * b.w.eval(j)).as_int() for j in range(k + 1))
-        entries = sorted(row.eval(j).as_int() for j in range(k + 1))
+            as_int(b.v.eval(k - j) * b.w.eval(j)) for j in range(k + 1))
+        entries = sorted(as_int(row.eval(j)) for j in range(k + 1))
         assert products == entries, f"k={k}: {products} != {entries}"
 
 
@@ -226,7 +226,15 @@ def test_catalog_evaluates_everywhere():
         pair = builtin(name)
         for spec in (pair.v, pair.w):
             for i in range(-4, 8):
-                assert isinstance(spec.eval(i), RingValue), (name, i)
+                assert isinstance(spec.eval(i), (int, RingValue)), (name, i)
+
+
+def test_integer_catalog_weights_are_ints():
+    for name in ("classical", "legendre", "b-stirling", "noncentral(1)", "noncentral(-1)",
+                 "merris(2)", "sun(2)"):
+        pair = builtin(name)
+        for spec in (pair.v, pair.w):
+            assert {type(spec.eval(i)) for i in range(-4, 8)} == {int}, name
 
 
 # one spec per kind, with every parameter it takes
