@@ -15,12 +15,12 @@ from __future__ import annotations
 
 from math import comb
 
-from .ring import P, Q, RingValue, X, product, ring_sum
+from .ring import Coercible, P, Q, RingValue, X, product, ring_sum
 from .stirling import bracket, pq_binomial, second_kind
 from .weights import WeightPair, WeightSpec, builtin
 
 
-def cgf_product(n: int, alpha: int, beta: int, weights: WeightPair) -> RingValue:
+def cgf_product(n: int, alpha: int, beta: int, weights: WeightPair) -> Coercible:
     """Row generating function of the first kind: prod_j (x + v.w products)."""
     if n < 0:
         raise ValueError("row index must be nonnegative")
@@ -37,7 +37,7 @@ def _geometric(rates, upto: int) -> list:
     return coeffs
 
 
-def sgf_series(k: int, order: int, alpha: int, beta: int, weights: WeightPair) -> RingValue:
+def sgf_series(k: int, order: int, alpha: int, beta: int, weights: WeightPair) -> Coercible:
     """Column generating function of the second kind, truncated at x^order."""
     if k < 0:
         raise ValueError("column index must be nonnegative")
@@ -48,7 +48,7 @@ def sgf_series(k: int, order: int, alpha: int, beta: int, weights: WeightPair) -
     return ring_sum(c * X ** (k + d) for d, c in enumerate(coeffs))
 
 
-def basis_expansion(n: int, alpha: int, beta: int, weights: WeightPair) -> RingValue:
+def basis_expansion(n: int, alpha: int, beta: int, weights: WeightPair) -> Coercible:
     """The bracket-basis expansion of x^n, which equals x^n."""
     if n < 0:
         raise ValueError("exponent must be nonnegative")
@@ -59,7 +59,7 @@ def basis_expansion(n: int, alpha: int, beta: int, weights: WeightPair) -> RingV
 
 # -- p,q specializations: each returns its residual, 0 where the form holds -----
 
-def pq_product_form_residual(n: int) -> RingValue:
+def pq_product_form_residual(n: int) -> Coercible:
     """Row form for V=(p^i, q^i): both the direct sum and the rescaled
     substitution of cgf_product must equal prod_t (p^t + x q^t); the direct
     sum's residual comes first."""
@@ -72,7 +72,7 @@ def pq_product_form_residual(n: int) -> RingValue:
     return (direct - target) if direct != target else (rescaled - target)
 
 
-def pq_series_reduction_residual(k: int, n: int) -> RingValue:
+def pq_series_reduction_residual(k: int, n: int) -> Coercible:
     """Column form for V=(p^i, q^i): coefficient x^n of the geometric expansion
     of the displayed product, x^k / prod_j (1 - p^(k-j) q^j x), against the
     symmetric-function value pq_binomial(n, k)."""
@@ -82,7 +82,7 @@ def pq_series_reduction_residual(k: int, n: int) -> RingValue:
     return coeffs[n - k] - pq_binomial(n, k)
 
 
-def pq_basis_form_residual(n: int) -> RingValue:
+def pq_basis_form_residual(n: int) -> Coercible:
     """Bracket-basis expansion specialized to V=(p^i, q^i), written with
     one-variable-per-side scaling."""
     return ring_sum(
@@ -101,7 +101,7 @@ def b_stirling_row_by_product(n: int) -> list:
     return [poly.coefficient("x", d) for d in range(n + 1)]
 
 
-def b_stirling_by_series(n: int, k: int) -> RingValue:
+def b_stirling_by_series(n: int, k: int) -> Coercible:
     """Second-kind value at (n, k) for V=(i,i): the x^n coefficient of
     x^k / prod_j (1 - T_j x), T_j the entries of tabulated row k-2."""
     if k < 0 or n < k:

@@ -200,7 +200,7 @@ def tau(tableau: BTableau, n: int, k: int, alpha: int, beta: int) -> BTableau:
 
 
 def weight_sum(kind: str, n: int, k: int, alpha: int, beta: int,
-               weights: WeightPair) -> RingValue:
+               weights: WeightPair) -> Coercible:
     """Total weight over the tableau set that realizes a Stirling number:
     distinct tops over (n-1, n-k) for the first kind, plain tableaux over
     (k, n-k) for the second."""
