@@ -195,6 +195,8 @@ class RingValue:
             if not other:
                 return self
             other = RingValue._raw({_UNIT: other})
+        elif not isinstance(other, RingValue):
+            return NotImplemented
         if not self.terms:
             return other
         if not other.terms:
@@ -226,6 +228,8 @@ class RingValue:
             if not other:
                 return ZERO
             return RingValue._raw({k: c * other for k, c in self.terms.items()})
+        if not isinstance(other, RingValue):
+            return NotImplemented
         a, b = self.terms, other.terms
         if not a or not b:
             return ZERO

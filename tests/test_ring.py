@@ -288,6 +288,9 @@ def test_operators_take_an_int_operand_as_it_is(monkeypatch):
     assert (v + 2).terms == (2 + v).terms == P.terms
     assert (RingValue.from_int(4) + -4).terms == {}
     assert isinstance(ZERO + 3, RingValue) and ZERO + 3 == 3
+    for op in (lambda: v + 1.5, lambda: 1.5 * v, lambda: v - "1"):
+        with pytest.raises(TypeError):
+            op()
 
 
 def test_product_and_sum_helpers():
