@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from math import comb
 
-from .ring import Coercible, P, Q, exact_div, is_zero, product, render, ring_sum
+from .ring import Coercible, P, Q, checked, exact_div, product, render, ring_sum
 from .stirling import KINDS, first_kind, pq_binomial, second_kind
 from .weights import WeightPair, WeightSpec, builtin
 
@@ -53,7 +53,7 @@ class RingMatrix:
     __slots__ = ("rows",)
 
     def __init__(self, rows):
-        grid = tuple(tuple(row) for row in rows)
+        grid = tuple(tuple(map(checked, row)) for row in rows)
         if not grid or any(len(row) != len(grid) for row in grid):
             raise ValueError("matrix must be square and at least 1x1")
         self.rows = grid
@@ -115,7 +115,7 @@ def determinant(matrix: RingMatrix) -> Coercible:
     sign = 1
     prev = 1
     for col in range(n - 1):
-        pivot_row = next((i for i in range(col, n) if not is_zero(m[i][col])), None)
+        pivot_row = next((i for i in range(col, n) if m[i][col]), None)
         if pivot_row is None:
             return 0
         if pivot_row != col:
@@ -220,7 +220,7 @@ def inverse_relation_apply(direction: str, sequence, r: int, alpha: int, beta: i
     """
     if direction not in DIRECTIONS:
         raise ValueError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
-    seq = list(sequence)
+    seq = list(map(checked, sequence))
     if len(seq) != r + 1:
         raise ValueError(f"sequence must have length r+1 = {r + 1}, got {len(seq)}")
     family, leg = direction.split("-")

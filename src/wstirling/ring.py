@@ -10,8 +10,9 @@ arise (weights, integer table lines, sums and products of ints); parse(),
 StirlingTable.row and any value that holds a variable are RingValues.  A
 RingValue may still hold a constant, and equality, hashing and render treat
 it like the int.  The operators take an int operand as it is, and the module
-functions render, exact_div, is_constant, as_int and is_zero take either
-kind, so the int case lives in this module alone.
+functions render, exact_div, is_constant, as_int and checked take either
+kind, so the int case lives in this module alone.  Both kinds test zero
+with `not value`.
 
 The key of the exponent vector (ep, eq, ez, ex) is
 
@@ -386,8 +387,8 @@ class RingValue:
         return NotImplemented
 
     def __hash__(self) -> int:
-        if is_constant(self):
-            return hash(as_int(self))
+        if self.terms.keys() <= _ONE_TERMS.keys():
+            return hash(self.terms.get(_UNIT, 0))
         return hash(frozenset(self.terms.items()))
 
     def __repr__(self) -> str:
@@ -513,8 +514,9 @@ X = RingValue.monomial(1, x=1)
 
 # -- operations on a value of either kind, an int or a RingValue ---------------------
 
-def is_zero(value: Coercible) -> bool:
-    return not value
+def checked(value) -> Coercible:
+    """value itself if an int, else RingValue.coerce(value), which refuses a non-ring type."""
+    return value if isinstance(value, int) else RingValue.coerce(value)
 
 
 def is_constant(value: Coercible) -> bool:

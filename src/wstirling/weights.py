@@ -18,7 +18,7 @@ import re
 from functools import lru_cache
 from typing import Callable, Mapping, NamedTuple
 
-from .ring import Coercible, RingValue, as_int, is_constant, is_zero, render, ring_sum
+from .ring import Coercible, RingValue, as_int, is_constant, render, ring_sum
 from .ring import parse as parse_ring
 
 _BASES = ("p", "q", "z")
@@ -145,7 +145,7 @@ def _value_in(value) -> Coercible:
     out = parse_ring(value) if isinstance(value, str) else RingValue.coerce(value)
     if out.degree("x") > 0:
         raise ValueError("weights may not use the series variable x")
-    return out if isinstance(value, str) else value  # an int stays an int
+    return as_int(out) if is_constant(out) else out
 
 
 def _value_out(value):
@@ -178,7 +178,7 @@ def _coefficients_in(coefficients) -> tuple:
     if not isinstance(coefficients, (list, tuple)):
         raise ValueError("polynomial coefficients must be a list, lowest degree first")
     coeffs = [_value_in(c) for c in coefficients]
-    while coeffs and is_zero(coeffs[-1]):
+    while coeffs and not coeffs[-1]:
         coeffs.pop()
     return tuple(coeffs)
 

@@ -644,20 +644,23 @@ def test_benchmark_child_prints_what_the_cli_prints(job, trace, argv, tmp_path):
 
 # The benchmark's tracer (perfbench/tracer.py) finds the names it wraps with
 # getattr, so a renamed or deleted function stops its traced child outright.
-# Every job evaluates weights; a classical table multiplies no RingValue.
-@pytest.mark.parametrize("job", [
-    {"mode": "cli", "weights": ["builtin:classical"], "argv": [
+# A classical table multiplies no RingValue, so that job counts weight
+# evaluations; the others still multiply RingValues.
+@pytest.mark.parametrize("job,counter", [
+    ({"mode": "cli", "weights": ["builtin:classical"], "argv": [
         "table", "--format", "csv", "--kind", "second", "--weights", "builtin:classical",
-        "--nmax", "6"]},
-    {"mode": "api", "weights": ["builtin:jacobi"], "kind": "first", "alpha": 1, "beta": 0,
-     "nmax": 6},
-    {"mode": "cli", "weights": ["builtin:q-stirling"], "argv": [
+        "--nmax", "6"]}, "weights.eval"),
+    ({"mode": "api", "weights": ["builtin:jacobi"], "kind": "first", "alpha": 1, "beta": 0,
+      "nmax": 6}, "ring.mul"),
+    ({"mode": "cli", "weights": ["builtin:q-stirling"], "argv": [
         "det", "--kind", "second", "--r", "3", "--s", "1", "--weights", "builtin:q-stirling"]},
-    {"mode": "cli", "weights": "catalog", "argv": ["verify", "--suite", "tableaux", "--nmax", "3"]},
+     "ring.mul"),
+    ({"mode": "cli", "weights": "catalog", "argv": ["verify", "--suite", "tableaux", "--nmax", "3"]},
+     "ring.mul"),
 ], ids=["table", "api table", "det", "verify"])
-def test_traced_benchmark_child_runs(job, tmp_path):
+def test_traced_benchmark_child_runs(job, counter, tmp_path):
     record = tmp_path / "record.json"
     done = fresh_python(str(ROOT / "perfbench" / "child.py"), str(ROOT / "src"), str(record),
                         "1", json.dumps(dict(job, id="job")))
     assert done.returncode == 0, done.stderr
-    assert json.loads(record.read_text(encoding="utf-8"))["trace"]["calls"]["weights.eval"] > 0
+    assert json.loads(record.read_text(encoding="utf-8"))["trace"]["calls"][counter] > 0

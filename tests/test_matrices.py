@@ -20,7 +20,7 @@ from wstirling.matrices import (
     scaled_q_det_formula,
     scaled_q_hankel_matrix,
 )
-from wstirling.ring import ONE, P, Q, RingValue, X, ZERO, is_zero, ring_sum
+from wstirling.ring import ONE, P, Q, RingValue, X, ZERO, ring_sum
 from wstirling.stirling import bracket, first_kind, second_kind
 from wstirling.weights import CATALOG, UndefinedIndex, WeightPair, WeightSpec, builtin
 
@@ -46,7 +46,7 @@ def det_cofactor(matrix: RingMatrix) -> RingValue:
             got = memo[cols] = ring_sum(
                 (-1) ** idx * rows[row][c] * minor(cols[:idx] + cols[idx + 1:])
                 for idx, c in enumerate(cols)
-                if not is_zero(rows[row][c]))
+                if rows[row][c])
         return got
 
     return minor(tuple(range(n)))
@@ -175,6 +175,13 @@ def test_inverse_pair_catalog_sweep():
         for kind in ("beta", "alpha"):
             for alpha, beta in [(0, 0), (-2, 1), (1, -2)]:
                 assert_two_sided_inverse(kind, 4, alpha, beta, pair)
+
+
+def test_entries_outside_the_ring_are_refused():
+    with pytest.raises(TypeError, match="^cannot coerce float into the ring$"):
+        RingMatrix([[1.5]])
+    with pytest.raises(TypeError, match="^cannot coerce float into the ring$"):
+        inverse_relation_apply("beta-forward", [1, 2.5], 1, 0, 1, CLASSICAL)
 
 
 def test_inverse_relation_round_trips():

@@ -20,7 +20,6 @@ from wstirling.ring import (
     NonInvertibleSubstitution,
     TermBudgetExceeded,
     as_int,
-    is_zero,
     parse,
     product,
     ring_sum,
@@ -129,6 +128,8 @@ def test_construction_refusals():
         RingValue({(1, 2, 3): 1})
     with pytest.raises(TypeError, match="^cannot coerce float into the ring$"):
         RingValue.coerce(1.5)
+    with pytest.raises(TypeError, match="^cannot coerce float into the ring$"):
+        ring.checked(1.5)
     with pytest.raises(KeyError, match="unknown variable 'y'"):
         (P + Q).substitute({"y": 1})
     with pytest.raises(ValueError, match="^not a constant: p \\+ 1$"):
@@ -229,7 +230,7 @@ def test_exact_div_random_products():
     for _ in range(200):
         a = rand_value(rng, max_terms=4)
         b = rand_value(rng, max_terms=4)
-        if is_zero(b):
+        if not b:
             continue
         assert (a * b).exact_div(b) == a
         checked += 1
@@ -242,8 +243,9 @@ def test_exact_div_random_products():
                          ids=["0", "1", "-1", "-7", "past the digit limit"])
 def test_ring_functions_treat_an_int_like_its_constant(n):
     value = RingValue.from_int(n)
-    for fn in (ring.render, ring.is_constant, ring.as_int, ring.is_zero):
+    for fn in (ring.render, ring.is_constant, ring.as_int, ring.checked, bool):
         assert fn(n) == fn(value), fn.__name__
+    assert ring.checked(n) is n and ring.checked(value) is value
     assert type(ring.as_int(n)) is int
     for divisor in filter(None, (1, -1, 7, n)):
         outcomes = []
@@ -257,7 +259,7 @@ def test_ring_functions_treat_an_int_like_its_constant(n):
 
 
 def test_ring_functions_on_variables():
-    assert not ring.is_constant(P + 1) and not ring.is_zero(P)
+    assert not ring.is_constant(P + 1) and P
     assert ring.render(P - 2) == "p - 2"
     assert ring.exact_div(2 * P, 2) == P and ring.exact_div(6, RingValue.from_int(3)) == 2
 

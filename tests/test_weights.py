@@ -237,6 +237,15 @@ def test_integer_catalog_weights_are_ints():
             assert {type(spec.eval(i)) for i in range(-4, 8)} == {int}, name
 
 
+def test_constant_parameters_are_ints_in_either_json_form():
+    # "2" and 2 give equal specs, so they must give values of one kind
+    for spec in (WeightSpec("constant", value="2"), WeightSpec("constant", value=2),
+                 WeightSpec("polynomial", coefficients=["1", 2, " 0 "]),
+                 WeightSpec("table", values={"0": "-3"}, default="2")):
+        assert {type(spec.eval(i)) for i in range(-2, 3)} == {int}, spec
+    assert WeightSpec("constant", value="2") == WeightSpec("constant", value=2)
+
+
 # one spec per kind, with every parameter it takes
 SAMPLES = {
     "constant": {"value": "p - 2"},
