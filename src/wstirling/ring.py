@@ -46,12 +46,13 @@ certified by a coefficient bound, and otherwise, or to name a failure, by
 leading-term cancellation.  Every product ends in the same guard test.
 
 A second format serves the symmetric-function DP in symfunc: packed_line()
-turns a line of integer values, or of values in one variable with
-nonnegative coefficients, into Python ints the DP can run on (Kronecker
-substitution again), and PackedLine.decode() turns each entry back into a
-RingValue.  One builder, _slot_lists, lays out the slots of both big-int
-formats under one density limit, at most _SPREAD slots a term, and one
-signed codec packs them.  See "packed lines" below.
+turns a line of values in one variable with nonnegative coefficients into
+Python ints the DP can run on (Kronecker substitution again), and
+PackedLine.decode() turns each entry back into a RingValue; a line of
+integer values needs no packing, as the DP runs on its ints.  One builder,
+_slot_lists, lays out the slots of both big-int formats under one density
+limit, at most _SPREAD slots a term, and one signed codec packs them.  See
+"packed lines" below.
 """
 
 from __future__ import annotations
@@ -493,10 +494,9 @@ def _div_kronecker(terms: dict, dterms: dict) -> dict | None:
     dmax = max(map(abs, sd))
     size = max(dmax, max(map(abs, sn))).bit_length() // 8 + 2  # a sign bit, a byte to spare
     quotient, rem = divmod(_pack_slots(sn, size), _pack_slots(sd, size))
-    try:
-        coeffs = _unpack_slots(quotient, size, count)
-    except OverflowError:  # count slots do not hold it
-        return None
+    # every slot is below 2^(8 size - 9), so |quotient| < B^count / 499 for
+    # B = 2^(8 size), and count slots always hold it
+    coeffs = _unpack_slots(quotient, size, count)
     if rem or max(map(abs, coeffs)) * dmax * min(count, len(sd)) >> (8 * size - 1):
         return None
     out = _slot_terms(coeffs, _UNIT + (zn - zd) * step, step)
@@ -616,28 +616,26 @@ def parse(text: str) -> RingValue:
 # -- packed lines --------------------------------------------------------------------
 #
 # symfunc runs its DP over one line of values; a table's definition path
-# hands it a first-kind row or a second-kind column of weight products.  Two
-# kinds of line run it on Python ints instead of dicts:
+# hands it a first-kind row or a second-kind column of weight products.  A
+# line whose products all lie in one variable y of p, q, z and have
+# nonnegative coefficients runs it on Python ints instead of dicts: the
+# product sum c_e y^e is packed as the int sum c_e 2^(8B(e - S)), S the least
+# exponent of the line (Kronecker substitution).  The DP over the packed
+# products then yields y^(-tS) times its entry t, packed, as long as no
+# coefficient reaches 2^(8B - 1).  With nonnegative coefficients, no
+# coefficient of an entry, or of any value the DP builds on the way to it,
+# exceeds its value at y = 1.  So the same DP run first on the values at
+# y = 1 bounds every coefficient, and B is the byte count of that bound and a
+# sign bit: the slot codec, _pack_slots and _unpack_slots, is the signed one
+# RingValue's Kronecker products use.  Values are packed and unpacked a byte
+# string at a time, in time linear in their size.
 #
-# * every product is an integer: the DP runs on the integers themselves;
-# * every product lies in one variable y of p, q, z and has nonnegative
-#   coefficients: the product sum c_e y^e is packed as the int
-#   sum c_e 2^(8B(e - S)), S the least exponent of the line (Kronecker
-#   substitution).  The DP over the packed products then yields y^(-tS)
-#   times its entry t, packed, as long as no coefficient reaches 2^(8B - 1).
-#   With nonnegative coefficients, no coefficient of an entry, or of any
-#   value the DP builds on the way to it, exceeds its value at y = 1.  So
-#   the same DP run first on the values at y = 1 bounds every coefficient,
-#   and B is the byte count of that bound and a sign bit: the slot codec,
-#   _pack_slots and _unpack_slots, is the signed one RingValue's Kronecker
-#   products use.  Values are packed and unpacked a byte string at a time,
-#   in time linear in their size.
-#
-# Every other line stays on dicts.  So does a line of fewer than _MIN_PRODUCTS
-# products, whose DP is a handful of ring operations, fewer than packing costs
-# to set up; a line whose packed products would be mostly zeros, more than
-# _SPREAD slots a term (1 + q^100, say), which costs the packed DP more than it
-# saves; and every line the packed DP could take past the term budget or the
+# Every other line runs the DP on its values as they are: a line of integer
+# values on its ints, the rest on dicts.  So does a line of fewer than
+# _MIN_PRODUCTS products, whose DP is a handful of ring operations, fewer than
+# packing costs to set up; a line whose packed products would be mostly zeros,
+# more than _SPREAD slots a term (1 + q^100, say), which costs the packed DP
+# more than it saves; and every line the packed DP could take past the term budget or the
 # exponent range, so that the dict path raises there exactly as it would have.
 # _slot_lists applies the same limit to the factors of a Kronecker product.
 
@@ -646,26 +644,23 @@ _SPREAD = 4
 
 
 class PackedLine:
-    """One line of values, ready for a DP on Python ints.
+    """One line of values in one variable y, ready for a DP on Python ints.
 
-    ones holds the products' values at y = 1 (for an integer line, the
-    integers themselves, which is all its DP needs), and packed the products
-    packed at the current width, first that of their largest coefficient.
-    An entry the DP builds from t products (e_t, or h_t) decodes with
-    decode(entry, t).
+    ones holds the products' values at y = 1, and packed the products packed
+    at the current width, first that of their largest coefficient.  An entry
+    the DP builds from t products (e_t, or h_t) decodes with decode(entry, t).
     """
 
-    __slots__ = ("ones", "packed", "is_integer", "_low", "_top", "_step", "_size")
+    __slots__ = ("ones", "packed", "_low", "_top", "_step", "_size")
 
-    def __init__(self, ones, slots=None, low=0, step=0):
+    def __init__(self, ones, slots, low, step):
         self.ones = ones
-        self.is_integer = slots is None
         self._low = low  # S
-        self._top = max(map(len, slots)) - 1 if slots else 0  # the largest slot used
+        self._top = max(map(len, slots)) - 1  # the largest slot used
         self._step = step  # key of y^(e+1) minus key of y^e
         # bytes per slot, first enough for the largest coefficient and its sign
-        self._size = max(map(max, filter(None, slots))).bit_length() // 8 + 1 if slots else 0
-        self.packed = [_pack_slots(row, self._size) for row in slots] if slots else None
+        self._size = max(map(max, filter(None, slots))).bit_length() // 8 + 1
+        self.packed = [_pack_slots(row, self._size) for row in slots]
 
     def fits(self, degree: int) -> bool:
         """Whether the DP may build entries of up to degree products here.
@@ -701,11 +696,9 @@ class PackedLine:
 
 def packed_line(values) -> PackedLine | None:
     """The products values, ints or RingValues, as a PackedLine, or None where
-    they must stay on dicts."""
-    if len(values) < _MIN_PRODUCTS:
+    the DP must run on the values as they are."""
+    if len(values) < _MIN_PRODUCTS or all(map(is_constant, values)):
         return None
-    if all(map(is_constant, values)):
-        return PackedLine(list(map(as_int, values)))
     terms = [RingValue.coerce(value).terms for value in values]
     if any(c < 0 for t in terms for c in t.values()):
         return None

@@ -15,9 +15,9 @@ the products and in the arithmetic.  Every value is an int or a RingValue
 (see wstirling.ring): a line of integer weight products, as for classical,
 legendre, merris, sun and b-stirling, builds int entries on either method.
 Method "definition" hands the line to elementary_all or homogeneous_series,
-which pick the arithmetic: the ints themselves, packed ints for the
-one-variable lines of q-stirling and jacobi at nonnegative indices,
-RingValues for the rest.  Method "recurrence" runs elementary_dp and
+which pick the arithmetic: packed ints for the one-variable lines of
+q-stirling and jacobi at nonnegative indices, and the values as they are,
+ints or RingValues, for the rest.  Method "recurrence" runs elementary_dp and
 homogeneous_dict_series over the reversed line on the values as they are;
 RingValue products pick their own arithmetic: a one-term factor shifts the
 other's keys (pq-binomial, q-binomial, zeta), two values dense in one

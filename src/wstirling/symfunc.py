@@ -9,9 +9,10 @@ mix ints and RingValues, and an entry over ints alone is an int.  Brute-force
 enumeration lives in the tests as an oracle.
 
 elementary_all and homogeneous_series pick the backend: where
-ring.packed_line accepts xs, they run the DP on its ints, which an integer
-line returns as they are and any other line decodes into the RingValue the
-DP on values would build; elsewhere they run it on the values.
+ring.packed_line accepts xs, a line in one variable, they run the DP on its
+packed ints and decode each entry into the RingValue the DP on values would
+build; elsewhere, a line of integers included, they run it on the values as
+they are.
 homogeneous_dict_series is the h-DP on the values alone, from degree 0 or
 from a state the packed DP hands back; it is homogeneous_series' fallback,
 and StirlingTable's recurrence method calls it and elementary_dp directly,
@@ -30,10 +31,7 @@ def elementary_all(xs: Sequence[Coercible]) -> list:
     line = packed_line(xs)
     if line is None or not line.fits(len(xs)):
         return elementary_dp(xs)
-    at_one = elementary_dp(line.ones)
-    if line.is_integer:
-        return at_one
-    line.widen(max(at_one))
+    line.widen(max(elementary_dp(line.ones)))
     return [line.decode(e, t) for t, e in enumerate(elementary_dp(line.packed))]
 
 
@@ -57,9 +55,7 @@ def homogeneous_series(xs: Sequence[Coercible]) -> Iterator[Coercible]:
     yield 1
     line = packed_line(xs)
     h = [1] * len(xs)
-    if line is not None and line.is_integer:
-        xs = line.ones  # the DP runs on the integers themselves
-    elif line is not None:
+    if line is not None:
         h = yield from _homogeneous_packed(line)
     yield from homogeneous_dict_series(xs, h)
 

@@ -152,7 +152,7 @@ def _value_out(value):
     """The JSON form of a parsed parameter: ring values as ints or strings,
     tuples as lists, maps with string keys."""
     if isinstance(value, RingValue):
-        return as_int(value) if is_constant(value) else render(value)
+        return render(value)
     if isinstance(value, tuple):
         return [_value_out(v) for v in value]
     if isinstance(value, dict):

@@ -11,10 +11,11 @@ library `random` only, with a fixed seed, so every run checks the same pairs.
 A weight value is a small integer, a bare variable, or now and then a value
 in the pair's one variable: several terms with positive coefficients, or
 with a negative constant, or with negative exponents.  So the definition
-path's lines reach every backend `ring.packed_line` picks, and the test
-counts each one: a line that stays on dicts, an integer line, a packed line
-of monomials or with a multi-term product, a line whose slots widen and
-re-pack, and a column handed back to the dict DP.  Every other pair runs
+path's lines reach every backend symfunc picks, and the test counts each
+one: a line that stays on dicts, an integer line (all its values constant,
+so the DP runs on its ints), a packed line of monomials or with a
+multi-term product, a line whose slots widen and re-pack, and a column
+handed back to the dict DP.  Every other pair runs
 its packed DP under a small term budget (`fits` alone sees it), which hands
 columns back after a few degrees.
 """
@@ -81,8 +82,10 @@ def count_backends(monkeypatch) -> collections.Counter:
 
     def counted_line(values):
         line = packed_line(values)
-        if line is None or line.is_integer:
-            seen["dict" if line is None else "integer"] += 1
+        if all(map(ring.is_constant, values)):
+            seen["integer"] += 1
+        elif line is None:
+            seen["dict"] += 1
         else:
             terms = max(len(RingValue.coerce(value).terms) for value in values)
             seen["monomials" if terms == 1 else "multi-term"] += 1

@@ -139,7 +139,7 @@ def test_recurrence_tables_never_pack(monkeypatch):
         patch.setattr(symfunc, "packed_line", refuse)
         patch.setattr(ring, "packed_line", refuse)
         with pytest.raises(AssertionError, match="packed line"):  # the definition packs
-            StirlingTable(CLASSICAL, "first").row(8)
+            StirlingTable(builtin("q-stirling"), "first").row(8)
         got = {key: [recurrence_table(builtin(key[0]), *key[1:]).row(n) for n in range(10)]
                for key in keys}
     for (name, kind, alpha, beta), rows in got.items():
@@ -162,6 +162,20 @@ def test_integer_weights_give_int_entries_and_rows_give_ring_values(method):
             value_fn = first_kind if kind == "first" else second_kind
             assert {type(value_fn(pair, 1, 1, n, k))
                     for n in range(9) for k in range(n + 1)} == {int}, (name, kind)
+
+
+def test_integer_lines_never_pack(monkeypatch):
+    # an integer line runs the DP on its own ints, so the definition path
+    # builds classical and legendre tables without a PackedLine
+    def refuse(*args):
+        raise AssertionError("an integer line built a PackedLine")
+
+    monkeypatch.setattr(ring, "PackedLine", refuse)
+    for name in ("classical", "legendre"):
+        for kind in ("first", "second"):
+            table = StirlingTable(builtin(name), kind)
+            rows = [table.row(n) for n in range(31)]
+            assert rows == [recurrence_table(builtin(name), kind).row(n) for n in range(31)]
 
 
 def test_table_memo_entries_match_definition():

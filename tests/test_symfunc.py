@@ -120,10 +120,14 @@ def assert_packed_matches(values, degree):
         dict_homogeneous(values, degree)
 
 
-LINES = {
+INTEGER_LINES = {
     "positive integers": [RingValue.from_int(c) for c in (3, 1, 4, 1, 5, 9, 2, 6)],
     "negative integers": [RingValue.from_int(c) for c in (-3, -1, -4, -1, -5, -9, -2, -6)],
     "mixed-sign integers": [RingValue.from_int(c) for c in (7, -2, 0, 5, -11)],
+    "plain ints": [3, 1, 4, 1, 5, 9],
+}
+
+LINES = {
     "q-stirling": q_integers(6, 5, 4, 3, 2, 1),
     "q-stirling with a zero product": q_integers(4, 3, 2, 1, 0),
     "long q-stirling": q_integers(*range(12, 0, -1)),  # entries pass 32 slots
@@ -134,7 +138,6 @@ LINES = {
     "gaps in p": five(1 + P ** 3, 2 * P ** 2, RingValue.from_int(7)),
     "monomials": five(Q ** 2, 2 * Q, ONE),
     "gaussian": [Q ** j for j in range(6)],  # e_t is q^(t(t-1)/2) times a Gaussian binomial
-    "plain ints": [3, 1, 4, 1, 5, 9],
     "ints mixed with ring values": [3, 1 + Q, 0, Q ** 2 + 2 * Q, 5, 2],
 }
 
@@ -144,12 +147,23 @@ def test_packed_dp_matches_dict_dp(name):
     assert_packed_matches(LINES[name], 12)
 
 
+@pytest.mark.parametrize("name", sorted(INTEGER_LINES))
+def test_integer_lines_run_on_their_values(name):
+    values = INTEGER_LINES[name]
+    assert packed_line(values) is None
+    assert elementary_all(values) == elementary_dp(values)
+    assert list(itertools.islice(homogeneous_series(values), 13)) == dict_homogeneous(values, 12)
+    if name == "plain ints":
+        assert {type(e) for e in elementary_all(values)} == {int}
+        assert {type(h) for h in itertools.islice(homogeneous_series(values), 13)} == {int}
+
+
 def test_line_kinds():
-    for name in ("positive integers", "negative integers", "mixed-sign integers", "plain ints"):
-        assert packed_line(LINES[name]).is_integer, name
+    for name in INTEGER_LINES:
+        assert packed_line(INTEGER_LINES[name]) is None, name
     for name in ("q-stirling", "jacobi", "laurent in z", "byte boundary", "monomials",
                  "gaussian", "ints mixed with ring values"):
-        assert not packed_line(LINES[name]).is_integer, name
+        assert isinstance(packed_line(LINES[name]), ring.PackedLine), name
     # the boundary case is what it claims: the DP at z = 1 reaches exactly 16 bits
     values = LINES["byte boundary"]
     assert max(elementary_dp(packed_line(values).ones)).bit_length() == 16
