@@ -15,9 +15,9 @@ path's lines reach every backend symfunc picks, and the test counts each
 one: a line that stays on dicts, an integer line (all its values constant,
 so the DP runs on its ints), a packed line of monomials or with a
 multi-term product, a line whose slots widen and re-pack, and a column
-handed back to the dict DP.  Every other pair runs
-its packed DP under a small term budget (`fits` alone sees it), which hands
-columns back after a few degrees.
+handed back to the dict DP.  Every other pair runs its packed DP under a
+small term budget (`fits` alone sees it), which hands columns back after a
+few degrees.
 """
 
 import collections

@@ -151,11 +151,10 @@ def test_packed_dp_matches_dict_dp(name):
 def test_integer_lines_run_on_their_values(name):
     values = INTEGER_LINES[name]
     assert packed_line(values) is None
-    assert elementary_all(values) == elementary_dp(values)
-    assert list(itertools.islice(homogeneous_series(values), 13)) == dict_homogeneous(values, 12)
+    e, h = elementary_all(values), list(itertools.islice(homogeneous_series(values), 13))
+    assert e == elementary_dp(values) and h == dict_homogeneous(values, 12)
     if name == "plain ints":
-        assert {type(e) for e in elementary_all(values)} == {int}
-        assert {type(h) for h in itertools.islice(homogeneous_series(values), 13)} == {int}
+        assert {type(v) for v in e + h} == {int}
 
 
 def test_line_kinds():
