@@ -29,6 +29,7 @@ from math import comb
 
 from .ring import Coercible, P, Q, checked, exact_div, product, render, ring_sum
 from .stirling import KINDS, first_kind, pq_binomial, second_kind
+from .symfunc import elementary_step
 from .weights import WeightPair, WeightSpec, builtin
 
 PAIR_KINDS = ("beta", "alpha")
@@ -265,9 +266,7 @@ def _first_hankel_rows(r: int, s: int, alpha: int, beta: int, weights: WeightPai
         e = [1] + [0] * i
         row = []
         for u in range(s + i - 1, -r - 1, -1):
-            # s + i - u products so far; e_t is zero past that
-            for t in range(min(i, s + i - u), 0, -1):
-                e[t] = e[t] + x[u] * e[t - 1]
+            elementary_step(e, x[u], min(i, s + i - u))  # e_t is zero past s + i - u products
             if u <= 0:
                 row.append(e[i])
         rows.append(row)

@@ -37,6 +37,9 @@ raised instead.
 Rendering sorts monomials by that order, descending, so output is stable,
 e.g. "p^4 + p^3*q + 2*p^2*q^2".  parse() accepts exactly what render() emits,
 modulo whitespace, and both take integers past the digit limit of str(int).
+A monomial is four pieces, one per variable, such as "*q^7", or "" for
+exponent 0, looked up by the fields of its key in tables of at most
+_PIECE_CAP (1024) pieces each; see "render's exponent pieces" below.
 
 A product with a one-term factor shifts the keys of the other; two values
 in the same one of p, q, z, dense enough to pack, multiply as two big ints
@@ -44,6 +47,9 @@ in the same one of p, q, z, dense enough to pack, multiply as two big ints
 divides by one term in one pass, by more in one of p, q, z as two big ints
 certified by a coefficient bound, and otherwise, or to name a failure, by
 leading-term cancellation.  Every product ends in the same guard test.
+addmul(acc, x, y), the step of the symmetric-function DPs, writes the terms
+of x * y into a copy of acc's by the same code, not into a product built
+only to be added.
 
 A second format serves the symmetric-function DP in symfunc: packed_line()
 turns a line of values in one variable with nonnegative coefficients into
@@ -240,31 +246,7 @@ class RingValue:
             return other
         if b == _ONE_TERMS:
             return self
-        if len(a) * len(b) > TERM_BUDGET:
-            raise TermBudgetExceeded(f"a product of {len(a)}-term and {len(b)}-term values "
-                                     f"exceeds the budget of {TERM_BUDGET} term pairs")
-        if len(a) > len(b):
-            a, b = b, a
-        out = None
-        if len(a) == 1:
-            out = _mul_term(a, b)
-        elif len(a) * len(b) >= _KRONECKER_PAIRS:
-            out = _mul_kronecker(a, b)
-        if out is None:
-            out = {}
-            for ka, ca in a.items():
-                ka -= _UNIT
-                for kb, cb in b.items():
-                    key = ka + kb
-                    acc = out.get(key, 0) + ca * cb
-                    if acc:
-                        out[key] = acc
-                    else:
-                        del out[key]
-        for key in out:
-            if key & _GUARD:
-                raise ExponentOverflow("a product has an exponent outside [-2^30, 2^30)")
-        return RingValue._raw(out)
+        return RingValue._raw(_mul(a, b, {}))
 
     __rmul__ = __mul__
 
@@ -399,50 +381,121 @@ class RingValue:
         return self.render()
 
     def render(self) -> str:
-        if not self.terms:
+        terms = self.terms
+        if not terms:
             return "0"
+        pp, pq, pz, px = _PIECES
+        sp, sq, sz, _ = _SHIFTS
+        mask = _MASK
         parts = []
-        for key in sorted(self.terms, reverse=True):
-            coeff = self.terms[key]
-            factors = []
-            for idx, exp in enumerate(_unpack(key)):
-                if exp == 0:
-                    continue
-                factors.append(VARIABLES[idx] if exp == 1 else f"{VARIABLES[idx]}^{exp}")
-            if factors and abs(coeff) == 1:
-                body = "*".join(factors)
+        for key in sorted(terms, reverse=True):
+            coeff = terms[key]
+            try:
+                mono = (pp[(key >> sp) & mask] + pq[(key >> sq) & mask]
+                        + pz[(key >> sz) & mask] + px[key & mask])
+            except KeyError:
+                mono = _monomial(key)
+            if coeff > 0:
+                parts.append(" + ")
             else:
-                body = _digits(abs(coeff))
-                if factors:
-                    body = "*".join([body] + factors)
-            if not parts:
-                parts.append(body if coeff > 0 else f"-{body}")
+                parts.append(" - ")
+                coeff = -coeff
+            if coeff == 1 and mono:
+                parts.append(mono[1:])
             else:
-                parts.append(f" + {body}" if coeff > 0 else f" - {body}")
-        return "".join(parts)
+                try:
+                    parts.append(str(coeff) + mono)
+                except ValueError:  # past the digit limit of str(int)
+                    parts.append(_digits(coeff) + mono)
+        text = "".join(parts)  # " + " or " - " leads every term; the first keeps a "-"
+        return text[3:] if text[1] == "+" else "-" + text[3:]
 
 
-# -- fast paths of __mul__ and exact_div: each returns the terms of its result,
-# before the guard test, or None where the general loop must run
+# -- render's exponent pieces: _PIECES[i] maps the field of VARIABLES[i] in a
+# key to its piece of a monomial, "" for exponent 0, else "*q" or "*q^-7", so
+# a term's monomial is four lookups and its text str(coeff) + monomial, or the
+# monomial less its "*" where coeff is 1.  Each table holds at most
+# _PIECE_CAP pieces; past that, _monomial builds the rest each time.
+
+_PIECE_CAP = 1024
+_PIECES = tuple({_LIMIT: ""} for _ in VARIABLES)
+
+
+def _monomial(key: int) -> str:
+    """The monomial of key, its pieces taken from _PIECES or added while they fit."""
+    pieces = []
+    for name, shift, table in zip(VARIABLES, _SHIFTS, _PIECES):
+        field = (key >> shift) & _MASK
+        piece = table.get(field)
+        if piece is None:
+            exp = field - _LIMIT
+            piece = f"*{name}" if exp == 1 else f"*{name}^{exp}"
+            if len(table) < _PIECE_CAP:
+                table[field] = piece
+        pieces.append(piece)
+    return "".join(pieces)
+
+
+# -- products, and the fast paths of __mul__ and exact_div: each returns the
+# terms of its result, before the guard test, or None where the general loop
+# must run
 
 _KRONECKER_PAIRS = 256
 
 
-def _mul_term(term: dict, terms: dict) -> dict:
-    """term * terms, term a single term: every key shifts by the same amount.
-    A loop, because a comprehension costs more on the one- and few-term
-    values most products have."""
-    (shift, coeff), = term.items()
-    shift -= _UNIT
-    out = {}
-    for key, c in terms.items():
-        out[key + shift] = coeff * c
+def _mul(a: dict, b: dict, out: dict) -> dict:
+    """out plus a * b, written into out, for a and b neither zero nor 1: by a
+    fast path below or by the loop over every pair of terms, then the guard
+    test.  __mul__ hands an empty out, addmul a copy of its sum's terms; only
+    the first may meet a product of Kronecker size."""
+    if len(a) * len(b) > TERM_BUDGET:
+        raise TermBudgetExceeded(f"a product of {len(a)}-term and {len(b)}-term values "
+                                 f"exceeds the budget of {TERM_BUDGET} term pairs")
+    if len(a) > len(b):
+        a, b = b, a
+    if len(a) == 1:
+        _mul_term(a, b, out)
+    elif len(a) * len(b) < _KRONECKER_PAIRS or _mul_kronecker(a, b, out) is None:
+        for ka, ca in a.items():
+            ka -= _UNIT
+            for kb, cb in b.items():
+                key = ka + kb
+                acc = out.get(key, 0) + ca * cb
+                if acc:
+                    out[key] = acc
+                else:
+                    del out[key]
+    for key in out:
+        if key & _GUARD:
+            raise ExponentOverflow("a product has an exponent outside [-2^30, 2^30)")
     return out
 
 
-def _mul_kronecker(a: dict, b: dict) -> dict | None:
-    """a * b by Kronecker substitution, or None unless _slot_lists takes both:
-    one y of p, q, z, at most _SPREAD slots a term.
+def _mul_term(term: dict, terms: dict, out: dict) -> dict:
+    """out plus term * terms, term a single term, written into out: every key
+    of terms shifts by the same amount, so none meets another, and into an
+    empty out the terms go without a lookup.  Loops, because a comprehension
+    costs more on the one- and few-term values most products have."""
+    (shift, coeff), = term.items()
+    shift -= _UNIT
+    if not out:
+        for key, c in terms.items():
+            out[key + shift] = coeff * c
+        return out
+    for key, c in terms.items():
+        key += shift
+        c = out.get(key, 0) + coeff * c
+        if c:
+            out[key] = c
+        else:
+            del out[key]
+    return out
+
+
+def _mul_kronecker(a: dict, b: dict, out: dict) -> dict | None:
+    """a * b by Kronecker substitution, written into out, which is empty, or
+    None unless _slot_lists takes both: one y of p, q, z, at most _SPREAD
+    slots a term.
 
     Each value packs as the int sum c_e 2^(8B(e - S)), S their least exponent.
     A coefficient of the product sums at most min(len a, len b) products of
@@ -456,7 +509,7 @@ def _mul_kronecker(a: dict, b: dict) -> dict | None:
     size = bound.bit_length() // 8 + 1
     coeffs = _unpack_slots(_pack_slots(sa, size) * _pack_slots(sb, size), size,
                            len(sa) + len(sb) - 1)
-    return _slot_terms(coeffs, _UNIT + 2 * low * step, step)
+    return _slot_terms(coeffs, _UNIT + 2 * low * step, step, out)
 
 
 def _div_term(terms: dict, term: dict) -> dict | None:
@@ -499,7 +552,7 @@ def _div_kronecker(terms: dict, dterms: dict) -> dict | None:
     coeffs = _unpack_slots(quotient, size, count)
     if rem or max(map(abs, coeffs)) * dmax * min(count, len(sd)) >> (8 * size - 1):
         return None
-    out = _slot_terms(coeffs, _UNIT + (zn - zd) * step, step)
+    out = _slot_terms(coeffs, _UNIT + (zn - zd) * step, step, {})
     return None if any(key & _GUARD for key in out) else out
 
 
@@ -534,6 +587,19 @@ def as_int(value: Coercible) -> int:
 def render(value: Coercible) -> str:
     """The canonical text of value, which parse() reads back."""
     return value.render() if isinstance(value, RingValue) else _digits(value)
+
+
+def addmul(acc: Coercible, x: Coercible, y: Coercible) -> Coercible:
+    """acc + x * y, the step of the symmetric-function DPs, with the terms of
+    x * y written straight into a copy of acc's, not into a product built only
+    to be added; int operands, a zero or unit factor and products of Kronecker
+    size take the operators."""
+    if isinstance(acc, RingValue) and isinstance(x, RingValue) and isinstance(y, RingValue):
+        a, b = x.terms, y.terms
+        if (acc.terms and a and b and a != _ONE_TERMS and b != _ONE_TERMS
+                and (len(a) == 1 or len(b) == 1 or len(a) * len(b) < _KRONECKER_PAIRS)):
+            return RingValue._raw(_mul(a, b, dict(acc.terms)))
+    return acc + x * y
 
 
 def exact_div(value: Coercible, divisor: Coercible) -> Coercible:
@@ -691,7 +757,7 @@ class PackedLine:
         """The RingValue of an entry packed from degree products."""
         step = self._step
         coeffs = _unpack_slots(value, self._size, degree * self._top + 1)
-        return RingValue._raw(_slot_terms(coeffs, _UNIT + degree * self._low * step, step))
+        return RingValue._raw(_slot_terms(coeffs, _UNIT + degree * self._low * step, step, {}))
 
 
 def packed_line(values) -> PackedLine | None:
@@ -756,10 +822,9 @@ def _halves(size: int, count: int) -> int:
     return int.from_bytes((bytes(size - 1) + b"\x80") * count, "little")
 
 
-def _slot_terms(coeffs: list, key: int, step: int) -> dict:
+def _slot_terms(coeffs: list, key: int, step: int, out: dict) -> dict:
     """The terms of sum coeffs[i] y^(e + i), key the key of y^e and step the
-    key of y^(e+1) minus that of y^e."""
-    out = {}
+    key of y^(e+1) minus that of y^e, written into out, which is empty."""
     for coeff in coeffs:
         if coeff:
             out[key] = coeff

@@ -5,7 +5,9 @@ t-subsets, and homogeneous_series(xs) gives h_0, h_1, ... without end, the
 sums over size-t multisets, resumable one degree at a time.  Each entry costs
 O(len(xs)) ring operations, which keeps triangle construction polynomial.
 The DP only adds and multiplies, starting from the ints 1 and 0, so xs may
-mix ints and RingValues, and an entry over ints alone is an int.  Brute-force
+mix ints and RingValues, and an entry over ints alone is an int.  A step
+by a RingValue is one ring.addmul, which adds the product's terms into the
+sum without building the product first.  Brute-force
 enumeration lives in the tests as an oracle.
 
 elementary_all and homogeneous_series pick the backend: where
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 from typing import Iterator, Sequence
 
-from .ring import Coercible, PackedLine, RingValue, packed_line
+from .ring import Coercible, PackedLine, RingValue, addmul, packed_line
 
 
 def elementary_all(xs: Sequence[Coercible]) -> list:
@@ -39,10 +41,21 @@ def elementary_dp(xs: Sequence) -> list:
     """elementary_all by the DP on the values as they are."""
     e = [1] + [0] * len(xs)
     for r, x in enumerate(xs):
-        # descending t so e[t-1] is still the previous row's value
-        for t in range(r + 1, 0, -1):
-            e[t] = e[t] + x * e[t - 1]
+        elementary_step(e, x, r + 1)
     return e
+
+
+def elementary_step(e: list, x, top: int) -> None:
+    """Take x into the state e of the e-DP in place: e_t += x e_(t-1) for
+    t = top, ..., 1, descending so that e_(t-1) is still the old value.
+    addmul saves work where x is a RingValue; an int x takes the operators,
+    which spares integer and packed lines a call a step."""
+    if isinstance(x, int):
+        for t in range(top, 0, -1):
+            e[t] = e[t] + x * e[t - 1]
+    else:
+        for t in range(top, 0, -1):
+            e[t] = addmul(e[t], x, e[t - 1])
 
 
 def homogeneous_series(xs: Sequence[Coercible]) -> Iterator[Coercible]:
@@ -74,7 +87,7 @@ def homogeneous_step(xs: Sequence, h: list):
     """Raise the state h of the h-DP by one degree in place; return its total."""
     total = 0
     for i, x in enumerate(xs):
-        total = h[i] = total + x * h[i]
+        total = h[i] = total + x * h[i] if isinstance(x, int) else addmul(total, x, h[i])
     return total
 
 

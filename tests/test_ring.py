@@ -2,6 +2,7 @@ import collections
 import random
 import time
 import tracemalloc
+from decimal import Decimal
 
 import pytest
 
@@ -353,7 +354,8 @@ def ref_render(terms):
     for key in sorted(terms, key=ref_order, reverse=True):
         coeff = terms[key]
         factors = [v if e == 1 else f"{v}^{e}" for v, e in zip("pqzx", key) if e]
-        body = "*".join(([str(abs(coeff))] if abs(coeff) != 1 or not factors else []) + factors)
+        # Decimal, since str() refuses an int of more than 4300 digits
+        body = "*".join(([str(Decimal(abs(coeff)))] if abs(coeff) != 1 or not factors else []) + factors)
         parts.append(("-" if coeff < 0 else "") + body if not parts
                      else (" - " if coeff < 0 else " + ") + body)
     return "".join(parts) or "0"
@@ -725,6 +727,82 @@ def test_kronecker_division_slots_keep_a_spare_byte(monkeypatch, coeff):
         dividend = RingValue(ref_mul(quotient, divisor))
         assert dividend.exact_div(RingValue(divisor)) == RingValue(quotient)
     assert seen["_div_kronecker"] == 3
+
+
+# -- render's piece tables and the fused DP step -------------------------------------
+
+def test_render_past_its_piece_tables(monkeypatch):
+    cap = 3
+    monkeypatch.setattr(ring, "_PIECE_CAP", cap)
+    monkeypatch.setattr(ring, "_PIECES", tuple({LIMIT: ""} for _ in "pqzx"))
+    huge = 7 * 10 ** 4400  # past the digit limit of str(int)
+    values = []
+    for i in range(4):
+        for exp in (1, -1, LIMIT - 1, -LIMIT) if i < 3 else (1, LIMIT - 1):
+            key = (0,) * i + (exp,) + (0,) * (3 - i)
+            values.append({key: 1, (1, 2, 3, 4): -1})
+            values.append({key: -1, (2, 0, -5, 1): 1, (0, 0, 0, 0): -1})
+    # more distinct exponents in every variable than a table holds
+    values.append({(e, -e, 2 * e, e + 6): (-1) ** e for e in range(-6, 7)})
+    values.append({(0, 3, 0, 0): huge, (1, 0, 0, 0): -huge, (0, 0, 0, 0): huge})
+    for terms in values:
+        for sign in (1, -1):
+            value = RingValue({k: sign * c for k, c in terms.items()})
+            text = value.render()
+            assert text == ref_render({k: sign * c for k, c in terms.items()})
+            assert parse(text) == value
+            assert max(map(len, ring._PIECES)) <= cap
+    assert min(map(len, ring._PIECES)) == cap  # every table filled to its cap
+
+
+def step_cases(rng):
+    """(acc, x, y) triples: ints, zero, the unit, one-term values, terms that
+    cancel, and factors of Kronecker size."""
+    one_term = [RingValue.monomial(rng.choice([-2, -1, 1, 3]), *(rng.randint(-3, 3) for _ in range(3)),
+                                   rng.randint(0, 3)) for _ in range(4)]
+    plain = [rand_value(rng) for _ in range(6)]
+    big = [RingValue(dense(rng, "q", 20, 0)), RingValue(dense(rng, "q", 16, -3))]
+    operands = [0, 1, -3, ZERO, ONE, *one_term, *plain, *big]
+    for _ in range(400):
+        acc, x, y = (rng.choice(operands) for _ in range(3))
+        yield acc, x, y
+        yield -(x * y), x, y  # every term cancels
+        yield acc - x * y + 1, x, y  # all but the constant cancel
+
+
+def test_addmul_is_acc_plus_a_product(monkeypatch):
+    seen = count_paths(monkeypatch)
+    rng = random.Random(26)
+    for acc, x, y in step_cases(rng):
+        before = ring.render(acc)
+        want, got = acc + x * y, ring.addmul(acc, x, y)
+        assert got == want and type(got) is type(want), (acc, x, y)
+        if isinstance(got, RingValue):
+            assert 0 not in got.terms.values()
+        assert ring.render(acc) == before  # acc's terms are copied, never written
+    # a one-term factor takes _mul_term, writing into the copy
+    taken = seen["_mul_term"]
+    ring.addmul(P + Q, 2 * Z, RingValue(dense(rng, "q", 20, 0)))
+    assert seen["_mul_term"] == taken + 1
+
+
+def test_addmul_raises_where_the_operators_do(monkeypatch):
+    top = LIMIT - 1
+    edge = RingValue.monomial(1, q=top)
+    for acc, x, y in [(P, edge, Q), (P, Q + 1, edge), (edge, RingValue.monomial(1, p=-LIMIT), P ** -1),
+                      (1 + Q, RingValue(dense(random.Random(1), "q", 20, top - 30)), Q ** 20 + Q)]:
+        for step in (lambda: acc + x * y, lambda: ring.addmul(acc, x, y)):
+            with pytest.raises(ExponentOverflow):
+                step()
+    assert ring.addmul(P, edge, Q ** -1) == P + RingValue.monomial(1, q=top - 1)
+    monkeypatch.setattr(ring, "TERM_BUDGET", 12)
+    a, b = 1 + P + Q, 1 + Q + Z + P * Z
+    assert ring.addmul(Z, a, b) == Z + a * b  # 3 * 4 pairs: on the budget
+    assert ring.addmul(Z, ONE, b + Z ** 2 + a) == Z + b + Z ** 2 + a  # a unit walks none
+    for x, y in [(a, b + Z ** 2), (b + Z ** 2, a), (P, ring_sum(Q ** e for e in range(13)))]:
+        for step in (lambda: Z + x * y, lambda: ring.addmul(Z, x, y)):
+            with pytest.raises(TermBudgetExceeded):
+                step()
 
 
 # the fewest results each fast path returns over the jobs below
