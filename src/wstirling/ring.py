@@ -436,9 +436,9 @@ def _monomial(key: int) -> str:
     return "".join(pieces)
 
 
-# -- products, and the fast paths of __mul__ and exact_div: each returns the
-# terms of its result, before the guard test, or None where the general loop
-# must run
+# -- products, and the fast paths of __mul__ and exact_div: each fast path
+# returns the terms of its result, before the guard test, or None where the
+# general loop must run
 
 _KRONECKER_PAIRS = 256
 
