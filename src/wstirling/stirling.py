@@ -17,14 +17,19 @@ legendre, merris, sun and b-stirling, builds int entries on either method.
 Method "definition" hands the line to elementary_all or homogeneous_series,
 which pick the arithmetic: packed ints for the one-variable lines of
 q-stirling and jacobi at nonnegative indices, and the values as they are,
-ints or RingValues, for the rest.  Method "recurrence" runs elementary_dp and
-homogeneous_dict_series over the reversed line on the values as they are;
+ints or RingValues, for the rest.  Method "recurrence" runs elementary_step
+and homogeneous_dict_series over the reversed line, the order in which the
+triangular recurrence meets its products, on the values as they are;
 RingValue products pick their own arithmetic: a one-term factor shifts the
 other's keys (pq-binomial, q-binomial, zeta), two values dense in one
 variable with 256 or more term pairs multiply as big ints (q-stirling), the
 rest walk term pairs.  So definition against recurrence checks the packed
 lines and their decoding against RingValue arithmetic; the vertical and
-horizontal recurrences below and wstirling.genfunc check the DPs.
+horizontal recurrences below and wstirling.genfunc check the DPs.  Where w
+is constant, a line's reversed products are the line before's and one more,
+so a recurrence table steps each line from its own earlier lines, as the
+paper's recurrence does: rows 0..N cost O(N^2) ring operations there, and
+O(N^3) on definition tables and for pq-binomial, zeta and b-stirling.
 StirlingTable.row hands out RingValues.  first_kind and second_kind read
 from a small bounded cache of definition tables.  Next to them sit the
 vertical and horizontal recurrences (the horizontal ones consume row n+1,
@@ -38,8 +43,9 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .ring import Coercible, RingValue, X, product, ring_sum
-from .symfunc import elementary_all, elementary_dp, homogeneous_dict_series, homogeneous_series
+from .ring import Coercible, RingValue, X, addmul, product, ring_sum
+from .symfunc import (elementary_all, elementary_step, homogeneous_dict_series,
+                      homogeneous_series)
 from .weights import WeightPair, builtin
 
 KINDS = ("first", "second")
@@ -49,15 +55,23 @@ class StirlingTable:
     """Triangle at fixed weights, kind, and offsets, owning every value it built.
 
     First-kind entries are built a row at a time, second-kind entries a
-    column at a time, each on first use; a column extends by one step per
-    row, so rows 0..N cost O(N^3) ring operations.  method "definition"
-    evaluates the symmetric functions, "recurrence" the triangular
-    recurrence; the two must agree, which the verification suites exploit.
-    Weight values are evaluated before anything is stored, and a column walk
-    that raises is dropped, so a query that fails raises again when repeated.
+    column at a time, each on first use, and only the lines asked for are
+    stored.  method "definition" evaluates the symmetric functions,
+    "recurrence" the triangular recurrence; the two must agree, which the
+    verification suites exploit.  Each definition line runs its own DP, and
+    a column extends by one DP step per row, so rows 0..N cost O(N^3) ring
+    operations.  A recurrence table whose w is constant steps each line from
+    its earlier lines, whose reversed products are a prefix of its own: row
+    n from the nearest row stored below it, one e-DP step a row, and column
+    k from column k - 1 when that reaches as deep, one ring operation an
+    entry, so rows 0..N cost O(N^2).  Its other lines start from scratch, as
+    every recurrence line does where w varies.  Weight values are evaluated
+    before anything is stored, a row is stored only once whole, a column
+    grows by whole entries, and a column DP that raises is dropped, so a
+    query that fails raises again when repeated.
     """
 
-    __slots__ = ("weights", "kind", "alpha", "beta", "method", "_lines", "_steps")
+    __slots__ = ("weights", "kind", "alpha", "beta", "method", "_nests", "_lines", "_steps")
 
     def __init__(self, weights: WeightPair, kind: str, alpha: int = 0, beta: int = 0,
                  method: str = "definition"):
@@ -70,6 +84,9 @@ class StirlingTable:
         self.alpha = alpha
         self.beta = beta
         self.method = method
+        # with w constant, the products of row n + 1 and of column k + 1, in the
+        # recurrence's order, are those of row n and column k and one more
+        self._nests = method == "recurrence" and weights.w.kind == "constant"
         self._lines: dict = {}  # first kind: n -> row n; second kind: k -> column k from row k
         self._steps: dict = {}  # second kind: k -> the DP that extends column k by a row
 
@@ -92,29 +109,41 @@ class StirlingTable:
         v, w = self.weights.v, self.weights.w
         return [v.eval(self.alpha + top - t) * w.eval(self.beta + t) for t in range(top + 1)]
 
-    def _dp(self, top: int):
-        """First-kind row top + 1 as e_0 .. e_(top+1) of its products, or
-        second-kind column top as the generator of its h_0, h_1, ...
-
-        The recurrence method takes the products reversed, the order in which
-        the triangular recurrence meets them: row n, walked up from row 0,
-        multiplies in v(alpha+m-1)w(beta+n-m) at row m.
-        """
-        products = self._products(top)
-        first = self.kind == "first"
-        if self.method == "definition":
-            return elementary_all(products) if first else homogeneous_series(products)
-        products.reverse()
-        return elementary_dp(products) if first else homogeneous_dict_series(products)
-
     def _row(self, n: int) -> list:
-        row = self._lines[n] = self._dp(n - 1)[::-1]
+        """Row n.  The recurrence walks the e-DP up to row n, multiplying in
+        v(alpha+i)w(beta+n-1-i) at row i + 1: from row 0, or where lines nest
+        from the nearest row stored below n, whose entries reversed are the
+        DP's state there."""
+        if self.method == "definition":
+            row = elementary_all(self._products(n - 1))[::-1]
+        else:
+            start = max((r for r in self._lines if r < n), default=0) if self._nests else 0
+            e = self._lines[start][::-1] if start else [1]
+            v, w = self.weights.v, self.weights.w
+            for i in range(start, n):
+                e.append(0)
+                elementary_step(e, v.eval(self.alpha + i) * w.eval(self.beta + n - 1 - i), i + 1)
+            row = e[::-1]
+        self._lines[n] = row
         return row
 
     def _column(self, k: int, d: int) -> list:
-        """Column k, extended as far as row k + d."""
+        """Column k, extended as far as row k + d.  Where lines nest and k is 0
+        or column k - 1 reaches as deep, each entry is one step of the
+        recurrence S(n, k) = S(n-1, k-1) + x_k S(n-1, k), x_k = v(alpha+k)w(beta);
+        else column k's own DP runs on its products."""
+        before = self._lines.get(k - 1)
+        if self._nests and (not k or before and len(before) > d):
+            x = self.weights.v.eval(self.alpha + k) * self.weights.w.eval(self.beta)
+            self._steps.pop(k, None)
+            column = self._lines.setdefault(k, [1])
+            while len(column) <= d:
+                low = before[len(column)] if k else 0
+                column.append(low + x * column[-1] if isinstance(x, int)
+                              else addmul(low, x, column[-1]))
+            return column
         steps = self._steps.get(k)
-        if steps is None:
+        if steps is None:  # a new column, or one whose column k - 1 fell short
             steps = self._steps[k] = self._dp(k)
             self._lines[k] = []
         column = self._lines[k]
@@ -125,6 +154,16 @@ class StirlingTable:
             del self._steps[k], self._lines[k]
             raise
         return column
+
+    def _dp(self, k: int):
+        """The generator of column k's h_0, h_1, ... from its products; the
+        recurrence takes them reversed, in the order the triangular
+        recurrence meets them."""
+        products = self._products(k)
+        if self.method == "definition":
+            return homogeneous_series(products)
+        products.reverse()
+        return homogeneous_dict_series(products)
 
 
 # verify --suite all reuses about 2100 tables across suites; 1024 keeps most of

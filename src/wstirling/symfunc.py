@@ -16,9 +16,12 @@ packed ints and decode each entry into the RingValue the DP on values would
 build; elsewhere, a line of integers included, they run it on the values as
 they are.
 homogeneous_dict_series is the h-DP on the values alone, from degree 0 or
-from a state the packed DP hands back; it is homogeneous_series' fallback,
-and StirlingTable's recurrence method calls it and elementary_dp directly,
-so that method never packs.
+from a state the packed DP hands back; it is homogeneous_series' fallback.
+StirlingTable's recurrence method calls it and elementary_step directly, so
+that method never packs.  Where w is constant, that method steps a row by
+one elementary_step from a stored row and a column entry by one
+ring.addmul from the column before, so its rows 0..N cost O(N^2) ring
+operations; elsewhere each line runs its own DP, and rows 0..N cost O(N^3).
 """
 
 from __future__ import annotations

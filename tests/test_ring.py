@@ -816,4 +816,7 @@ def test_fast_paths_are_reached(monkeypatch, capsys):
                      "--r", "8", "--s", "3"]) == 0
     StirlingTable(builtin("q-stirling"), "first", method="recurrence").row(20)
     StirlingTable(builtin("q-binomial"), "second", method="recurrence").row(12)
+    # q-binomial's columns now extend from one another, a product an entry;
+    # pq-binomial's varying w keeps every column on its own one-term DP
+    StirlingTable(builtin("pq-binomial"), "second", method="recurrence").row(8)
     assert [name for name, least in REACH.items() if seen[name] < least] == [], seen

@@ -1,13 +1,16 @@
 import math
 import random
+import sys
+import tracemalloc
 
 import pytest
 
-from wstirling import identities, ring, symfunc, weights
+from wstirling import identities, ring, stirling, symfunc, weights
 from wstirling.genfunc import b_stirling_by_series, b_stirling_row_by_product
-from wstirling.ring import (ONE, P, Q, RingValue, TermBudgetExceeded, X, ZERO, as_int, product,
+from wstirling.ring import (ONE, P, Q, RingValue, TermBudgetExceeded, X, Z, ZERO, as_int, product,
                             ring_sum)
 from wstirling.stirling import (
+    KINDS,
     StirlingTable,
     _table,
     bracket,
@@ -147,6 +150,141 @@ def test_recurrence_tables_never_pack(monkeypatch):
         assert rows == [table.row(n) for n in range(10)], (name, kind, alpha, beta)
 
 
+# the catalog pairs whose w is constant: a recurrence table steps their lines
+# from its own earlier lines
+NESTING = ("classical", "q-binomial", "q-stirling", "legendre", "jacobi", "noncentral(1)",
+           "noncentral(-1)", "merris(2)", "sun(2)")
+
+
+def test_nesting_pairs_are_the_catalog_pairs_with_constant_w():
+    assert [name for name in CATALOG if builtin(name).w.kind == "constant"] == list(NESTING)
+
+
+@pytest.mark.parametrize("name", NESTING)
+def test_nesting_tables_match_definition_in_any_order(name):
+    # a row below the furthest one built, a column whose predecessor is not
+    # stored yet, and columns asked for out of order, then every cell shuffled
+    pair = builtin(name)
+    rng = random.Random(name)
+    for kind in KINDS:
+        for alpha, beta in [(0, 0), (-2, 1), (1, -3), (-3, -2)]:
+            want = StirlingTable(pair, kind, alpha, beta)
+            table = recurrence_table(pair, kind, alpha, beta)
+            cells = [(n, k) for n in range(10) for k in range(n + 1)]
+            rng.shuffle(cells)
+            for n, k in [(9, 4), (3, 1), (9, 8), (6, 0), (2, 2), (8, 5)] + cells:
+                assert table.value(n, k) == want.value(n, k), (kind, alpha, beta, n, k)
+
+
+def count_addmul(monkeypatch) -> list:
+    calls = [0]
+
+    def counted(acc, x, y):
+        calls[0] += 1
+        return ring.addmul(acc, x, y)
+    monkeypatch.setattr(symfunc, "addmul", counted)
+    monkeypatch.setattr(stirling, "addmul", counted)
+    return calls
+
+
+def test_nesting_tables_take_one_step_an_entry(monkeypatch):
+    # row n + 1 is one e-DP step from row n, and each column entry one step
+    # from the column before: rows 0..N take N(N+1)/2 steps, not N^3/6
+    calls = count_addmul(monkeypatch)
+    jacobi = builtin("jacobi")
+    for kind, top in [("first", 40), ("second", 32)]:
+        for alpha in (0, 1):
+            calls[0] = 0
+            table = recurrence_table(jacobi, kind, alpha)
+            for n in range(top + 1):
+                table.row(n)
+            assert 0 < calls[0] <= (top + 1) * (top + 2 if kind == "second" else top) // 2, \
+                (kind, alpha, calls[0])
+    calls[0] = 0
+    recurrence_table(jacobi, "second").row(32)  # each column asks for the one before
+    assert 0 < calls[0] <= 33 * 34 // 2
+
+
+def test_a_row_asked_for_directly_holds_only_that_row():
+    # rows resume from stored rows, so none may be stored on the way: the
+    # table holds row 1100 and nothing of the 1099 rows the e-DP passed
+    n = 1100
+    for i in range(n):  # the weights memoize their values; fill that first
+        CLASSICAL.v.eval(i), CLASSICAL.w.eval(i)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        table = recurrence_table(CLASSICAL, "first")
+        table.value(n, 0)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    row = [table.value(n, k) for k in range(n + 1)]
+    assert row == rising_factorial_row(n)
+    assert held < 1.1 * (sys.getsizeof(row) + sum(map(sys.getsizeof, row)))
+
+
+# c_k of each catalog pair with w = 1, written from its source, not read from
+# its weight spec: at alpha = beta = 0 the first kind is c(n+1, k) = c(n, k-1)
+# + c_n c(n, k) and the second kind S(n+1, k) = S(n, k-1) + c_k S(n, k)
+LITERATURE = {
+    "classical": lambda k: k,  # Stirling numbers
+    "q-binomial": lambda k: Q ** k,  # Gaussian binomial coefficients, second kind
+    "q-stirling": lambda k: ring_sum(Q ** i for i in range(k)),  # Carlitz, [k]_q
+    "legendre": lambda k: k * (k + 1),  # Legendre-Stirling numbers (Everitt et al.)
+    "jacobi": lambda k: k * (k + Z),  # Jacobi-Stirling numbers, z = a + b + 1 (Gelineau-Zeng)
+    # Koutras's non-central numbers with a = -m: (t + m)^n = sum_k S(n, k) (t)_k
+    "noncentral(1)": lambda k: k + 1,
+    "noncentral(-1)": lambda k: k - 1,
+    "merris(2)": lambda k: k + 2,
+    "sun(2)": lambda k: k ** 2,  # central factorial numbers T(2n, 2k)
+}
+
+
+def literature_rows(c, kind, rows=8):
+    out = [[1]]
+    for n in range(rows - 1):
+        last = out[-1] + [0]
+        out.append([(last[k - 1] if k else 0) + c(n if kind == "first" else k) * last[k]
+                    for k in range(n + 2)])
+    return out
+
+
+@pytest.mark.parametrize("name", LITERATURE)
+def test_w_one_pairs_follow_their_literature_recurrences(name):
+    pair = builtin(name)
+    assert pair.w == WeightSpec("constant", value=1)
+    for kind in KINDS:
+        want = literature_rows(LITERATURE[name], kind)
+        value_fn = first_kind if kind == "first" else second_kind
+        assert [[value_fn(pair, 0, 0, n, k) for k in range(n + 1)] for n in range(8)] == want, kind
+        table = recurrence_table(pair, kind)
+        assert [table.row(n) for n in range(8)] == want, kind
+
+
+def test_literal_rows_from_the_literature():
+    assert [second_kind(builtin("legendre"), 0, 0, 4, k) for k in range(5)] == [0, 8, 52, 20, 1]
+    assert second_kind(builtin("jacobi"), 0, 0, 4, 2) == 7 * Z ** 2 + 24 * Z + 21
+    assert [second_kind(builtin("sun(2)"), 0, 0, 4, k) for k in range(5)] == [0, 1, 21, 14, 1]
+
+
+def falling(t, k):
+    return math.prod(t - i for i in range(k))
+
+
+def test_noncentral_parameter_follows_koutras():
+    # Koutras (1982): (t - a)^n = sum_k S_a(n, k) (t)_k and (t)_n = sum_k s_a(n, k) (t - a)^k;
+    # noncentral(m) and merris(m) are a = -m, the first kind unsigned
+    for name, m in [("noncentral(1)", 1), ("noncentral(-1)", -1), ("merris(2)", 2)]:
+        pair = builtin(name)
+        for n in range(7):
+            for t in range(-4, 6):
+                assert sum(second_kind(pair, 0, 0, n, k) * falling(t, k)
+                           for k in range(n + 1)) == (t + m) ** n, (name, n, t)
+                assert sum(first_kind(pair, 0, 0, n, k) * t ** k for k in range(n + 1)) == \
+                    math.prod(t + m + i for i in range(n)), (name, n, t)
+
+
 @pytest.mark.parametrize("method", ["definition", "recurrence"])
 def test_integer_weights_give_int_entries_and_rows_give_ring_values(method):
     for name in ("classical", "legendre", "b-stirling"):
@@ -212,6 +350,25 @@ def test_failed_column_walk_is_walked_again(monkeypatch, method):
             table.value(4, 1)
     monkeypatch.undo()
     assert table.value(4, 1) == second_kind(builtin("q-stirling"), 6, 0, 4, 1)
+
+
+def test_a_step_that_raises_leaves_nesting_lines_whole(monkeypatch):
+    # q-integers of 6 or more terms pass a budget of 30 pairs within a step
+    # or two; a row steps on a copy of the row it resumes from, and a column
+    # grows by whole entries, so the same query raises again, and once the
+    # budget allows it every entry matches the definition
+    pair = builtin("q-stirling")
+    for kind in KINDS:
+        table = recurrence_table(pair, kind, alpha=6)
+        for n in range(3):
+            table.row(n)
+        monkeypatch.setattr(ring, "TERM_BUDGET", 30)
+        for _ in range(2):
+            with pytest.raises(TermBudgetExceeded):
+                table.row(5)
+        monkeypatch.undo()
+        want = StirlingTable(pair, kind, alpha=6)
+        assert [table.row(n) for n in range(7)] == [want.row(n) for n in range(7)], kind
 
 
 def test_failed_column_walk_inside_a_generator(monkeypatch):
