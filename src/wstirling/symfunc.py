@@ -18,10 +18,11 @@ they are.
 homogeneous_dict_series is the h-DP on the values alone, from degree 0 or
 from a state the packed DP hands back; it is homogeneous_series' fallback.
 StirlingTable's recurrence method calls it and elementary_step directly, so
-that method never packs.  Where w is constant, that method steps a row by
-one elementary_step from a stored row and a column entry by one
-ring.addmul from the column before, so its rows 0..N cost O(N^2) ring
-operations; elsewhere each line runs its own DP, and rows 0..N cost O(N^3).
+that method never packs.  Where w is constant, that method steps a row up
+from the nearest stored row, one elementary_step a row, and a column entry
+by one ring.addmul from the column before, so its rows 0..N cost O(N^2)
+ring operations; elsewhere each line runs its own DP, and rows 0..N cost
+O(N^3).
 """
 
 from __future__ import annotations
