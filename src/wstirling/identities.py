@@ -220,12 +220,13 @@ def _value(kind, down=0):
 
 def _triangular(kind):
     def make_probe(pair):
-        tables = {}  # one recurrence table per (alpha, beta), kept for the probe's life
+        tables = {}  # one recurrence table per offsets read, kept for the probe's life
 
         def by_recurrence(pair, n, k, a, b):
-            if (a, b) not in tables:
-                tables[a, b] = stirling.StirlingTable(pair, kind, a, b, method="recurrence")
-            return tables[a, b].value(n, k)
+            key = a if pair.reads_alpha else 0, b if pair.reads_beta else 0
+            if key not in tables:
+                tables[key] = stirling.StirlingTable(pair, kind, *key, method="recurrence")
+            return tables[key].value(n, k)
         return _compare(_nk, _value(kind), by_recurrence, ("definition", "recurrence"))(pair)
     return make_probe
 

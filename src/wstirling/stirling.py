@@ -31,7 +31,12 @@ so a recurrence table steps each line from its own earlier lines, as the
 paper's recurrence does: rows 0..N cost O(N^2) ring operations there, and
 O(N^3) on definition tables and for pq-binomial, zeta and b-stirling.
 StirlingTable.row hands out RingValues.  first_kind and second_kind read
-from a small bounded cache of definition tables.  Next to them sit the
+from a small bounded cache of definition tables, keyed by the offsets the
+weights read: an entry depends on alpha and beta only through the products
+v(alpha+i)w(beta+j), so a constant w is looked up at beta = 0 and a constant
+v at alpha = 0, and the sweeps that slide such an offset share one table.
+The tables are built from the same products either way, so a shared table
+holds the entries a table at the given offsets would.  Next to them sit the
 vertical and horizontal recurrences (the horizontal ones consume row n+1,
 so they are evaluators used for cross checking, not for building tables),
 which take the entry as (pair, alpha, beta, n, k) just as first_kind does,
@@ -86,7 +91,7 @@ class StirlingTable:
         self.method = method
         # with w constant, the products of row n + 1 and of column k + 1, in the
         # recurrence's order, are those of row n and column k and one more
-        self._nests = method == "recurrence" and weights.w.kind == "constant"
+        self._nests = method == "recurrence" and weights.w.ignores_index()
         self._lines: dict = {}  # first kind: n -> row n; second kind: k -> column k from row k
         self._steps: dict = {}  # second kind: k -> the DP that extends column k by a row
 
@@ -166,21 +171,25 @@ class StirlingTable:
         return homogeneous_dict_series(products)
 
 
-# verify --suite all reuses about 2100 tables across suites; 1024 keeps most of
-# that reuse while one suite stays below the memory of the old unbounded memo
+# keyed by the offsets the weights read: verify --suite all --nmax 6 builds
+# 819 tables across suites, so 1024 holds them all and evicts none
 @lru_cache(maxsize=1024)
 def _table(pair: WeightPair, kind: str, alpha: int, beta: int) -> StirlingTable:
     return StirlingTable(pair, kind, alpha, beta)
 
 
 def first_kind(pair: WeightPair, alpha: int, beta: int, n: int, k: int) -> Coercible:
-    """First-kind value by definition, from a shared table."""
-    return _table(pair, "first", alpha, beta).value(n, k)
+    """First-kind value by definition, from the table shared by every offset
+    pair that reads the same weight values."""
+    return _table(pair, "first", alpha if pair.reads_alpha else 0,
+                  beta if pair.reads_beta else 0).value(n, k)
 
 
 def second_kind(pair: WeightPair, alpha: int, beta: int, n: int, k: int) -> Coercible:
-    """Second-kind value by definition, from a shared table."""
-    return _table(pair, "second", alpha, beta).value(n, k)
+    """Second-kind value by definition, from the table shared by every offset
+    pair that reads the same weight values."""
+    return _table(pair, "second", alpha if pair.reads_alpha else 0,
+                  beta if pair.reads_beta else 0).value(n, k)
 
 
 # -- vertical recurrences: compute entry (n+1, k+1) from row slice j=k..n ------

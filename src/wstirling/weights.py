@@ -59,6 +59,10 @@ class WeightSpec:
             value = self._cache[i] = _KINDS[self.kind].evaluate(self.params, i + self.offset)
         return value
 
+    def ignores_index(self) -> bool:
+        """True when eval(i) is one value for every i: a constant spec."""
+        return self.kind == "constant"
+
     def is_combinatorial(self) -> bool:
         """True when eval(i) is a nonnegative integer for every i >= 0."""
         return _KINDS[self.kind].combinatorial(self.params, self.offset)
@@ -91,12 +95,17 @@ class WeightSpec:
 class WeightPair:
     """The pair V = (v, w).  label is cosmetic and excluded from identity."""
 
-    __slots__ = ("v", "w", "label", "_hash")
+    __slots__ = ("v", "w", "label", "reads_alpha", "reads_beta", "_hash")
 
     def __init__(self, v: WeightSpec, w: WeightSpec, label: str | None = None):
         self.v = v
         self.w = w
         self.label = label
+        # a triangle reads alpha only through v(alpha + i) and beta only through
+        # w(beta + j), so where that weight ignores the index every offset gives
+        # the same triangle; stirling shares one table across them
+        self.reads_alpha = not v.ignores_index()
+        self.reads_beta = not w.ignores_index()
         # kept as an int: pairs key the table cache behind stirling.first_kind
         self._hash = hash((v, w))
 

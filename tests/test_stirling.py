@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import sys
@@ -283,6 +284,99 @@ def test_noncentral_parameter_follows_koutras():
                            for k in range(n + 1)) == (t + m) ** n, (name, n, t)
                 assert sum(first_kind(pair, 0, 0, n, k) * t ** k for k in range(n + 1)) == \
                     math.prod(t + m + i for i in range(n)), (name, n, t)
+
+
+# zeta written from its description, v(i) = z^i and w(i) = i - 1, not read from
+# its weight spec; both kinds by brute force over the e/h monomials
+def zeta_v(i):
+    return Z ** i
+
+
+def zeta_w(i):
+    return i - 1
+
+
+def brute_first(alpha, beta, n, k):
+    line = [zeta_v(alpha + n - 1 - t) * zeta_w(beta + t) for t in range(n)]
+    return ring_sum(product(chosen) for chosen in itertools.combinations(line, n - k))
+
+
+def brute_second(alpha, beta, n, k):
+    line = [zeta_v(alpha + k - t) * zeta_w(beta + t) for t in range(k + 1)]
+    return ring_sum(product(chosen)
+                    for chosen in itertools.combinations_with_replacement(line, n - k))
+
+
+@pytest.mark.parametrize("alpha, beta", [(0, 0), (2, -1)])
+def test_zeta_follows_its_weights_written_out(alpha, beta):
+    pair = builtin("zeta")
+    for kind, brute in [("first", brute_first), ("second", brute_second)]:
+        want = [[brute(alpha, beta, n, k) for k in range(n + 1)] for n in range(8)]
+        value_fn = first_kind if kind == "first" else second_kind
+        assert [[value_fn(pair, alpha, beta, n, k) for k in range(n + 1)]
+                for n in range(8)] == want, kind
+        table = recurrence_table(pair, kind, alpha, beta)
+        assert [table.row(n) for n in range(8)] == want, kind
+
+
+def tables_read(monkeypatch, pair, kind, offsets):
+    """The table that each (alpha, beta) of offsets reads entry (3, 1) from."""
+    read = []
+
+    def recording(*key):
+        read.append(_table(*key))
+        return read[-1]
+    value_fn = first_kind if kind == "first" else second_kind
+    with monkeypatch.context() as patch:
+        patch.setattr(stirling, "_table", recording)
+        for alpha, beta in offsets:
+            value_fn(pair, alpha, beta, 3, 1)
+    return read
+
+
+OFFSETS = [(alpha, beta) for alpha in range(-2, 3) for beta in range(-2, 3)]
+
+
+@pytest.mark.parametrize("name", CATALOG)
+def test_shared_tables_equal_their_own_offsets_tables(name):
+    # a table shared across offsets holds the entries of a table built at each
+    pair = builtin(name)
+    for kind in KINDS:
+        value_fn = first_kind if kind == "first" else second_kind
+        for alpha, beta in OFFSETS:
+            want = StirlingTable(pair, kind, alpha, beta)
+            assert [[value_fn(pair, alpha, beta, n, k) for k in range(n + 1)] for n in range(9)] \
+                == [want.row(n) for n in range(9)], (kind, alpha, beta)
+
+
+def test_tables_are_shared_only_across_offsets_the_weights_ignore(monkeypatch):
+    betas = [(1, beta) for beta in range(-2, 3)]
+    alphas = [(alpha, 1) for alpha in range(-2, 3)]
+    for kind in KINDS:
+        for name in NESTING:  # w constant: beta is not read, alpha is
+            pair = builtin(name)
+            assert len({id(t) for t in tables_read(monkeypatch, pair, kind, betas)}) == 1, name
+            assert len({id(t) for t in tables_read(monkeypatch, pair, kind, alphas)}) == 5, name
+            swapped = weights.swap(pair)  # v constant: alpha is not read, beta is
+            assert len({id(t) for t in tables_read(monkeypatch, swapped, kind, alphas)}) == 1
+            assert len({id(t) for t in tables_read(monkeypatch, swapped, kind, betas)}) == 5
+        for name in ("pq-binomial", "b-stirling", "zeta"):  # both weights vary
+            tables = tables_read(monkeypatch, builtin(name), kind, OFFSETS)
+            assert len({id(t) for t in tables}) == len(OFFSETS), (name, kind)
+
+
+def test_inverse_pairs_build_one_table_per_offsets_read():
+    # inverse-pair-beta slides beta with its index; sharing the tables of the
+    # pairs with constant w cuts the tables it builds from 576 to 198
+    identity = identities.REGISTRY["orthogonality/inverse-pair-beta"]
+    grid = [(alpha, beta) for alpha in (-1, 0, 1) for beta in (-1, 0, 1)]
+    _table.cache_clear()
+    for name in CATALOG:
+        checked, _, failure = identities.scan(identity.cells(6, grid),
+                                              identity.probe(builtin(name)))
+        assert failure is None and checked == len(grid), name
+    built = _table.cache_info()
+    assert built.misses == built.currsize <= 198, built  # nothing was evicted
 
 
 @pytest.mark.parametrize("method", ["definition", "recurrence"])
