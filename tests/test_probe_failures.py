@@ -1,6 +1,6 @@
 """The failure path of every identity probe, pinned by a golden report.
 
-Three faults are planted for one `verify --suite all --nmax 6` run over the
+Six faults are planted for one `verify --suite all --nmax 6` run over the
 whole catalog:
 
 * a definition-method `StirlingTable.value(3, 1)` answers the true value
@@ -8,11 +8,18 @@ whole catalog:
 * the first-kind Hankel matrix, which reads no table, has entry (2, 0)
   plus 1;
 * `tableaux.enumerate_Td` drops its last tableau whenever it would return
-  more than two.
+  more than two;
+* `stirling.first_kind` and `second_kind` answer the true value plus 1 at
+  (2, 1) for a pair that `weights.swap` made, which only the duality
+  identities read;
+* `combinat.count_01v` answers the true count plus 1 on a shape wider than
+  one column;
+* `combinat.to_partition` and `to_permutation` move the largest colored
+  element into the first block or cycle when it lies in another.
 
-Together they break nearly every identity, so the report reaches the
-counterexample branch of each probe: the golden file pins which cell fails
-first and how the counterexample describes it.
+Together they break every identity, so the report reaches the
+counterexample branch of each probe and each cell formatter: the golden file
+pins which cell fails first and how the counterexample describes it.
 
 After an intended change of a counterexample, rewrite the record and review
 its diff:
@@ -32,10 +39,24 @@ RECORD = pathlib.Path(__file__).resolve().parent / "golden" / "verify_all_nmax6_
 COMMAND = ["verify", "--suite", "all", "--nmax", "6"]
 
 
+def _moved_mark(groups) -> tuple:
+    # the largest colored element joins the end of the first group; every other
+    # element of the first group is smaller, so a sorted block stays sorted
+    marks = [(e, i, c) for i, group in enumerate(groups) for e, c in group[1:]]
+    e, i, c = max(marks, default=(0, 0, None))
+    if not i:
+        return groups
+    return (groups[0] + ((e, c),),
+            *(tuple(item for item in group if item[0] != e) for group in groups[1:]))
+
+
 def plant_faults(setattr_) -> None:
-    """Install the three faults through setattr_(owner, name, value)."""
+    """Install the six faults through setattr_(owner, name, value)."""
     value, enumerate_Td = stirling.StirlingTable.value, tableaux.enumerate_Td
     first_hankel_rows = matrices._first_hankel_rows
+    first_kind, second_kind = stirling.first_kind, stirling.second_kind
+    count_01v = combinat.count_01v
+    to_partition, to_permutation = combinat.to_partition, combinat.to_permutation
 
     def faulty_value(self, n, k):
         got = value(self, n, k)
@@ -51,9 +72,25 @@ def plant_faults(setattr_) -> None:
         found = enumerate_Td(*args, **kwargs)
         return found[:-1] if len(found) > 2 else found
 
+    def swapped_read(read):
+        def faulty_read(pair, alpha, beta, n, k):
+            got = read(pair, alpha, beta, n, k)
+            return got + 1 if (pair.label or "").startswith("swap(") and (n, k) == (2, 1) else got
+        return faulty_read
+
+    def faulty_count_01v(shape, pair):
+        return count_01v(shape, pair) + (shape.width > 1)
+
     setattr_(stirling.StirlingTable, "value", faulty_value)
     setattr_(matrices, "_first_hankel_rows", faulty_first_hankel_rows)
     setattr_(tableaux, "enumerate_Td", faulty_enumerate_Td)
+    setattr_(stirling, "first_kind", swapped_read(first_kind))
+    setattr_(stirling, "second_kind", swapped_read(second_kind))
+    setattr_(combinat, "count_01v", faulty_count_01v)
+    setattr_(combinat, "to_partition",
+             lambda t: combinat.ColoredPartition(_moved_mark(to_partition(t).blocks)))
+    setattr_(combinat, "to_permutation",
+             lambda t: combinat.ColoredPermutation(_moved_mark(to_permutation(t).cycles)))
 
 
 def run() -> tuple:
