@@ -11,6 +11,11 @@ acceptance gate runs the same probes over its own, wider cell lists.
 Every parameter that sets a range (row bound, matrix dimension, series order)
 is part of the cell, so no probe reads nmax.
 
+A counterexample opens with its cell.  `_named("n", "k")` writes n=… k=… for
+the cell's leading values, and `_at("n", "k")` writes the offsets alpha=…
+beta=…, the cell's last two values, in front of that.  A new identity names
+its cells by one of the two, unless its text has another shape.
+
 Layer functions return the values they compute and only this module compares
 them, in one probe shape, `_compare`: compute the sides got and want from the
 pair and the cell, compare them, and write the cell and the tagged sides as the
@@ -40,18 +45,15 @@ NO_PAIR = "-"  # once, independent of the weights
 class Identity:
     """One identity.  `pairs` is EACH, NO_PAIR, or the builtin label it runs
     for (once, when that pair is swept).  `cells(nmax, grid)` yields cell
-    tuples; `make_probe(pair)` builds the probe.  A pair failing `applies`
+    tuples; `probe(pair)` builds the probe.  A pair failing `applies`
     gets one skipped cell instead of a sweep."""
 
     suite: str
     name: str
     cells: Callable
-    make_probe: Callable
+    probe: Callable
     pairs: str = EACH
     applies: Optional[Callable] = None
-
-    def probe(self, pair=None):
-        return self.make_probe(pair)
 
 
 def scan(cells, probe):
@@ -158,24 +160,15 @@ def _entries(n_max):
     return ((n, k) for n in range(n_max + 1) for k in range(n + 1))
 
 
-def _nk(n, k, a, b):
-    return f"alpha={a} beta={b} n={n} k={k}"
+def _named(*names):
+    # the cell's leading values, one name each
+    return lambda *cell: " ".join(f"{name}={value}" for name, value in zip(names, cell))
 
 
-def _n(n, a, b):
-    return f"alpha={a} beta={b} n={n}"
-
-
-def _rs(r, s, a, b):
-    return f"alpha={a} beta={b} r={r} s={s}"
-
-
-def _split(m1, m2, n, a, b):
-    return f"alpha={a} beta={b} m1={m1} m2={m2} n={n}"
-
-
-def _entry(n, k):
-    return f"n={n} k={k}"
+def _at(*names):
+    # a cell that ends in its offsets: those first, then the leading values
+    named = _named(*names)
+    return lambda *cell: f"alpha={cell[-2]} beta={cell[-1]} {named(*cell)}"
 
 
 def _shape(shape, a, b):
@@ -227,7 +220,8 @@ def _triangular(kind):
             if key not in tables:
                 tables[key] = stirling.StirlingTable(pair, kind, *key, method="recurrence")
             return tables[key].value(n, k)
-        return _compare(_nk, _value(kind), by_recurrence, ("definition", "recurrence"))(pair)
+        return _compare(_at("n", "k"), _value(kind), by_recurrence,
+                        ("definition", "recurrence"))(pair)
     return make_probe
 
 
@@ -235,22 +229,21 @@ def _duality(kind):
     # the paper's duality: swapping v with w and alpha with beta keeps every entry
     def make_probe(pair):
         swapped = weights.swap(pair)
-        return _compare(_nk, lambda pair, n, k, a, b: _value(kind)(swapped, n, k, b, a),
+        return _compare(_at("n", "k"), lambda pair, n, k, a, b: _value(kind)(swapped, n, k, b, a),
                         _value(kind), ("swapped", "value"))(pair)
     return make_probe
 
 
 def _step(step, kind, down):
     # step() is the recurrence; it computes the entry (n + down, k + down) from other rows
-    return _compare(_nk, lambda pair, n, k, a, b: step()(pair, a, b, n, k),
+    return _compare(_at("n", "k"), lambda pair, n, k, a, b: step()(pair, a, b, n, k),
                     _value(kind, down), ("recurrence", "definition"))
 
 
 def _pq_form(names, residual):
     # residual() is a p,q form of genfunc, returning its residual at the cell,
     # whose entries the counterexample names in order
-    return _residual(lambda *cell: " ".join(f"{name}={v}" for name, v in zip(names, cell)),
-                     lambda pair, *cell: residual()(*cell))
+    return _residual(_named(*names), lambda pair, *cell: residual()(*cell))
 
 
 def _products(pair, kind, r, a, b):
@@ -259,8 +252,7 @@ def _products(pair, kind, r, a, b):
     return first * second, second * first
 
 
-_INVERSE_PAIR = _compare(lambda kind, r, a, b: f"alpha={a} beta={b} kind={kind} r={r}",
-                         _products,
+_INVERSE_PAIR = _compare(_at("kind", "r"), _products,
                          lambda pair, kind, r, a, b: (matrices.identity_matrix(r + 1),) * 2)
 
 
@@ -278,7 +270,8 @@ def _round_trips_back(pair, fwd, bwd, r, a, b):
 
 
 def _convolution(kind):
-    return _compare(_split, lambda pair, *cell: matrices.convolution_sum(kind, *cell, pair),
+    return _compare(_at("m1", "m2", "n"),
+                    lambda pair, *cell: matrices.convolution_sum(kind, *cell, pair),
                     lambda pair, m1, m2, n, a, b: _value(kind)(pair, m1 + m2, n, a, b))
 
 
@@ -286,11 +279,12 @@ def _lu(kind):
     def factored(pair, *cell):
         lower, upper = matrices.lu_factors(kind, *cell, pair)
         return lower * upper
-    return _compare(_rs, factored, lambda pair, *cell: matrices.hankel_matrix(kind, *cell, pair))
+    return _compare(_at("r", "s"), factored,
+                    lambda pair, *cell: matrices.hankel_matrix(kind, *cell, pair))
 
 
 def _det(kind):
-    return _compare(_rs, lambda pair, *cell: matrices.determinant(
+    return _compare(_at("r", "s"), lambda pair, *cell: matrices.determinant(
                         matrices.hankel_matrix(kind, *cell, pair)),
                     lambda pair, *cell: matrices.det_formula(kind, *cell, pair),
                     ("det", "formula"))
@@ -303,13 +297,14 @@ def _partition(where, pieces, whole):
 
 
 def _weight_sum(kind):
-    return _compare(_nk, lambda pair, *cell: tableaux.weight_sum(kind, *cell, pair),
+    return _compare(_at("n", "k"), lambda pair, *cell: tableaux.weight_sum(kind, *cell, pair),
                     _value(kind), ("tableau-sum", "definition"))
 
 
 def _at_origin(tag, kind, got):
     # got(pair, n, k) against the entry at (n, k) and offsets 0, 0
-    return _compare(_entry, got, lambda pair, n, k: _value(kind)(pair, n, k, 0, 0), (tag, "value"))
+    return _compare(_named("n", "k"), got, lambda pair, n, k: _value(kind)(pair, n, k, 0, 0),
+                    (tag, "value"))
 
 
 def _bijection(maps, shapes):
@@ -327,7 +322,7 @@ def _bijection(maps, shapes):
         shape_list, rows = shapes(n, k)
         return (Counter(t for shape in shape_list
                         for t in combinat.enumerate_01v(shape, pair, rows=rows)), [])
-    return _compare(_entry, images, colored)
+    return _compare(_named("n", "k"), images, colored)
 
 
 def _listed(pair, shape, a, b):
@@ -378,13 +373,13 @@ _IDENTITIES = (
 
     Identity("genfunc", "row-product-first",
              lambda nmax, grid: ((n, a, b) for n in range(nmax + 1) for a, b in grid),
-             _compare(_n, lambda pair, n, a, b: genfunc.cgf_product(n, a, b, pair),
+             _compare(_at("n"), lambda pair, n, a, b: genfunc.cgf_product(n, a, b, pair),
                       lambda pair, n, a, b: ring_sum(
                           stirling.first_kind(pair, a, b, n, k) * X ** k for k in range(n + 1)),
                       ("product", "row-sum"))),
     Identity("genfunc", "column-series-second",
              lambda nmax, grid: ((k, nmax, a, b) for k in range(nmax + 1) for a, b in grid),
-             _compare(lambda k, order, a, b: f"alpha={a} beta={b} k={k}",
+             _compare(_at("k"),
                       lambda pair, k, order, a, b: genfunc.sgf_series(k, order, a, b, pair),
                       lambda pair, k, order, a, b: ring_sum(
                           stirling.second_kind(pair, a, b, n, k) * X ** n
@@ -392,7 +387,8 @@ _IDENTITIES = (
                       ("series", "column-sum"))),
     Identity("genfunc", "basis-expansion",
              lambda nmax, grid: ((n, a, b) for n in range(min(nmax, 6) + 1) for a, b in grid),
-             _residual(_n, lambda pair, n, a, b: genfunc.basis_expansion(n, a, b, pair) - X ** n)),
+             _residual(_at("n"),
+                       lambda pair, n, a, b: genfunc.basis_expansion(n, a, b, pair) - X ** n)),
     Identity("genfunc", "pq-row-product", lambda nmax, grid: ((n,) for n in range(nmax + 1)),
              _pq_form(("n",), lambda: genfunc.pq_product_form_residual), pairs="pq-binomial"),
     Identity("genfunc", "pq-column-series",
@@ -430,8 +426,7 @@ _IDENTITIES = (
                       lambda pair, fwd, bwd, r, a, b: (_sequence(fwd, r, a, b),) * 2)),
     Identity("orthogonality", "pq-binomial-delta",
              lambda nmax, grid: ((n, m) for n in range(min(nmax, 6) + 1) for m in range(n + 1)),
-             _compare(lambda n, m: f"n={n} m={m}",
-                      lambda pair, n, m: matrices.pq_binomial_delta_sum(n, m),
+             _compare(_named("n", "m"), lambda pair, n, m: matrices.pq_binomial_delta_sum(n, m),
                       lambda pair, n, m: 1 if n == m else 0, ("value", None)),
              pairs="pq-binomial"),
 
@@ -446,7 +441,7 @@ _IDENTITIES = (
     Identity("determinants", "scaled-q-det",
              lambda nmax, grid: ((r, s) for r in range(max(1, nmax // 3) + 1)
                                  for s in range(max(1, nmax // 3) + 1)),
-             _compare(lambda r, s: f"r={r} s={s}",
+             _compare(_named("r", "s"),
                       lambda pair, r, s: matrices.determinant(
                           matrices.scaled_q_hankel_matrix(r, s)),
                       lambda pair, r, s: matrices.scaled_q_det_formula(r, s)),
@@ -456,18 +451,19 @@ _IDENTITIES = (
     Identity("tableaux", "weight-sum-second", _tableau_rows, _weight_sum("second")),
     Identity("tableaux", "tau-bijection",
              lambda nmax, grid: _triangle(range(1, min(nmax, 6) + 1), _nonneg(grid), k_min=1),
-             _partition(_nk, lambda n, k, a, b: [tableaux.tau(t, n, k, a, b) for t in
-                                                 tableaux.enumerate_Td(a, b, n - 1, n - k)],
+             _partition(_at("n", "k"),
+                        lambda n, k, a, b: [tableaux.tau(t, n, k, a, b) for t in
+                                            tableaux.enumerate_Td(a, b, n - 1, n - k)],
                         lambda n, k, a, b: tableaux.enumerate_T(a, b, k, n - k)),
              pairs=NO_PAIR),
     Identity("tableaux", "triangular-split",
              lambda nmax, grid: _triangle(range(1, min(nmax, 5) + 1), _nonneg(grid)),
-             _partition(_nk, lambda *cell: tableaux.triangular_split(*cell),
+             _partition(_at("n", "k"), lambda *cell: tableaux.triangular_split(*cell),
                         lambda n, k, a, b: tableaux.enumerate_Td(a, b, n - 1, n - k)),
              pairs=NO_PAIR),
     Identity("tableaux", "convolution-split",
              lambda nmax, grid: _splits(range(1, 3), _nonneg(grid)),
-             _partition(_split, lambda *cell: tableaux.convolution_split(*cell),
+             _partition(_at("m1", "m2", "n"), lambda *cell: tableaux.convolution_split(*cell),
                         lambda m1, m2, n, a, b:
                         tableaux.enumerate_Td(a, b, m1 + m2 - 1, m1 + m2 - n)),
              pairs=NO_PAIR),
@@ -497,7 +493,7 @@ _IDENTITIES = (
              applies=combinat.colors_by_v),
     Identity("combinatorial", "figure-renderings",
              lambda nmax, grid: [(name,) for name in _FIGURES],
-             _compare(lambda name: f"figure={name}", _figure,
+             _compare(_named("figure"), _figure,
                       lambda pair, name: _FIGURES[name][2], ("rendered", "expected")),
              pairs=NO_PAIR),
     Identity("combinatorial", "signed-partition-counts", lambda nmax, grid: _entries(min(nmax, 4)),

@@ -111,7 +111,7 @@ def test_a_layer_refusal_is_the_counterexample(monkeypatch):
     # neither fault above sends tau a tableau outside its domain; a repeated
     # top does, and tau refuses it with DomainViolation
     monkeypatch.setattr(tableaux, "enumerate_Td", tableaux.enumerate_T)
-    probe = identities.REGISTRY["tableaux/tau-bijection"].probe()
+    probe = identities.REGISTRY["tableaux/tau-bijection"].probe(None)
     assert probe(3, 1, 0, 0) == ("alpha=0 beta=0 n=3 k=1 BTableau([2 2 / 0 0]) is not a "
                                  "distinct-top tableau for (alpha=0, beta=0, r=2) with 2 columns")
 
