@@ -451,9 +451,8 @@ _IDENTITIES = (
     Identity("tableaux", "weight-sum-second", _tableau_rows, _weight_sum("second")),
     Identity("tableaux", "tau-bijection",
              lambda nmax, grid: _triangle(range(1, min(nmax, 6) + 1), _nonneg(grid), k_min=1),
-             _partition(_at("n", "k"),
-                        lambda n, k, a, b: [tableaux.tau(t, n, k, a, b) for t in
-                                            tableaux.enumerate_Td(a, b, n - 1, n - k)],
+             _partition(_at("n", "k"), lambda n, k, a, b: [
+                 tableaux.tau(t, n, k, a, b) for t in tableaux.enumerate_Td(a, b, n - 1, n - k)],
                         lambda n, k, a, b: tableaux.enumerate_T(a, b, k, n - k)),
              pairs=NO_PAIR),
     Identity("tableaux", "triangular-split",

@@ -331,13 +331,7 @@ class RingValue:
                 raise InexactDivision(f"leading coefficient {_digits(dividend[rkey])} "
                                       f"not divisible by {_digits(lead_coeff)}")
             quotient[qkey] = c
-            for dk, dc in dpoly.items():
-                key = qkey + dk
-                acc = dividend.get(key, 0) - c * dc
-                if acc:
-                    dividend[key] = acc
-                else:
-                    dividend.pop(key, None)
+            _mul_term({qkey + _UNIT: -c}, dpoly, dividend)
         shift = low - dlow + _UNIT
         out = {k + shift: c for k, c in quotient.items()}
         for key in out:

@@ -218,18 +218,19 @@ def s_vertical(pair: WeightPair, alpha: int, beta: int, n: int, k: int) -> Coerc
 
 def c_horizontal(pair: WeightPair, alpha: int, beta: int, n: int, k: int) -> Coercible:
     """First-kind entry at (n, k) as an alternating sum over row n+1."""
-    top = pair.v.eval(alpha + n) * pair.w.eval(beta - 1)
-    return ring_sum(
-        (-1) ** (j - k) * top ** (j - k) * first_kind(pair, alpha, beta - 1, n + 1, j + 1)
-        for j in range(k, n + 1))
+    return _c_horizontal_sum(pair, alpha, beta - 1, n, k, n)
 
 
 def c_horizontal_alpha(pair: WeightPair, alpha: int, beta: int, n: int, k: int) -> Coercible:
     """Variant of c_horizontal that shifts alpha instead of beta."""
-    top = pair.v.eval(alpha - 1) * pair.w.eval(beta + n)
-    return ring_sum(
-        (-1) ** (j - k) * top ** (j - k) * first_kind(pair, alpha - 1, beta, n + 1, j + 1)
-        for j in range(k, n + 1))
+    return _c_horizontal_sum(pair, alpha - 1, beta, n, k, 0)
+
+
+def _c_horizontal_sum(pair: WeightPair, alpha: int, beta: int, n: int, k: int, i: int):
+    # row n + 1 at the shifted offsets, whose line gained the product v(alpha+i)w(beta+n-i)
+    top = pair.v.eval(alpha + i) * pair.w.eval(beta + n - i)
+    return ring_sum((-top) ** (j - k) * first_kind(pair, alpha, beta, n + 1, j + 1)
+                    for j in range(k, n + 1))
 
 
 def s_horizontal(pair: WeightPair, alpha: int, beta: int, n: int, k: int) -> Coercible:
