@@ -319,6 +319,8 @@ def main(argv=None) -> int:
         code, message = 2, f"weights are undefined on the requested {args.undefined_on}: {exc}"
     except RESOURCE_LIMITS as exc:
         code, message = 3, str(exc)
+    except MemoryError:
+        code, message = 3, "out of memory"
     print(f"error: {message}", file=sys.stderr)
     return code
 

@@ -276,7 +276,8 @@ def test_enumeration_past_the_cap_is_refused_at_once(argv, noun):
     # each count has 4700 digits or more; C(2000000, 1000000) alone takes
     # seconds to compute, so the check must stop at the first partial count
     # past the cap
-    assert_refused_in_a_fresh_process(argv, f"more than 1000000 {noun}", seconds=1)
+    assert_refused_in_a_fresh_process(("enumerate", "--object", *argv),
+                                      f"more than 1000000 {noun}", seconds=1)
 
 
 def test_enumerate_partitions_with_many_blocks(capsys):
@@ -290,7 +291,7 @@ def test_enumerate_partitions_with_many_blocks(capsys):
     assert out.endswith("{1499}{1500}\ncount=1\n")
     assert time.monotonic() - start < 10
     assert_refused_in_a_fresh_process(
-        ("partitions", "--n", "1500", "--k", "1499", "--cap", "10"),
+        ("enumerate", "--object", "partitions", "--n", "1500", "--k", "1499", "--cap", "10"),
         "more than 10 colored partitions", seconds=10)
 
 
@@ -309,7 +310,8 @@ def test_zero_budget_enumerations_refuse_at_once(objects, n, k, weights):
     # At n = 8000 the count's DP must stop at its first entry past the cap:
     # one that fills every entry first takes seconds.
     assert_refused_in_a_fresh_process(
-        (objects, "--n", n, "--k", k, "--weights", f"builtin:{weights}", "--cap", "10"),
+        ("enumerate", "--object", objects, "--n", n, "--k", k, "--weights", f"builtin:{weights}",
+         "--cap", "10"),
         f"more than 10 colored {objects}", seconds=1)
 
 
@@ -337,15 +339,16 @@ def test_cap_zero_refuses_every_family(capsys, argv, noun):
 
 
 def assert_refused_in_a_fresh_process(argv, message, seconds):
-    # The child's address space is limited to 1 GiB, so a regression fails
-    # fast with a MemoryError, not by enumerating the family inside pytest.
-    # VmHWM is the peak RSS since exec; ru_maxrss would count this process's.
+    # The child runs main(argv) with its address space limited to 1 GiB, so a
+    # regression fails fast with a MemoryError, which main reports as "out of
+    # memory", not by enumerating the family inside pytest.  VmHWM is the peak
+    # RSS since exec; ru_maxrss would count this process's.
     script = f"""
         import json, resource, time
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
         from wstirling.cli import main
         start = time.monotonic()
-        code = main(["enumerate", "--object", *{argv!r}])
+        code = main([*{argv!r}])
         with open("/proc/self/status", encoding="ascii") as status:
             peak_kb = int(next(line.split()[1] for line in status if line.startswith("VmHWM:")))
         print(json.dumps([code, time.monotonic() - start, peak_kb]))
@@ -364,8 +367,8 @@ def test_huge_budgets_are_refused_before_any_placement_list(argv, noun):
     # v(0) = 10^9 colors in one placement list: the cap must be decided from
     # the list sizes, so the child is refused in a few MB
     assert_refused_in_a_fresh_process(
-        argv + ("--weights", "builtin:noncentral(1000000000)"), f"more than 1000000 {noun}",
-        seconds=2)
+        ("enumerate", "--object", *argv, "--weights", "builtin:noncentral(1000000000)"),
+        f"more than 1000000 {noun}", seconds=2)
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -382,7 +385,15 @@ def test_refusals_that_need_the_whole_count(argv, message):
     # the family is past the cap, but its first skeleton is not (10^6 objects
     # in the first two), so the count must be decided before the first
     # object, not tallied from the objects already built
-    assert_refused_in_a_fresh_process(argv, message, seconds=2)
+    assert_refused_in_a_fresh_process(("enumerate", "--object", *argv), message, seconds=2)
+
+
+def test_out_of_memory_is_a_resource_error():
+    # the 3 * 10^9 alpha offsets do not fit in the child's 1 GiB: exit 3 with
+    # one line on stderr and nothing on stdout, not a MemoryError traceback
+    assert_refused_in_a_fresh_process(
+        ("verify", "--suite", "genfunc", "--nmax", "1", "--alpha-range=0:3000000000"),
+        "out of memory", seconds=2)
 
 
 def test_closed_stdout_exits_141_quietly():
