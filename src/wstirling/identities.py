@@ -8,6 +8,18 @@ default) it raises UndefinedIndex, and `scan` counts the cell as skipped.
 `wstirling verify` runs the registry at its --nmax and offset grid; the
 acceptance gate runs the same probes over its own, wider cell lists.
 
+An identity sets `by_weights` when its probe reads the offsets only through
+the weight values v(alpha + i) and w(beta + j), as the paper's recurrences,
+generating functions, orthogonality relations, convolutions and Hankel
+determinants do.  `verify` then runs its probe once per cell as the pair's
+weights read it (`offsets`), and counts the cells that differ only in an
+offset a constant weight ignores with that cell's outcome.  A probe that
+uses an offset as a number (a seed, an enumeration of objects at the
+offset) must leave it unset: the round trip, tableaux and combinatorial
+identities do.  The flag marks the 22 per-pair identities of the six
+algebraic suites that are not label-specific, less the round trip, so a
+check that substitutes symbolic offsets can select by it.
+
 Every parameter that sets a range (row bound, matrix dimension, series order)
 is part of the cell, so no probe reads nmax.
 
@@ -46,7 +58,9 @@ class Identity:
     """One identity.  `pairs` is EACH, NO_PAIR, or the builtin label it runs
     for (once, when that pair is swept).  `cells(nmax, grid)` yields cell
     tuples; `probe(pair)` builds the probe.  A pair failing `applies`
-    gets one skipped cell instead of a sweep."""
+    gets one skipped cell instead of a sweep.  `by_weights` says that the
+    probe reads the cell's offsets, its last two values, only through the
+    weight values v(alpha + i) and w(beta + j)."""
 
     suite: str
     name: str
@@ -54,6 +68,13 @@ class Identity:
     probe: Callable
     pairs: str = EACH
     applies: Optional[Callable] = None
+    by_weights: bool = False
+
+
+def offsets(pair, a, b):
+    """The offsets (a, b) as pair's weights read them: an offset whose weight
+    ignores the index reads as 0, so every offset there gives one triangle."""
+    return a if pair.reads_alpha else 0, b if pair.reads_beta else 0
 
 
 def scan(cells, probe):
@@ -73,9 +94,30 @@ def scan(cells, probe):
     return checked, skipped, None
 
 
+def _shared(probe, pair):
+    """probe, run once per cell as pair's weights read it: a cell that differs
+    from an earlier one only in an offset the weights ignore gets that cell's
+    outcome, holds or UndefinedIndex, again.  A failure is stored too but
+    never replayed, since scan stops at it."""
+    outcomes = {}
+
+    def shared(*cell):
+        key = (*cell[:-2], *offsets(pair, *cell[-2:]))
+        if key not in outcomes:
+            try:
+                outcomes[key] = probe(*cell)
+            except weights.UndefinedIndex as exc:
+                outcomes[key] = exc
+        if isinstance(outcomes[key], weights.UndefinedIndex):
+            raise outcomes[key].with_traceback(None)
+        return outcomes[key]
+    return shared
+
+
 def verify(suites, pairs, nmax: int, grid):
     """Yield (identity, label, checked, skipped, failure) in report order: per
-    suite, the per-pair identities pair by pair, then the others."""
+    suite, the per-pair identities pair by pair, then the others.  A
+    by_weights probe runs through _shared; every cell is still counted."""
     by_label = {pair.label: pair for pair in pairs}
     for suite in suites:
         chosen = [i for i in REGISTRY.values() if i.suite == suite]
@@ -86,8 +128,10 @@ def verify(suites, pairs, nmax: int, grid):
             if identity.applies is not None and not identity.applies(pair):
                 yield identity, label, 0, 1, None
             else:
-                yield (identity, label,
-                       *scan(identity.cells(nmax, grid), identity.probe(pair)))
+                probe = identity.probe(pair)
+                if identity.by_weights and not (pair.reads_alpha and pair.reads_beta):
+                    probe = _shared(probe, pair)
+                yield identity, label, *scan(identity.cells(nmax, grid), probe)
 
 
 # -- cells ---------------------------------------------------------------------------
@@ -216,7 +260,7 @@ def _triangular(kind):
         tables = {}  # one recurrence table per offsets read, kept for the probe's life
 
         def by_recurrence(pair, n, k, a, b):
-            key = a if pair.reads_alpha else 0, b if pair.reads_beta else 0
+            key = offsets(pair, a, b)
             if key not in tables:
                 tables[key] = stirling.StirlingTable(pair, kind, *key, method="recurrence")
             return tables[key].value(n, k)
@@ -356,27 +400,27 @@ def _figure(pair, name):
 # -- the registry --------------------------------------------------------------------
 
 _IDENTITIES = (
-    Identity("recurrences", "triangular-first", _rows, _triangular("first")),
-    Identity("recurrences", "triangular-second", _rows, _triangular("second")),
+    Identity("recurrences", "triangular-first", _rows, _triangular("first"), by_weights=True),
+    Identity("recurrences", "triangular-second", _rows, _triangular("second"), by_weights=True),
     Identity("recurrences", "vertical-first", _step_rows,
-             _step(lambda: stirling.c_vertical, "first", 1)),
+             _step(lambda: stirling.c_vertical, "first", 1), by_weights=True),
     Identity("recurrences", "vertical-second", _step_rows,
-             _step(lambda: stirling.s_vertical, "second", 1)),
+             _step(lambda: stirling.s_vertical, "second", 1), by_weights=True),
     Identity("recurrences", "horizontal-first", _step_rows,
-             _step(lambda: stirling.c_horizontal, "first", 0)),
+             _step(lambda: stirling.c_horizontal, "first", 0), by_weights=True),
     Identity("recurrences", "horizontal-first-dual", _step_rows,
-             _step(lambda: stirling.c_horizontal_alpha, "first", 0)),
+             _step(lambda: stirling.c_horizontal_alpha, "first", 0), by_weights=True),
     Identity("recurrences", "horizontal-second", _step_rows,
-             _step(lambda: stirling.s_horizontal, "second", 0)),
-    Identity("recurrences", "duality-first", _rows, _duality("first")),
-    Identity("recurrences", "duality-second", _rows, _duality("second")),
+             _step(lambda: stirling.s_horizontal, "second", 0), by_weights=True),
+    Identity("recurrences", "duality-first", _rows, _duality("first"), by_weights=True),
+    Identity("recurrences", "duality-second", _rows, _duality("second"), by_weights=True),
 
     Identity("genfunc", "row-product-first",
              lambda nmax, grid: ((n, a, b) for n in range(nmax + 1) for a, b in grid),
              _compare(_at("n"), lambda pair, n, a, b: genfunc.cgf_product(n, a, b, pair),
                       lambda pair, n, a, b: ring_sum(
                           stirling.first_kind(pair, a, b, n, k) * X ** k for k in range(n + 1)),
-                      ("product", "row-sum"))),
+                      ("product", "row-sum")), by_weights=True),
     Identity("genfunc", "column-series-second",
              lambda nmax, grid: ((k, nmax, a, b) for k in range(nmax + 1) for a, b in grid),
              _compare(_at("k"),
@@ -384,11 +428,12 @@ _IDENTITIES = (
                       lambda pair, k, order, a, b: ring_sum(
                           stirling.second_kind(pair, a, b, n, k) * X ** n
                           for n in range(k, order + 1)),
-                      ("series", "column-sum"))),
+                      ("series", "column-sum")), by_weights=True),
     Identity("genfunc", "basis-expansion",
              lambda nmax, grid: ((n, a, b) for n in range(min(nmax, 6) + 1) for a, b in grid),
              _residual(_at("n"),
-                       lambda pair, n, a, b: genfunc.basis_expansion(n, a, b, pair) - X ** n)),
+                       lambda pair, n, a, b: genfunc.basis_expansion(n, a, b, pair) - X ** n),
+             by_weights=True),
     Identity("genfunc", "pq-row-product", lambda nmax, grid: ((n,) for n in range(nmax + 1)),
              _pq_form(("n",), lambda: genfunc.pq_product_form_residual), pairs="pq-binomial"),
     Identity("genfunc", "pq-column-series",
@@ -413,13 +458,14 @@ _IDENTITIES = (
                       f"alpha={a} beta={b} relation={relation} n={n} m={m}",
                       lambda pair, n, m, relation, a, b:
                       matrices.orthogonality_sum(relation, n, m, a, b, pair),
-                      lambda pair, n, m, *_: 1 if n == m else 0, ("value", None))),
+                      lambda pair, n, m, *_: 1 if n == m else 0, ("value", None)),
+             by_weights=True),
     Identity("orthogonality", "inverse-pair-beta",
              lambda nmax, grid: (("beta", min(nmax, 5), a, b) for a, b in grid),
-             _INVERSE_PAIR),
+             _INVERSE_PAIR, by_weights=True),
     Identity("orthogonality", "inverse-pair-alpha",
              lambda nmax, grid: (("alpha", min(nmax, 5), a, b) for a, b in grid),
-             _INVERSE_PAIR),
+             _INVERSE_PAIR, by_weights=True),
     Identity("orthogonality", "inverse-relation-round-trip", _round_trips,
              _compare(lambda fwd, bwd, r, a, b: f"alpha={a} beta={b} legs={fwd}<->{bwd} "
                       f"sequence={_sequence(fwd, r, a, b)}", _round_trips_back,
@@ -430,14 +476,16 @@ _IDENTITIES = (
                       lambda pair, n, m: 1 if n == m else 0, ("value", None)),
              pairs="pq-binomial"),
 
-    Identity("convolution", "row-split-first", _convolutions, _convolution("first")),
-    Identity("convolution", "row-split-second", _convolutions, _convolution("second")),
+    Identity("convolution", "row-split-first", _convolutions, _convolution("first"),
+             by_weights=True),
+    Identity("convolution", "row-split-second", _convolutions, _convolution("second"),
+             by_weights=True),
 
-    Identity("lu", "hankel-lu-first", _hankels, _lu("first")),
-    Identity("lu", "hankel-lu-second", _hankels, _lu("second")),
+    Identity("lu", "hankel-lu-first", _hankels, _lu("first"), by_weights=True),
+    Identity("lu", "hankel-lu-second", _hankels, _lu("second"), by_weights=True),
 
-    Identity("determinants", "hankel-det-first", _hankels, _det("first")),
-    Identity("determinants", "hankel-det-second", _hankels, _det("second")),
+    Identity("determinants", "hankel-det-first", _hankels, _det("first"), by_weights=True),
+    Identity("determinants", "hankel-det-second", _hankels, _det("second"), by_weights=True),
     Identity("determinants", "scaled-q-det",
              lambda nmax, grid: ((r, s) for r in range(max(1, nmax // 3) + 1)
                                  for s in range(max(1, nmax // 3) + 1)),
