@@ -40,7 +40,6 @@ def test_the_flag_marks_the_generic_identities():
     # from the offsets, and tableaux and colored objects differ at each offset
     flagged = tuple(name for name, i in identities.REGISTRY.items() if i.by_weights)
     assert flagged == BY_WEIGHTS
-    assert not identities.REGISTRY["orthogonality/inverse-relation-round-trip"].by_weights
 
 
 def test_offsets_read_as_zero_where_the_weight_ignores_the_index():
