@@ -8,6 +8,11 @@ Four subcommands:
     enumerate  print canonical renderings of combinatorial objects
     det        print a Hankel-style matrix, its determinant, and the closed form
 
+`table` builds the nested recurrence (a StirlingTable with method
+"recurrence"), which takes every catalog pair but b-stirling in O(N^2) ring
+operations; the definition tables that `verify` and `det` read stay the
+independent path.
+
 `verify` only parses its arguments and renders lines: the identities, their
 cells and probes, and the sweep loop live in `wstirling.identities`, which the
 acceptance gate runs too.
@@ -99,7 +104,7 @@ def cmd_table(args) -> int:
     if args.nmax < 0:
         raise UsageError("--nmax must be nonnegative")
     pair = load_weights(args.weights)
-    table = stirling.StirlingTable(pair, args.kind, args.alpha, args.beta)
+    table = stirling.StirlingTable(pair, args.kind, args.alpha, args.beta, method="recurrence")
     rows = [table.row(n) for n in range(args.nmax + 1)]
     if args.format == "csv":
         print(";".join(",".join(render(v) for v in row) for row in rows))

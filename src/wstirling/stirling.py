@@ -25,16 +25,20 @@ other's keys (pq-binomial, q-binomial, zeta), two values dense in one
 variable with 256 or more term pairs multiply as big ints (q-stirling), the
 rest walk term pairs.  So definition against recurrence checks the packed
 lines and their decoding against RingValue arithmetic; the vertical and
-horizontal recurrences below and wstirling.genfunc check the DPs.  Where w
-is constant, a line's reversed products are the line before's and one more,
-so a recurrence table steps each line from its own earlier lines, as the
-paper's recurrence does: rows 0..N cost O(N^2) ring operations there, and
-O(N^3) on definition tables and for pq-binomial, zeta and b-stirling.
-StirlingTable.row hands out RingValues.  first_kind and second_kind read
-from a small bounded cache of definition tables, keyed by the offsets the
-weights read: an entry depends on alpha and beta only through the products
-v(alpha+i)w(beta+j), so a constant w is looked up at beta = 0 and a constant
-v at alpha = 0, and the sweeps that slide such an offset share one table.
+horizontal recurrences below and wstirling.genfunc check the DPs.  Where a
+weight has a ratio g (WeightSpec.ratio: 1 for a constant, the base of a
+monomial), a line's products are g times the line before's and one more, so
+a recurrence table steps each line from its own earlier lines, as the
+paper's recurrence does: rows 0..N cost O(N^2) ring operations for every
+catalog pair but b-stirling, and O(N^3) there and on definition tables.
+The CLI's table builds on the recurrence, and the definition tables below
+stay the cross-check.  StirlingTable.row hands out RingValues.
+
+first_kind and second_kind read from a small bounded cache of definition
+tables, keyed by the offsets the weights read: an entry depends on alpha
+and beta only through the products v(alpha+i)w(beta+j), so a w of ratio 1,
+a constant, is looked up at beta = 0 and such a v at alpha = 0, and the
+sweeps that slide such an offset share one table.
 The tables are built from the same products either way, so a shared table
 holds the entries a table at the given offsets would.  Next to them sit the
 vertical and horizontal recurrences (the horizontal ones consume row n+1,
@@ -65,18 +69,20 @@ class StirlingTable:
     "recurrence" the triangular recurrence; the two must agree, which the
     verification suites exploit.  Each definition line runs its own DP, and
     a column extends by one DP step per row, so rows 0..N cost O(N^3) ring
-    operations.  A recurrence table whose w is constant steps each line from
-    its earlier lines, whose reversed products are a prefix of its own: row
-    n from the nearest row stored below it, one e-DP step a row, and column
-    k from column k - 1 when that reaches as deep, one ring operation an
-    entry, so rows 0..N cost O(N^2).  Its other lines start from scratch, as
-    every recurrence line does where w varies.  Weight values are evaluated
-    before anything is stored, a row is stored only once whole, a column
-    grows by whole entries, and a column DP that raises is dropped, so a
-    query that fails raises again when repeated.
+    operations.  A recurrence table where w or v has a ratio g steps each
+    line from its earlier lines, whose products times g are all but one of
+    its own: row n from the nearest row stored below it, one e-DP step a
+    row, and column k from column k - 1 when that reaches as deep, one ring
+    operation an entry, so rows 0..N cost O(N^2).  g = 1, a constant
+    weight, needs no scaling.  Its other lines start from scratch, as every
+    recurrence line does where neither weight has a ratio.  Weight values
+    are evaluated before anything is stored, a row is stored only once
+    whole, a column grows by whole entries, and a column DP that raises is
+    dropped, so a query that fails raises again when repeated.
     """
 
-    __slots__ = ("weights", "kind", "alpha", "beta", "method", "_nests", "_lines", "_steps")
+    __slots__ = ("weights", "kind", "alpha", "beta", "method", "_ratio", "_along_w", "_powers",
+                 "_lines", "_steps")
 
     def __init__(self, weights: WeightPair, kind: str, alpha: int = 0, beta: int = 0,
                  method: str = "definition"):
@@ -89,9 +95,16 @@ class StirlingTable:
         self.alpha = alpha
         self.beta = beta
         self.method = method
-        # with w constant, the products of row n + 1 and of column k + 1, in the
-        # recurrence's order, are those of row n and column k and one more
-        self._nests = method == "recurrence" and weights.w.ignores_index()
+        # where a weight has a ratio g, the products of row n + 1 and of column
+        # k + 1 are g times those of row n and of column k, and one more; w's
+        # ratio is taken where both have one, so a constant w steps by g = 1
+        ratio = weights.w.ratio()
+        self._along_w = ratio is not None
+        if not self._along_w:
+            ratio = weights.v.ratio()
+        self._ratio = ratio if method == "recurrence" else None
+        # g^0, g^1, ... as far as a step has needed them; None where g is 1
+        self._powers = None if self._ratio in (None, 1) else [1]
         self._lines: dict = {}  # first kind: n -> row n; second kind: k -> column k from row k
         self._steps: dict = {}  # second kind: k -> the DP that extends column k by a row
 
@@ -114,20 +127,45 @@ class StirlingTable:
         v, w = self.weights.v, self.weights.w
         return [v.eval(self.alpha + top - t) * w.eval(self.beta + t) for t in range(top + 1)]
 
+    def _added(self, i: int) -> Coercible:
+        """Where lines nest, the product first-kind row i + 1 and second-kind
+        column i add to g times the products of the line before:
+        v(alpha+i)w(beta) along w's ratio, v(alpha)w(beta+i) along v's."""
+        v, w = self.weights.v, self.weights.w
+        if self._along_w:
+            return v.eval(self.alpha + i) * w.eval(self.beta)
+        return v.eval(self.alpha) * w.eval(self.beta + i)
+
+    def _scaled(self, value: Coercible, j: int) -> Coercible:
+        """g^j * value: e_j and h_j of g times the products are g^j times those
+        of the products."""
+        powers = self._powers
+        if powers is None:
+            return value
+        while len(powers) <= j:
+            powers.append(powers[-1] * self._ratio)
+        return powers[j] * value
+
     def _row(self, n: int) -> list:
-        """Row n.  The recurrence walks the e-DP up to row n, multiplying in
-        v(alpha+i)w(beta+n-1-i) at row i + 1: from row 0, or where lines nest
-        from the nearest row stored below n, whose entries reversed are the
-        DP's state there."""
+        """Row n.  The recurrence walks the e-DP up to row n.  Where lines nest
+        it starts from the nearest row stored below n, whose entries reversed
+        are the DP's state there, and a step from row i scales e_j by g^j and
+        takes in _added(i), which is C(i+1, k) = g^(i+1-k) C(i, k-1) +
+        _added(i) g^(i-k) C(i, k); else it starts from row 0 and takes in
+        v(alpha+i)w(beta+n-1-i) at row i + 1."""
         if self.method == "definition":
             row = elementary_all(self._products(n - 1))[::-1]
         else:
-            start = max((r for r in self._lines if r < n), default=0) if self._nests else 0
+            nests = self._ratio is not None
+            start = max((r for r in self._lines if r < n), default=0) if nests else 0
             e = self._lines[start][::-1] if start else [1]
             v, w = self.weights.v, self.weights.w
             for i in range(start, n):
+                if self._powers:
+                    e = [self._scaled(c, j) for j, c in enumerate(e)]
                 e.append(0)
-                elementary_step(e, v.eval(self.alpha + i) * w.eval(self.beta + n - 1 - i), i + 1)
+                elementary_step(e, self._added(i) if nests
+                                else v.eval(self.alpha + i) * w.eval(self.beta + n - 1 - i), i + 1)
             row = e[::-1]
         self._lines[n] = row
         return row
@@ -135,17 +173,17 @@ class StirlingTable:
     def _column(self, k: int, d: int) -> list:
         """Column k, extended as far as row k + d.  Where lines nest and k is 0
         or column k - 1 reaches as deep, each entry is one step of the
-        recurrence S(n, k) = S(n-1, k-1) + x_k S(n-1, k), x_k = v(alpha+k)w(beta);
-        else column k's own DP runs on its products."""
+        recurrence H(d) = g^d S(k-1+d, k-1) + y H(d-1), y = _added(k), for
+        H(d) = S(k+d, k); else column k's own DP runs on its products."""
         before = self._lines.get(k - 1)
-        if self._nests and (not k or before and len(before) > d):
-            x = self.weights.v.eval(self.alpha + k) * self.weights.w.eval(self.beta)
+        if self._ratio is not None and (not k or before and len(before) > d):
+            y = self._added(k)
             self._steps.pop(k, None)
             column = self._lines.setdefault(k, [1])
             while len(column) <= d:
-                low = before[len(column)] if k else 0
-                column.append(low + x * column[-1] if isinstance(x, int)
-                              else addmul(low, x, column[-1]))
+                low = self._scaled(before[len(column)], len(column)) if k else 0
+                column.append(low + y * column[-1] if isinstance(y, int)
+                              else addmul(low, y, column[-1]))
             return column
         steps = self._steps.get(k)
         if steps is None:  # a new column, or one whose column k - 1 fell short

@@ -59,9 +59,15 @@ class WeightSpec:
             value = self._cache[i] = _KINDS[self.kind].evaluate(self.params, i + self.offset)
         return value
 
-    def ignores_index(self) -> bool:
-        """True when eval(i) is one value for every i: a constant spec."""
-        return self.kind == "constant"
+    def ratio(self) -> Coercible | None:
+        """g with eval(i + 1) == g * eval(i) for every i, where the kind fixes
+        one: 1 for a constant spec, the base variable for a monomial spec at
+        any offset; None otherwise.  A ratio of 1 means eval ignores i."""
+        if self.kind == "constant":
+            return 1
+        if self.kind == "monomial":
+            return RingValue.variable(self.params["base"])
+        return None
 
     def is_combinatorial(self) -> bool:
         """True when eval(i) is a nonnegative integer for every i >= 0."""
@@ -102,10 +108,10 @@ class WeightPair:
         self.w = w
         self.label = label
         # a triangle reads alpha only through v(alpha + i) and beta only through
-        # w(beta + j), so where that weight ignores the index every offset gives
-        # the same triangle; stirling shares one table across them
-        self.reads_alpha = not v.ignores_index()
-        self.reads_beta = not w.ignores_index()
+        # w(beta + j), so where that weight's ratio is 1 every offset gives the
+        # same triangle; stirling shares one table across them
+        self.reads_alpha = v.ratio() != 1
+        self.reads_beta = w.ratio() != 1
         # kept as an int: pairs key the table cache behind stirling.first_kind
         self._hash = hash((v, w))
 

@@ -21,7 +21,8 @@ import pytest
 from wstirling import matrices
 from wstirling.cli import main
 from wstirling.genfunc import b_stirling_by_series
-from wstirling.ring import InexactDivision, RingValue, as_int
+from wstirling.ring import InexactDivision, RingValue, as_int, render
+from wstirling.stirling import StirlingTable
 from wstirling.weights import builtin
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -94,6 +95,32 @@ def test_table_output_is_byte_deterministic(capsys):
     _, first, _ = run(capsys, *args)
     _, second, _ = run(capsys, *args)
     assert first == second
+
+
+# The benchmark's table jobs, (family, kind, nmax), each at one offset pair
+# inside its offset windows.  table builds the nested recurrence, so its csv
+# is checked byte for byte against a definition table, the other path, at
+# the sizes the benchmark times.
+BENCHMARK_TABLES = (
+    ("jacobi", "second", 32), ("jacobi", "first", 40),
+    ("pq-binomial", "second", 26), ("pq-binomial", "first", 30),
+    ("q-stirling", "second", 20), ("q-stirling", "first", 20),
+    ("classical", "second", 44), ("classical", "first", 60),
+    ("legendre", "second", 44), ("legendre", "first", 60),
+)
+BENCHMARK_OFFSETS = {"jacobi": (2, -3), "pq-binomial": (-2, -1), "q-stirling": (0, -2),
+                     "classical": (1, -1), "legendre": (2, -2)}
+
+
+@pytest.mark.parametrize("family, kind, nmax", BENCHMARK_TABLES)
+def test_table_matches_the_definition_at_benchmark_sizes(capsys, family, kind, nmax):
+    alpha, beta = BENCHMARK_OFFSETS[family]
+    code, out, err = run(capsys, "table", "--format", "csv", "--kind", kind,
+                         "--weights", f"builtin:{family}", "--alpha", str(alpha),
+                         "--beta", str(beta), "--nmax", str(nmax))
+    assert (code, err) == (0, "")
+    table = StirlingTable(builtin(family), kind, alpha, beta, method="definition")
+    assert out == ";".join(",".join(map(render, table.row(n))) for n in range(nmax + 1)) + "\n"
 
 
 def test_help_returns_0(capsys):

@@ -26,7 +26,7 @@ from wstirling.ring import (
     ring_sum,
 )
 from wstirling.stirling import StirlingTable
-from wstirling.weights import builtin
+from wstirling.weights import WeightPair, WeightSpec, builtin
 
 
 def rand_value(rng, max_terms=5, exp_range=(-3, 3), coeff_range=(-9, 9), laurent=True):
@@ -816,7 +816,10 @@ def test_fast_paths_are_reached(monkeypatch, capsys):
                      "--r", "8", "--s", "3"]) == 0
     StirlingTable(builtin("q-stirling"), "first", method="recurrence").row(20)
     StirlingTable(builtin("q-binomial"), "second", method="recurrence").row(12)
-    # q-binomial's columns now extend from one another, a product an entry;
-    # pq-binomial's varying w keeps every column on its own one-term DP
-    StirlingTable(builtin("pq-binomial"), "second", method="recurrence").row(8)
+    # q-binomial's columns extend from one another, a product an entry; v = z i
+    # and w = i have no ratio, so every column runs its own DP on one-term
+    # products, 165 of them, with no weight memo that an earlier test could fill
+    no_ratio = WeightPair(WeightSpec("polynomial", coefficients=[0, "z"]),
+                          WeightSpec("polynomial", coefficients=[0, 1]))
+    StirlingTable(no_ratio, "second", 1, 1, method="recurrence").row(10)
     assert [name for name, least in REACH.items() if seen[name] < least] == [], seen

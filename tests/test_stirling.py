@@ -151,24 +151,46 @@ def test_recurrence_tables_never_pack(monkeypatch):
         assert rows == [table.row(n) for n in range(10)], (name, kind, alpha, beta)
 
 
-# the catalog pairs whose w is constant: a recurrence table steps their lines
-# from its own earlier lines
-NESTING = ("classical", "q-binomial", "q-stirling", "legendre", "jacobi", "noncentral(1)",
-           "noncentral(-1)", "merris(2)", "sun(2)")
+# the catalog pairs whose w is constant, so that every beta reads one table
+CONSTANT_W = ("classical", "q-binomial", "q-stirling", "legendre", "jacobi", "noncentral(1)",
+              "noncentral(-1)", "merris(2)", "sun(2)")
+
+# the pairs a recurrence table steps from its own earlier lines: every catalog
+# pair but b-stirling, by w's ratio where w has one (g = 1 where w is constant,
+# p and q for the monomial ws) and else by v's (z for zeta, 1 for swap(jacobi));
+# the JSON pair's v is a monomial spec with an offset
+NESTING = {name: builtin(name) for name in CATALOG if name != "b-stirling"}
+NESTING.update({
+    "swap(jacobi)": weights.swap(builtin("jacobi")),
+    "swap(pq-binomial)": weights.swap(builtin("pq-binomial")),
+    "json-monomial": WeightPair.from_json(
+        '{"v": {"kind": "monomial", "base": "z", "offset": 2},'
+        ' "w": {"kind": "polynomial", "coefficients": [1, "q"]}}'),
+})
 
 
-def test_nesting_pairs_are_the_catalog_pairs_with_constant_w():
-    assert [name for name in CATALOG if builtin(name).w.kind == "constant"] == list(NESTING)
+def test_ratios_pick_the_nesting_and_sharing_pairs():
+    pairs = {name: builtin(name) for name in CATALOG}
+    assert [name for name, pair in pairs.items() if pair.w.ratio() == 1] == list(CONSTANT_W)
+    assert [name for name, pair in pairs.items()
+            if pair.w.ratio() is not None or pair.v.ratio() is not None] == \
+        [name for name in CATALOG if name != "b-stirling"]
+    assert {name: (NESTING[name].v.ratio(), NESTING[name].w.ratio()) for name in [
+        "pq-binomial", "q-binomial", "zeta", "swap(jacobi)", "swap(pq-binomial)",
+        "json-monomial"]} == {"pq-binomial": (P, Q), "q-binomial": (Q, 1), "zeta": (Z, None),
+                              "swap(jacobi)": (1, None), "swap(pq-binomial)": (Q, P),
+                              "json-monomial": (Z, None)}
 
 
 @pytest.mark.parametrize("name", NESTING)
 def test_nesting_tables_match_definition_in_any_order(name):
     # a row below the furthest one built, a column whose predecessor is not
     # stored yet, and columns asked for out of order, then every cell shuffled
-    pair = builtin(name)
+    pair = NESTING[name]
     rng = random.Random(name)
     for kind in KINDS:
-        for alpha, beta in [(0, 0), (-2, 1), (1, -3), (-3, -2)]:
+        for alpha in range(-2, 3):
+            beta = rng.randint(-2, 2)
             want = StirlingTable(pair, kind, alpha, beta)
             table = recurrence_table(pair, kind, alpha, beta)
             cells = [(n, k) for n in range(10) for k in range(n + 1)]
@@ -188,22 +210,55 @@ def count_addmul(monkeypatch) -> list:
     return calls
 
 
+def count_dp_steps(monkeypatch) -> dict:
+    """The entries that rows' e-DP steps and columns' own h-DPs walk."""
+    walked = {"first": 0, "second": 0}
+
+    def e_step(e, x, top):
+        walked["first"] += top
+        symfunc.elementary_step(e, x, top)
+
+    def h_step(xs, h, step=symfunc.homogeneous_step):
+        walked["second"] += len(xs)
+        return step(xs, h)
+    monkeypatch.setattr(stirling, "elementary_step", e_step)
+    monkeypatch.setattr(symfunc, "homogeneous_step", h_step)
+    return walked
+
+
 def test_nesting_tables_take_one_step_an_entry(monkeypatch):
     # row n + 1 is one e-DP step from row n, and each column entry one step
-    # from the column before: rows 0..N take N(N+1)/2 steps, not N^3/6
+    # from the column before, its own DP never run: rows 0..N take
+    # N(N+1)/2 steps, not N^3/6; integer lines step without addmul
     calls = count_addmul(monkeypatch)
-    jacobi = builtin("jacobi")
-    for kind, top in [("first", 40), ("second", 32)]:
-        for alpha in (0, 1):
-            calls[0] = 0
-            table = recurrence_table(jacobi, kind, alpha)
-            for n in range(top + 1):
-                table.row(n)
-            assert 0 < calls[0] <= (top + 1) * (top + 2 if kind == "second" else top) // 2, \
-                (kind, alpha, calls[0])
+    walked = count_dp_steps(monkeypatch)
+    for name, pair in NESTING.items():
+        for kind, top in [("first", 30), ("second", 24)]:
+            for alpha, beta in [(0, 0), (1, -2)]:
+                calls[0] = walked[kind] = 0
+                table = recurrence_table(pair, kind, alpha, beta)
+                for n in range(top + 1):
+                    table.row(n)
+                steps = (top + 1) * (top + 2 if kind == "second" else top) // 2
+                assert calls[0] <= steps, (name, kind, alpha, calls[0])
+                assert walked[kind] == (steps if kind == "first" else 0), (name, kind, alpha)
     calls[0] = 0
-    recurrence_table(jacobi, "second").row(32)  # each column asks for the one before
-    assert 0 < calls[0] <= 33 * 34 // 2
+    recurrence_table(builtin("jacobi"), "second").row(32)  # each column asks for the one before
+    assert 0 < calls[0] <= 33 * 34 // 2 and walked["second"] == 0
+
+
+def test_b_stirling_lines_start_from_scratch(monkeypatch):
+    # v = w = i has no ratio: row n walks its n products from row 0, and
+    # column k runs its own DP over its k + 1 products, so rows 0..N walk
+    # sum n(n+1)/2 and sum (N-k)(k+1) entries, O(N^3)
+    walked = count_dp_steps(monkeypatch)
+    top = 20
+    for kind in KINDS:
+        table = recurrence_table(builtin("b-stirling"), kind, 1, -1)
+        for n in range(top + 1):
+            table.row(n)
+    assert walked == {"first": sum(n * (n + 1) // 2 for n in range(top + 1)),
+                      "second": sum((top - k) * (k + 1) for k in range(top + 1))}
 
 
 def test_a_row_asked_for_directly_holds_only_that_row():
@@ -353,7 +408,7 @@ def test_tables_are_shared_only_across_offsets_the_weights_ignore(monkeypatch):
     betas = [(1, beta) for beta in range(-2, 3)]
     alphas = [(alpha, 1) for alpha in range(-2, 3)]
     for kind in KINDS:
-        for name in NESTING:  # w constant: beta is not read, alpha is
+        for name in CONSTANT_W:  # w constant: beta is not read, alpha is
             pair = builtin(name)
             assert len({id(t) for t in tables_read(monkeypatch, pair, kind, betas)}) == 1, name
             assert len({id(t) for t in tables_read(monkeypatch, pair, kind, alphas)}) == 5, name

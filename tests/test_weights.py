@@ -277,6 +277,22 @@ def test_every_kind_parses_and_round_trips(kind):
     assert set(SAMPLES) == set(KINDS)
 
 
+def test_ratio_is_the_step_between_values():
+    # ratio g means eval(i + 1) == g * eval(i) for every i, at any offset;
+    # only constant (g = 1) and monomial (g = its base) specs promise one
+    ratios = {}
+    for kind in KINDS:
+        for offset in (-3, 0, 2):
+            spec = WeightSpec(kind, offset=offset, **SAMPLES[kind])
+            g = ratios.setdefault(kind, spec.ratio())
+            assert spec.ratio() == g, (kind, offset)
+            if g is not None:
+                assert all(spec.eval(i + 1) == g * spec.eval(i) for i in range(-4, 6)), kind
+    assert ratios == {"constant": 1, "polynomial": None, "monomial": Q,
+                      "q-integer": None, "pq-integer": None, "product-shifted": None,
+                      "oeis-T": None, "table": None}
+
+
 def test_spec_must_be_an_object():
     for bad in [[1], "constant", 1, None]:
         with pytest.raises(ValueError, match="weight spec must be a JSON object"):
