@@ -51,14 +51,9 @@ addmul(acc, x, y), the step of the symmetric-function DPs, writes the terms
 of x * y into a copy of acc's by the same code, not into a product built
 only to be added.
 
-A second format serves the symmetric-function DP in symfunc: packed_line()
-turns a line of values in one variable with nonnegative coefficients into
-Python ints the DP can run on (Kronecker substitution again), and
-PackedLine.decode() turns each entry back into a RingValue; a line of
-integer values needs no packing, as the DP runs on its ints.  One builder,
-_slot_lists, lays out the slots of both big-int formats under one density
-limit, at most _SPREAD slots a term, and one signed codec packs them.  See
-"packed lines" below.
+Both big-int paths, products and quotients, lay out their slots with one
+builder, _slot_lists, under one density limit, at most _SPREAD slots a
+term, and pack them with one signed codec, _pack_slots and _unpack_slots.
 """
 
 from __future__ import annotations
@@ -673,109 +668,20 @@ def parse(text: str) -> RingValue:
     return RingValue._raw(total)
 
 
-# -- packed lines --------------------------------------------------------------------
-#
-# symfunc runs its DP over one line of values; a table's definition path
-# hands it a first-kind row or a second-kind column of weight products.  A
-# line whose products all lie in one variable y of p, q, z and have
-# nonnegative coefficients runs it on Python ints instead of dicts: the
-# product sum c_e y^e is packed as the int sum c_e 2^(8B(e - S)), S the least
-# exponent of the line (Kronecker substitution).  The DP over the packed
-# products then yields y^(-tS) times its entry t, packed, as long as no
-# coefficient reaches 2^(8B - 1).  With nonnegative coefficients, no
-# coefficient of an entry, or of any value the DP builds on the way to it,
-# exceeds its value at y = 1.  So the same DP run first on the values at
-# y = 1 bounds every coefficient, and B is the byte count of that bound and a
-# sign bit: the slot codec, _pack_slots and _unpack_slots, is the signed one
-# RingValue's Kronecker products use.  Values are packed and unpacked a byte
-# string at a time, in time linear in their size.
-#
-# Every other line runs the DP on its values as they are: a line of integer
-# values on its ints, the rest on dicts.  So does a line of fewer than
-# _MIN_PRODUCTS products, whose DP is a handful of ring operations, fewer than
-# packing costs to set up; a line whose packed products would be mostly zeros,
-# more than _SPREAD slots a term (1 + q^100, say), which costs the packed DP
-# more than it saves; and every line the packed DP could take past the term budget or the
-# exponent range, so that the dict path raises there exactly as it would have.
-# _slot_lists applies the same limit to the factors of a Kronecker product.
+# -- slots of the Kronecker paths: values whose slots would be mostly zeros,
+# more than _SPREAD a term (1 + q^100, say), cost more as big ints than the
+# term walk does, so _slot_lists refuses them.
 
-_MIN_PRODUCTS = 5
 _SPREAD = 4
 
 
-class PackedLine:
-    """One line of values in one variable y, ready for a DP on Python ints.
-
-    ones holds the products' values at y = 1, and packed the products packed
-    at the current width, first that of their largest coefficient.  An entry
-    the DP builds from t products (e_t, or h_t) decodes with decode(entry, t).
-    """
-
-    __slots__ = ("ones", "packed", "_low", "_top", "_step", "_size")
-
-    def __init__(self, ones, slots, low, step):
-        self.ones = ones
-        self._low = low  # S
-        self._top = max(map(len, slots)) - 1  # the largest slot used
-        self._step = step  # key of y^(e+1) minus key of y^e
-        # bytes per slot, first enough for the largest coefficient and its sign
-        self._size = max(map(max, filter(None, slots))).bit_length() // 8 + 1
-        self.packed = [_pack_slots(row, self._size) for row in slots]
-
-    def fits(self, degree: int) -> bool:
-        """Whether the DP may build entries of up to degree products here.
-
-        A packed product spans at most top + 1 slots and an entry of degree
-        d - 1 at most (d - 1) * top + 1, which bounds the term pairs of every
-        product the dict path would make; entries of degree d hold exponents
-        in [d * S, d * (S + top)], which must stay in the ring's range.
-        """
-        top, low = self._top, self._low
-        return ((top + 1) * (max(degree - 1, 0) * top + 1) <= TERM_BUDGET
-                and -_LIMIT <= degree * low and degree * (low + top) < _LIMIT)
-
-    def widen(self, bound: int, state: list = None) -> None:
-        """Make slots hold any coefficient up to bound, re-packing the products
-        and, in place, the packed values of state."""
-        size = bound.bit_length() // 8 + 1  # one bit of a slot is the sign
-        if size <= self._size:
-            return
-        count = len(self.packed)
-        values = _resize(self.packed + (state or []), self._size, size)
-        self.packed = values[:count]
-        if state:
-            state[:] = values[count:]
-        self._size = size
-
-    def decode(self, value: int, degree: int) -> RingValue:
-        """The RingValue of an entry packed from degree products."""
-        step = self._step
-        coeffs = _unpack_slots(value, self._size, degree * self._top + 1)
-        return RingValue._raw(_slot_terms(coeffs, _UNIT + degree * self._low * step, step, {}))
-
-
-def packed_line(values) -> PackedLine | None:
-    """The products values, ints or RingValues, as a PackedLine, or None where
-    the DP must run on the values as they are."""
-    if len(values) < _MIN_PRODUCTS or all(map(is_constant, values)):
-        return None
-    terms = [RingValue.coerce(value).terms for value in values]
-    if any(c < 0 for t in terms for c in t.values()):
-        return None
-    found = _slot_lists(terms)
-    if found is None:
-        return None
-    low, step, slots = found
-    return PackedLine([sum(t.values()) for t in terms], slots, low, step)
-
-
 def _slot_lists(values: list) -> tuple | None:
-    """(S, step, slots) when every term of the term maps values lies in one y
-    of p, q, z and their slots from S, y's least exponent, number at most
-    _SPREAD a term; else None.  step is the key of y^(e+1) minus that of y^e;
-    slots[i] holds the coefficients of y^S, y^(S+1), ... of values[i], up to
-    its largest exponent.  The limit is tested on the exponents alone, before
-    any list is built, so 1 + y^(2^29) builds none."""
+    """(S, step, slots) when every term of the nonzero term maps values lies
+    in one y of p, q, z and their slots from S, y's least exponent, number
+    at most _SPREAD a term; else None.  step is the key of y^(e+1) minus
+    that of y^e; slots[i] holds the coefficients of y^S, y^(S+1), ... of
+    values[i], up to its largest exponent.  The limit is tested on the
+    exponents alone, before any list is built, so 1 + y^(2^29) builds none."""
     key = next(key for terms in values for key in terms if key != _UNIT)
     shift = next((s for s in _SHIFTS[:_X] if (key >> s) & _MASK != _LIMIT), None)
     if shift is None:
@@ -784,8 +690,8 @@ def _slot_lists(values: list) -> tuple | None:
     if any(key != _UNIT + (key >> _DEGREE_SHIFT) * step for terms in values for key in terms):
         return None
     rows = [{key >> _DEGREE_SHIFT: c for key, c in terms.items()} for terms in values]
-    low = min(min(row) for row in rows if row)
-    spans = [max(row) - low + 1 if row else 0 for row in rows]
+    low = min(min(row) for row in rows)
+    spans = [max(row) - low + 1 for row in rows]
     if sum(spans) > _SPREAD * sum(map(len, rows)):
         return None
     return low, step, [[row.get(e, 0) for e in range(low, low + span)]
@@ -824,27 +730,6 @@ def _slot_terms(coeffs: list, key: int, step: int, out: dict) -> dict:
             out[key] = coeff
         key += step
     return out
-
-
-def _resize(values: list, old: int, new: int) -> list:
-    """values, packed with old bytes a slot, packed with new > old bytes a slot.
-    Every slot of values holds a nonnegative coefficient, as on a PackedLine.
-
-    All of them go through one byte string, so the cost per value is a few
-    calls however many bytes a slot has.
-    """
-    bits = 8 * old
-    chunks = [value.to_bytes(-(-value.bit_length() // bits) * old, "little") for value in values]
-    data = b"".join(chunks)
-    out = bytearray(len(data) // old * new)
-    for byte in range(old):  # little-endian: each slot keeps its low bytes
-        out[byte::new] = data[byte::old]
-    resized, start = [], 0
-    for chunk in chunks:
-        end = start + len(chunk) // old * new
-        resized.append(int.from_bytes(out[start:end], "little"))
-        start = end
-    return resized
 
 
 def product(values: Iterable[Coercible]) -> Coercible:

@@ -10,25 +10,23 @@ v(alpha+k)w(beta), ..., v(alpha)w(beta+k).  Negative n or k, and k > n, give
 Both kinds live in a StirlingTable, the one owner of computed values.  The
 triangular recurrences are single steps of the symmetric-function DPs, so
 both of its methods run symfunc's two DPs on the weight products of a line
-(a first-kind row, a second-kind column) and differ only in the order of
-the products and in the arithmetic.  Every value is an int or a RingValue
-(see wstirling.ring): a line of integer weight products, as for classical,
-legendre, merris, sun and b-stirling, builds int entries on either method.
-Method "definition" hands the line to elementary_all or homogeneous_series,
-which pick the arithmetic: packed ints for the one-variable lines of
-q-stirling and jacobi at nonnegative indices, and the values as they are,
-ints or RingValues, for the rest.  Method "recurrence" runs elementary_step
-and homogeneous_dict_series over the reversed line, the order in which the
-triangular recurrence meets its products, on the values as they are;
+(a first-kind row, a second-kind column), on the values as they are, and
+differ only in the order of the products and in nesting.  Every value is an
+int or a RingValue (see wstirling.ring): a line of integer weight products,
+as for classical, legendre, merris, sun and b-stirling, builds int entries
+on either method.  Method "definition" runs elementary_all or
+homogeneous_series over the line, and method "recurrence" runs them over
+the reversed line, the order in which the triangular recurrence meets its
+products, or steps the line from earlier lines where lines nest (below).
 RingValue products pick their own arithmetic: a one-term factor shifts the
 other's keys (pq-binomial, q-binomial, zeta), two values dense in one
 variable with 256 or more term pairs multiply as big ints (q-stirling), the
-rest walk term pairs.  So definition against recurrence checks the packed
-lines and their decoding against RingValue arithmetic; the vertical and
-horizontal recurrences below and wstirling.genfunc check the DPs.  Where a
-weight has a ratio g (WeightSpec.ratio: 1 for a constant, the base of a
-monomial), a line's products are g times the line before's and one more, so
-a recurrence table steps each line from its own earlier lines, as the
+rest walk term pairs.  So definition against recurrence checks the nested
+steps and the DPs' sums in two orders; the vertical and horizontal
+recurrences below and wstirling.genfunc check the DPs.  Where a weight has
+a ratio g (WeightSpec.ratio: 1 for a constant, the base of a monomial), a
+line's products are g times the line before's and one more, so a
+recurrence table steps each line from its own earlier lines, as the
 paper's recurrence does: rows 0..N cost O(N^2) ring operations for every
 catalog pair but b-stirling, and O(N^3) there and on definition tables.
 The CLI's table builds on the recurrence, and the definition tables below
@@ -53,8 +51,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .ring import Coercible, RingValue, X, addmul, product, ring_sum
-from .symfunc import (elementary_all, elementary_step, homogeneous_dict_series,
-                      homogeneous_series)
+from .symfunc import elementary_all, elementary_step, homogeneous_series
 from .weights import WeightPair, builtin
 
 KINDS = ("first", "second")
@@ -123,9 +120,12 @@ class StirlingTable:
         return [RingValue.coerce(self.value(n, k)) for k in range(n + 1)]
 
     def _products(self, top: int) -> list:
-        # v(alpha+top-t)w(beta+t), t = 0..top: first-kind row top+1, second-kind column top
+        """v(alpha+top-t)w(beta+t), t = 0..top, the products of first-kind row
+        top + 1 and second-kind column top; the recurrence takes them
+        reversed, in the order the triangular recurrence meets them."""
         v, w = self.weights.v, self.weights.w
-        return [v.eval(self.alpha + top - t) * w.eval(self.beta + t) for t in range(top + 1)]
+        products = [v.eval(self.alpha + top - t) * w.eval(self.beta + t) for t in range(top + 1)]
+        return products[::-1] if self.method == "recurrence" else products
 
     def _added(self, i: int) -> Coercible:
         """Where lines nest, the product first-kind row i + 1 and second-kind
@@ -147,25 +147,21 @@ class StirlingTable:
         return powers[j] * value
 
     def _row(self, n: int) -> list:
-        """Row n.  The recurrence walks the e-DP up to row n.  Where lines nest
-        it starts from the nearest row stored below n, whose entries reversed
-        are the DP's state there, and a step from row i scales e_j by g^j and
-        takes in _added(i), which is C(i+1, k) = g^(i+1-k) C(i, k-1) +
-        _added(i) g^(i-k) C(i, k); else it starts from row 0 and takes in
-        v(alpha+i)w(beta+n-1-i) at row i + 1."""
-        if self.method == "definition":
+        """Row n.  Where lines nest, the recurrence walks the e-DP up from the
+        nearest row stored below n, whose entries reversed are the DP's state
+        there, and a step from row i scales e_j by g^j and takes in
+        _added(i), which is C(i+1, k) = g^(i+1-k) C(i, k-1) +
+        _added(i) g^(i-k) C(i, k); else row n's own DP runs on its products."""
+        if self._ratio is None:
             row = elementary_all(self._products(n - 1))[::-1]
         else:
-            nests = self._ratio is not None
-            start = max((r for r in self._lines if r < n), default=0) if nests else 0
+            start = max((r for r in self._lines if r < n), default=0)
             e = self._lines[start][::-1] if start else [1]
-            v, w = self.weights.v, self.weights.w
             for i in range(start, n):
                 if self._powers:
                     e = [self._scaled(c, j) for j, c in enumerate(e)]
                 e.append(0)
-                elementary_step(e, self._added(i) if nests
-                                else v.eval(self.alpha + i) * w.eval(self.beta + n - 1 - i), i + 1)
+                elementary_step(e, self._added(i), i + 1)
             row = e[::-1]
         self._lines[n] = row
         return row
@@ -187,7 +183,7 @@ class StirlingTable:
             return column
         steps = self._steps.get(k)
         if steps is None:  # a new column, or one whose column k - 1 fell short
-            steps = self._steps[k] = self._dp(k)
+            steps = self._steps[k] = homogeneous_series(self._products(k))
             self._lines[k] = []
         column = self._lines[k]
         try:
@@ -197,16 +193,6 @@ class StirlingTable:
             del self._steps[k], self._lines[k]
             raise
         return column
-
-    def _dp(self, k: int):
-        """The generator of column k's h_0, h_1, ... from its products; the
-        recurrence takes them reversed, in the order the triangular
-        recurrence meets them."""
-        products = self._products(k)
-        if self.method == "definition":
-            return homogeneous_series(products)
-        products.reverse()
-        return homogeneous_dict_series(products)
 
 
 # keyed by the offsets the weights read: verify --suite all --nmax 6 builds

@@ -6,7 +6,7 @@ from decimal import Decimal
 
 import pytest
 
-from wstirling import cli, ring
+from wstirling import cli, ring, stirling
 from wstirling.ring import (
     ONE,
     P,
@@ -569,18 +569,17 @@ def test_kronecker_budget_comes_before_packing(monkeypatch):
 
 def test_sparse_values_build_no_slot_list():
     # 1 + z^(2^29) would fill 2^29 + 1 slots; the density limit is tested on
-    # the exponents first, so neither a line nor a product of 2 * 128 term
-    # pairs lays them out
+    # the exponents first, so a product of 2 * 128 term pairs lays none out
     sparse, dense = parse("z^536870912 + 1"), ring_sum(Z ** e for e in range(128))
     tracemalloc.start()
     try:
         began = time.perf_counter()
-        line, got = ring.packed_line([sparse] * 5), sparse * dense
+        got = sparse * dense
         took = time.perf_counter() - began
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert line is None and got == dense + Z ** 536870912 * dense
+    assert got == dense + Z ** 536870912 * dense
     assert peak < 2 ** 22 and took < 0.5, (peak, took)
 
 
@@ -806,19 +805,29 @@ def test_addmul_raises_where_the_operators_do(monkeypatch):
 
 
 # the fewest results each fast path returns over the jobs below
-REACH = {"_mul_kronecker": 250, "_mul_term": 150, "_div_term": 80, "_div_kronecker": 80}
+REACH = {"_mul_kronecker": 320, "_mul_term": 150, "_div_term": 80, "_div_kronecker": 80}
 
 
-def test_fast_paths_are_reached(monkeypatch, capsys):
-    # a later change to eligibility cannot drain a path silently
+def fresh(name: str) -> WeightPair:
+    """builtin(name) with its own weight specs, whose value memos start empty
+    whatever ran before."""
+    return WeightPair.from_json(builtin(name).to_json())
+
+
+def test_fast_paths_are_reached(monkeypatch, capsys, tmp_path):
+    # a later change to eligibility cannot drain a path silently; every job
+    # reads fresh weight specs and tables, so no earlier test fills them
+    stirling._table.cache_clear()  # a pair equal to a builtin one shares its tables
     seen = count_paths(monkeypatch)
-    assert cli.main(["det", "--kind", "second", "--weights", "builtin:q-stirling",
+    spec = tmp_path / "q-stirling.json"
+    spec.write_text(builtin("q-stirling").to_json(), encoding="utf-8")
+    assert cli.main(["det", "--kind", "second", "--weights", f"@{spec}",
                      "--r", "8", "--s", "3"]) == 0
-    StirlingTable(builtin("q-stirling"), "first", method="recurrence").row(20)
-    StirlingTable(builtin("q-binomial"), "second", method="recurrence").row(12)
+    StirlingTable(fresh("q-stirling"), "first", method="recurrence").row(20)
+    StirlingTable(fresh("q-binomial"), "second", method="recurrence").row(12)
     # q-binomial's columns extend from one another, a product an entry; v = z i
     # and w = i have no ratio, so every column runs its own DP on one-term
-    # products, 165 of them, with no weight memo that an earlier test could fill
+    # products, 165 of them
     no_ratio = WeightPair(WeightSpec("polynomial", coefficients=[0, "z"]),
                           WeightSpec("polynomial", coefficients=[0, 1]))
     StirlingTable(no_ratio, "second", 1, 1, method="recurrence").row(10)

@@ -10,7 +10,8 @@ that nothing then reads, or a local name that matches a method's.  If such a
 name checks a claim of the paper, that claim belongs in wstirling.identities,
 whose probes then call it; otherwise it goes.  An import that its module
 never reads as a name is left over from code that moved, and goes too; so
-does a private module-level function or class that the package never reads.
+does a private module-level function, class or constant that the package
+never reads.
 """
 
 import ast
@@ -35,7 +36,9 @@ def parse(src):
              for path in sorted(src.glob("*.py"))}
     nodes = [node for tree in trees.values() for node in ast.walk(tree)]
     attributes = {node.attr for node in nodes if isinstance(node, ast.Attribute)}
-    return trees, attributes, attributes | {node.id for node in nodes if isinstance(node, ast.Name)}
+    return trees, attributes, attributes | {node.id for node in nodes
+                                            if isinstance(node, ast.Name)
+                                            and isinstance(node.ctx, ast.Load)}
 
 
 def names_only_tests_reach(src=SRC):
@@ -44,12 +47,27 @@ def names_only_tests_reach(src=SRC):
             if name.rsplit(".", 1)[-1] not in (attributes if "." in name else read)]
 
 
+def private_names(tree):
+    """names a module binds at its top level by def, class or assignment that
+    start with "_", dunders such as __version__ aside"""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [name.id for target in targets for name in ast.walk(target)
+                     if isinstance(name, ast.Name)]
+        else:
+            continue
+        yield from (name for name in names
+                    if name.startswith("_") and not (name.startswith("__") and name.endswith("__")))
+
+
 def unread_private_names(src=SRC):
-    """module.name for each private module-level function or class nothing reads"""
+    """module.name for each private module-level function, class or constant nothing reads"""
     trees, _, read = parse(src)
-    return [f"{module}.{node.name}" for module, tree in trees.items() for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-            and node.name.startswith("_") and node.name not in read]
+    return [f"{module}.{name}" for module, tree in trees.items() for name in private_names(tree)
+            if name not in read]
 
 
 def test_every_public_name_has_a_caller_in_src():
@@ -84,6 +102,21 @@ def test_unread_private_names_are_found(tmp_path):
         "from .layer import _Spare, _Used, _helper\n\n\n"
         "def run():\n    return _helper(), _Used\n", encoding="utf-8")
     assert unread_private_names(tmp_path) == ["layer._orphan", "layer._Spare"]
+
+
+def test_unread_private_constants_are_found(tmp_path):
+    (tmp_path / "layer.py").write_text(
+        '"""_LIMIT and _SPARE are named here only."""\n'
+        "__version__ = '1'\n"
+        "_LIMIT = 4  # _SPARE\n"
+        "_SPARE, _PAIR = 1, '_LIMIT'\n"
+        "_TYPED: int = 2\n"
+        "_USED = 3\n\n\n"
+        "def read():\n    return _USED\n",
+        encoding="utf-8")
+    (tmp_path / "other.py").write_text(
+        "from .layer import _PAIR\n\nVALUE = _PAIR\n", encoding="utf-8")
+    assert unread_private_names(tmp_path) == ["layer._LIMIT", "layer._SPARE", "layer._TYPED"]
 
 
 def unused_imports(src=SRC):

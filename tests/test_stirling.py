@@ -115,40 +115,18 @@ def test_tri_examples():
 
 
 def test_tri_matches_def_on_catalog_sample():
-    for name in ("classical", "pq-binomial", "b-stirling", "jacobi", "zeta", "q-stirling"):
+    # every catalog pair on both methods, rows 0..9 at offsets on both sides
+    # of 0, and the integer lines of classical and legendre up to row 30
+    grid = [(0, 0), (2, 1), (1, 3), (-1, -1), (-1, 1), (1, -1), (1, 1)]
+    cases = [(name, alpha, beta, 10) for name in CATALOG for alpha, beta in grid]
+    cases += [("classical", 0, 0, 31), ("legendre", 0, 0, 31)]
+    for name, alpha, beta, rows in cases:
         pair = builtin(name)
-        for alpha in (-1, 1):
-            for beta in (-1, 1):
-                ctab = recurrence_table(pair, "first", alpha, beta)
-                stab = recurrence_table(pair, "second", alpha, beta)
-                for n in range(7):
-                    for k in range(n + 1):
-                        assert ctab.value(n, k) == first_kind(pair, alpha, beta, n, k), \
-                            f"{name} c ({alpha},{beta},{n},{k})"
-                        assert stab.value(n, k) == second_kind(pair, alpha, beta, n, k), \
-                            f"{name} s ({alpha},{beta},{n},{k})"
-
-
-def test_recurrence_tables_never_pack(monkeypatch):
-    # definition against recurrence checks the packed lines and their decoding
-    # only while the recurrence stays on the values' own arithmetic; routed
-    # through the packed backend, it would compare that backend with itself
-    def refuse(values):
-        raise AssertionError("a recurrence table asked for a packed line")
-
-    grid = [(0, 0), (2, 1), (1, 3)]
-    keys = [(name, kind, alpha, beta) for name in CATALOG for kind in ("first", "second")
-            for alpha, beta in grid]
-    with monkeypatch.context() as patch:
-        patch.setattr(symfunc, "packed_line", refuse)
-        patch.setattr(ring, "packed_line", refuse)
-        with pytest.raises(AssertionError, match="packed line"):  # the definition packs
-            StirlingTable(builtin("q-stirling"), "first").row(8)
-        got = {key: [recurrence_table(builtin(key[0]), *key[1:]).row(n) for n in range(10)]
-               for key in keys}
-    for (name, kind, alpha, beta), rows in got.items():
-        table = StirlingTable(builtin(name), kind, alpha, beta)
-        assert rows == [table.row(n) for n in range(10)], (name, kind, alpha, beta)
+        for kind, by_definition in (("first", first_kind), ("second", second_kind)):
+            table = recurrence_table(pair, kind, alpha, beta)
+            for n in range(rows):
+                assert table.row(n) == [by_definition(pair, alpha, beta, n, k)
+                                        for k in range(n + 1)], (name, kind, alpha, beta, n)
 
 
 # the catalog pairs whose w is constant, so that every beta reads one table
@@ -214,14 +192,15 @@ def count_dp_steps(monkeypatch) -> dict:
     """The entries that rows' e-DP steps and columns' own h-DPs walk."""
     walked = {"first": 0, "second": 0}
 
-    def e_step(e, x, top):
+    def e_step(e, x, top, step=symfunc.elementary_step):
         walked["first"] += top
-        symfunc.elementary_step(e, x, top)
+        step(e, x, top)
 
     def h_step(xs, h, step=symfunc.homogeneous_step):
         walked["second"] += len(xs)
         return step(xs, h)
     monkeypatch.setattr(stirling, "elementary_step", e_step)
+    monkeypatch.setattr(symfunc, "elementary_step", e_step)
     monkeypatch.setattr(symfunc, "homogeneous_step", h_step)
     return walked
 
@@ -449,20 +428,6 @@ def test_integer_weights_give_int_entries_and_rows_give_ring_values(method):
             value_fn = first_kind if kind == "first" else second_kind
             assert {type(value_fn(pair, 1, 1, n, k))
                     for n in range(9) for k in range(n + 1)} == {int}, (name, kind)
-
-
-def test_integer_lines_never_pack(monkeypatch):
-    # an integer line runs the DP on its own ints, so the definition path
-    # builds classical and legendre tables without a PackedLine
-    def refuse(*args):
-        raise AssertionError("an integer line built a PackedLine")
-
-    monkeypatch.setattr(ring, "PackedLine", refuse)
-    for name in ("classical", "legendre"):
-        for kind in ("first", "second"):
-            table = StirlingTable(builtin(name), kind)
-            rows = [table.row(n) for n in range(31)]
-            assert rows == [recurrence_table(builtin(name), kind).row(n) for n in range(31)]
 
 
 def test_table_memo_entries_match_definition():
