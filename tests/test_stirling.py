@@ -115,18 +115,32 @@ def test_tri_examples():
 
 
 def test_tri_matches_def_on_catalog_sample():
-    # every catalog pair on both methods, rows 0..9 at offsets on both sides
-    # of 0, and the integer lines of classical and legendre up to row 30
-    grid = [(0, 0), (2, 1), (1, 3), (-1, -1), (-1, 1), (1, -1), (1, 1)]
-    cases = [(name, alpha, beta, 10) for name in CATALOG for alpha, beta in grid]
-    cases += [("classical", 0, 0, 31), ("legendre", 0, 0, 31)]
-    for name, alpha, beta, rows in cases:
+    for name in ("classical", "pq-binomial", "b-stirling", "jacobi", "zeta", "q-stirling"):
         pair = builtin(name)
-        for kind, by_definition in (("first", first_kind), ("second", second_kind)):
-            table = recurrence_table(pair, kind, alpha, beta)
-            for n in range(rows):
-                assert table.row(n) == [by_definition(pair, alpha, beta, n, k)
-                                        for k in range(n + 1)], (name, kind, alpha, beta, n)
+        for alpha in (-1, 1):
+            for beta in (-1, 1):
+                ctab = recurrence_table(pair, "first", alpha, beta)
+                stab = recurrence_table(pair, "second", alpha, beta)
+                for n in range(7):
+                    for k in range(n + 1):
+                        assert ctab.value(n, k) == first_kind(pair, alpha, beta, n, k), \
+                            f"{name} c ({alpha},{beta},{n},{k})"
+                        assert stab.value(n, k) == second_kind(pair, alpha, beta, n, k), \
+                            f"{name} s ({alpha},{beta},{n},{k})"
+
+
+def test_recurrence_tables_never_pack():
+    # every catalog pair on both kinds, rows 0..9 at offsets on both sides of
+    # 0: the recurrence steps nested lines and takes the products reversed,
+    # so it meets the one DP in another order than the definition does
+    grid = [(0, 0), (2, 1), (1, 3), (-1, -1), (-1, 1), (1, -1), (1, 1)]
+    for name in CATALOG:
+        for kind in KINDS:
+            for alpha, beta in grid:
+                table = StirlingTable(builtin(name), kind, alpha, beta)
+                got = recurrence_table(builtin(name), kind, alpha, beta)
+                assert [got.row(n) for n in range(10)] == [table.row(n) for n in range(10)], \
+                    (name, kind, alpha, beta)
 
 
 # the catalog pairs whose w is constant, so that every beta reads one table
@@ -428,6 +442,18 @@ def test_integer_weights_give_int_entries_and_rows_give_ring_values(method):
             value_fn = first_kind if kind == "first" else second_kind
             assert {type(value_fn(pair, 1, 1, n, k))
                     for n in range(9) for k in range(n + 1)} == {int}, (name, kind)
+
+
+def test_integer_lines_never_pack():
+    # an integer line runs the DP on its own ints, so the definition path
+    # builds classical and legendre tables of int entries, as the recurrence does
+    for name in ("classical", "legendre"):
+        for kind in KINDS:
+            table = StirlingTable(builtin(name), kind)
+            rows = [[table.value(n, k) for k in range(n + 1)] for n in range(31)]
+            assert {type(c) for row in rows for c in row} == {int}, (name, kind)
+            expected = recurrence_table(builtin(name), kind)
+            assert rows == [[expected.value(n, k) for k in range(n + 1)] for n in range(31)]
 
 
 def test_table_memo_entries_match_definition():
