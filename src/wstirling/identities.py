@@ -12,10 +12,10 @@ An identity sets `by_weights` when its probe reads the offsets only through
 the weight values v(alpha + i) and w(beta + j), as the paper's recurrences,
 generating functions, orthogonality relations, convolutions and Hankel
 determinants do.  `verify` then runs its probe once per cell as the pair's
-weights read it (`offsets`), and counts the cells that differ only in an
-offset a constant weight ignores with that cell's outcome.  A probe that
-uses an offset as a number (a seed, an enumeration of objects at the
-offset) must leave it unset: the round trip, tableaux and combinatorial
+weights read it (`WeightPair.offsets`), and counts the cells that differ
+only in an offset a constant weight ignores with that cell's outcome.  A
+probe that uses an offset as a number (a seed, an enumeration of objects at
+the offset) must leave it unset: the round trip, tableaux and combinatorial
 identities do.  The flag marks the 22 per-pair identities of the six
 algebraic suites that are not label-specific, less the round trip, so a
 check that substitutes symbolic offsets can select by it.
@@ -36,6 +36,7 @@ the identity matrix.  The only layer refusals that a probe turns into a
 counterexample are DomainViolation and InvalidColorBudget.  Sides call layer
 functions as module attributes (stirling.first_kind), looked up at each call
 and never bound at import, so a wrapper of a layer function sees the calls.
+Tables come from stirling.table, and this module builds none of its own.
 """
 
 from __future__ import annotations
@@ -71,12 +72,6 @@ class Identity:
     by_weights: bool = False
 
 
-def offsets(pair, a, b):
-    """The offsets (a, b) as pair's weights read them: an offset whose weight
-    ignores the index reads as 0, so every offset there gives one triangle."""
-    return a if pair.reads_alpha else 0, b if pair.reads_beta else 0
-
-
 def scan(cells, probe):
     """Run probe over cells in order and return (checked, skipped, failure).
     Stops at the first failure, so the counterexample is the smallest one in
@@ -102,7 +97,7 @@ def _shared(probe, pair):
     outcomes = {}
 
     def shared(*cell):
-        key = (*cell[:-2], *offsets(pair, *cell[-2:]))
+        key = (*cell[:-2], *pair.offsets(*cell[-2:]))
         if key not in outcomes:
             try:
                 outcomes[key] = probe(*cell)
@@ -129,7 +124,7 @@ def verify(suites, pairs, nmax: int, grid):
                 yield identity, label, 0, 1, None
             else:
                 probe = identity.probe(pair)
-                if identity.by_weights and not (pair.reads_alpha and pair.reads_beta):
+                if identity.by_weights:
                     probe = _shared(probe, pair)
                 yield identity, label, *scan(identity.cells(nmax, grid), probe)
 
@@ -256,17 +251,9 @@ def _value(kind, down=0):
 
 
 def _triangular(kind):
-    def make_probe(pair):
-        tables = {}  # one recurrence table per offsets read, kept for the probe's life
-
-        def by_recurrence(pair, n, k, a, b):
-            key = offsets(pair, a, b)
-            if key not in tables:
-                tables[key] = stirling.StirlingTable(pair, kind, *key, method="recurrence")
-            return tables[key].value(n, k)
-        return _compare(_at("n", "k"), _value(kind), by_recurrence,
-                        ("definition", "recurrence"))(pair)
-    return make_probe
+    def by_recurrence(pair, n, k, a, b):
+        return stirling.table(pair, kind, a, b, "recurrence").value(n, k)
+    return _compare(_at("n", "k"), _value(kind), by_recurrence, ("definition", "recurrence"))
 
 
 def _duality(kind):

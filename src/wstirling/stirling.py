@@ -32,13 +32,13 @@ catalog pair but b-stirling, and O(N^3) there and on definition tables.
 The CLI's table builds on the recurrence, and the definition tables below
 stay the cross-check.  StirlingTable.row hands out RingValues.
 
-first_kind and second_kind read from a small bounded cache of definition
-tables, keyed by the offsets the weights read: an entry depends on alpha
-and beta only through the products v(alpha+i)w(beta+j), so a w of ratio 1,
-a constant, is looked up at beta = 0 and such a v at alpha = 0, and the
-sweeps that slide such an offset share one table.
-The tables are built from the same products either way, so a shared table
-holds the entries a table at the given offsets would.  Next to them sit the
+`table` holds the shared tables of both methods in one small bounded cache,
+keyed by WeightPair.offsets: an entry depends on alpha and beta only through
+the products v(alpha+i)w(beta+j), so a constant w is looked up at beta = 0
+and a constant v at alpha = 0, and a table so shared holds the entries a
+table at the given offsets would.  first_kind and second_kind read
+definition tables from it, the triangular identity recurrence tables; the
+CLI's table builds its own.  Next to them sit the
 vertical and horizontal recurrences (the horizontal ones consume row n+1,
 so they are evaluators used for cross checking, not for building tables),
 which take the entry as (pair, alpha, beta, n, k) just as first_kind does,
@@ -196,24 +196,28 @@ class StirlingTable:
 
 
 # keyed by the offsets the weights read: verify --suite all --nmax 6 builds
-# 819 tables across suites, so 1024 holds them all and evicts none
+# 927 tables of both methods, so 1024 holds them all and evicts none
 @lru_cache(maxsize=1024)
-def _table(pair: WeightPair, kind: str, alpha: int, beta: int) -> StirlingTable:
-    return StirlingTable(pair, kind, alpha, beta)
+def _table(pair: WeightPair, kind: str, alpha: int, beta: int, method: str) -> StirlingTable:
+    return StirlingTable(pair, kind, alpha, beta, method)
+
+
+def table(pair: WeightPair, kind: str, alpha: int, beta: int,
+          method: str = "definition") -> StirlingTable:
+    """The table of pair, kind and method at (alpha, beta), shared by every
+    offset pair that reads the same weight values."""
+    alpha, beta = pair.offsets(alpha, beta)  # unpacked here: a starred call is slower
+    return _table(pair, kind, alpha, beta, method)
 
 
 def first_kind(pair: WeightPair, alpha: int, beta: int, n: int, k: int) -> Coercible:
-    """First-kind value by definition, from the table shared by every offset
-    pair that reads the same weight values."""
-    return _table(pair, "first", alpha if pair.reads_alpha else 0,
-                  beta if pair.reads_beta else 0).value(n, k)
+    """First-kind value by definition, from the shared table."""
+    return table(pair, "first", alpha, beta, "definition").value(n, k)
 
 
 def second_kind(pair: WeightPair, alpha: int, beta: int, n: int, k: int) -> Coercible:
-    """Second-kind value by definition, from the table shared by every offset
-    pair that reads the same weight values."""
-    return _table(pair, "second", alpha if pair.reads_alpha else 0,
-                  beta if pair.reads_beta else 0).value(n, k)
+    """Second-kind value by definition, from the shared table."""
+    return table(pair, "second", alpha, beta, "definition").value(n, k)
 
 
 # -- vertical recurrences: compute entry (n+1, k+1) from row slice j=k..n ------

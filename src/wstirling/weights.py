@@ -9,6 +9,8 @@ it is combinatorial, lives in one row of `_KINDS`.
 
 A weight pair bundles the two specs (v, w); the builtin catalog covers the
 classical pair, the p,q and q analogues, and the named polynomial families.
+WeightPair.offsets says which offsets a pair's triangles read; stirling's
+table cache and the sweep of wstirling.identities key by it.
 """
 
 from __future__ import annotations
@@ -101,19 +103,22 @@ class WeightSpec:
 class WeightPair:
     """The pair V = (v, w).  label is cosmetic and excluded from identity."""
 
-    __slots__ = ("v", "w", "label", "reads_alpha", "reads_beta", "_hash")
+    __slots__ = ("v", "w", "label", "_reads_alpha", "_reads_beta", "_hash")
 
     def __init__(self, v: WeightSpec, w: WeightSpec, label: str | None = None):
         self.v = v
         self.w = w
         self.label = label
-        # a triangle reads alpha only through v(alpha + i) and beta only through
-        # w(beta + j), so where that weight's ratio is 1 every offset gives the
-        # same triangle; stirling shares one table across them
-        self.reads_alpha = v.ratio() != 1
-        self.reads_beta = w.ratio() != 1
-        # kept as an int: pairs key the table cache behind stirling.first_kind
+        # set once, since ratio() builds a value for a monomial spec
+        self._reads_alpha = v.ratio() != 1
+        self._reads_beta = w.ratio() != 1
+        # kept as an int: pairs key the table cache behind stirling.table
         self._hash = hash((v, w))
+
+    def offsets(self, alpha: int, beta: int) -> tuple:
+        """(alpha, beta) as the triangles read them: only through v(alpha + i)
+        and w(beta + j), so an offset whose weight has ratio 1 reads as 0."""
+        return alpha if self._reads_alpha else 0, beta if self._reads_beta else 0
 
     def is_combinatorial(self) -> bool:
         return self.v.is_combinatorial() and self.w.is_combinatorial()

@@ -20,7 +20,7 @@ from math import comb
 
 import pytest
 
-from wstirling import combinat, identities, matrices, tableaux
+from wstirling import combinat, identities, matrices, stirling, tableaux
 from wstirling.cli import main
 from wstirling.ring import RingValue, as_int
 from wstirling.stirling import first_kind, pq_binomial, second_kind
@@ -245,10 +245,13 @@ def test_criterion_8_sequence_cross_checks():
 
 
 def test_criterion_9_cli_contract(capsys, tmp_path):
+    stirling._table.cache_clear()
     code = main(["verify", "--suite", "all"])
     out = capsys.readouterr().out
     assert code == 0, out
     assert out == GOLDEN.read_text(encoding="utf-8")
+    built = stirling._table.cache_info()  # tables of both methods, none evicted
+    assert built.misses == built.currsize <= 1024, built
     print("PASS criterion 9 verify --suite all over the catalog exits 0")
 
     spec = tmp_path / "corrupt.json"

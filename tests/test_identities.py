@@ -10,7 +10,7 @@ import dataclasses
 
 import pytest
 
-from wstirling import identities
+from wstirling import identities, stirling
 from wstirling.cli import CATALOG
 from wstirling.weights import WeightPair, WeightSpec, builtin, swap
 
@@ -42,10 +42,29 @@ def test_the_flag_marks_the_generic_identities():
     assert flagged == BY_WEIGHTS
 
 
-def test_offsets_read_as_zero_where_the_weight_ignores_the_index():
-    assert identities.offsets(builtin("classical"), -1, 1) == (-1, 0)
-    assert identities.offsets(swap(builtin("jacobi")), -1, 1) == (0, 1)
-    assert identities.offsets(builtin("zeta"), -1, 1) == (-1, 1)
+@pytest.mark.parametrize("name, per_kind", [("classical", 3), ("pq-binomial", 9)])
+def test_the_triangular_identity_reads_recurrence_tables_from_the_cache(
+        monkeypatch, name, per_kind):
+    # one recurrence table per offsets as read, built by stirling's cache and
+    # found there again after the sweep: classical's w ignores beta
+    built = []
+    make_table = stirling.StirlingTable
+
+    def recording(*args):
+        built.append(args)
+        return make_table(*args)
+    stirling._table.cache_clear()
+    monkeypatch.setattr(stirling, "StirlingTable", recording)
+    pair = builtin(name)
+    for kind in ("first", "second"):
+        identity = identities.REGISTRY[f"recurrences/triangular-{kind}"]
+        assert identities.scan(identity.cells(4, GRID), identity.probe(pair))[2] is None
+        assert len([args for args in built
+                    if args[1] == kind and args[-1] == "recurrence"]) == per_kind
+        count = len(built)
+        assert all(stirling.table(pair, kind, a, b, "recurrence").method == "recurrence"
+                   for a, b in GRID)
+        assert len(built) == count
 
 
 @pytest.mark.parametrize("name, cells, distinct", [

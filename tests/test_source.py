@@ -12,6 +12,10 @@ whose probes then call it; otherwise it goes.  An import that its module
 never reads as a name is left over from code that moved, and goes too; so
 does a private module-level function, class or constant that the package
 never reads.
+
+Only stirling, which owns the table cache, and cli, whose table command
+keeps its rows in a table of its own, call StirlingTable(...); every other
+module reads its tables through stirling, so the cache has one owner.
 """
 
 import ast
@@ -147,3 +151,32 @@ def test_unused_imports_are_found(tmp_path):
         "    return build(words[0]).pattern + 'escape'  # escape\n",
         encoding="utf-8")
     assert unused_imports(tmp_path) == ["layer.json", "layer.os", "layer.escape"]
+
+
+def table_builders(src=SRC):
+    """the modules that call StirlingTable(...), by name or as an attribute"""
+    trees, _, _ = parse(src)
+    return [module for module, tree in trees.items()
+            if any(isinstance(node, ast.Call) and "StirlingTable" in (
+                getattr(node.func, "id", None), getattr(node.func, "attr", None))
+                for node in ast.walk(tree))]
+
+
+def test_only_stirling_and_cli_build_tables():
+    assert set(table_builders()) <= {"stirling", "cli"}
+
+
+def test_table_builders_are_found(tmp_path):
+    (tmp_path / "layer.py").write_text(
+        '"""StirlingTable(pair) is named here only."""\n'
+        "from . import stirling\n\n\n"
+        "def read(pair):\n    return stirling.table(pair, 'first', 0, 0)  # StirlingTable()\n",
+        encoding="utf-8")
+    (tmp_path / "named.py").write_text(
+        "from .stirling import StirlingTable\n\n\n"
+        "def build(pair):\n    return StirlingTable(pair, 'first')\n", encoding="utf-8")
+    (tmp_path / "other.py").write_text(
+        "from . import stirling\n\n\n"
+        "def build(pair):\n    return stirling.StirlingTable(pair, 'second')\n",
+        encoding="utf-8")
+    assert table_builders(tmp_path) == ["named", "other"]

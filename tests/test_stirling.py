@@ -385,6 +385,16 @@ def tables_read(monkeypatch, pair, kind, offsets):
 OFFSETS = [(alpha, beta) for alpha in range(-2, 3) for beta in range(-2, 3)]
 
 
+def test_table_is_the_one_first_kind_reads(monkeypatch):
+    for name in ("classical", "zeta"):
+        pair = builtin(name)
+        for kind in KINDS:
+            read = tables_read(monkeypatch, pair, kind, [(1, -1)])
+            assert read[0] is stirling.table(pair, kind, 1, -1)
+            assert read[0] is stirling.table(pair, kind, 1, -1, "definition")
+            assert stirling.table(pair, kind, 1, -1, "recurrence") is not read[0]
+
+
 @pytest.mark.parametrize("name", CATALOG)
 def test_shared_tables_equal_their_own_offsets_tables(name):
     # a table shared across offsets holds the entries of a table built at each

@@ -293,6 +293,16 @@ def test_ratio_is_the_step_between_values():
                       "oeis-T": None, "table": None}
 
 
+def test_offsets_read_as_zero_where_the_weight_ignores_the_index():
+    # a triangle reads alpha only through v and beta only through w
+    assert builtin("classical").offsets(-1, 1) == (-1, 0)
+    assert swap(builtin("jacobi")).offsets(-1, 1) == (0, 1)
+    assert builtin("zeta").offsets(-1, 1) == (-1, 1)
+    constants = WeightPair.from_json('{"v": {"kind": "constant", "value": 2}, '
+                                     '"w": {"kind": "constant", "value": 3}}')
+    assert constants.offsets(-1, 1) == (0, 0)
+
+
 def test_spec_must_be_an_object():
     for bad in [[1], "constant", 1, None]:
         with pytest.raises(ValueError, match="weight spec must be a JSON object"):
