@@ -16,8 +16,9 @@ matrices and the inverse relations; the forward "beta" leg sends x^k to
 stirling.bracket(k, ...), a RingValue in x.  A version with both offsets
 held fixed is NOT an inverse pair for general weights; constant weights hide
 that because the sliding offset lands in a weight that never changes.
-Determinants run fraction-free (Bareiss) with exact division; the tests
-compare them with a cofactor expansion.
+Determinants run Gaussian elimination while each pivot divides its column,
+as it does on every Hankel matrix here, and fraction-free (Bareiss)
+elimination after that; the tests compare them with a cofactor expansion.
 
 The functions return the values they compute and wstirling.identities compares
 them.
@@ -27,7 +28,8 @@ from __future__ import annotations
 
 from math import comb
 
-from .ring import Coercible, P, Q, checked, exact_div, product, render, ring_sum
+from .ring import (Coercible, InexactDivision, P, Q, checked, exact_div, product, render,
+                   ring_sum)
 from .stirling import KINDS, first_kind, pq_binomial, second_kind
 from .symfunc import elementary_step
 from .weights import WeightPair, WeightSpec, builtin
@@ -103,18 +105,24 @@ def identity_matrix(dim: int) -> RingMatrix:
 # -- determinants ----------------------------------------------------------------
 
 def determinant(matrix: RingMatrix) -> Coercible:
-    """Bareiss elimination; every division is exact over an integral domain,
-    so an InexactDivision here is a bug and is raised, not worked around.
+    """Gaussian elimination while the pivot divides its column, then Bareiss.
 
-    Most divisors are one-term pivots (all 650 of a 13 x 13 pq-binomial,
-    zeta or q-binomial Hankel matrix), which exact_div takes in one pass.
-    The multi-term pivots of q-stirling and jacobi, in one variable, divide
-    as two big ints under a coefficient bound, else by cancellation.
+    A Gauss step divides each entry below the pivot by it, and subtracts that
+    multiplier times the pivot row: one division a row and one product an
+    entry, on Schur complements, which are never larger than Bareiss's minors.
+    The Hankel matrices here are L.U with L unit lower triangular in the ring,
+    so every multiplier exists and no step of theirs leaves this phase.  At
+    the first column where a multiplier does not exist, the rest of the matrix
+    runs fraction-free (Bareiss) from a previous pivot of 1, and the
+    determinant is the product of the Gauss pivots times Bareiss's last
+    entry.  Every Bareiss division is exact over an integral domain, so an
+    InexactDivision there is a bug and is raised, not worked around.
     """
     n = matrix.dim
     m = [list(row) for row in matrix.rows]
     sign = 1
-    prev = 1
+    scale = 1  # the product of the Gauss pivots
+    prev = None  # the last Bareiss pivot, None while the Gauss steps last
     for col in range(n - 1):
         pivot_row = next((i for i in range(col, n) if m[i][col]), None)
         if pivot_row is None:
@@ -122,12 +130,28 @@ def determinant(matrix: RingMatrix) -> Coercible:
         if pivot_row != col:
             m[col], m[pivot_row] = m[pivot_row], m[col]
             sign = -sign
-        for i in range(col + 1, n):
+        top = m[col]
+        pivot = top[col]
+        if prev is None:
+            try:
+                multipliers = [(row, exact_div(row[col], pivot))
+                               for row in m[col + 1:] if row[col]]
+            except InexactDivision:
+                prev = 1
+            else:
+                for row, multiplier in multipliers:
+                    for j in range(col + 1, n):
+                        if top[j]:
+                            row[j] = row[j] - multiplier * top[j]
+                    row[col] = 0
+                scale = scale * pivot
+                continue
+        for row in m[col + 1:]:
             for j in range(col + 1, n):
-                m[i][j] = exact_div(m[i][j] * m[col][col] - m[i][col] * m[col][j], prev)
-            m[i][col] = 0
-        prev = m[col][col]
-    return m[n - 1][n - 1] * sign
+                row[j] = exact_div(row[j] * pivot - row[col] * top[j], prev)
+            row[col] = 0
+        prev = pivot
+    return scale * m[n - 1][n - 1] * sign
 
 
 

@@ -234,9 +234,10 @@ def test_ring_errors_do_not_escape(capsys, monkeypatch):
         ("verify", "--suite", "genfunc", "--weights", "builtin:pq-binomial", "--nmax", "4"),
     ]:
         assert run(capsys, *argv)[0] == 0, argv
-    # InexactDivision comes only from exact_div, which only the Bareiss
-    # elimination calls.  Its divisions are exact over this integral domain,
-    # so a forced one must surface from determinant, not be worked around.
+    # InexactDivision comes only from exact_div.  Where a Gauss multiplier
+    # does not exist, determinant turns to Bareiss elimination, whose
+    # divisions are exact over this integral domain, so a forced one must
+    # surface from determinant, not be worked around.
     matrix = matrices.hankel_matrix("second", 3, 1, 0, 0, builtin("jacobi"))
 
     def inexact(self, divisor):

@@ -20,7 +20,7 @@ from wstirling.matrices import (
     scaled_q_det_formula,
     scaled_q_hankel_matrix,
 )
-from wstirling.ring import ONE, P, Q, RingValue, X, ZERO, ring_sum
+from wstirling.ring import ONE, P, Q, InexactDivision, RingValue, X, ZERO, ring_sum
 from wstirling.stirling import bracket, first_kind, second_kind
 from wstirling.weights import CATALOG, UndefinedIndex, WeightPair, WeightSpec, builtin
 
@@ -106,6 +106,80 @@ def test_determinants_polynomial_paths_agree():
         dim = rng.randint(1, 5)
         m = RingMatrix([[rng.choice(atoms) for _ in range(dim)] for _ in range(dim)])
         assert determinant(m) == det_cofactor(m)
+
+
+def divisions(monkeypatch) -> list:
+    """Record every (value, divisor) determinant hands exact_div, with the
+    quotient, or None where it does not exist in the ring."""
+    calls = []
+
+    def recorded(value, divisor, divide=matrices.exact_div):
+        try:
+            quotient = divide(value, divisor)
+        except InexactDivision:
+            calls.append((value, divisor, None))
+            raise
+        calls.append((value, divisor, quotient))
+        return quotient
+    monkeypatch.setattr(matrices, "exact_div", recorded)
+    return calls
+
+
+def test_an_inexact_first_multiplier_runs_bareiss(monkeypatch):
+    calls = divisions(monkeypatch)
+    m = RingMatrix([[2, 1], [1, 1]])
+    assert determinant(m) == det_cofactor(m) == 1
+    # 1/2 is no multiplier, so Bareiss divides 2*1 - 1*1 by a previous pivot of 1
+    assert calls == [(1, 2, None), (1, 1, 1)]
+    calls.clear()
+    m = RingMatrix([[1 + P, Q], [Q, P]])
+    assert determinant(m) == det_cofactor(m) == P + P ** 2 - Q ** 2
+    assert calls == [(Q, 1 + P, None), (P + P ** 2 - Q ** 2, 1, P + P ** 2 - Q ** 2)]
+
+
+def test_gauss_steps_then_bareiss(monkeypatch):
+    calls = divisions(monkeypatch)
+    # one Gauss step leaves [[3, -5], [-5, -4]], and -5/3 is no multiplier
+    m = RingMatrix([[1, 2, 3], [2, 7, 1], [3, 1, 5]])
+    assert determinant(m) == det_cofactor(m) == -37
+    assert calls == [(2, 1, 2), (3, 1, 3), (-5, 3, None), (-37, 1, -37)]
+    calls.clear()
+    # the same in the polynomial ring: (2 - PQ)/(1 + Q) does not exist
+    m = RingMatrix([[ONE, P, Q], [P, P * P + 1 + Q, ONE], [Q, 2, P]])
+    assert determinant(m) == det_cofactor(m)
+    assert [quotient is None for _, _, quotient in calls] == [False, False, True, False]
+    assert calls[-1][1] == 1
+
+
+def test_a_row_swap_inside_the_gauss_steps(monkeypatch):
+    calls = divisions(monkeypatch)
+    # column 1 of the Schur complement [[0, -1], [1, -8]] needs a swap
+    m = RingMatrix([[1, 2, 3], [2, 4, 5], [3, 7, 1]])
+    assert determinant(m) == det_cofactor(m) == 1
+    assert calls == [(2, 1, 2), (3, 1, 3)]
+    calls.clear()
+    m = RingMatrix([[0, 1 + Q, P], [P, Q, 1], [P * Q, 1, Q]])
+    assert determinant(m) == det_cofactor(m)
+    assert all(quotient is not None for _, _, quotient in calls)
+
+
+# the Hankel matrices of the det benchmark, at one offset: (pair, kind, r, s, alpha, beta)
+BENCHMARK_HANKELS = [("pq-binomial", "second", 12, 4, -2, 2), ("q-stirling", "second", 8, 3, 0, -3),
+                     ("zeta", "first", 12, 0, 1, -2), ("q-binomial", "first", 12, 0, -2, 3),
+                     ("jacobi", "second", 11, 2, 2, -3), ("jacobi", "first", 11, 2, 0, 3)]
+
+
+def test_hankel_determinants_take_only_gauss_steps(monkeypatch):
+    # L.U with L unit lower triangular in the ring: every multiplier exists,
+    # so an n x n matrix takes at most n(n-1)/2 divisions, where Bareiss
+    # takes (n-1)n(2n-1)/6 (650 at n = 13)
+    calls = divisions(monkeypatch)
+    for name, kind, r, s, alpha, beta in BENCHMARK_HANKELS:
+        hankel = (kind, r, s, alpha, beta, builtin(name))
+        calls.clear()
+        assert determinant(hankel_matrix(*hankel)) == det_formula(*hankel), name
+        assert all(quotient is not None for _, _, quotient in calls), name
+        assert len(calls) <= (r + 1) * r // 2, name
 
 
 def delta_sums(n_max, grid, pair):

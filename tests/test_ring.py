@@ -819,10 +819,15 @@ def test_fast_paths_are_reached(monkeypatch, capsys, tmp_path):
     # reads fresh weight specs and tables, so no earlier test fills them
     stirling._table.cache_clear()  # a pair equal to a builtin one shares its tables
     seen = count_paths(monkeypatch)
-    spec = tmp_path / "q-stirling.json"
-    spec.write_text(builtin("q-stirling").to_json(), encoding="utf-8")
-    assert cli.main(["det", "--kind", "second", "--weights", f"@{spec}",
-                     "--r", "8", "--s", "3"]) == 0
+    # det divides once a row: by pivots in one variable for q-stirling and
+    # jacobi, by one-term pivots for pq-binomial and q-binomial; q-stirling's
+    # and q-binomial's row updates are Kronecker products
+    for name, kind, r, s in [("q-stirling", "second", 8, 3), ("jacobi", "second", 11, 2),
+                             ("pq-binomial", "second", 12, 4), ("q-binomial", "first", 12, 0)]:
+        spec = tmp_path / f"{name}.json"
+        spec.write_text(builtin(name).to_json(), encoding="utf-8")
+        assert cli.main(["det", "--kind", kind, "--weights", f"@{spec}",
+                         "--r", str(r), "--s", str(s)]) == 0
     StirlingTable(fresh("q-stirling"), "first", method="recurrence").row(20)
     StirlingTable(fresh("q-binomial"), "second", method="recurrence").row(12)
     # q-binomial's columns extend from one another, a product an entry; v = z i
