@@ -44,22 +44,25 @@ exponent 0, looked up by the fields of its key in tables of at most
 _PIECE_CAP (1024) pieces each; see "render's exponent pieces" below.
 
 A product with a one-term factor shifts the keys of the other; two values
-in the same one of p, q, z, dense enough to pack, multiply as two big ints
+whose keys lie on one line, dense enough to pack, multiply as two big ints
 (Kronecker substitution); the rest walk every pair of terms.  exact_div
-divides by one term in one pass, by more in one of p, q, z as two big ints
-certified by a coefficient bound, and otherwise, or to name a failure, by
-leading-term cancellation.  Every product ends in the same guard test.
-addmul(acc, x, y), the step of the symmetric-function DPs, writes the terms
-of x * y into a copy of acc's by the same code, not into a product built
-only to be added.
+divides by one term in one pass, by more on one line with the dividend as
+two big ints certified by a coefficient bound, and otherwise, or to name a
+failure, by leading-term cancellation.  Every product ends in the same guard
+test.  addmul(acc, x, y), the step of the symmetric-function DPs, writes the
+terms of x * y into a copy of acc's by the same code, not into a product
+built only to be added.
 
 Both big-int paths, products and quotients, lay out their slots with one
-builder, _slot_lists, under one density limit, at most _SPREAD slots a
-term, and pack them with one signed codec, _pack_slots and _unpack_slots.
+builder, _slot_lists: a value's slots run from its least key in steps of the
+gcd of both values' key gaps, at most _SPREAD slots a term, so values in one
+variable and homogeneous ones, p^d f(q/p), pack alike.  One signed codec,
+_pack_slots and _unpack_slots, packs them.
 """
 
 from __future__ import annotations
 
+from math import gcd
 from typing import Iterable, Mapping, Union
 
 VARIABLES = ("p", "q", "z", "x")
@@ -295,9 +298,10 @@ class RingValue:
         both failures.  So every field the loop builds stays below 2^32 and
         never carries into the next.
 
-        A one-term divisor, Bareiss's usual pivot, divides in one pass instead,
-        and more terms in self's one variable of p, q, z as two big ints; where
-        neither returns a quotient, the loop runs and names any failure.
+        A one-term divisor, such as a monomial pivot of a determinant,
+        divides in one pass instead, and more terms on one line with self's
+        as two big ints; where neither returns a quotient, the loop runs and
+        names any failure.
         """
         divisor = RingValue.coerce(divisor)
         if not divisor.terms:
@@ -485,22 +489,22 @@ def _mul_term(term: dict, terms: dict, out: dict) -> dict:
 
 def _mul_kronecker(a: dict, b: dict, out: dict) -> dict | None:
     """a * b by Kronecker substitution, written into out, which is empty, or
-    None unless _slot_lists takes both: one y of p, q, z, at most _SPREAD
-    slots a term.
+    None unless _slot_lists takes both.
 
-    Each value packs as the int sum c_e 2^(8B(e - S)), S their least exponent.
-    A coefficient of the product sums at most min(len a, len b) products of
-    coefficients, so B bytes a slot, one bit of them the sign, hold it.
+    Each value packs as the int sum c_i 2^(8Bi) over its slots, and slots i
+    and j meet at key base_a + base_b - _UNIT + (i + j) step, the pair walk's
+    key sum.  A coefficient of the product sums at most min(len a, len b)
+    products of coefficients, so B bytes a slot, one bit the sign, hold it.
     """
     found = _slot_lists([a, b])
     if found is None:
         return None
-    low, step, (sa, sb) = found
+    step, (base_a, base_b), (sa, sb) = found
     bound = max(map(abs, a.values())) * max(map(abs, b.values())) * min(len(a), len(b))
     size = bound.bit_length() // 8 + 1
     coeffs = _unpack_slots(_pack_slots(sa, size) * _pack_slots(sb, size), size,
                            len(sa) + len(sb) - 1)
-    return _slot_terms(coeffs, _UNIT + 2 * low * step, step, out)
+    return _slot_terms(coeffs, base_a + base_b - _UNIT, step, out)
 
 
 def _div_term(terms: dict, term: dict) -> dict | None:
@@ -518,20 +522,20 @@ def _div_term(terms: dict, term: dict) -> dict | None:
 
 def _div_kronecker(terms: dict, dterms: dict) -> dict | None:
     """terms / dterms by Kronecker substitution, or None unless _slot_lists
-    takes both and the quotient is exact, certified and in range.
+    takes both and the quotient is exact, certified and in range, x's power
+    nonnegative.
 
-    Stripped of their low zero slots, both are polynomials in y with nonzero
-    constant terms, and so is a quotient.  Its slots, B bytes each, cannot
-    have carried if max|q| max|d| min(len q, len d) < 2^(8B - 1): then q * d
-    and n are signed slot vectors with one packed value, so they are equal.
+    A quotient's slot i lies at key base_n - base_d + _UNIT + i step.  Its
+    slots, B bytes each, cannot have carried if max|q| max|d| min(len q, len
+    d) < 2^(8B - 1): then q * d and n are signed slot vectors with one packed
+    value, so they are equal.  A nonzero slot i sits at n's slot i less d's
+    slot 0, or at a nonzero slot i - j plus d's gap from slot 0 to slot j; so
+    where the guard test passes every key, by induction on i each is in range.
     """
     found = _slot_lists([terms, dterms])
     if found is None:
         return None
-    _, step, (sn, sd) = found
-    zn = next(i for i, c in enumerate(sn) if c)
-    zd = next(i for i, c in enumerate(sd) if c)
-    sn, sd = sn[zn:], sd[zd:]
+    step, (base_n, base_d), (sn, sd) = found
     count = len(sn) - len(sd) + 1
     if count < 1:
         return None
@@ -543,8 +547,8 @@ def _div_kronecker(terms: dict, dterms: dict) -> dict | None:
     coeffs = _unpack_slots(quotient, size, count)
     if rem or max(map(abs, coeffs)) * dmax * min(count, len(sd)) >> (8 * size - 1):
         return None
-    out = _slot_terms(coeffs, _UNIT + (zn - zd) * step, step, {})
-    return None if any(key & _GUARD for key in out) else out
+    out = _slot_terms(coeffs, base_n - base_d + _UNIT, step, {})
+    return None if any(key & _GUARD or key & _MASK < _LIMIT for key in out) else out
 
 
 ZERO = RingValue._raw({})
@@ -678,26 +682,19 @@ _SPREAD = 4
 
 
 def _slot_lists(values: list) -> tuple | None:
-    """(S, step, slots) when every term of the nonzero term maps values lies
-    in one y of p, q, z and their slots from S, y's least exponent, number
-    at most _SPREAD a term; else None.  step is the key of y^(e+1) minus
-    that of y^e; slots[i] holds the coefficients of y^S, y^(S+1), ... of
-    values[i], up to its largest exponent.  The limit is tested on the
-    exponents alone, before any list is built, so 1 + y^(2^29) builds none."""
-    key = next(key for terms in values for key in terms if key != _UNIT)
-    shift = next((s for s in _SHIFTS[:_X] if (key >> s) & _MASK != _LIMIT), None)
-    if shift is None:
+    """(step, bases, slots) when each nonzero term map in values lies on a
+    line, one step for all, at most _SPREAD slots a term, else None: bases[i]
+    is values[i]'s least key, step the gcd of every key less its base, and
+    slots[i] the coefficients at bases[i] + k step up to its largest key.
+    The limit is tested first, so 1 + y^(2^29) builds no list, nor do values
+    on crossing lines, whose step is tiny."""
+    bases = [min(terms) for terms in values]
+    step = gcd(*[key - base for terms, base in zip(values, bases) for key in terms])
+    spans = [(max(terms) - base) // step + 1 for terms, base in zip(values, bases)]
+    if sum(spans) > _SPREAD * sum(map(len, values)):
         return None
-    step = (1 << _DEGREE_SHIFT) + (1 << shift)
-    if any(key != _UNIT + (key >> _DEGREE_SHIFT) * step for terms in values for key in terms):
-        return None
-    rows = [{key >> _DEGREE_SHIFT: c for key, c in terms.items()} for terms in values]
-    low = min(min(row) for row in rows)
-    spans = [max(row) - low + 1 for row in rows]
-    if sum(spans) > _SPREAD * sum(map(len, rows)):
-        return None
-    return low, step, [[row.get(e, 0) for e in range(low, low + span)]
-                       for row, span in zip(rows, spans)]
+    return step, bases, [[terms.get(base + i * step, 0) for i in range(span)]
+                         for terms, base, span in zip(values, bases, spans)]
 
 
 def _pack_slots(coeffs: list, size: int) -> int:
@@ -725,8 +722,8 @@ def _halves(size: int, count: int) -> int:
 
 
 def _slot_terms(coeffs: list, key: int, step: int, out: dict) -> dict:
-    """The terms of sum coeffs[i] y^(e + i), key the key of y^e and step the
-    key of y^(e+1) minus that of y^e, written into out, which is empty."""
+    """The terms of coeffs at keys key, key + step, ..., in order, written
+    into out, which is empty."""
     for coeff in coeffs:
         if coeff:
             out[key] = coeff

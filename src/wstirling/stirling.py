@@ -19,9 +19,9 @@ homogeneous_series over the line, and method "recurrence" runs them over
 the reversed line, the order in which the triangular recurrence meets its
 products, or steps the line from earlier lines where lines nest (below).
 RingValue products pick their own arithmetic: a one-term factor shifts the
-other's keys (pq-binomial, q-binomial, zeta), two values dense in one
-variable with 256 or more term pairs multiply as big ints (q-stirling), the
-rest walk term pairs.  So definition against recurrence checks the nested
+other's keys (pq-binomial, q-binomial, zeta), two values with 256 or more
+term pairs, dense on lines of one step, multiply as big ints (q-stirling),
+the rest walk term pairs.  So definition against recurrence checks the nested
 steps and the DPs' sums in two orders; the vertical and horizontal
 recurrences below and wstirling.genfunc check the DPs.  Where a weight has
 a ratio g (WeightSpec.ratio: 1 for a constant, the base of a monomial), a

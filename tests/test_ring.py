@@ -496,13 +496,14 @@ def test_kronecker_products_match_the_dict_loop(monkeypatch):
     taken = 0
     for var in "pqz":
         # (terms, low, spread) of each factor: term counts on both sides of 256
-        # pairs, and slots, counted from the pair's least exponent, at most 4 a
-        # term (40 + 120 = 4 * (10 + 30); 16 + 112 = 4 * (16 + 16)) and one past
+        # pairs, and slots, counted per value from its own least exponent, at
+        # most 4 a term (40 + 120 = 4 * (10 + 30); 64 + 64 = 4 * (16 + 16)) and
+        # one past, however far apart the two values start
         for (na, la, sa), (nb, lb, sb), kronecker in [
                 ((16, 0, 0), (16, 0, 0), True), ((12, -5, 12), (30, 3, 12), True),
                 ((40, 2, 40), (7, -9, 0), True), ((15, 0, 0), (17, 0, 0), False),
                 ((10, 0, 30), (30, 0, 90), True), ((10, 0, 30), (30, 0, 91), False),
-                ((16, 0, 0), (16, 96, 0), True), ((16, 0, 0), (16, 97, 0), False)]:
+                ((16, 0, 48), (16, 97, 48), True), ((16, 0, 48), (16, 97, 49), False)]:
             base = rng.randint(-9, 4)
             a = dense(rng, var, na, base + la, sa)
             b = dense(rng, var, nb, base + lb, sb)
@@ -510,7 +511,7 @@ def test_kronecker_products_match_the_dict_loop(monkeypatch):
             assert got == RingValue(ref_mul(a, b)) and got.render() == ref_render(ref_mul(a, b))
             taken += kronecker
             assert seen["_mul_kronecker"] == taken, (var, na, la, sa, nb, lb, sb)
-    # two variables, or x, stay on the dict loop
+    # values on crossing lines, p against q or z against p with x, stay on the dict loop
     for a, b in [(dense(rng, "p", 20, 0), dense(rng, "q", 20, 0)),
                  (dense(rng, "z", 20, 0), {k[:3] + (k[0] + 1,): c
                                            for k, c in dense(rng, "p", 20, 0).items()})]:
@@ -690,10 +691,15 @@ def test_kronecker_division_matches_long_division(monkeypatch):
             assert got[0] is InexactDivision and want is None
         else:
             assert got == RingValue(want) == RingValue(quotient)
-            if kind != 3:  # one variable: the path takes it
+            # the path takes both operands where each lies on a line in var:
+            # kinds 0 and 1, and kind 3 where it moves a whole operand, or
+            # every term of the quotient alike
+            if all(len({k[:at] + k[at + 1:] for k in t}) == 1 for t in (dividend, divisor)):
                 found["taken"] += 1
-                # the dividend has fewer low zero slots than the divisor, or more
-                found["fewer low zeros" if qlow < 0 else "more low zeros" if qlow else "same"] += 1
+                found[f"taken, kind {kind}"] += 1
+                # the quotient's least exponent: the dividend's least key lies
+                # below the divisor's, above it, or level with it
+                found["below" if qlow < 0 else "above" if qlow else "level"] += 1
         found[kind] += 1
     assert min(found.values()) >= 10, found
     assert seen["_div_kronecker"] == found["taken"], (seen, found)
@@ -726,6 +732,141 @@ def test_kronecker_division_slots_keep_a_spare_byte(monkeypatch, coeff):
         dividend = RingValue(ref_mul(quotient, divisor))
         assert dividend.exact_div(RingValue(divisor)) == RingValue(quotient)
     assert seen["_div_kronecker"] == 3
+
+
+# -- Kronecker substitution along any line: a value packs when its keys lie on one
+# line, each from its own least key, in steps of the gcd of both values' key gaps
+
+def along(rng, step, start, count, spread=0):
+    """count terms with mixed signs at start + e step, e running through
+    count + spread values from 0, both ends used."""
+    es = [0, count + spread - 1] + rng.sample(range(1, count + spread - 1), count - 2)
+    return {tuple(s + e * d for s, d in zip(start, step)): rng.choice([-1, 1]) * rng.randint(1, 9)
+            for e in es}
+
+
+def loop_outcome(monkeypatch, dividend, divisor):
+    """division_outcome with the Kronecker path off: the loop's answer."""
+    with monkeypatch.context() as patch:
+        patch.setattr(ring, "_div_kronecker", lambda terms, dterms: None)
+        return division_outcome(dividend, divisor)
+
+
+# homogeneous in p and q, p^d f(q/p), as pq-binomial's values are; q and x
+# together; a line through three variables; one variable
+LINES = [((-1, 1, 0, 0), (24, -12, 0, 0)), ((0, 1, 0, 1), (3, -5, 0, 0)),
+         ((2, 0, -1, 0), (-9, 4, 6, 1)), ((0, 0, 1, 0), (0, 0, -7, 0))]
+
+
+def test_kronecker_products_and_quotients_on_a_line(monkeypatch):
+    seen = count_paths(monkeypatch)
+    rng = random.Random(2009)
+    for step, start in LINES:
+        for trial in range(4):
+            a = along(rng, step, start, 16 + trial, trial)
+            b = along(rng, step, tuple(c + trial for c in start[:3]) + (start[3],), 20, 3)
+            product = RingValue(a) * RingValue(b)
+            assert product == RingValue(ref_mul(a, b))
+            for quotient, divisor in [(a, b), (b, a)]:
+                got = product.exact_div(RingValue(divisor))
+                assert got == RingValue(quotient) == RingValue(ref_exact_div(ref_mul(a, b), divisor))
+                assert loop_outcome(monkeypatch, product, RingValue(divisor)) == got
+    assert seen["_mul_kronecker"] == seen["_div_kronecker"] / 2 == len(LINES) * 4
+
+
+def test_kronecker_quotients_that_do_not_exist_on_a_line(monkeypatch):
+    seen = count_paths(monkeypatch)
+    rng = random.Random(44)
+    for step, start in LINES:
+        a, b = along(rng, step, start, 12, 4), along(rng, step, start, 6, 2)
+        dividend = ref_mul(a, b)
+        moved = dict(dividend)  # one coefficient changed, still on the line
+        moved[min(dividend, key=ref_order)] *= -2
+        for n, d in [(moved, b), (a, b), (b, a), (ref_mul(a, a), ref_mul(b, b))]:
+            assert ref_exact_div(n, d) is None and ring._slot_lists([RingValue(n).terms,
+                                                                     RingValue(d).terms])
+            got = division_outcome(RingValue(n), RingValue(d))
+            assert got[0] is InexactDivision and got == loop_outcome(monkeypatch, RingValue(n),
+                                                                     RingValue(d))
+    assert seen["_div_kronecker"] == 0
+
+
+def test_kronecker_quotients_that_need_a_negative_power_of_x(monkeypatch):
+    # each pair packs and divides in y, but the quotient holds x^-1: at its
+    # first slot, (1 + q)^3 / (x (1 + q)), or at its last, (x + q)^2 / (x (x + q))
+    seen = count_paths(monkeypatch)
+    for n, d in [((1 + Q) ** 3, X * (1 + Q)), ((X + Q) ** 2, X * (X + Q))]:
+        assert ring._slot_lists([n.terms, d.terms]) is not None
+        got = division_outcome(n, d)
+        assert got == (InexactDivision, "quotient would need a negative power of x")
+        assert got == loop_outcome(monkeypatch, n, d)
+    assert seen["_div_kronecker"] == 0
+
+
+def test_kronecker_exponent_overflow_through_a_line(monkeypatch):
+    seen = count_paths(monkeypatch)
+    rng = random.Random(7)
+    step, top = (-1, 1, 0, 0), LIMIT - 1
+    high = along(rng, step, (top, -10, 0, 0), 16)  # p from 2^30 - 1 down
+    for start, fits in [((0, 3, 0, 0), True), ((1, 3, 0, 0), False)]:
+        other = along(rng, step, start, 16)
+        want = ref_mul(high, other)
+        assert in_range(want) == fits
+        if fits:
+            assert RingValue(high) * RingValue(other) == RingValue(want)
+        else:
+            with pytest.raises(ExponentOverflow):
+                RingValue(high) * RingValue(other)
+    assert seen["_mul_kronecker"] == 2
+    # a quotient past the top of p: the path refuses it, and the loop names it
+    quotient, divisor = along(rng, step, (top + 2, -5, 0, 0), 8), along(rng, step, (-20, 0, 0, 0), 6)
+    dividend = RingValue(ref_mul(quotient, divisor))
+    assert ring._slot_lists([dividend.terms, RingValue(divisor).terms]) is not None
+    got = division_outcome(dividend, RingValue(divisor))
+    assert got == (ExponentOverflow, "a quotient has an exponent outside [-2^30, 2^30)")
+    assert got == loop_outcome(monkeypatch, dividend, RingValue(divisor))
+    assert seen["_div_kronecker"] == 0
+
+
+def test_kronecker_values_on_two_lines_build_no_slot_list():
+    # the key gaps of p and q have a gcd of 2^64, so [p]_128 (1 + q) would fill
+    # more than 2^64 slots; the limit is tested on the keys first, and no list
+    # is built
+    along_p, along_q = ring_sum(P ** e for e in range(128)), 1 + Q
+    assert ring._slot_lists([along_p.terms, along_q.terms]) is None
+    tracemalloc.start()
+    try:
+        began = time.perf_counter()
+        got = along_p * along_q
+        took = time.perf_counter() - began
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == along_p + Q * along_p
+    assert peak < 2 ** 22 and took < 0.5, (peak, took)
+
+
+def tuple_terms(value):
+    """The terms of value keyed by exponent tuples, as the references take them."""
+    return {ring._unpack(key): c for key, c in value.terms.items()}
+
+
+def test_kronecker_step_is_the_gcd_of_both_values_key_gaps(monkeypatch):
+    seen = count_paths(monkeypatch)
+    # zeta's shape: the first value's two least keys, z^-11 and z^-9, lie two
+    # steps apart, so a step read off them alone would fit no other key; the
+    # gcd of every gap is one z
+    gap = Z ** -11 + ring_sum(Z ** e for e in range(-9, 6))
+    dense_z = RingValue(dense(random.Random(3), "z", 16, -4))
+    # a line in q^2 packs at step q^2, the odd value from its own least key
+    even = ring_sum(Q ** (2 * e) for e in range(16))
+    odd = ring_sum((e % 3 + 1) * Q ** (2 * e + 1) for e in range(-8, 8))
+    for a, b, unit, spans in [(gap, dense_z, (0, 0, 1, 0), [17, 16]),
+                              (even, odd, (0, 2, 0, 0), [16, 16])]:
+        step, _, slots = ring._slot_lists([a.terms, b.terms])
+        assert step == ring._pack(unit) - ring._UNIT and list(map(len, slots)) == spans
+        assert a * b == RingValue(ref_mul(tuple_terms(a), tuple_terms(b)))
+    assert seen["_mul_kronecker"] == 2
 
 
 # -- render's piece tables and the fused DP step -------------------------------------
@@ -820,14 +961,20 @@ def test_fast_paths_are_reached(monkeypatch, capsys, tmp_path):
     stirling._table.cache_clear()  # a pair equal to a builtin one shares its tables
     seen = count_paths(monkeypatch)
     # det divides once a row: by pivots in one variable for q-stirling and
-    # jacobi, by one-term pivots for pq-binomial and q-binomial; q-stirling's
-    # and q-binomial's row updates are Kronecker products
+    # jacobi, by one-term pivots for pq-binomial and q-binomial; the row
+    # updates of q-stirling, q-binomial and pq-binomial, whose values are
+    # homogeneous in p and q, are Kronecker products
+    packed = {}
     for name, kind, r, s in [("q-stirling", "second", 8, 3), ("jacobi", "second", 11, 2),
                              ("pq-binomial", "second", 12, 4), ("q-binomial", "first", 12, 0)]:
         spec = tmp_path / f"{name}.json"
         spec.write_text(builtin(name).to_json(), encoding="utf-8")
+        before = seen["_mul_kronecker"]
         assert cli.main(["det", "--kind", kind, "--weights", f"@{spec}",
                          "--r", str(r), "--s", str(s)]) == 0
+        packed[name] = seen["_mul_kronecker"] - before
+    # pq-binomial packs all 325 of its products of 256 or more term pairs
+    assert packed["pq-binomial"] >= 300, packed
     StirlingTable(fresh("q-stirling"), "first", method="recurrence").row(20)
     StirlingTable(fresh("q-binomial"), "second", method="recurrence").row(12)
     # q-binomial's columns extend from one another, a product an entry; v = z i
