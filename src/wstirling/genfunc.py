@@ -13,9 +13,9 @@ wstirling.identities compares them with the other side.
 
 from __future__ import annotations
 
-from math import comb
+from math import comb, prod
 
-from .ring import Coercible, P, Q, RingValue, X, product, ring_sum
+from .ring import Coercible, P, Q, RingValue, X
 from .stirling import bracket, pq_binomial, second_kind
 from .weights import WeightPair, WeightSpec, builtin
 
@@ -24,7 +24,7 @@ def cgf_product(n: int, alpha: int, beta: int, weights: WeightPair) -> Coercible
     """Row generating function of the first kind: prod_j (x + v.w products)."""
     if n < 0:
         raise ValueError("row index must be nonnegative")
-    return product(
+    return prod(
         X + weights.v.eval(alpha + n - 1 - j) * weights.w.eval(beta + j) for j in range(n))
 
 
@@ -45,14 +45,14 @@ def sgf_series(k: int, order: int, alpha: int, beta: int, weights: WeightPair) -
         raise ValueError("truncation order must be at least k")
     rates = [weights.v.eval(alpha + k - j) * weights.w.eval(beta + j) for j in range(k + 1)]
     coeffs = _geometric(rates, order - k)
-    return ring_sum(c * X ** (k + d) for d, c in enumerate(coeffs))
+    return sum(c * X ** (k + d) for d, c in enumerate(coeffs))
 
 
 def basis_expansion(n: int, alpha: int, beta: int, weights: WeightPair) -> Coercible:
     """The bracket-basis expansion of x^n, which equals x^n."""
     if n < 0:
         raise ValueError("exponent must be nonnegative")
-    return ring_sum(
+    return sum(
         second_kind(weights, alpha, beta - k, n, k) * bracket(k, alpha, beta, weights)
         for k in range(n + 1))
 
@@ -63,8 +63,8 @@ def pq_product_form_residual(n: int) -> Coercible:
     """Row form for V=(p^i, q^i): both the direct sum and the rescaled
     substitution of cgf_product must equal prod_t (p^t + x q^t); the direct
     sum's residual comes first."""
-    target = product(P ** t + X * Q ** t for t in range(n))
-    direct = ring_sum(
+    target = prod(P ** t + X * Q ** t for t in range(n))
+    direct = sum(
         P ** comb(n - k, 2) * Q ** comb(k, 2) * pq_binomial(n, k) * X ** k
         for k in range(n + 1))
     row = RingValue.coerce(cgf_product(n, 0, 0, builtin("pq-binomial")))  # 1 at n = 0
@@ -85,9 +85,9 @@ def pq_series_reduction_residual(k: int, n: int) -> Coercible:
 def pq_basis_form_residual(n: int) -> Coercible:
     """Bracket-basis expansion specialized to V=(p^i, q^i), written with
     one-variable-per-side scaling."""
-    return ring_sum(
+    return sum(
         (-1) ** (n - k) * Q ** comb(n - k, 2) * pq_binomial(n, k)
-        * product(X * Q ** t + P ** t for t in range(k))
+        * prod(X * Q ** t + P ** t for t in range(k))
         for k in range(n + 1)) - Q ** comb(n, 2) * X ** n
 
 
@@ -97,7 +97,7 @@ def b_stirling_row_by_product(n: int) -> list:
     """First-kind row n for V=(i,i): its factors (n-1-t)t, 0 <= t < n, are
     row n-3 of the tabulated triangle, expanded by a plain product."""
     spec = WeightSpec("oeis-T", row=n - 3)
-    poly = RingValue.coerce(product(X + spec.eval(j) for j in range(n)))  # 1 at n = 0
+    poly = RingValue.coerce(prod(X + spec.eval(j) for j in range(n)))  # 1 at n = 0
     return [poly.coefficient("x", d) for d in range(n + 1)]
 
 

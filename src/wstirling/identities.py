@@ -48,7 +48,7 @@ from math import prod
 from typing import Callable, Optional
 
 from . import combinat, genfunc, matrices, stirling, tableaux, weights
-from .ring import X, as_int, render, ring_sum
+from .ring import X, as_int, render
 
 EACH = "each"  # once per weight pair, labeled with the pair
 NO_PAIR = "-"  # once, independent of the weights
@@ -405,14 +405,14 @@ _IDENTITIES = (
     Identity("genfunc", "row-product-first",
              lambda nmax, grid: ((n, a, b) for n in range(nmax + 1) for a, b in grid),
              _compare(_at("n"), lambda pair, n, a, b: genfunc.cgf_product(n, a, b, pair),
-                      lambda pair, n, a, b: ring_sum(
+                      lambda pair, n, a, b: sum(
                           stirling.first_kind(pair, a, b, n, k) * X ** k for k in range(n + 1)),
                       ("product", "row-sum")), by_weights=True),
     Identity("genfunc", "column-series-second",
              lambda nmax, grid: ((k, nmax, a, b) for k in range(nmax + 1) for a, b in grid),
              _compare(_at("k"),
                       lambda pair, k, order, a, b: genfunc.sgf_series(k, order, a, b, pair),
-                      lambda pair, k, order, a, b: ring_sum(
+                      lambda pair, k, order, a, b: sum(
                           stirling.second_kind(pair, a, b, n, k) * X ** n
                           for n in range(k, order + 1)),
                       ("series", "column-sum")), by_weights=True),

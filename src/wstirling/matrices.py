@@ -26,10 +26,9 @@ them.
 
 from __future__ import annotations
 
-from math import comb
+from math import comb, prod
 
-from .ring import (Coercible, InexactDivision, P, Q, checked, exact_div, product, render,
-                   ring_sum)
+from .ring import Coercible, InexactDivision, P, Q, checked, exact_div, render
 from .stirling import KINDS, first_kind, pq_binomial, second_kind
 from .symfunc import elementary_step
 from .weights import WeightPair, WeightSpec, builtin
@@ -76,7 +75,7 @@ class RingMatrix:
             raise ValueError("dimension mismatch")
         n = self.dim
         return RingMatrix(
-            tuple(tuple(ring_sum(self.rows[i][t] * other.rows[t][j] for t in range(n))
+            tuple(tuple(sum(self.rows[i][t] * other.rows[t][j] for t in range(n))
                         for j in range(n)) for i in range(n)))
 
     def __eq__(self, other) -> bool:
@@ -158,7 +157,7 @@ def determinant(matrix: RingMatrix) -> Coercible:
 # -- orthogonality ----------------------------------------------------------------
 
 def _orthogonal_sum(pair, alpha, beta, n, m, gamma=0):
-    return ring_sum(
+    return sum(
         _sign(n - k)
         * first_kind(pair, alpha, beta + m + 1, n + gamma, k + gamma)
         * second_kind(pair, alpha, beta + n, k + gamma, m + gamma)
@@ -168,7 +167,7 @@ def _orthogonal_sum(pair, alpha, beta, n, m, gamma=0):
 def _orthogonal_sum_reversed(pair, alpha, beta, n, m):
     # the w-offset must slide with the summation index; holding it fixed
     # breaks the sum as soon as w actually varies (try V=(p^i,q^i), n=1, m=0)
-    return ring_sum(
+    return sum(
         second_kind(pair, alpha, beta - k, n, k)
         * _sign(k - m) * first_kind(pair, alpha, beta - k + 1, k, m)
         for k in range(m, n + 1))
@@ -196,7 +195,7 @@ def pq_binomial_delta_sum(n: int, m: int) -> Coercible:
     """The signed pq-binomial orthogonality sum at (n, m), which is the Kronecker
     delta: sum over k of (-1)^(k-m) p^C(k-m,2) q^C(n-k,2) [n k] [k m].  Stated
     with binomial-power prefactors, not as a weight specialization."""
-    return ring_sum(
+    return sum(
         _sign(k - m) * P ** comb(k - m, 2) * Q ** comb(n - k, 2)
         * pq_binomial(n, k) * pq_binomial(k, m)
         for k in range(m, n + 1))
@@ -253,8 +252,8 @@ def inverse_relation_apply(direction: str, sequence, r: int, alpha: int, beta: i
                                   alpha, beta, weights)
     entry = first if leg == "forward" else second
     if family == "transposed":
-        return [ring_sum(entry(k, n) * seq[k] for k in range(n, r + 1)) for n in range(r + 1)]
-    return [ring_sum(entry(n, k) * seq[k] for k in range(n + 1)) for n in range(r + 1)]
+        return [sum(entry(k, n) * seq[k] for k in range(n, r + 1)) for n in range(r + 1)]
+    return [sum(entry(n, k) * seq[k] for k in range(n + 1)) for n in range(r + 1)]
 
 
 # -- convolutions -------------------------------------------------------------------
@@ -270,10 +269,10 @@ def convolution_sum(kind: str, m1: int, m2: int, n: int, alpha: int, beta: int,
     _check(kind, m1, m2, n)
     window = range(max(n - m1, 0), min(n, m2) + 1)
     if kind == "first":
-        return ring_sum(first_kind(weights, alpha + m2, beta, m1, n - k)
-                        * first_kind(weights, alpha, beta + m1, m2, k) for k in window)
-    return ring_sum(second_kind(weights, alpha + k, beta, m1, n - k)
-                    * second_kind(weights, alpha, beta + n - k, m2, k) for k in window)
+        return sum(first_kind(weights, alpha + m2, beta, m1, n - k)
+                   * first_kind(weights, alpha, beta + m1, m2, k) for k in window)
+    return sum(second_kind(weights, alpha + k, beta, m1, n - k)
+               * second_kind(weights, alpha, beta + n - k, m2, k) for k in window)
 
 
 # -- LU factorization and determinants ----------------------------------------------
@@ -330,10 +329,10 @@ def det_formula(kind: str, r: int, s: int, alpha: int, beta: int,
     """Closed-form product for the determinant of hankel_matrix."""
     _check(kind, r, s)
     if kind == "first":
-        return product(
+        return prod(
             weights.v.eval(alpha + s + k - 1 - t) * weights.w.eval(beta - k + t)
             for k in range(r + 1) for t in range(k))
-    return product(
+    return prod(
         (weights.v.eval(alpha + s + k) * weights.w.eval(beta - k)) ** k
         for k in range(r + 1))
 
@@ -353,4 +352,4 @@ def scaled_q_det_formula(r: int, s: int) -> Coercible:
     _check("second", r, s)
     qint = WeightSpec("q-integer")
     return Q ** (comb(s + r + 1, 3) - comb(s, 3)) \
-        * product(qint.eval(s + t) ** t for t in range(r + 1))
+        * prod(qint.eval(s + t) ** t for t in range(r + 1))

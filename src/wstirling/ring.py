@@ -9,9 +9,10 @@ A value is an int or a RingValue.  Integer values stay ints wherever they
 arise (weights, integer table lines, sums and products of ints); parse(),
 StirlingTable.row and any value that holds a variable are RingValues.  A
 RingValue may still hold a constant, and equality, hashing and render treat
-it like the int.  The operators take an int operand as it is, and the module
-functions render, exact_div, is_constant, as_int and checked take either
-kind, so callers need not tell the two apart, save the DP steps:
+it like the int.  The operators take an int operand as it is, so the
+builtins sum and math.prod take either kind (0 + v and 1 * v hand back v),
+as do the module functions render, addmul, exact_div, is_constant, as_int
+and checked; callers need not tell the two apart, save the DP steps:
 symfunc.elementary_step, symfunc.homogeneous_step and StirlingTable._column
 branch on int, since routing int steps through addmul made integer tables
 about 60% slower to build.  Both kinds test zero with `not value`.
@@ -43,27 +44,32 @@ A monomial is four pieces, one per variable, such as "*q^7", or "" for
 exponent 0, looked up by the fields of its key in tables of at most
 _PIECE_CAP (1024) pieces each; see "render's exponent pieces" below.
 
-A product with a one-term factor shifts the keys of the other; two values
-whose keys lie on one line, dense enough to pack, multiply as two big ints
-(Kronecker substitution); the rest walk every pair of terms.  exact_div
+One kernel, _mul_term, adds a term times a value into a term map, dropping
+the coefficients that cancel: a sum adds the other operand times 1, a
+difference times -1 (no negated copy), RingValue() and parse() add each
+term, and the exact_div loop subtracts each quotient term times the divisor.
+Two values whose keys lie on one line, dense enough to pack, multiply as two
+big ints (Kronecker substitution); any other product, a one-term factor
+among them, takes one _mul_term a term of its smaller factor.  Every product
+ends in the same guard test.  addmul(acc, x, y), the step of the
+symmetric-function DPs, writes the terms of x * y into a copy of acc's, not
+into a product built only to be added.  exact_div
 divides by one term in one pass, by more on one line with the dividend as
 two big ints certified by a coefficient bound, and otherwise, or to name a
-failure, by leading-term cancellation.  Every product ends in the same guard
-test.  addmul(acc, x, y), the step of the symmetric-function DPs, writes the
-terms of x * y into a copy of acc's by the same code, not into a product
-built only to be added.
+failure, by leading-term cancellation.
 
 Both big-int paths, products and quotients, lay out their slots with one
 builder, _slot_lists: a value's slots run from its least key in steps of the
 gcd of both values' key gaps, at most _SPREAD slots a term, so values in one
 variable and homogeneous ones, p^d f(q/p), pack alike.  One signed codec,
-_pack_slots and _unpack_slots, packs them.
+_pack_slots and _unpack_slots, packs them, and _slot_terms adds the slots
+back as terms.
 """
 
 from __future__ import annotations
 
-from math import gcd
-from typing import Iterable, Mapping, Union
+from math import gcd, prod
+from typing import Mapping, Union
 
 VARIABLES = ("p", "q", "z", "x")
 _VAR_INDEX = {name: i for i, name in enumerate(VARIABLES)}
@@ -147,18 +153,19 @@ class RingValue:
 
     def __init__(self, terms: Mapping[tuple, int] | None = None):
         # Canonicalize defensively; internal fast paths use _raw instead.
-        clean = {}
+        out: dict = {}
         for key, coeff in (terms or {}).items():
-            if coeff == 0:
-                continue
             key = tuple(key)
             if len(key) != 4:
                 raise ValueError(f"exponent vector must have 4 entries, got {key!r}")
+            for n in (*key, coeff):
+                if isinstance(n, bool) or not isinstance(n, int):
+                    raise ValueError(f"exponents and coefficients must be integers, got {n!r}")
             if key[_X] < 0:
                 raise ValueError("negative exponent for x is not representable")
-            key = _pack(key)
-            clean[key] = clean.get(key, 0) + coeff
-        self.terms = {k: c for k, c in clean.items() if c != 0}
+            if coeff:
+                _mul_term(_pack(key), coeff, _ONE_TERMS, out)
+        self.terms = out
 
     # -- construction ------------------------------------------------------
 
@@ -209,14 +216,7 @@ class RingValue:
             return other
         if not other.terms:
             return self
-        out = dict(self.terms)
-        for key, coeff in other.terms.items():
-            acc = out.get(key, 0) + coeff
-            if acc:
-                out[key] = acc
-            else:
-                del out[key]
-        return RingValue._raw(out)
+        return RingValue._raw(_mul_term(_UNIT, 1, other.terms, dict(self.terms)))
 
     __radd__ = __add__
 
@@ -224,7 +224,13 @@ class RingValue:
         return RingValue._raw({k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other: Coercible) -> "RingValue":
-        return self + (-other)
+        if isinstance(other, int):
+            return self + -other
+        if not isinstance(other, RingValue):
+            return NotImplemented
+        if not other.terms:
+            return self
+        return RingValue._raw(_mul_term(_UNIT, -1, other.terms, dict(self.terms)))
 
     def __rsub__(self, other: int) -> "RingValue":
         return -self + other
@@ -282,8 +288,8 @@ class RingValue:
             if name not in _VAR_INDEX:
                 raise KeyError(f"unknown variable {name!r}")
             images[_VAR_INDEX[name]] = RingValue.coerce(value)
-        return ring_sum(coeff * product(image ** exp for image, exp in zip(images, _unpack(key)))
-                        for key, coeff in sorted(self.terms.items()))
+        return sum(coeff * prod(image ** exp for image, exp in zip(images, _unpack(key)))
+                   for key, coeff in sorted(self.terms.items()))
 
     def exact_div(self, divisor: Coercible) -> "RingValue":
         """Quotient self/divisor when it exists in the ring, else InexactDivision.
@@ -332,7 +338,7 @@ class RingValue:
                 raise InexactDivision(f"leading coefficient {_digits(dividend[rkey])} "
                                       f"not divisible by {_digits(lead_coeff)}")
             quotient[qkey] = c
-            _mul_term({qkey + _UNIT: -c}, dpoly, dividend)
+            _mul_term(qkey + _UNIT, -c, dpoly, dividend)
         shift = low - dlow + _UNIT
         out = {k + shift: c for k, c in quotient.items()}
         for key in out:
@@ -431,48 +437,40 @@ def _monomial(key: int) -> str:
     return "".join(pieces)
 
 
-# -- products, and the fast paths of __mul__ and exact_div: each fast path
-# returns the terms of its result, before the guard test, or None where the
-# general loop must run
+# -- products: the term kernel, and the fast paths of __mul__ and exact_div,
+# each of which returns the terms of its result, before the guard test, or
+# None where the general loop must run
 
 _KRONECKER_PAIRS = 256
 
 
 def _mul(a: dict, b: dict, out: dict) -> dict:
-    """out plus a * b, written into out, for a and b neither zero nor 1: by a
-    fast path below or by the loop over every pair of terms, then the guard
-    test.  __mul__ hands an empty out, addmul a copy of its sum's terms; only
-    the first may meet a product of Kronecker size."""
+    """out plus a * b, written into out, for a and b nonzero: by
+    Kronecker substitution or by one _mul_term a term of the smaller, then
+    the guard test.  __mul__ hands an empty out, addmul a copy of its sum's
+    terms."""
     if len(a) * len(b) > TERM_BUDGET:
         raise TermBudgetExceeded(f"a product of {len(a)}-term and {len(b)}-term values "
                                  f"exceeds the budget of {TERM_BUDGET} term pairs")
     if len(a) > len(b):
         a, b = b, a
-    if len(a) == 1:
-        _mul_term(a, b, out)
-    elif len(a) * len(b) < _KRONECKER_PAIRS or _mul_kronecker(a, b, out) is None:
-        for ka, ca in a.items():
-            ka -= _UNIT
-            for kb, cb in b.items():
-                key = ka + kb
-                acc = out.get(key, 0) + ca * cb
-                if acc:
-                    out[key] = acc
-                else:
-                    del out[key]
+    if len(a) == 1 or len(a) * len(b) < _KRONECKER_PAIRS or _mul_kronecker(a, b, out) is None:
+        for key, coeff in a.items():
+            _mul_term(key, coeff, b, out)
     for key in out:
         if key & _GUARD:
             raise ExponentOverflow("a product has an exponent outside [-2^30, 2^30)")
     return out
 
 
-def _mul_term(term: dict, terms: dict, out: dict) -> dict:
-    """out plus term * terms, term a single term, written into out: every key
-    of terms shifts by the same amount, so none meets another, and into an
-    empty out the terms go without a lookup.  Loops, because a comprehension
-    costs more on the one- and few-term values most products have."""
-    (shift, coeff), = term.items()
-    shift -= _UNIT
+def _mul_term(key: int, coeff: int, terms: dict, out: dict) -> dict:
+    """out plus the term coeff*m times terms, m the monomial of key, written
+    into out, coeff nonzero: the one place that adds terms into a term map
+    and drops those that cancel.  Every key of terms shifts by the same
+    amount, so none meets another, and into an empty out the terms go without
+    a lookup or a zero test.  Loops, because a comprehension costs more on the
+    one- and few-term values most sums and products have."""
+    shift = key - _UNIT
     if not out:
         for key, c in terms.items():
             out[key + shift] = coeff * c
@@ -488,12 +486,12 @@ def _mul_term(term: dict, terms: dict, out: dict) -> dict:
 
 
 def _mul_kronecker(a: dict, b: dict, out: dict) -> dict | None:
-    """a * b by Kronecker substitution, written into out, which is empty, or
-    None unless _slot_lists takes both.
+    """out plus a * b by Kronecker substitution, written into out, or None,
+    out untouched, unless _slot_lists takes both.
 
     Each value packs as the int sum c_i 2^(8Bi) over its slots, and slots i
-    and j meet at key base_a + base_b - _UNIT + (i + j) step, the pair walk's
-    key sum.  A coefficient of the product sums at most min(len a, len b)
+    and j meet at key base_a + base_b - _UNIT + (i + j) step, the key of the
+    product of their terms.  A coefficient of the product sums at most min(len a, len b)
     products of coefficients, so B bytes a slot, one bit the sign, hold it.
     """
     found = _slot_lists([a, b])
@@ -586,14 +584,12 @@ def render(value: Coercible) -> str:
 
 def addmul(acc: Coercible, x: Coercible, y: Coercible) -> Coercible:
     """acc + x * y, the step of the symmetric-function DPs, with the terms of
-    x * y written straight into a copy of acc's, not into a product built only
-    to be added; int operands, a zero or unit factor and products of Kronecker
-    size take the operators."""
-    if isinstance(acc, RingValue) and isinstance(x, RingValue) and isinstance(y, RingValue):
-        a, b = x.terms, y.terms
-        if (acc.terms and a and b and a != _ONE_TERMS and b != _ONE_TERMS
-                and (len(a) == 1 or len(b) == 1 or len(a) * len(b) < _KRONECKER_PAIRS)):
-            return RingValue._raw(_mul(a, b, dict(acc.terms)))
+    x * y written straight into a copy of acc's by _mul, not into a product
+    built only to be added; int operands and a zero operand take the
+    operators."""
+    if (isinstance(acc, RingValue) and isinstance(x, RingValue) and isinstance(y, RingValue)
+            and acc.terms and x.terms and y.terms):
+        return RingValue._raw(_mul(x.terms, y.terms, dict(acc.terms)))
     return acc + x * y
 
 
@@ -666,11 +662,8 @@ def parse(text: str) -> RingValue:
         if exps[_X] < 0:
             raise RingParseError("negative exponent for x is not representable")
         key = _pack(exps)
-        acc = total.get(key, 0) + coeff
-        if acc:
-            total[key] = acc
-        else:
-            total.pop(key, None)
+        if coeff:
+            _mul_term(key, coeff, _ONE_TERMS, total)
     return RingValue._raw(total)
 
 
@@ -722,24 +715,12 @@ def _halves(size: int, count: int) -> int:
 
 
 def _slot_terms(coeffs: list, key: int, step: int, out: dict) -> dict:
-    """The terms of coeffs at keys key, key + step, ..., in order, written
-    into out, which is empty."""
+    """out plus the terms of coeffs at keys key, key + step, ..., in order,
+    written into out: straight into an empty out, else by _mul_term, as a
+    copy through it would cost a Kronecker product a fifth more."""
+    terms = {} if out else out
     for coeff in coeffs:
         if coeff:
-            out[key] = coeff
+            terms[key] = coeff
         key += step
-    return out
-
-
-def product(values: Iterable[Coercible]) -> Coercible:
-    result = 1
-    for value in values:
-        result = result * value
-    return result
-
-
-def ring_sum(values: Iterable[Coercible]) -> Coercible:
-    result = 0
-    for value in values:
-        result = result + value
-    return result
+    return out if terms is out else _mul_term(_UNIT, 1, terms, out)

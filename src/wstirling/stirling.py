@@ -18,10 +18,11 @@ on either method.  Method "definition" runs elementary_all or
 homogeneous_series over the line, and method "recurrence" runs them over
 the reversed line, the order in which the triangular recurrence meets its
 products, or steps the line from earlier lines where lines nest (below).
-RingValue products pick their own arithmetic: a one-term factor shifts the
-other's keys (pq-binomial, q-binomial, zeta), two values with 256 or more
-term pairs, dense on lines of one step, multiply as big ints (q-stirling),
-the rest walk term pairs.  So definition against recurrence checks the nested
+RingValue products pick their own arithmetic: two values with 256 or more
+term pairs, dense on lines of one step, multiply as big ints (q-stirling);
+the rest shift the larger factor's keys once a term of the smaller, a
+one-term factor once (pq-binomial, q-binomial, zeta).  A DP step adds either
+kind of product into a copy of its sum.  So definition against recurrence checks the nested
 steps and the DPs' sums in two orders; the vertical and horizontal
 recurrences below and wstirling.genfunc check the DPs.  Where a weight has
 a ratio g (WeightSpec.ratio: 1 for a constant, the base of a monomial), a
@@ -49,8 +50,9 @@ The b-Stirling oracles that cross-check it live in wstirling.genfunc.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import prod
 
-from .ring import Coercible, RingValue, X, addmul, product, ring_sum
+from .ring import Coercible, RingValue, X, addmul
 from .symfunc import elementary_all, elementary_step, homogeneous_series
 from .weights import WeightPair, builtin
 
@@ -226,8 +228,8 @@ def c_vertical(pair: WeightPair, alpha: int, beta: int, n: int, k: int) -> Coerc
     """First-kind entry at (n+1, k+1) summed from entries at j = k..n."""
     if n < 0:
         raise ValueError("vertical recurrence needs n >= 0")
-    return ring_sum(
-        product(pair.v.eval(alpha + n - t) * pair.w.eval(beta + t) for t in range(n - j))
+    return sum(
+        prod(pair.v.eval(alpha + n - t) * pair.w.eval(beta + t) for t in range(n - j))
         * first_kind(pair, alpha, beta + n - j + 1, j, k)
         for j in range(k, n + 1))
 
@@ -237,7 +239,7 @@ def s_vertical(pair: WeightPair, alpha: int, beta: int, n: int, k: int) -> Coerc
     if n < 0:
         raise ValueError("vertical recurrence needs n >= 0")
     top = pair.v.eval(alpha + k + 1) * pair.w.eval(beta)
-    return ring_sum(
+    return sum(
         top ** (n - j) * second_kind(pair, alpha, beta + 1, j, k)
         for j in range(k, n + 1))
 
@@ -257,15 +259,15 @@ def c_horizontal_alpha(pair: WeightPair, alpha: int, beta: int, n: int, k: int) 
 def _c_horizontal_sum(pair: WeightPair, alpha: int, beta: int, n: int, k: int, i: int):
     # row n + 1 at the shifted offsets, whose line gained the product v(alpha+i)w(beta+n-i)
     top = pair.v.eval(alpha + i) * pair.w.eval(beta + n - i)
-    return ring_sum((-top) ** (j - k) * first_kind(pair, alpha, beta, n + 1, j + 1)
-                    for j in range(k, n + 1))
+    return sum((-top) ** (j - k) * first_kind(pair, alpha, beta, n + 1, j + 1)
+               for j in range(k, n + 1))
 
 
 def s_horizontal(pair: WeightPair, alpha: int, beta: int, n: int, k: int) -> Coercible:
     """Second-kind entry at (n, k) as an alternating sum over row n+1."""
-    return ring_sum(
+    return sum(
         (-1) ** j
-        * product(pair.v.eval(alpha + k + t) * pair.w.eval(beta - t) for t in range(1, j + 1))
+        * prod(pair.v.eval(alpha + k + t) * pair.w.eval(beta - t) for t in range(1, j + 1))
         * second_kind(pair, alpha, beta - j - 1, n + 1, k + j + 1)
         for j in range(n - k + 1))
 
@@ -276,7 +278,7 @@ def bracket(n: int, alpha: int, beta: int, weights: WeightPair) -> Coercible:
     """Monic x-polynomial of degree n with roots v(alpha+t)w(beta-t), t = 0..n-1."""
     if n < 0:
         raise ValueError("bracket degree must be nonnegative")
-    return product(X - weights.v.eval(alpha + t) * weights.w.eval(beta - t) for t in range(n))
+    return prod(X - weights.v.eval(alpha + t) * weights.w.eval(beta - t) for t in range(n))
 
 
 # -- named families -------------------------------------------------------------

@@ -6,9 +6,9 @@ sums over size-t multisets, resumable one degree at a time.  Each entry costs
 O(len(xs)) ring operations, which keeps triangle construction polynomial.
 The DP only adds and multiplies, starting from the ints 1 and 0, so xs may
 mix ints and RingValues, and an entry over ints alone is an int.  A step
-by a RingValue is one ring.addmul, which adds the product's terms into the
-sum without building the product first, and RingValue products pick their
-own arithmetic (see wstirling.ring).  Brute-force enumeration lives in the
+by a RingValue is one ring.addmul, which adds the product's terms into a
+copy of the sum without building the product first, on whichever path
+RingValue products take (see wstirling.ring).  Brute-force enumeration lives in the
 tests as an oracle.
 
 StirlingTable's two methods run these DPs on the same products in opposite

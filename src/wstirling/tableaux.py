@@ -15,9 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
-from math import comb
+from math import comb, prod
 
-from .ring import ENUMERATION_CAP, Coercible, EnumerationCapExceeded, product, ring_sum
+from .ring import ENUMERATION_CAP, Coercible, EnumerationCapExceeded
 from .weights import WeightPair
 
 
@@ -163,8 +163,7 @@ def enumerate_Td(alpha: int, beta: int, r: int, s: int,
 
 def weight(tableau: BTableau, weights: WeightPair) -> Coercible:
     """Product over columns of v(top) * w(bottom); empty tableau gives 1."""
-    return product(weights.v.eval(t) * weights.w.eval(b)
-                   for t, b in tableau.columns)
+    return prod(weights.v.eval(t) * weights.w.eval(b) for t, b in tableau.columns)
 
 
 def juxtapose(t1: BTableau, t2: BTableau) -> BTableau:
@@ -210,7 +209,7 @@ def weight_sum(kind: str, n: int, k: int, alpha: int, beta: int,
         pool = enumerate_T(alpha, beta, k, n - k)
     else:
         raise ValueError(f"kind must be first or second, got {kind!r}")
-    return ring_sum(weight(t, weights) for t in pool)
+    return sum(weight(t, weights) for t in pool)
 
 
 def triangular_split(n: int, k: int, alpha: int = 0, beta: int = 0) -> list:

@@ -20,7 +20,7 @@ import re
 from functools import lru_cache
 from typing import Callable, Mapping, NamedTuple
 
-from .ring import Coercible, RingValue, as_int, is_constant, render, ring_sum
+from .ring import Coercible, RingValue, as_int, is_constant, render
 from .ring import parse as parse_ring
 
 _BASES = ("p", "q", "z")
@@ -283,7 +283,7 @@ _KINDS = {
                       lambda params, offset: _counts(params["value"])),
     "polynomial": _Kind(
         {"coefficients": _coefficients_in},
-        lambda params, j: ring_sum(c * j ** t for t, c in enumerate(params["coefficients"]) if c),
+        lambda params, j: sum(c * j ** t for t, c in enumerate(params["coefficients"]) if c),
         lambda params, offset: offset >= 0 and all(map(_counts, params["coefficients"]))),
     "monomial": _Kind({"base": _base_in},
                       lambda params, j: RingValue.variable(params["base"]) ** j, _never),

@@ -18,7 +18,7 @@ several, with mixed signs and Laurent exponents.
 import random
 
 from wstirling import identities
-from wstirling.ring import RingValue, ring_sum
+from wstirling.ring import RingValue
 from wstirling.weights import WeightPair, WeightSpec
 
 SEED = 20130
@@ -38,8 +38,8 @@ def random_value(rng, y):
     if kind < 0.8:
         return rng.choice([rng.randint(-3, 3), rng.choice("pqz")])
     low = rng.randint(-2, -1) if kind > 0.95 else rng.randint(0, 1)  # Laurent
-    value = ring_sum(RingValue.monomial(rng.randint(1, 2), **{y: low + i})
-                     for i in range(rng.randint(2, 4)))
+    value = sum(RingValue.monomial(rng.randint(1, 2), **{y: low + i})
+                for i in range(rng.randint(2, 4)))
     return value - 2 if kind > 0.9 else value  # mixed signs
 
 

@@ -20,7 +20,7 @@ from wstirling.matrices import (
     scaled_q_det_formula,
     scaled_q_hankel_matrix,
 )
-from wstirling.ring import ONE, P, Q, InexactDivision, RingValue, X, ZERO, ring_sum
+from wstirling.ring import ONE, P, Q, InexactDivision, RingValue, X, ZERO
 from wstirling.stirling import bracket, first_kind, second_kind
 from wstirling.weights import CATALOG, UndefinedIndex, WeightPair, WeightSpec, builtin
 
@@ -43,7 +43,7 @@ def det_cofactor(matrix: RingMatrix) -> RingValue:
         got = memo.get(cols)
         if got is None:
             row = n - len(cols)
-            got = memo[cols] = ring_sum(
+            got = memo[cols] = sum(
                 (-1) ** idx * rows[row][c] * minor(cols[:idx] + cols[idx + 1:])
                 for idx, c in enumerate(cols)
                 if rows[row][c])
@@ -304,10 +304,10 @@ def split_sum(kind, m1, m2, r, s, alpha, beta, pair):
     over the window outside which one factor vanishes by index range."""
     window = range(max(r - m1, -s), min(r, m2 - s) + 1)
     if kind == "first":
-        return ring_sum(first_kind(pair, alpha + m2, beta, m1, r - k)
-                        * first_kind(pair, alpha, beta + m1, m2, s + k) for k in window)
-    return ring_sum(second_kind(pair, alpha + s + k, beta, m1, r - k)
-                    * second_kind(pair, alpha, beta + r - k, m2, s + k) for k in window)
+        return sum(first_kind(pair, alpha + m2, beta, m1, r - k)
+                   * first_kind(pair, alpha, beta + m1, m2, s + k) for k in window)
+    return sum(second_kind(pair, alpha + s + k, beta, m1, r - k)
+               * second_kind(pair, alpha, beta + r - k, m2, s + k) for k in window)
 
 
 def test_convolution_examples():

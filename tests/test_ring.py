@@ -22,8 +22,6 @@ from wstirling.ring import (
     TermBudgetExceeded,
     as_int,
     parse,
-    product,
-    ring_sum,
 )
 from wstirling.stirling import StirlingTable
 from wstirling.weights import WeightPair, WeightSpec, builtin
@@ -135,6 +133,14 @@ def test_construction_refusals():
         (P + Q).substitute({"y": 1})
     with pytest.raises(ValueError, match="^not a constant: p \\+ 1$"):
         as_int(P + 1)
+    # coefficients and exponents are ints, as weight specs' are: no float, no bool
+    for terms, bad in [({(0, 0, 0, 0): 1.5}, "1.5"), ({(0, 0, 0, 0): True}, "True"),
+                       ({(0, 0, 0, 0): 0.0}, "0.0"), ({(True, 0, 0, 0): 1}, "True"),
+                       ({(0, 0, 1.0, 0): 1}, "1.0"), ({(0, 0, 0, 2.5): 1}, "2.5"),
+                       ({(0, "1", 0, 0): 1}, "'1'")]:
+        with pytest.raises(ValueError, match=f"^exponents and coefficients must be integers, "
+                                             f"got {bad}$"):
+            RingValue(terms)
 
 
 def test_parse_render_round_trip_random():
@@ -205,7 +211,7 @@ def test_exact_div_basic():
     assert ZERO.exact_div(P) == 0
     # many-term quotient
     n = 12
-    geom = ring_sum(X ** i for i in range(n))
+    geom = sum(X ** i for i in range(n))
     assert (X ** n - 1).exact_div(X - 1) == geom
     # Laurent shifts work; monomials in p, q, z are units
     assert (P + Q).exact_div(P ** 2) == P ** -1 + Q * P ** -2
@@ -294,13 +300,6 @@ def test_operators_take_an_int_operand_as_it_is(monkeypatch):
     for op in (lambda: v + 1.5, lambda: 1.5 * v, lambda: v - "1"):
         with pytest.raises(TypeError):
             op()
-
-
-def test_product_and_sum_helpers():
-    assert product([]) == 1
-    assert ring_sum([]) == 0
-    assert product([P, Q, 2]) == 2 * P * Q
-    assert ring_sum([P, Q, P]) == 2 * P + Q
 
 
 # -- differential check of the packed keys against plain exponent tuples -------
@@ -464,10 +463,11 @@ def test_term_budget(monkeypatch):
 
 # -- the fast paths of products and quotients against the references above ---------
 
-def count_paths(monkeypatch) -> collections.Counter:
-    """Count the results each fast path returns; None, no result, counts 0."""
+def count_paths(monkeypatch, names=("_mul_term", "_mul_kronecker", "_div_term",
+                                    "_div_kronecker")) -> collections.Counter:
+    """Count the results each named fast path returns; None, no result, counts 0."""
     seen = collections.Counter()
-    for name in ("_mul_term", "_mul_kronecker", "_div_term", "_div_kronecker"):
+    for name in names:
         def counted(*args, path=getattr(ring, name), name=name):
             out = path(*args)
             seen[name] += out is not None
@@ -571,7 +571,7 @@ def test_kronecker_budget_comes_before_packing(monkeypatch):
 def test_sparse_values_build_no_slot_list():
     # 1 + z^(2^29) would fill 2^29 + 1 slots; the density limit is tested on
     # the exponents first, so a product of 2 * 128 term pairs lays none out
-    sparse, dense = parse("z^536870912 + 1"), ring_sum(Z ** e for e in range(128))
+    sparse, dense = parse("z^536870912 + 1"), sum(Z ** e for e in range(128))
     tracemalloc.start()
     try:
         began = time.perf_counter()
@@ -712,7 +712,7 @@ def test_kronecker_division_refuses_a_quotient_wider_than_its_slots(monkeypatch)
     seen = count_paths(monkeypatch)
     for var in "pqz":
         y = RingValue(one_var(var, {1: 1}))
-        divisor, quotient = (1 - y) ** 8, ring_sum(y ** e for e in range(21)) ** 9
+        divisor, quotient = (1 - y) ** 8, sum(y ** e for e in range(21)) ** 9
         dividend = divisor * quotient
         assert len(dividend.terms) == 189 and max(dividend.terms.values()) == 70
         assert max(quotient.terms.values()) == 17148949027
@@ -832,7 +832,7 @@ def test_kronecker_values_on_two_lines_build_no_slot_list():
     # the key gaps of p and q have a gcd of 2^64, so [p]_128 (1 + q) would fill
     # more than 2^64 slots; the limit is tested on the keys first, and no list
     # is built
-    along_p, along_q = ring_sum(P ** e for e in range(128)), 1 + Q
+    along_p, along_q = sum(P ** e for e in range(128)), 1 + Q
     assert ring._slot_lists([along_p.terms, along_q.terms]) is None
     tracemalloc.start()
     try:
@@ -856,11 +856,11 @@ def test_kronecker_step_is_the_gcd_of_both_values_key_gaps(monkeypatch):
     # zeta's shape: the first value's two least keys, z^-11 and z^-9, lie two
     # steps apart, so a step read off them alone would fit no other key; the
     # gcd of every gap is one z
-    gap = Z ** -11 + ring_sum(Z ** e for e in range(-9, 6))
+    gap = Z ** -11 + sum(Z ** e for e in range(-9, 6))
     dense_z = RingValue(dense(random.Random(3), "z", 16, -4))
     # a line in q^2 packs at step q^2, the odd value from its own least key
-    even = ring_sum(Q ** (2 * e) for e in range(16))
-    odd = ring_sum((e % 3 + 1) * Q ** (2 * e + 1) for e in range(-8, 8))
+    even = sum(Q ** (2 * e) for e in range(16))
+    odd = sum((e % 3 + 1) * Q ** (2 * e + 1) for e in range(-8, 8))
     for a, b, unit, spans in [(gap, dense_z, (0, 0, 1, 0), [17, 16]),
                               (even, odd, (0, 2, 0, 0), [16, 16])]:
         step, _, slots = ring._slot_lists([a.terms, b.terms])
@@ -883,7 +883,7 @@ def test_render_past_its_piece_tables(monkeypatch):
             values.append({key: 1, (1, 2, 3, 4): -1})
             values.append({key: -1, (2, 0, -5, 1): 1, (0, 0, 0, 0): -1})
     # more distinct exponents in every variable than a table holds
-    values.append({(e, -e, 2 * e, e + 6): (-1) ** e for e in range(-6, 7)})
+    values.append({(e, -e, 2 * e, e + 6): (-1) ** (e % 2) for e in range(-6, 7)})
     values.append({(0, 3, 0, 0): huge, (1, 0, 0, 0): -huge, (0, 0, 0, 0): huge})
     for terms in values:
         for sign in (1, -1):
@@ -920,9 +920,10 @@ def test_addmul_is_acc_plus_a_product(monkeypatch):
         if isinstance(got, RingValue):
             assert 0 not in got.terms.values()
         assert ring.render(acc) == before  # acc's terms are copied, never written
-    # a one-term factor takes _mul_term, writing into the copy
+    # a one-term factor takes one _mul_term, writing into the copy
+    acc, x, y = P + Q, 2 * Z, RingValue(dense(rng, "q", 20, 0))
     taken = seen["_mul_term"]
-    ring.addmul(P + Q, 2 * Z, RingValue(dense(rng, "q", 20, 0)))
+    ring.addmul(acc, x, y)
     assert seen["_mul_term"] == taken + 1
 
 
@@ -938,11 +939,61 @@ def test_addmul_raises_where_the_operators_do(monkeypatch):
     monkeypatch.setattr(ring, "TERM_BUDGET", 12)
     a, b = 1 + P + Q, 1 + Q + Z + P * Z
     assert ring.addmul(Z, a, b) == Z + a * b  # 3 * 4 pairs: on the budget
-    assert ring.addmul(Z, ONE, b + Z ** 2 + a) == Z + b + Z ** 2 + a  # a unit walks none
-    for x, y in [(a, b + Z ** 2), (b + Z ** 2, a), (P, ring_sum(Q ** e for e in range(13)))]:
+    assert ring.addmul(Z, ONE, b + Z ** 2 + a) == Z + b + Z ** 2 + a  # a unit walks 6 terms
+    for x, y in [(a, b + Z ** 2), (b + Z ** 2, a), (P, sum(Q ** e for e in range(13)))]:
         for step in (lambda: Z + x * y, lambda: ring.addmul(Z, x, y)):
             with pytest.raises(TermBudgetExceeded):
                 step()
+
+
+def test_addmul_adds_a_kronecker_product_into_its_sum(monkeypatch):
+    seen = count_paths(monkeypatch)
+    rng = random.Random(37)
+    a, b = dense(rng, "q", 20, 0), dense(rng, "q", 16, -3)  # 320 term pairs
+    x, y, xy = RingValue(a), RingValue(b), RingValue(ref_mul(a, b))
+    # accs apart from the product, overlapping it, and cancelling it to p and to 0
+    accs = [P + Q ** 5 + 3, RingValue(dense(rng, "q", 12, 10)), P - xy, -xy]
+    taken = seen["_mul_kronecker"]
+    for acc in accs:
+        before = acc.render(), x.render(), y.render()
+        got = ring.addmul(acc, x, y)
+        assert got == acc + xy and 0 not in got.terms.values()
+        assert (acc.render(), x.render(), y.render()) == before
+    assert seen["_mul_kronecker"] == taken + len(accs)
+    assert ring.addmul(P - xy, x, y).terms == P.terms
+    assert ring.addmul(-xy, x, y).terms == {}
+
+
+def test_subtraction_adds_the_negation():
+    rng = random.Random(37)
+    for acc, x, y in step_cases(rng):
+        for a, b in [(acc, x), (x, y), (acc, x * y), (x * y, acc), (x, x)]:
+            before = ring.render(a), ring.render(b)
+            got, want = a - b, a + (-b)
+            assert got == want and type(got) is type(want), (a, b)
+            if isinstance(got, RingValue):
+                assert 0 not in got.terms.values()
+            assert (ring.render(a), ring.render(b)) == before
+
+
+def test_subtraction_negates_no_copy(monkeypatch):
+    values = [ZERO, ONE, P, P - 2, 2 - P, P * Q + Z ** -1, RingValue(dense(random.Random(3), "q", 20, 0))]
+    cases = [(a, b) for a in values for b in [*values, 0, 1, -3]]
+    wants = [a + (-b) for a, b in cases]
+
+    def refuse(self):
+        raise AssertionError(f"negated {self!r}")
+    monkeypatch.setattr(RingValue, "__neg__", refuse)
+    for (a, b), want in zip(cases, wants):
+        got = a - b
+        assert got == want and 0 not in got.terms.values(), (a, b)
+
+
+def test_zero_coefficients_are_never_stored():
+    assert parse("0*p + q - q").terms == {}
+    assert parse("2*p + q - p - q + 0 - p").terms == {}
+    assert RingValue({(1, 0, 0, 0): 0}).terms == {}
+    assert RingValue({(1, 0, 0, 0): 0, (0, 1, 0, 0): 3}).terms == (3 * Q).terms
 
 
 # the fewest results each fast path returns over the jobs below
@@ -959,7 +1010,14 @@ def test_fast_paths_are_reached(monkeypatch, capsys, tmp_path):
     # a later change to eligibility cannot drain a path silently; every job
     # reads fresh weight specs and tables, so no earlier test fills them
     stirling._table.cache_clear()  # a pair equal to a builtin one shares its tables
-    seen = count_paths(monkeypatch)
+    seen = count_paths(monkeypatch, ("_mul_kronecker", "_div_term", "_div_kronecker"))
+
+    # every sum runs _mul_term too, so its reach counts products with a one-term operand
+    def one_term(a, b, out, mul=ring._mul):
+        out = mul(a, b, out)
+        seen["_mul_term"] += min(len(a), len(b)) == 1
+        return out
+    monkeypatch.setattr(ring, "_mul", one_term)
     # det divides once a row: by pivots in one variable for q-stirling and
     # jacobi, by one-term pivots for pq-binomial and q-binomial; the row
     # updates of q-stirling, q-binomial and pq-binomial, whose values are

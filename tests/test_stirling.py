@@ -8,8 +8,7 @@ import pytest
 
 from wstirling import identities, ring, stirling, symfunc, weights
 from wstirling.genfunc import b_stirling_by_series, b_stirling_row_by_product
-from wstirling.ring import (ONE, P, Q, RingValue, TermBudgetExceeded, X, Z, ZERO, as_int, product,
-                            ring_sum)
+from wstirling.ring import ONE, P, Q, RingValue, TermBudgetExceeded, X, Z, ZERO, as_int
 from wstirling.stirling import (
     KINDS,
     StirlingTable,
@@ -83,8 +82,8 @@ def test_k_zero_columns():
             for n in range(6):
                 vw = PQ.v.eval(alpha) * PQ.w.eval(beta)
                 assert second_kind(PQ, alpha, beta, n, 0) == vw ** n
-                col = product(PQ.v.eval(alpha + n - 1 - t) * PQ.w.eval(beta + t)
-                              for t in range(n))
+                col = math.prod(PQ.v.eval(alpha + n - 1 - t) * PQ.w.eval(beta + t)
+                                for t in range(n))
                 assert first_kind(PQ, alpha, beta, n, 0) == col
 
 
@@ -279,7 +278,7 @@ def test_a_row_asked_for_directly_holds_only_that_row():
 LITERATURE = {
     "classical": lambda k: k,  # Stirling numbers
     "q-binomial": lambda k: Q ** k,  # Gaussian binomial coefficients, second kind
-    "q-stirling": lambda k: ring_sum(Q ** i for i in range(k)),  # Carlitz, [k]_q
+    "q-stirling": lambda k: sum(Q ** i for i in range(k)),  # Carlitz, [k]_q
     "legendre": lambda k: k * (k + 1),  # Legendre-Stirling numbers (Everitt et al.)
     "jacobi": lambda k: k * (k + Z),  # Jacobi-Stirling numbers, z = a + b + 1 (Gelineau-Zeng)
     # Koutras's non-central numbers with a = -m: (t + m)^n = sum_k S(n, k) (t)_k
@@ -346,13 +345,13 @@ def zeta_w(i):
 
 def brute_first(alpha, beta, n, k):
     line = [zeta_v(alpha + n - 1 - t) * zeta_w(beta + t) for t in range(n)]
-    return ring_sum(product(chosen) for chosen in itertools.combinations(line, n - k))
+    return sum(math.prod(chosen) for chosen in itertools.combinations(line, n - k))
 
 
 def brute_second(alpha, beta, n, k):
     line = [zeta_v(alpha + k - t) * zeta_w(beta + t) for t in range(k + 1)]
-    return ring_sum(product(chosen)
-                    for chosen in itertools.combinations_with_replacement(line, n - k))
+    return sum(math.prod(chosen)
+               for chosen in itertools.combinations_with_replacement(line, n - k))
 
 
 @pytest.mark.parametrize("alpha, beta", [(0, 0), (2, -1)])
@@ -528,7 +527,7 @@ def test_failed_column_walk_inside_a_generator(monkeypatch):
     monkeypatch.setattr(ring, "TERM_BUDGET", 30)
     for _ in range(2):
         with pytest.raises(TermBudgetExceeded):
-            ring_sum(second_kind(pair, 6, 0, n, 1) for n in range(5))
+            sum(second_kind(pair, 6, 0, n, 1) for n in range(5))
     _table.cache_clear()
 
 
@@ -643,7 +642,7 @@ def test_noncentral_sum_identity():
     # first kind at alpha=0 equals the plain sum of alpha=-1 values one row up
     for n in range(9):
         for k in range(n + 1):
-            rhs = ring_sum(first_kind(CLASSICAL, -1, 0, n + 1, j + 1) for j in range(k, n + 1))
+            rhs = sum(first_kind(CLASSICAL, -1, 0, n + 1, j + 1) for j in range(k, n + 1))
             assert first_kind(CLASSICAL, 0, 0, n, k) == rhs, f"({n},{k})"
 
 
