@@ -24,9 +24,10 @@ loads every layer.  The parser needs only SUITES and ring.ENUMERATION_CAP.
 
 Exit codes are a stable contract: 0 success, 1 a verified identity failed,
 2 usage error, 3 resource or cap error (an enumeration cap, a non-integer
-b-file entry, a computed exponent outside the ring's range, or a product
-past the ring's term-pair budget), 141 stdout closed by its reader (the
-status a shell reports for a process killed by SIGPIPE; `| head` does it).
+b-file entry, a computed exponent outside the ring's range, a product past
+the ring's term-pair budget, or a request too large for memory or for this
+platform), 141 stdout closed by its reader (the status a shell reports for a
+process killed by SIGPIPE; `| head` does it).
 Commands return 0 or 1 and raise everything else; main alone turns an error
 into its code and an `error:` line on stderr, argparse's own exits included,
 and a closed stdout into 141 with nothing on stderr.  Output is
@@ -326,6 +327,8 @@ def main(argv=None) -> int:
         code, message = 3, str(exc)
     except MemoryError:
         code, message = 3, "out of memory"
+    except OverflowError:  # a size past what a list or range can hold here
+        code, message = 3, "request too large for this platform"
     print(f"error: {message}", file=sys.stderr)
     return code
 

@@ -37,6 +37,8 @@ counterexample are DomainViolation and InvalidColorBudget.  Sides call layer
 functions as module attributes (stirling.first_kind), looked up at each call
 and never bound at import, so a wrapper of a layer function sees the calls.
 Tables come from stirling.table, and this module builds none of its own.
+`verify` lists each pair's runs together and releases the shared tables each
+time it moves on to another label, so it holds one pair's tables at a time.
 """
 
 from __future__ import annotations
@@ -112,14 +114,20 @@ def _shared(probe, pair):
 def verify(suites, pairs, nmax: int, grid):
     """Yield (identity, label, checked, skipped, failure) in report order: per
     suite, the per-pair identities pair by pair, then the others.  A
-    by_weights probe runs through _shared; every cell is still counted."""
+    by_weights probe runs through _shared; every cell is still counted.  No
+    run reads another label's tables, so the shared tables are released
+    wherever a run's label differs from the run's before."""
     by_label = {pair.label: pair for pair in pairs}
+    last = None
     for suite in suites:
         chosen = [i for i in REGISTRY.values() if i.suite == suite]
         runs = [(i, pair, pair.label) for pair in pairs for i in chosen if i.pairs == EACH]
         runs += [(i, by_label.get(i.pairs), i.pairs) for i in chosen
                  if i.pairs == NO_PAIR or i.pairs in by_label]
         for identity, pair, label in runs:
+            if last is not None and label != last:
+                stirling.clear_tables()
+            last = label
             if identity.applies is not None and not identity.applies(pair):
                 yield identity, label, 0, 1, None
             else:

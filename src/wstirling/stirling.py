@@ -39,7 +39,9 @@ the products v(alpha+i)w(beta+j), so a constant w is looked up at beta = 0
 and a constant v at alpha = 0, and a table so shared holds the entries a
 table at the given offsets would.  first_kind and second_kind read
 definition tables from it, the triangular identity recurrence tables; the
-CLI's table builds its own.  Next to them sit the
+CLI's table builds its own.  clear_tables empties the cache, and
+identities.verify calls it each time its sweep moves on to another weight
+pair, whose runs read none of the tables before.  Next to them sit the
 vertical and horizontal recurrences (the horizontal ones consume row n+1,
 so they are evaluators used for cross checking, not for building tables),
 which take the entry as (pair, alpha, beta, n, k) just as first_kind does,
@@ -197,11 +199,17 @@ class StirlingTable:
         return column
 
 
-# keyed by the offsets the weights read: verify --suite all --nmax 6 builds
-# 927 tables of both methods, so 1024 holds them all and evicts none
+# keyed by the offsets the weights read, and bounded for library callers;
+# verify empties it where its sweep moves on from one weight pair, so it holds
+# one pair's tables there (at most 120 at --nmax 6) and evicts none
 @lru_cache(maxsize=1024)
 def _table(pair: WeightPair, kind: str, alpha: int, beta: int, method: str) -> StirlingTable:
     return StirlingTable(pair, kind, alpha, beta, method)
+
+
+def clear_tables() -> None:
+    """Empty the shared table cache, and reset its counters."""
+    _table.cache_clear()
 
 
 def table(pair: WeightPair, kind: str, alpha: int, beta: int,

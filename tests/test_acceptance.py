@@ -244,14 +244,31 @@ def test_criterion_8_sequence_cross_checks():
     print("PASS criterion 8 pq-binomial at p=q=1 is binomial n<=12")
 
 
-def test_criterion_9_cli_contract(capsys, tmp_path):
-    stirling._table.cache_clear()
+def test_criterion_9_cli_contract(capsys, monkeypatch, tmp_path):
+    # the sweep releases the shared tables where it moves on to another label:
+    # the cache's counters before each release, and at the end, are one
+    # label's run each, and the tables built are counted as they are made
+    held, built = [], []
+    make_table, clear_tables = stirling.StirlingTable, stirling.clear_tables
+
+    def recording_table(*args):
+        built.append(args)
+        return make_table(*args)
+
+    def recording_clear():
+        held.append(stirling._table.cache_info())
+        clear_tables()
+    stirling.clear_tables()
+    monkeypatch.setattr(stirling, "StirlingTable", recording_table)
+    monkeypatch.setattr(stirling, "clear_tables", recording_clear)
     code = main(["verify", "--suite", "all"])
     out = capsys.readouterr().out
     assert code == 0, out
     assert out == GOLDEN.read_text(encoding="utf-8")
-    built = stirling._table.cache_info()  # tables of both methods, none evicted
-    assert built.misses == built.currsize <= 1024, built
+    held.append(stirling._table.cache_info())
+    assert len(held) > 1 and all(info.misses == info.currsize for info in held), held
+    assert max(info.currsize for info in held) <= 1024, held  # none evicted
+    assert sum(info.misses for info in held) == len(built)
     print("PASS criterion 9 verify --suite all over the catalog exits 0")
 
     spec = tmp_path / "corrupt.json"

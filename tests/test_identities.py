@@ -53,7 +53,7 @@ def test_the_triangular_identity_reads_recurrence_tables_from_the_cache(
     def recording(*args):
         built.append(args)
         return make_table(*args)
-    stirling._table.cache_clear()
+    stirling.clear_tables()
     monkeypatch.setattr(stirling, "StirlingTable", recording)
     pair = builtin(name)
     for kind in ("first", "second"):
@@ -65,6 +65,36 @@ def test_the_triangular_identity_reads_recurrence_tables_from_the_cache(
         assert all(stirling.table(pair, kind, a, b, "recurrence").method == "recurrence"
                    for a, b in GRID)
         assert len(built) == count
+
+
+def test_the_sweep_holds_one_pairs_tables_at_a_time(monkeypatch):
+    # a run builds its tables before it is yielded: once the sweep has moved on
+    # to pq-binomial, a table classical's runs read is built again, and within
+    # each pair's runs no table is built twice
+    built, ends = [], []
+    make_table = stirling.StirlingTable
+
+    def recording(*args):
+        built.append(args)
+        return make_table(*args)
+    stirling.clear_tables()
+    monkeypatch.setattr(stirling, "StirlingTable", recording)
+    pairs = [builtin("classical"), builtin("pq-binomial")]
+    released = (pairs[0], "first", 0, 0, "definition")
+    for _, label, *result in identities.verify(("recurrences",), pairs, 3, GRID):
+        assert result[-1] is None
+        if ends and ends[-1][0] != label:
+            count = len(built)
+            stirling.table(*released)
+            assert built[count:] == [released]
+            built.pop()
+        ends.append((label, len(built)))
+    by_label, start = {}, 0
+    for label, end in ends:
+        by_label.setdefault(label, []).extend(built[start:end])
+        start = end
+    assert released in by_label["classical"] and len(by_label["pq-binomial"]) > 0
+    assert all(len(set(tables)) == len(tables) for tables in by_label.values())
 
 
 @pytest.mark.parametrize("name, cells, distinct", [

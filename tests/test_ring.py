@@ -1009,7 +1009,7 @@ def fresh(name: str) -> WeightPair:
 def test_fast_paths_are_reached(monkeypatch, capsys, tmp_path):
     # a later change to eligibility cannot drain a path silently; every job
     # reads fresh weight specs and tables, so no earlier test fills them
-    stirling._table.cache_clear()  # a pair equal to a builtin one shares its tables
+    stirling.clear_tables()  # a pair equal to a builtin one shares its tables
     seen = count_paths(monkeypatch, ("_mul_kronecker", "_div_term", "_div_kronecker"))
 
     # every sum runs _mul_term too, so its reach counts products with a one-term operand

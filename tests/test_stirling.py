@@ -427,7 +427,7 @@ def test_inverse_pairs_build_one_table_per_offsets_read():
     # pairs with constant w cuts the tables it builds from 576 to 198
     identity = identities.REGISTRY["orthogonality/inverse-pair-beta"]
     grid = [(alpha, beta) for alpha in (-1, 0, 1) for beta in (-1, 0, 1)]
-    _table.cache_clear()
+    stirling.clear_tables()
     for name in CATALOG:
         checked, _, failure = identities.scan(identity.cells(6, grid),
                                               identity.probe(builtin(name)))
@@ -523,12 +523,12 @@ def test_a_step_that_raises_leaves_nesting_lines_whole(monkeypatch):
 def test_failed_column_walk_inside_a_generator(monkeypatch):
     # inside a generator expression a StopIteration would surface as RuntimeError
     pair = builtin("q-stirling")
-    _table.cache_clear()
+    stirling.clear_tables()
     monkeypatch.setattr(ring, "TERM_BUDGET", 30)
     for _ in range(2):
         with pytest.raises(TermBudgetExceeded):
             sum(second_kind(pair, 6, 0, n, 1) for n in range(5))
-    _table.cache_clear()
+    stirling.clear_tables()
 
 
 def rising_factorial_row(n):
