@@ -20,7 +20,10 @@ acceptance gate runs too.
 Each command imports only what it uses, because every CLI process pays for its
 imports: the top level has ring, weights and stirling (all `table` needs), `det`
 adds matrices, `enumerate` tableaux and combinat, and `verify` identities, which
-loads every layer.  The parser needs only SUITES and ring.ENUMERATION_CAP.
+loads a layer only when a suite first reads it: the recurrences none, genfunc
+genfunc, the orthogonality, convolution, lu and determinants suites matrices,
+and the tableaux and combinatorial suites tableaux and combinat.  The parser
+needs only SUITES and ring.ENUMERATION_CAP.
 
 Exit codes are a stable contract: 0 success, 1 a verified identity failed,
 2 usage error, 3 resource or cap error (an enumeration cap, a non-integer

@@ -11,9 +11,9 @@ acceptance gate runs the same probes over its own, wider cell lists.
 An identity sets `by_weights` when its probe reads the offsets only through
 the weight values v(alpha + i) and w(beta + j), as the paper's recurrences,
 generating functions, orthogonality relations, convolutions and Hankel
-determinants do.  `verify` then runs its probe once per cell as the pair's
-weights read it (`WeightPair.offsets`), and counts the cells that differ
-only in an offset a constant weight ignores with that cell's outcome.  A
+determinants do.  Where a pair's weights ignore an offset, `verify` then runs
+its probe once per cell as the weights read it (`WeightPair.offsets`), and
+counts the cells that differ only in that offset with that cell's outcome.  A
 probe that uses an offset as a number (a seed, an enumeration of objects at
 the offset) must leave it unset: the round trip, tableaux and combinatorial
 identities do.  The flag marks the 22 per-pair identities of the six
@@ -39,25 +39,48 @@ and never bound at import, so a wrapper of a layer function sees the calls.
 Tables come from stirling.table, and this module builds none of its own.
 `verify` lists each pair's runs together and releases the shared tables each
 time it moves on to another label, so it holds one pair's tables at a time.
+
+Every process pays for the layers it imports, and most suites read few: the
+recurrences only stirling, and only the tableaux and combinatorial suites
+tableaux and combinat.  So matrices, genfunc, tableaux and combinat are bound
+by `_lazy`, and each one's body runs at its first attribute access, in
+whichever cell list, probe or `except` clause reads it first.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import random
+import sys
 from collections import Counter
-from dataclasses import dataclass
 from math import prod
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
-from . import combinat, genfunc, matrices, stirling, tableaux, weights
+from . import stirling, weights
 from .ring import X, as_int, render
+
+
+def _lazy(name):
+    """The layer wstirling.<name>, bound now and loaded at its first attribute
+    access (importlib.util.LazyLoader), or the module itself if already loaded."""
+    fullname = f"{__package__}.{name}"
+    if fullname in sys.modules:
+        return sys.modules[fullname]
+    spec = importlib.util.find_spec(fullname)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = sys.modules[fullname] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    setattr(sys.modules[__package__], name, module)  # as an eager import binds it
+    return module
+
+
+combinat, genfunc, matrices, tableaux = map(_lazy, ("combinat", "genfunc", "matrices", "tableaux"))
 
 EACH = "each"  # once per weight pair, labeled with the pair
 NO_PAIR = "-"  # once, independent of the weights
 
 
-@dataclass(frozen=True)
-class Identity:
+class Identity(NamedTuple):
     """One identity.  `pairs` is EACH, NO_PAIR, or the builtin label it runs
     for (once, when that pair is swept).  `cells(nmax, grid)` yields cell
     tuples; `probe(pair)` builds the probe.  A pair failing `applies`
@@ -114,9 +137,10 @@ def _shared(probe, pair):
 def verify(suites, pairs, nmax: int, grid):
     """Yield (identity, label, checked, skipped, failure) in report order: per
     suite, the per-pair identities pair by pair, then the others.  A
-    by_weights probe runs through _shared; every cell is still counted.  No
-    run reads another label's tables, so the shared tables are released
-    wherever a run's label differs from the run's before."""
+    by_weights probe runs through _shared where the pair's weights ignore an
+    offset, since only there can two cells share one; every cell is still
+    counted.  No run reads another label's tables, so the shared tables are
+    released wherever a run's label differs from the run's before."""
     by_label = {pair.label: pair for pair in pairs}
     last = None
     for suite in suites:
@@ -132,7 +156,7 @@ def verify(suites, pairs, nmax: int, grid):
                 yield identity, label, 0, 1, None
             else:
                 probe = identity.probe(pair)
-                if identity.by_weights:
+                if identity.by_weights and pair.offsets(1, 1) != (1, 1):
                     probe = _shared(probe, pair)
                 yield identity, label, *scan(identity.cells(nmax, grid), probe)
 
@@ -386,6 +410,11 @@ _FIGURES = {"partition": ((3, 1, 1), ((3, 2), (1, 3), (2, 1)),
             "permutation": ((3, 1, 0), ((4, 1), (2, 1), (1, 4)), "(0 1_4 2_1)(3 4_1)(5)(6)")}
 
 
+def _colors_by_v(pair):
+    # the registry's one `applies` that is a layer function, looked up at each call
+    return combinat.colors_by_v(pair)
+
+
 def _figure(pair, name):
     tops, above, _ = _FIGURES[name]
     t = combinat.ZeroOneTableau(tableaux.BTableau.from_tops(tops, 5), above, ((1, 1),) * 3)
@@ -518,21 +547,21 @@ _IDENTITIES = (
     Identity("combinatorial", "partition-counts", lambda nmax, grid: _entries(min(nmax, 4)),
              _at_origin("partitions", "second",
                         lambda pair, n, k: len(combinat.enumerate_part(n, k, pair.v))),
-             applies=combinat.colors_by_v),
+             applies=_colors_by_v),
     Identity("combinatorial", "permutation-counts", lambda nmax, grid: _entries(min(nmax, 4)),
              _at_origin("permutations", "first",
                         lambda pair, n, k: len(combinat.enumerate_perm(n, k, pair.v))),
-             applies=combinat.colors_by_v),
+             applies=_colors_by_v),
     Identity("combinatorial", "partition-bijection", lambda nmax, grid: _entries(min(nmax, 3)),
              _bijection(lambda: (combinat.enumerate_part, combinat.from_partition,
                                  combinat.to_partition),
                         lambda n, k: (tableaux.enumerate_T(0, 0, k, n - k), k + 2)),
-             applies=combinat.colors_by_v),
+             applies=_colors_by_v),
     Identity("combinatorial", "permutation-bijection", lambda nmax, grid: _entries(min(nmax, 3)),
              _bijection(lambda: (combinat.enumerate_perm, combinat.from_permutation,
                                  combinat.to_permutation),
                         lambda n, k: (tableaux.enumerate_Td(0, 0, n - 1, n - k), n + 1)),
-             applies=combinat.colors_by_v),
+             applies=_colors_by_v),
     Identity("combinatorial", "figure-renderings",
              lambda nmax, grid: [(name,) for name in _FIGURES],
              _compare(_named("figure"), _figure,

@@ -663,6 +663,32 @@ def test_commands_import_only_what_they_use():
     assert json.loads(done.stdout.splitlines()[-1]) == [[], [], ["matrices"]]
 
 
+@pytest.mark.parametrize("suite, run", [
+    ("lu", ["matrices"]),
+    ("combinatorial", ["tableaux", "combinat"]),
+], ids=["lu", "combinatorial"])
+def test_verify_runs_only_the_layers_its_suite_reads(suite, run):
+    # identities binds the other layers lazily: a module whose body has not run
+    # is still a LazyLoader module, and asking its type does not load it; each
+    # is bound on the package too, as `import wstirling.matrices` would bind it
+    script = f"""
+        import contextlib, io, json, sys, types
+        import wstirling
+        from wstirling import cli
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["verify", "--suite", "{suite}", "--nmax", "1"])
+        layers = ("matrices", "genfunc", "tableaux", "combinat")
+        ran = [m for m in layers if type(sys.modules.get("wstirling." + m)) is types.ModuleType]
+        bound = all(vars(wstirling).get(m) is sys.modules["wstirling." + m] for m in layers)
+        print(json.dumps([code, ran, bound,
+                          "dataclasses" in sys.modules, "inspect" in sys.modules]))
+    """
+    done = fresh_python("-c", textwrap.dedent(script))
+    assert done.returncode == 0, done.stderr
+    tableaux_ran = suite == "combinatorial"
+    assert json.loads(done.stdout) == [0, run, True, tableaux_ran, tableaux_ran]
+
+
 @pytest.mark.parametrize("command", [
     "verify --suite lu --nmax 4 --weights builtin:q-stirling",
     "enumerate --object partitions --n 3 --k 1 --weights builtin:classical",

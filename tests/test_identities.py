@@ -6,11 +6,9 @@ that offset give one outcome.  `identities.verify` computes it once and counts
 every cell; `scan`, which the acceptance gate uses, still computes each one.
 """
 
-import dataclasses
-
 import pytest
 
-from wstirling import identities, stirling
+from wstirling import combinat, identities, stirling
 from wstirling.cli import CATALOG
 from wstirling.weights import WeightPair, WeightSpec, builtin, swap
 
@@ -115,7 +113,7 @@ def test_the_sweep_probes_each_distinct_cell_once(monkeypatch, name, cells, dist
             return probe(*cell)
         return run
     monkeypatch.setattr(identities, "REGISTRY",
-                        {name: dataclasses.replace(identity, probe=counted)})
+                        {name: identity._replace(probe=counted)})
     labels = ("classical", "pq-binomial", "b-stirling", "zeta")
     results = list(identities.verify((identity.suite,), [builtin(label) for label in labels],
                                      4, GRID))
@@ -141,3 +139,35 @@ def test_the_shared_sweep_counts_what_a_full_scan_counts(nmax, pairs, grid, skip
             assert tuple(result) == full, (identity.name, label)
             skipped += full[1]
     assert (skipped > 0) == skips
+
+
+def test_only_pairs_whose_weights_ignore_an_offset_share_cells(monkeypatch):
+    # pq-binomial and zeta read both offsets, so no two of their cells share a
+    # key and their probes run unwrapped; classical's w ignores beta
+    wrapped = []
+    shared = identities._shared
+
+    def counted(probe, pair):
+        wrapped.append(pair.label)
+        return shared(probe, pair)
+    monkeypatch.setattr(identities, "_shared", counted)
+    labels = ("classical", "pq-binomial", "zeta")
+    suites = tuple(dict.fromkeys(i.suite for i in identities.REGISTRY.values() if i.by_weights))
+    results = list(identities.verify(suites, [builtin(label) for label in labels], 2, GRID))
+    assert all(result[-1] is None for result in results)
+    assert [wrapped.count(label) for label in labels] == [len(BY_WEIGHTS), 0, 0]
+
+
+def test_a_wrapper_installed_after_import_sees_the_applies_calls(monkeypatch):
+    # the registry looks combinat.colors_by_v up at each call, as it does every
+    # layer function, so the four colored-object identities reach the wrapper
+    seen = []
+    colors_by_v = combinat.colors_by_v
+
+    def counted(pair):
+        seen.append(pair.label)
+        return colors_by_v(pair)
+    monkeypatch.setattr(combinat, "colors_by_v", counted)
+    results = list(identities.verify(("combinatorial",), [builtin("classical")], 2, GRID))
+    assert all(result[-1] is None for result in results)
+    assert seen == ["classical"] * 4
